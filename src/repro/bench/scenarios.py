@@ -341,7 +341,7 @@ def _grid100_medium_result(name: str, backend: str, quick: bool) -> BenchResult:
         medium,
         jam_positions,
         -5.0,
-        rng.cached_stream,
+        rng.stream,
         kind="markov",
         off_mean_s=5.0,
         on_mean_s=120.0,
@@ -481,7 +481,7 @@ def _city1000_medium_result(
         medium,
         jam_positions,
         -5.0,
-        rng.cached_stream,
+        rng.stream,
         kind="markov",
         off_mean_s=5.0,
         on_mean_s=120.0,

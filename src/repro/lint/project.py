@@ -41,7 +41,11 @@ from repro.lint.core import Finding, ModuleInfo, Rule, imported_names
 
 #: Bump when the extraction below changes shape: cached facts from older
 #: extractors are discarded wholesale.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
+
+#: ``RngManager`` methods whose positional arguments are a stream key:
+#: ``once`` draws from the same keyspace as ``stream`` without interning.
+STREAM_METHODS = ("stream", "once", "fork")
 
 #: Container constructors whose module-level instances are mutable state.
 MUTABLE_CONSTRUCTORS = {
@@ -279,7 +283,7 @@ class _ScopedVisitor(ast.NodeVisitor):
             len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
             and isinstance(node.value, ast.Attribute)
-            and node.value.attr in ("stream", "cached_stream", "fork")
+            and node.value.attr in STREAM_METHODS
         ):
             recv = _dotted(node.value.value) or _unparse(node.value.value, 60)
             self.aliases[-1][node.targets[0].id] = (node.value.attr, recv)
@@ -323,7 +327,7 @@ class _ScopedVisitor(ast.NodeVisitor):
                             "func": "" if not self.scope else self._qualname(),
                         }
                     )
-            if func.attr in ("stream", "cached_stream", "fork"):
+            if func.attr in STREAM_METHODS:
                 recv = _dotted(func.value) or _unparse(func.value, 60)
                 self._rng_site(node, func.attr, recv, node.args)
         qual = _dotted(func)

@@ -19,10 +19,10 @@ no single file shows:
 Collision scope is deliberately conservative so that independent
 ``RngManager`` instances (one per scenario function, one per test) do not
 cross-talk: ``derive_seed`` call sites collide per *module* (they share the
-caller's master seed by construction), ``stream``/``cached_stream``/``fork``
-call sites collide only within one function scope and receiver expression.
-``stream`` and ``cached_stream`` are the same keyspace (the manager interns
-by key) and are grouped together.
+caller's master seed by construction), ``stream``/``once``/``fork`` call
+sites collide only within one function scope and receiver expression.
+``stream`` and ``once`` are the same keyspace (``once(key)`` draws what a
+fresh ``stream(key)`` would) and are grouped together.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class RngProvenanceRule(ProjectRule):
                 if kind == "derive_seed":
                     derive_groups[(module, tup)].append((line, site, facts.path))
                 else:
-                    norm = "stream" if kind == "cached_stream" else kind
+                    norm = "stream" if kind == "once" else kind
                     key = (module, str(site["scope"]), str(site["recv"]), norm, tup)
                     stream_groups[key].append((line, site, facts.path))
 

@@ -19,7 +19,10 @@ per pair, each OU / Gilbert state object carries its own pre-bound RNG
 stream, and the OU decay factors ``exp(-dt/tau)`` are memoized for
 repeating ``dt`` values.  All caches hold values that are pure functions
 of their keys, so they cannot change simulated results — the determinism
-contract in DESIGN.md relies on this.
+contract in DESIGN.md relies on this.  Per-pair values drawn once (static
+shadowing, the OU initial value, bimodal membership and initial state)
+come from :meth:`RngManager.once`, which reproduces a fresh named
+stream's first draws without keeping a generator per pair alive.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ class ChannelModel:
     def _static_shadowing_db(self, a: int, b: int) -> float:
         key = self._pair(a, b)
         if key not in self._shadowing:
-            stream = self._rng.stream("shadow", key[0], key[1])
+            stream = self._rng.once("shadow", key[0], key[1])
             self._shadowing[key] = stream.gauss(0.0, self.shadowing_sigma_db)
         return self._shadowing[key]
 
@@ -183,9 +186,8 @@ class ChannelModel:
         state = self._ou.get(key)
         if state is None:
             a, b = key
-            init_stream = self._rng.stream("ou-init", a, b)
             state = _OUState(self._rng.stream("ou", a, b))
-            state.x = init_stream.gauss(0.0, self.temporal_sigma_db)
+            state.x = self._rng.once("ou-init", a, b).gauss(0.0, self.temporal_sigma_db)
             state.t = t
             self._ou[key] = state
             return state.x
@@ -217,7 +219,9 @@ class ChannelModel:
         state = self._gilbert.get(key, _MISSING)
         if state is _MISSING:
             a, b = key
-            stream = self._rng.stream("bimodal", a, b)
+            # Membership and initial state are the first two draws of one
+            # one-shot stream; the dwell stream below touches no scratch.
+            stream = self._rng.once("bimodal", a, b)
             if stream.random() < self.bimodal_fraction:
                 state = _GilbertState(self._rng.stream("bimodal-dwell", a, b))
                 state.t = t
@@ -310,7 +314,7 @@ class ChannelModel:
                     d = d0
                 shadow = shadowing.get(key)
                 if shadow is None:
-                    stream = rng.stream("shadow", key[0], key[1])
+                    stream = rng.once("shadow", key[0], key[1])
                     shadow = shadowing[key] = stream.gauss(0.0, sigma)
                 mean = -(pl_d0 + ten_n * math.log10(d / d0)) + shadow
                 mean_gain[key] = mean

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator, PCG64
@@ -141,6 +141,20 @@ class _SenderBatch:
         #: Structural epoch this batch was built at; stale when below the
         #: sender's entry in ``FastRadioMedium._sender_epoch``.
         self.epoch = epoch
+
+
+class _Rows(NamedTuple):
+    """One sender's in-budget candidate rows, before lowering to arrays."""
+
+    row: List[Tuple[int, float]]
+    rid_list: List[int]
+    receivers: List[Any]
+    gains: List[float]
+    noise_mw: List[float]
+    noise_db: List[float]
+    mods: List[str]
+    #: Node ids whose CCA hears the sender's carrier.
+    heard: List[int]
 
 
 class FastRadioMedium(RadioMedium):
@@ -284,8 +298,7 @@ class FastRadioMedium(RadioMedium):
 
         #: Receiver attach order — candidate lists keep the exact path's
         #: enumeration order so the two backends deliver in the same order.
-        receiver_order = {rid: i for i, rid in enumerate(self._receivers)}
-        self._dense_index = receiver_order
+        self._dense_index = {rid: i for i, rid in enumerate(self._receivers)}
         self._dense_ids = list(self._receivers)
         self._dense_x = np.asarray(
             [positions[rid][0] for rid in self._dense_ids], dtype=np.float64
@@ -293,81 +306,19 @@ class FastRadioMedium(RadioMedium):
         self._dense_y = np.asarray(
             [positions[rid][1] for rid in self._dense_ids], dtype=np.float64
         )
-        mod_name_index: Dict[str, int] = {}
-
-        cca_heard: Dict[int, List[int]] = {}
-        for sid in self._participants:
-            cca_heard[sid] = []
-
+        # Slots are numbered in first-contact order here and their initial
+        # OU / Gilbert state is drawn below in one vectorized call per array
+        # (after finalize, _alloc_pair_slot draws per slot instead).
         for sid in sorted(self._participants):
-            sender = self._participants[sid]
-            ptx = sender.radio.effective_tx_power_dbm
-            near = self._grid.neighbors(sid)
-            near.sort(key=lambda rid: receiver_order.get(rid, len(receiver_order)))
-            row: List[Tuple[int, float]] = []
-            rid_list: List[int] = []
-            receivers: List[Any] = []
-            gains: List[float] = []
-            noise_mw: List[float] = []
-            noise_db: List[float] = []
+            rows = self._neighborhood_rows(sid, self._participants[sid])
             pair_idx: List[int] = []
-            mods: List[str] = []
-            for rid in near:
-                receiver = self._receivers.get(rid)
-                gain = None
-                if receiver is not None:
-                    gain = channel.mean_gain_db(sid, rid)
-                    mean_snr = ptx + gain - receiver.radio.noise_floor_dbm
-                    if mean_snr >= self.snr_cutoff_db:
-                        row.append((rid, gain))
-                        rid_list.append(rid)
-                        receivers.append(receiver)
-                        gains.append(gain)
-                        n_mw = 10.0 ** (receiver.radio.noise_floor_dbm / 10.0)
-                        noise_mw.append(n_mw)
-                        noise_db.append(10.0 * math.log10(n_mw))
-                        pair = (sid, rid) if sid <= rid else (rid, sid)
-                        slot = pair_slot.get(pair)
-                        if slot is None:
-                            slot = pair_slot[pair] = len(pair_slot)
-                        pair_idx.append(slot)
-                        mods.append(receiver.radio.params.modulation)
-                # Carrier sense reach: rid hears sid's carrier when the
-                # mean RSSI clears rid's CCA threshold (mean-field CCA —
-                # see the class docstring's equivalence contract).
-                listener = self._participants.get(rid)
-                if listener is not None:
-                    if gain is None:
-                        gain = channel.mean_gain_db(sid, rid)
-                    if ptx + gain >= listener.radio.params.cca_threshold_dbm:
-                        cca_heard[sid].append(rid)
-            self._candidates[sid] = row
-            mod_uniform: Optional[str] = mods[0] if mods and len(set(mods)) == 1 else None
-            mod_names = sorted(set(mods))
-            mod_name_index = {name: i for i, name in enumerate(mod_names)}
-            mod_ids = np.fromiter(
-                (mod_name_index[m] for m in mods), dtype=np.int64, count=len(mods)
-            )
-            self._soa[sid] = _SenderBatch(
-                rids=np.asarray(rid_list, dtype=np.int64),
-                rid_list=rid_list,
-                receivers=receivers,
-                mean_gain=np.asarray(gains, dtype=np.float64),
-                noise_mw=np.asarray(noise_mw, dtype=np.float64),
-                noise_db=np.asarray(noise_db, dtype=np.float64),
-                pair_idx=np.asarray(pair_idx, dtype=np.int64),
-                mod_uniform=mod_uniform,
-                mod_ids=mod_ids,
-                mod_names=mod_names,
-                rid_dense=np.fromiter(
-                    (receiver_order[rid] for rid in rid_list),
-                    dtype=np.int64,
-                    count=len(rid_list),
-                ),
-                cca_heard=frozenset(cca_heard[sid]),
-                epoch=0,
-            )
-        self._cca_heard = {sid: batch.cca_heard for sid, batch in self._soa.items()}
+            for rid in rows.rid_list:
+                pair = self._pair_key(sid, rid)
+                slot = pair_slot.get(pair)
+                if slot is None:
+                    slot = pair_slot[pair] = len(pair_slot)
+                pair_idx.append(slot)
+            self._install_batch(sid, rows, pair_idx)
 
         # ---- shared per-pair channel state (one slot per unordered pair)
         n_pairs = len(pair_slot)
@@ -426,40 +377,34 @@ class FastRadioMedium(RadioMedium):
             return batch
         return self._build_batch(sid)
 
-    def _build_batch(self, sid: int) -> Optional[_SenderBatch]:
-        """Rebuild one sender's SoA batch from the live grid — O(k)."""
-        sender = self._participants.get(sid)
-        if sender is None:
-            return None
+    def _neighborhood_rows(self, sid: int, sender: Any) -> _Rows:
+        """Candidate rows and carrier-reach set of ``sid`` from the live grid.
+
+        Shared by :meth:`finalize` and :meth:`_build_batch`; O(k) in the
+        spatial neighborhood.  Neighbors come in dense-axis (attach) order,
+        so candidate lists keep the exact path's enumeration order.
+        """
         grid = self._grid
         assert grid is not None
-        channel = self.channel
         ptx = sender.radio.effective_tx_power_dbm
         order = self._dense_index
         near = grid.neighbors(sid)
         near.sort(key=lambda rid: order.get(rid, len(order)))
         # One batched gain derivation for the whole neighborhood: under
         # mobility every neighbor's cached mean gain is stale after each
-        # tick, so this loop is the rebuild hot path.
-        near_gains = channel.mean_gain_many(sid, near)
+        # tick, and at finalize this is every in-reach pair of the network.
+        near_gains = self.channel.mean_gain_many(sid, near)
         noise_cache = self._noise_cache
-        row: List[Tuple[int, float]] = []
-        rid_list: List[int] = []
-        receivers: List[Any] = []
-        gains: List[float] = []
-        noise_mw: List[float] = []
-        noise_db: List[float] = []
-        mods: List[str] = []
-        heard: List[int] = []
+        rows = _Rows([], [], [], [], [], [], [], [])
         for rid, gain in zip(near, near_gains):
             receiver = self._receivers.get(rid)
             if receiver is not None:
                 mean_snr = ptx + gain - receiver.radio.noise_floor_dbm
                 if mean_snr >= self.snr_cutoff_db:
-                    row.append((rid, gain))
-                    rid_list.append(rid)
-                    receivers.append(receiver)
-                    gains.append(gain)
+                    rows.row.append((rid, gain))
+                    rows.rid_list.append(rid)
+                    rows.receivers.append(receiver)
+                    rows.gains.append(gain)
                     noise = noise_cache.get(rid)
                     if noise is None:
                         # Noise floors are fixed once hardware variation
@@ -467,13 +412,57 @@ class FastRadioMedium(RadioMedium):
                         # mW / dB pair is cacheable per receiver.
                         n_mw = 10.0 ** (receiver.radio.noise_floor_dbm / 10.0)
                         noise = noise_cache[rid] = (n_mw, 10.0 * math.log10(n_mw))
-                    noise_mw.append(noise[0])
-                    noise_db.append(noise[1])
-                    mods.append(receiver.radio.params.modulation)
+                    rows.noise_mw.append(noise[0])
+                    rows.noise_db.append(noise[1])
+                    rows.mods.append(receiver.radio.params.modulation)
+            # Carrier sense reach: rid hears sid's carrier when the mean
+            # RSSI clears rid's CCA threshold (mean-field CCA — see the
+            # class docstring's equivalence contract).
             listener = self._participants.get(rid)
             if listener is not None:
                 if ptx + gain >= listener.radio.params.cca_threshold_dbm:
-                    heard.append(rid)
+                    rows.heard.append(rid)
+        return rows
+
+    def _install_batch(self, sid: int, rows: _Rows, pair_idx: List[int]) -> _SenderBatch:
+        """Lower ``rows`` into ``sid``'s SoA batch at the current epoch."""
+        mods = rows.mods
+        mod_uniform: Optional[str] = mods[0] if mods and len(set(mods)) == 1 else None
+        mod_names = sorted(set(mods))
+        mod_name_index = {name: i for i, name in enumerate(mod_names)}
+        order = self._dense_index
+        rid_list = rows.rid_list
+        batch = _SenderBatch(
+            rids=np.asarray(rid_list, dtype=np.int64),
+            rid_list=rid_list,
+            receivers=rows.receivers,
+            mean_gain=np.asarray(rows.gains, dtype=np.float64),
+            noise_mw=np.asarray(rows.noise_mw, dtype=np.float64),
+            noise_db=np.asarray(rows.noise_db, dtype=np.float64),
+            pair_idx=np.asarray(pair_idx, dtype=np.int64),
+            mod_uniform=mod_uniform,
+            mod_ids=np.fromiter(
+                (mod_name_index[m] for m in mods), dtype=np.int64, count=len(mods)
+            ),
+            mod_names=mod_names,
+            rid_dense=np.fromiter(
+                (order[rid] for rid in rid_list), dtype=np.int64, count=len(rid_list)
+            ),
+            cca_heard=frozenset(rows.heard),
+            epoch=self._epoch,
+        )
+        self._soa[sid] = batch
+        self._candidates[sid] = rows.row
+        self._cca_heard[sid] = batch.cca_heard
+        return batch
+
+    def _build_batch(self, sid: int) -> Optional[_SenderBatch]:
+        """Rebuild one sender's SoA batch from the live grid — O(k)."""
+        sender = self._participants.get(sid)
+        if sender is None:
+            return None
+        rows = self._neighborhood_rows(sid, sender)
+        rid_list = rows.rid_list
         # Structural-reuse fast path: under sub-cell mobility steps, a
         # rebuilt batch almost always has the same rows as the previous
         # one — only the mean gains moved.  Reusing the prior batch's
@@ -486,7 +475,7 @@ class FastRadioMedium(RadioMedium):
             prev_idx = prev.pair_idx
             reusable = True
             for i, rid in enumerate(rid_list):
-                if receivers[i] is not prev.receivers[i] or pair_slot_map.get(
+                if rows.receivers[i] is not prev.receivers[i] or pair_slot_map.get(
                     self._pair_key(sid, rid)
                 ) != prev_idx[i]:
                     # A pair that left range and came back was re-slotted
@@ -494,41 +483,16 @@ class FastRadioMedium(RadioMedium):
                     reusable = False
                     break
             if reusable:
-                prev.mean_gain = np.asarray(gains, dtype=np.float64)
-                heard_f = frozenset(heard)
+                prev.mean_gain = np.asarray(rows.gains, dtype=np.float64)
+                heard_f = frozenset(rows.heard)
                 if heard_f != prev.cca_heard:
                     prev.cca_heard = heard_f
                     self._cca_heard[sid] = heard_f
                 prev.epoch = self._epoch
-                self._candidates[sid] = row
+                self._candidates[sid] = rows.row
                 return prev
         pair_idx = [self._alloc_pair_slot(self._pair_key(sid, rid)) for rid in rid_list]
-        mod_uniform: Optional[str] = mods[0] if mods and len(set(mods)) == 1 else None
-        mod_names = sorted(set(mods))
-        mod_name_index = {name: i for i, name in enumerate(mod_names)}
-        batch = _SenderBatch(
-            rids=np.asarray(rid_list, dtype=np.int64),
-            rid_list=rid_list,
-            receivers=receivers,
-            mean_gain=np.asarray(gains, dtype=np.float64),
-            noise_mw=np.asarray(noise_mw, dtype=np.float64),
-            noise_db=np.asarray(noise_db, dtype=np.float64),
-            pair_idx=np.asarray(pair_idx, dtype=np.int64),
-            mod_uniform=mod_uniform,
-            mod_ids=np.fromiter(
-                (mod_name_index[m] for m in mods), dtype=np.int64, count=len(mods)
-            ),
-            mod_names=mod_names,
-            rid_dense=np.fromiter(
-                (order[rid] for rid in rid_list), dtype=np.int64, count=len(rid_list)
-            ),
-            cca_heard=frozenset(heard),
-            epoch=self._epoch,
-        )
-        self._soa[sid] = batch
-        self._candidates[sid] = row
-        self._cca_heard[sid] = batch.cca_heard
-        return batch
+        return self._install_batch(sid, rows, pair_idx)
 
     # ---- per-pair channel-state slots: lazy allocation + free list ----
     def _alloc_pair_slot(self, pair: Tuple[int, int]) -> int:

@@ -1,6 +1,6 @@
 """R001 fixture: one of every violation class.
 
-Expected findings (7):
+Expected findings (9):
 
 1. unseeded ``Random()`` — OS entropy
 2. arithmetic seed ``Random(master + nid)`` — no derive_seed provenance
@@ -9,6 +9,9 @@ Expected findings (7):
 5. f-string stream-name component
 6. duplicate ``derive_seed`` tuple within the module
 7. duplicate ``stream`` tuple within one scope/receiver
+8. dynamic first component in a one-shot ``once`` draw
+9. a ``once`` draw repeating a ``stream`` tuple in the same scope/receiver
+   (one keyspace: the draw replays the stream's first values)
 """
 
 from random import Random
@@ -29,4 +32,7 @@ def build(master: int, nid: int, name: str) -> None:
     b = derive_seed(master, "noise", 3)  # 6: duplicate derive_seed tuple
     first = mgr.stream("phy", 7)
     second = mgr.stream("phy", 7)  # 7: duplicate stream tuple, same scope
-    _ = wild, drift, fast, dyn, fmt, a, b, first, second
+    shadow = mgr.once(name, nid, 0).gauss(0.0, 1.0)  # 8: dynamic namespace
+    init = mgr.stream("ou", 1, 2)
+    replay = mgr.once("ou", 1, 2).random()  # 9: same keyspace as stream
+    _ = wild, drift, fast, dyn, fmt, a, b, first, second, shadow, init, replay

@@ -13,13 +13,16 @@ def build(master: int, nid: int) -> None:
     fast = Generator(PCG64(derive_seed(master, "fast", "fading")))
     mgr = RngManager(master)
     mac = mgr.stream("mac", nid)
-    churn = mgr.cached_stream("churn", nid)
+    churn = mgr.stream("churn", nid)
+    # A one-shot draw shares stream()'s keyspace: a distinct name is fine.
+    shadow = mgr.once("shadow", nid, 0).gauss(0.0, 1.0)
     child = mgr.fork("channel")
-    _ = noise, fast, mac, churn, child
+    _ = noise, fast, mac, churn, shadow, child
 
 
 def other_scope(master: int, nid: int) -> None:
-    # Same tuple as build()'s mac stream, but a different function scope on
-    # a different manager: not a collision.
+    # Same tuples as build()'s mac stream and shadow draw, but a different
+    # function scope on a different manager: not a collision.
     mgr = RngManager(master)
     _ = mgr.stream("mac", nid)
+    _ = mgr.once("shadow", nid, 0)

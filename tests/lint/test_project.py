@@ -97,6 +97,23 @@ def test_extract_facts_tracks_stream_alias():
     assert site["components"] == [["lit", "rx"], ["lit", 3]]
 
 
+def test_extract_facts_sees_channel_one_shot_draws():
+    repo = Path(__file__).resolve().parents[2]
+    path = repo / "src" / "repro" / "phy" / "channel.py"
+    facts = extract_facts(load_module(path, repo / "src"))
+    once = sorted(
+        (site["scope"], site["components"][0][1])
+        for site in facts.rng_sites
+        if site["kind"] == "once"
+    )
+    assert once == [
+        ("ChannelModel._fade_for", "bimodal"),
+        ("ChannelModel._static_shadowing_db", "shadow"),
+        ("ChannelModel._temporal_for", "ou-init"),
+        ("ChannelModel.mean_gain_many", "shadow"),
+    ]
+
+
 def test_facts_round_trip_json():
     facts = extract_facts(module_from("X = []\n\ndef f():\n    X.append(1)\n"))
     clone = type(facts).from_json(json.loads(json.dumps(facts.to_json())))
@@ -166,7 +183,7 @@ def test_rng_provenance_good_is_clean():
 def test_rng_provenance_bad_finds_every_class():
     findings = run_rule("rng-provenance", FIXTURES / "rng" / "bad")
     messages = "\n".join(f.message for f in findings)
-    assert len(findings) == 10  # 7 in repro/sim + 3 in repro/campaign
+    assert len(findings) == 12  # 9 in repro/sim + 3 in repro/campaign
     assert "unseeded Random construction" in messages
     assert "does not flow from derive_seed" in messages
     assert "`Generator(PCG64(12345))`" not in messages  # judged at PCG64 site
@@ -175,6 +192,9 @@ def test_rng_provenance_bad_finds_every_class():
     assert "string-built stream-name component" in messages
     assert "duplicate derive_seed stream tuple ('noise', 3)" in messages
     assert "duplicate stream stream tuple ('phy', 7)" in messages
+    # once() sites: literal-first checked, and one keyspace with stream().
+    assert "dynamic stream name in `once(...)`" in messages
+    assert "duplicate stream stream tuple ('ou', 1, 2)" in messages
     # The campaign fixture's three classes: arithmetic point seeds, a
     # dynamic namespace, and sweep/optimizer call sites sharing a tuple.
     assert "`Random(seed * 1000 + i)`" in messages
