@@ -9,6 +9,12 @@ counters and every node's final ETX table with full float precision — so
 the golden test can assert that performance work leaves results
 *byte-identical*, not merely statistically similar.
 
+The same scenario is also pinned on the fast medium backend
+(``FAST_GOLDEN_CASES``), once per fault preset: ``flaky_burst`` covers
+overlap interference and the fault overlay of the vectorized reception
+kernel, ``reboot_storm`` covers the estimator/routing state wipes of a
+crash and reboot.
+
 Regenerate (only when an intentional behavior change is made) with:
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/golden -q
@@ -18,13 +24,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
 from repro.topology.generators import grid
 
 GOLDEN_PATH = Path(__file__).parent / "collection_golden.json"
+FAST_GOLDEN_PATH = Path(__file__).parent / "collection_golden_fast.json"
 
 #: Everything that defines the pinned run, in one place.
 GOLDEN_CONFIG = {
@@ -35,6 +42,9 @@ GOLDEN_CONFIG = {
     "warmup_s": 60.0,
     "bimodal_fraction": 0.3,
 }
+
+#: Fault presets the fast-backend golden pins, one snapshot each.
+FAST_GOLDEN_CASES = ("flaky_burst", "reboot_storm")
 
 
 def _canon(value):
@@ -55,14 +65,23 @@ def _canon(value):
     raise TypeError(f"unsupported golden value type: {type(value)!r}")
 
 
-def golden_snapshot() -> Dict[str, object]:
-    """Run the pinned scenario and return its canonical outcome dict."""
+def golden_snapshot(medium: str = "exact", faults: Optional[str] = None) -> Dict[str, object]:
+    """Run the pinned scenario and return its canonical outcome dict.
+
+    The defaults are the exact-backend golden; ``medium="fast"`` with a
+    fault preset name gives one of the fast-backend cases.
+    """
+    pinned: Dict[str, object] = dict(GOLDEN_CONFIG)
+    if medium != "exact" or faults is not None:
+        pinned.update(medium=medium, faults=faults)
     topo = grid(4, 4, spacing_m=6.0, rng=RngManager(9).stream("topo"), jitter_m=0.5)
     config = SimConfig(
         protocol=GOLDEN_CONFIG["protocol"],
         seed=GOLDEN_CONFIG["seed"],
         duration_s=GOLDEN_CONFIG["duration_s"],
         warmup_s=GOLDEN_CONFIG["warmup_s"],
+        medium=medium,
+        faults=faults,
     )
     net = CollectionNetwork(
         topo, config, channel_overrides={"bimodal_fraction": GOLDEN_CONFIG["bimodal_fraction"]}
@@ -74,7 +93,7 @@ def golden_snapshot() -> Dict[str, object]:
         if node.estimator is not None
     }
     return {
-        "config": GOLDEN_CONFIG,
+        "config": pinned,
         "counters": {
             "events_run": result.events_run,
             "offered": result.offered,
@@ -93,9 +112,20 @@ def golden_snapshot() -> Dict[str, object]:
     }
 
 
-def write_golden(snapshot: Dict[str, object]) -> None:
-    GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+def assert_matches_golden(snapshot: Dict[str, object], golden: Dict[str, object]) -> None:
+    """Field-by-field equality, so a mismatch names the part that drifted."""
+    assert snapshot["config"] == golden["config"], "pinned config drifted"
+    assert snapshot["counters"] == golden["counters"]
+    assert snapshot["final_parents"] == golden["final_parents"]
+    # Compare via canonical JSON so a mismatch shows a readable diff.
+    assert json.dumps(snapshot["etx_tables"], sort_keys=True) == json.dumps(
+        golden["etx_tables"], sort_keys=True
+    )
 
 
-def load_golden() -> Dict[str, object]:
-    return json.loads(GOLDEN_PATH.read_text())
+def write_golden(snapshot: object, path: Path = GOLDEN_PATH) -> None:
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+
+
+def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
+    return json.loads(path.read_text())

@@ -6,11 +6,11 @@ RNG draw order, reordered float arithmetic, dropped evaluation) and must
 be fixed, not regenerated around — see DESIGN.md's determinism contract.
 """
 
-import json
 import os
 
 from tests.golden.golden_utils import (
     GOLDEN_PATH,
+    assert_matches_golden,
     golden_snapshot,
     load_golden,
     write_golden,
@@ -24,14 +24,7 @@ def test_pinned_run_matches_golden():
     assert GOLDEN_PATH.exists(), (
         "golden file missing; regenerate with REPRO_REGEN_GOLDEN=1"
     )
-    golden = load_golden()
-    assert snapshot["config"] == golden["config"], "pinned config drifted"
-    assert snapshot["counters"] == golden["counters"]
-    assert snapshot["final_parents"] == golden["final_parents"]
-    # Compare via canonical JSON so a mismatch shows a readable diff.
-    assert json.dumps(snapshot["etx_tables"], sort_keys=True) == json.dumps(
-        golden["etx_tables"], sort_keys=True
-    )
+    assert_matches_golden(snapshot, load_golden())
 
 
 def test_snapshot_is_self_reproducible():
