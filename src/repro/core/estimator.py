@@ -182,6 +182,10 @@ class HybridLinkEstimator(LinkEstimator):
             return _INF
         return ewma._value
 
+    @property
+    def quality_version(self) -> int:
+        return self.table.version
+
     def neighbors(self) -> List[int]:
         return self.table.addresses()
 
@@ -406,9 +410,13 @@ class HybridLinkEstimator(LinkEstimator):
 
     def _fold_etx_sample(self, entry: NeighborEntry, sample: float) -> None:
         sample = min(sample, self.config.max_etx_sample)
-        if entry.etx_ewma is None:
-            entry.etx_ewma = Ewma(self.config.alpha_outer)
-        entry.etx_ewma.update(sample)
+        ewma = entry.etx_ewma
+        if ewma is None:
+            ewma = entry.etx_ewma = Ewma(self.config.alpha_outer)
+        before = ewma._value if ewma._initialized else None
+        ewma.update(sample)
+        if ewma._value != before:
+            self.table.version += 1  # the quality view changed
 
     # ------------------------------------------------------------------
     # Table insertion (white + compare bits)

@@ -66,6 +66,19 @@ class LinkEstimator(abc.ABC):
     def neighbors(self) -> Iterable[int]:
         """Addresses currently in the link table."""
 
+    @property
+    @abc.abstractmethod
+    def quality_version(self) -> int:
+        """Counter that changes whenever :meth:`neighbor_qualities` may.
+
+        Implementations bump it on every table insert, removal, eviction
+        and wipe, and on every change to an entry's ETX.  Equal versions
+        promise an identical ``(neighbor, ETX)`` view in the same order,
+        which lets the network layer skip re-deriving a decision from an
+        unchanged view (CTP's parent re-evaluation memo, DESIGN.md §6).
+        Pin bits are not part of the view.
+        """
+
     def neighbor_qualities(self) -> "list[tuple[int, float]]":
         """``(address, link ETX)`` for every table entry.
 

@@ -70,6 +70,11 @@ class NeighborTable:
 
     ``capacity=None`` models the "CTP unconstrained" configuration of the
     paper's Figure 2(c).
+
+    ``version`` counts mutations of the table's contents: every insert,
+    removal, eviction and wipe bumps it, and the owning estimator bumps it
+    when it changes an entry's ETX.  It backs
+    :attr:`repro.core.interfaces.LinkEstimator.quality_version`.
     """
 
     def __init__(self, capacity: Optional[int] = 10) -> None:
@@ -78,6 +83,7 @@ class NeighborTable:
         self.capacity = capacity
         self._entries: Dict[int, NeighborEntry] = {}
         self.evictions = 0
+        self.version = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -108,6 +114,7 @@ class NeighborTable:
             raise ValueError("table full; evict first")
         entry = NeighborEntry(addr=addr)
         self._entries[addr] = entry
+        self.version += 1
         return entry
 
     def evict_random_unpinned(
@@ -130,6 +137,7 @@ class NeighborTable:
         victim = rng.choice(pool)
         del self._entries[victim]
         self.evictions += 1
+        self.version += 1
         return victim
 
     def evict_worst_unpinned(self) -> Optional[int]:
@@ -143,6 +151,7 @@ class NeighborTable:
         victim = max(candidates, key=lambda pair: (pair[0], pair[1]))[1]
         del self._entries[victim]
         self.evictions += 1
+        self.version += 1
         return victim
 
     def clear(self) -> None:
@@ -153,11 +162,13 @@ class NeighborTable:
         it tallies events, not state.
         """
         self._entries.clear()
+        self.version += 1
 
     def remove(self, addr: int) -> bool:
         """Explicitly drop an entry (pinned or not).  Returns False if absent."""
         if addr in self._entries:
             del self._entries[addr]
+            self.version += 1
             return True
         return False
 

@@ -16,7 +16,7 @@ import math
 from random import Random
 from dataclasses import dataclass
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 
 from repro.core.interfaces import CompareBitProvider, LinkEstimator
@@ -91,6 +91,13 @@ class CtpRoutingEngine(CompareBitProvider):
         self.config = config
         self.stats = RoutingStats()
         self.route_info: Dict[int, RouteInfo] = {}
+        #: Bumped whenever ``route_info`` changes in a way
+        #: :meth:`update_route` can see: a new neighbor or a changed
+        #: ``(parent, path_etx)`` behind a usable link, or a wipe.
+        self._route_version = 0
+        #: ``(estimator.quality_version, _route_version, parent)`` of the
+        #: last evaluation that kept the parent (see :meth:`update_route`).
+        self._memo_key: Optional[Tuple[int, int, Optional[int]]] = None
         self.parent: Optional[int] = None
         self._had_route = is_root
         self._pull_pending = False
@@ -125,6 +132,7 @@ class CtpRoutingEngine(CompareBitProvider):
         self.enabled = False
         self.trickle.stop()
         self.route_info.clear()
+        self._route_version += 1
         self.parent = None
         self._had_route = self.is_root
         self._pull_pending = False
@@ -174,9 +182,19 @@ class CtpRoutingEngine(CompareBitProvider):
         it.  The skip conditions are exactly the inf-cost cases of
         :meth:`_route_through` (an inf cost can never win ``cost <
         best_cost``).
+
+        The decision is a pure function of the estimator's quality view,
+        ``route_info`` and the current parent, so it is memoized on their
+        versions: when the key equals that of the last evaluation that
+        kept the parent, re-evaluating would keep it again and is skipped.
+        An evaluation that switches parent leaves no key behind.
         """
         if self.is_root:
             return
+        key = (self.estimator.quality_version, self._route_version, self.parent)
+        if key == self._memo_key:
+            return
+        self._memo_key = key
         inf = math.inf
         isinf = math.isinf
         route_info_get = self.route_info.get
@@ -205,6 +223,7 @@ class CtpRoutingEngine(CompareBitProvider):
         elif best != self.parent and best_cost + self.config.parent_switch_threshold < current_cost:
             switch = True
         if switch and best != self.parent:
+            self._memo_key = None
             self._set_parent(best)
 
     def _set_parent(self, new_parent: Optional[int]) -> None:
@@ -259,10 +278,17 @@ class CtpRoutingEngine(CompareBitProvider):
                 path_etx=frame.path_etx,
                 heard_at=self.engine.now,
             )
+            changed = True
         else:  # overwrite in place (one allocation per neighbor, not per beacon)
+            changed = info_rec.parent != frame.parent or info_rec.path_etx != frame.path_etx
             info_rec.parent = frame.parent
             info_rec.path_etx = frame.path_etx
             info_rec.heard_at = self.engine.now
+        # Route info behind an unusable link cannot sway parent selection;
+        # when that link becomes usable the estimator's quality_version
+        # moves instead.
+        if changed and self.estimator.link_quality(le_src) <= self.config.max_link_etx:
+            self._route_version += 1
         if frame.pull and (self.is_root or self.parent is not None):
             self.trickle.reset()
         self.update_route()

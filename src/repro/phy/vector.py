@@ -20,12 +20,22 @@ kernels that advance them:
 * :func:`prr_table` — the SNR→PRR curve sampled on the exact path's
   0.01 dB quantization grid, so a vectorized ``table[idx]`` gather returns
   byte-identical PRR values to ``repro.phy.modulation.prr_fast``.
+* :func:`lqi_sample` — the :class:`~repro.phy.lqi.LqiModel` logistic plus
+  measurement noise, clamped and rounded, for a whole decoded subset.
 * :func:`mean_field_extra_db` — the Jensen correction for treating a
   fading interferer as a constant mean-gain source (see DESIGN.md §9).
 
 Randomness: every kernel takes the draws it needs as explicit arguments
 or a ``numpy.random.Generator``; nothing here touches global numpy RNG
 state (lint rule D001 enforces this for the whole deterministic stack).
+
+Cost model: a transmission's candidate arrays hold tens of elements, so
+each numpy call's fixed dispatch cost (about a microsecond) outweighs its
+arithmetic.  The kernels therefore minimise *calls* — in-place ``out=``
+chains, ufuncs instead of Python-level wrappers such as ``np.clip`` —
+while keeping every float operation and its operand order, so results
+are bit-identical to the straightforward expressions they replace
+(DESIGN.md §9, "per-transmission kernel").
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from typing import Any, Tuple
 
 import numpy as np
 
+from repro.phy.lqi import LQI_MAX, LQI_MIN, _LQI_SPAN
 from repro.phy.modulation import _prr_quantized
 
 #: The exact path short-circuits PRR outside the transition region; the
@@ -62,15 +73,37 @@ def ou_advance(
     ``freeze_s`` to the previous one see a frozen channel, matching the
     exact path's ``_ou_freeze_s`` behavior.  Returns the post-advance
     ``x[slots]`` values.
+
+    Most calls mix frozen and moving slots; the all-moving case skips the
+    two mask gathers.  ``dt/(−τ)`` equals ``−dt/τ`` exactly (IEEE division
+    is sign-symmetric), and each in-place step is the same operation, in
+    the same operand order, as the textbook expression above.
     """
-    dt = t_now - t_last[slots]
+    dt = t_last[slots]
+    np.subtract(t_now, dt, out=dt)
     moving = dt > freeze_s
-    if moving.any():
+    n_moving = np.count_nonzero(moving)
+    if n_moving == 0:
+        return x[slots]
+    if n_moving == slots.size:
+        upd = slots
+        decay = dt
+    else:
         upd = slots[moving]
-        decay = np.exp(-dt[moving] / tau_s)
-        innovation = sigma_db * np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
-        x[upd] = x[upd] * decay + innovation * gen.standard_normal(upd.size)
-        t_last[upd] = t_now
+        decay = dt[moving]
+    decay /= -tau_s
+    np.exp(decay, out=decay)
+    innovation = decay * decay
+    np.subtract(1.0, innovation, out=innovation)
+    np.maximum(innovation, 0.0, out=innovation)
+    np.sqrt(innovation, out=innovation)
+    innovation *= sigma_db
+    innovation *= gen.standard_normal(n_moving)
+    moved = x[upd]
+    moved *= decay
+    moved += innovation
+    x[upd] = moved
+    t_last[upd] = t_now
     return x[slots]
 
 
@@ -115,26 +148,68 @@ def prr_table(modulation: str, length_bytes: int) -> Any:
     dB, computed through the exact path's ``_prr_quantized`` so the two
     backends return bit-identical PRR for any in-range SNR.  Callers cache
     the returned array (≈26 KiB) per (modulation, length).
+
+    The last entry (+25.00 dB) must be exactly 1.0: :func:`prr_lookup`
+    relies on it to serve the exact path's ``snr ≥ 25 dB → 1.0``
+    short-circuit from the clipped gather.
     """
     centi = range(PRR_TABLE_SNR_MIN_CENTI, PRR_TABLE_SNR_MAX_CENTI + 1)
-    return np.fromiter(
+    table = np.fromiter(
         (_prr_quantized(modulation, q, length_bytes) for q in centi),
         dtype=np.float64,
         count=PRR_TABLE_SNR_MAX_CENTI - PRR_TABLE_SNR_MIN_CENTI + 1,
     )
+    if table[-1] != 1.0:
+        raise ValueError(
+            f"PRR table for {modulation!r}/{length_bytes} B does not saturate "
+            f"at +25 dB (last entry {table[-1]!r}); prr_lookup needs exactly 1.0"
+        )
+    return table
 
 
 def prr_lookup(table: Any, sinr_db: Any) -> Any:
     """Vectorized ``prr_fast``: short-circuits plus a quantized gather.
 
     ``np.rint`` rounds half-to-even exactly like the exact path's builtin
-    ``round``, so the gather index matches scalar quantization.
+    ``round``, so the gather index matches scalar quantization.  The
+    ``take(mode="clip")`` gather clamps out-of-range indices in the same
+    call: every SNR ≥ 25 dB lands on the last entry, which
+    :func:`prr_table` guarantees is 1.0.  The ``≤ −8 dB`` short-circuit
+    needs its own masked store, because the first entry (−8.00 dB) is
+    tiny but not zero.  SINR is always finite (path loss clamps at
+    ``d0``), so no NaN reaches the comparison.
     """
-    idx = np.rint(sinr_db * 100.0).astype(np.int64) - PRR_TABLE_SNR_MIN_CENTI
-    np.clip(idx, 0, table.size - 1, out=idx)
-    prr = table[idx]
-    prr = np.where(sinr_db >= 25.0, 1.0, prr)
-    return np.where(sinr_db <= -8.0, 0.0, prr)
+    idx = np.rint(sinr_db * 100.0).astype(np.int64)
+    idx -= PRR_TABLE_SNR_MIN_CENTI
+    prr = table.take(idx, mode="clip")
+    prr[sinr_db <= -8.0] = 0.0
+    return prr
+
+
+def lqi_sample(
+    sinr_db: Any, midpoint_snr_db: float, slope_db: float, noise_sigma: float, normals: Any
+) -> Any:
+    """Vectorized :meth:`~repro.phy.lqi.LqiModel.sample` given standard-normal draws.
+
+    Computes ``LQI_MIN + span/(1 + e^((mid − s)/slope)) + z·σ``, clamps it
+    to ``[LQI_MIN, LQI_MAX]`` and rounds half-to-even, as the scalar model
+    does with ``rng.gauss(0, σ)`` in place of ``z·σ``.  ``mid − s`` equals
+    ``−(s − mid)`` exactly, and ``max``/``min`` against the integer bounds
+    equal ``np.clip`` without its per-call wrapper cost.  ``normals`` is
+    scaled in place.  Returns int64 LQI values.
+    """
+    value = midpoint_snr_db - sinr_db
+    value /= slope_db
+    np.exp(value, out=value)
+    value += 1.0
+    np.divide(_LQI_SPAN, value, out=value)
+    value += LQI_MIN
+    normals *= noise_sigma
+    value += normals
+    np.maximum(value, LQI_MIN, out=value)
+    np.minimum(value, LQI_MAX, out=value)
+    np.rint(value, out=value)
+    return value.astype(np.int64)
 
 
 def mean_field_extra_db(
@@ -181,6 +256,7 @@ __all__ = [
     "gilbert_advance",
     "prr_table",
     "prr_lookup",
+    "lqi_sample",
     "mean_field_extra_db",
     "dbm_to_mw",
     "PRR_TABLE_SNR_MIN_CENTI",

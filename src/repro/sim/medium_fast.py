@@ -52,10 +52,11 @@ from numpy.random import Generator, PCG64
 
 from repro.link.frame import JamFrame
 from repro.phy.channel import ChannelModel
-from repro.phy.lqi import DEFAULT_LQI_MODEL, LQI_MAX, LQI_MIN, LqiModel, _LQI_SPAN
+from repro.phy.lqi import DEFAULT_LQI_MODEL, LqiModel
 from repro.phy.radio import RadioParams
 from repro.phy.vector import (
     gilbert_advance,
+    lqi_sample,
     mean_field_extra_db,
     ou_advance,
     prr_lookup,
@@ -938,21 +939,26 @@ class FastRadioMedium(RadioMedium):
         else:
             extra = np.zeros(idx.size)
         if self._g_bimodal is not None:
-            bi = self._g_bimodal[slots]
-            if bi.any():
+            bi_pos = self._g_bimodal[slots].nonzero()[0]
+            if bi_pos.size:
                 faded = gilbert_advance(
                     self._g_faded,
                     self._g_t,
-                    slots[bi],
+                    slots[bi_pos],
                     t,
                     channel.fade_dwell_s,
                     channel.good_dwell_s,
                     self._gen_fade,
                 )
-                fade = np.zeros(idx.size)
-                fade[bi] = np.where(faded, -channel.fade_depth_db, 0.0)
-                extra = extra + fade
-        gain = (batch.mean_gain if full else batch.mean_gain[idx]) + extra
+                # ``extra`` is a fresh array.  Subtracting the depth where
+                # faded equals adding −depth; elsewhere adding 0.0 is the
+                # identity (up to the sign of a zero, which the nonzero
+                # mean gain below absorbs).
+                extra[bi_pos[faded]] -= channel.fade_depth_db
+        # In-place from here on: ``extra`` is fresh, and ``a += b`` is the
+        # same IEEE sum as ``b + a``.
+        gain = extra
+        gain += batch.mean_gain if full else batch.mean_gain[idx]
 
         # ---- fault overlay: identical offset/blackout semantics ---------
         faults = self._faults
@@ -975,9 +981,10 @@ class FastRadioMedium(RadioMedium):
                     return
                 gain = gain[keep_mask] + offsets[keep_mask]
             else:
-                gain = gain + offsets
+                gain += offsets
 
-        rssi = tx.power_dbm + gain
+        rssi = gain
+        rssi += tx.power_dbm
         if prof is not None:
             k1 = perf_counter()
             prof.record_kernel("medium_fast.fading", k1 - k0)
@@ -1023,9 +1030,9 @@ class FastRadioMedium(RadioMedium):
                     )
         decoded = self._gen_rx.random(idx.size) < prr
         if inter_mw is not None:
-            self.collisions += int(
-                np.count_nonzero(~decoded & (inter_mw > noise_mw))
-            )
+            # Undecoded frames whose interference outweighed the noise;
+            # ``decoded < hot`` is ``~decoded & hot`` for booleans.
+            self.collisions += int(np.count_nonzero(decoded < (inter_mw > noise_mw)))
         dec = np.nonzero(decoded)[0]
         if prof is not None:
             k1 = perf_counter()
@@ -1037,13 +1044,13 @@ class FastRadioMedium(RadioMedium):
         # ---- LQI sample + white bit for the decoded subset --------------
         lqi_model = self.lqi_model
         sinr_dec = sinr[dec]
-        value = (
-            LQI_MIN
-            + _LQI_SPAN
-            / (1.0 + np.exp(-(sinr_dec - lqi_model.midpoint_snr_db) / lqi_model.slope_db))
-            + self._gen_lqi.standard_normal(dec.size) * lqi_model.noise_sigma
+        lqi = lqi_sample(
+            sinr_dec,
+            lqi_model.midpoint_snr_db,
+            lqi_model.slope_db,
+            lqi_model.noise_sigma,
+            self._gen_lqi.standard_normal(dec.size),
         )
-        lqi = np.rint(np.clip(value, LQI_MIN, LQI_MAX)).astype(np.int64)
         policy = self.white_bit_policy
         wb_threshold = policy.threshold if type(policy) is LqiWhiteBit else None
         if wb_threshold is not None:

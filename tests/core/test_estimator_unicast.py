@@ -132,3 +132,23 @@ def test_ack_resets_consecutive_failure_count():
     for _ in range(5):
         unicast_attempt(est, NBR, acked=False)
     assert est.link_quality(NBR) == pytest.approx(9.0)
+
+
+def test_quality_version_moves_with_the_etx():
+    """``quality_version`` changes exactly when the (neighbor, ETX) view
+    does: a fold that moves the ETX bumps it, one that lands on the same
+    value does not, and a reboot wipe does."""
+    est = seeded_estimator()
+    v0 = est.quality_version
+    for _ in range(5):
+        unicast_attempt(est, NBR, acked=True)  # sample 1.0 onto ETX 1.0
+    assert est.stats.unicast_samples == 1
+    assert est.link_quality(NBR) == 1.0
+    assert est.quality_version == v0
+    for acked in (True, False, True, False, True):
+        unicast_attempt(est, NBR, acked=acked)  # sample 5/3
+    assert est.link_quality(NBR) == pytest.approx(5 / 3)
+    assert est.quality_version != v0
+    v1 = est.quality_version
+    est.reset_state()
+    assert est.quality_version != v1

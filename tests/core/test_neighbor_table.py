@@ -186,3 +186,68 @@ def test_property_capacity_never_exceeded(capacity, addrs):
         if not table.full and addr not in table:
             table.insert(addr)
         assert len(table) <= capacity
+
+
+# ----------------------------------------------------------------------
+# version: every content mutation bumps it, pin bits do not
+# ----------------------------------------------------------------------
+class _VersionWatch:
+    def __init__(self, table: NeighborTable) -> None:
+        self.table = table
+        self.seen = table.version
+
+    def bumped(self) -> bool:
+        now = self.table.version
+        moved = now != self.seen
+        self.seen = now
+        return moved
+
+
+def test_insert_and_remove_bump_version():
+    table = NeighborTable(capacity=3)
+    watch = _VersionWatch(table)
+    table.insert(1)
+    assert watch.bumped()
+    table.insert(2)
+    assert watch.bumped()
+    assert table.remove(1)
+    assert watch.bumped()
+    assert not table.remove(1)  # absent: nothing changed
+    assert not watch.bumped()
+
+
+def test_evictions_bump_version():
+    table = NeighborTable(capacity=None)
+    for addr in range(4):
+        table.insert(addr)
+    watch = _VersionWatch(table)
+    assert table.evict_random_unpinned(random.Random(2)) is not None
+    assert watch.bumped()
+    assert table.evict_worst_unpinned() is not None
+    assert watch.bumped()
+    for addr in table.addresses():
+        table.pin(addr)
+    watch.bumped()
+    assert table.evict_random_unpinned(random.Random(2)) is None
+    assert table.evict_worst_unpinned() is None
+    assert not watch.bumped()  # nothing evicted
+
+
+def test_clear_bumps_version():
+    table = NeighborTable(capacity=3)
+    table.insert(5)
+    watch = _VersionWatch(table)
+    table.clear()
+    assert watch.bumped()
+
+
+def test_pin_bits_leave_version_alone():
+    table = NeighborTable(capacity=3)
+    table.insert(1)
+    table.insert(2)
+    watch = _VersionWatch(table)
+    table.pin(1)
+    table.unpin(1)
+    table.pin(2)
+    table.clear_pins()
+    assert not watch.bumped()

@@ -16,12 +16,18 @@ class FakeEstimator(LinkEstimator):
         self.pinned: set = set()
         self.sent: List[NetworkFrame] = []
         self.accept_sends = True
+        self._version = 0
 
     # -- test controls ---------------------------------------------------
     def set_quality(self, neighbor: int, etx: float) -> None:
         self.qualities[neighbor] = etx
+        self._version += 1
 
     # -- LinkEstimator ----------------------------------------------------
+    @property
+    def quality_version(self) -> int:
+        return self._version
+
     def link_quality(self, neighbor: int) -> float:
         return self.qualities.get(neighbor, float("inf"))
 

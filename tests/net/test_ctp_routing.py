@@ -4,12 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.ctp.frames import NO_PARENT, make_routing_frame
+from repro.core.estimator import EstimatorConfig
+from repro.link.frame import le_wrap
+from repro.net.ctp.frames import NO_PARENT, CtpRoutingFrame, make_routing_frame
 from repro.net.ctp.routing import CtpRoutingConfig, CtpRoutingEngine
 from repro.sim.engine import Engine
 
 from tests.conftest import make_rx_info
+from tests.core.helpers import build_estimator, unicast_attempt
 from tests.net.helpers import FakeEstimator
 
 
@@ -184,3 +189,105 @@ def test_first_route_triggers_callback(engine):
     routing.estimator.set_quality(1, 1.0)
     routing.update_route()
     assert found == [True]
+
+
+# ----------------------------------------------------------------------
+# Parent re-evaluation memo: skipping must never change a decision
+# ----------------------------------------------------------------------
+def test_unchanged_inputs_skip_reevaluation(engine):
+    routing, est = make_engine(engine, qualities={1: 1.0, 2: 2.0})
+    views = []
+    original = est.neighbor_qualities
+    est.neighbor_qualities = lambda: views.append(1) or original()
+    hear(routing, 1, parent=0, path_etx=1.0)
+    assert routing.parent == 1
+    evaluated = len(views)
+    routing.update_route()
+    routing.update_route()
+    hear(routing, 1, parent=0, path_etx=1.0)  # same advertisement again
+    assert len(views) == evaluated + 1  # one re-check after the switch, then memo hits
+    est.set_quality(2, 1.0)  # a quality change must be seen
+    routing.update_route()
+    assert len(views) == evaluated + 2
+    hear(routing, 2, parent=0, path_etx=0.5)  # so must a route change
+    assert len(views) == evaluated + 3
+
+
+class _NoMemoRouting(CtpRoutingEngine):
+    """Re-evaluates on every call: the reference the memo must match."""
+
+    def update_route(self) -> None:
+        self._memo_key = None
+        super().update_route()
+
+
+class _BeaconClient:
+    """Routes unwrapped CTP beacons to the engine, as CtpProtocol does."""
+
+    def __init__(self, routing):
+        self.routing = routing
+
+    def on_receive(self, frame, info, le_src):
+        if isinstance(frame, CtpRoutingFrame):
+            self.routing.on_beacon_received(frame, info, le_src)
+
+    def on_send_done(self, frame, sent, acked):
+        pass
+
+
+def _routing_stack(routing_cls):
+    """A real estimator (3-entry table, short windows) under ``routing_cls``."""
+    est, _, engine = build_estimator(
+        EstimatorConfig(table_size=3, ku=2, kb=2, immature_evict_expected=2), node_id=10
+    )
+    routing = routing_cls(engine, est, node_id=10, is_root=False, rng=random.Random(5))
+    est.compare_provider = routing
+    est.client = _BeaconClient(routing)
+    return est, routing
+
+
+_NEIGHBORS = st.integers(1, 6)
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("beacon"),
+        _NEIGHBORS,
+        st.sampled_from([0, 1, 2, 3, 4, 5, 6, 10]),  # 10 = this node: a loop
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 9.0, math.inf]),
+        st.booleans(),  # white bit
+        st.sampled_from([1, 1, 1, 2, 3, 40]),  # seq step; 40 = neighbor reboot
+    ),
+    st.tuples(st.just("ack"), _NEIGHBORS, st.booleans()),
+    st.tuples(st.just("pump")),
+    st.tuples(st.just("crash")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_STEPS, min_size=1, max_size=80))
+def test_memoized_parent_matches_full_reevaluation(steps):
+    """Beacons (new neighbors, changed routes, loops, unusable links),
+    ack-bit ETX folds, table evictions and crash/reboot wipes: after every
+    step the memoized engine holds the same parent as a twin that
+    re-evaluates on every call."""
+    stacks = [_routing_stack(CtpRoutingEngine), _routing_stack(_NoMemoRouting)]
+    seqs = {}
+    for step in steps:
+        kind = step[0]
+        if kind == "beacon":
+            _, src, parent, path_etx, white, gap = step
+            seqs[src] = seq = (seqs.get(src, -1) + gap) % 256
+        for est, routing in stacks:
+            if kind == "beacon":
+                payload = make_routing_frame(src=src, parent=parent, path_etx=path_etx)
+                est._mac_receive(le_wrap(payload, le_seq=seq), make_rx_info(white_bit=white))
+            elif kind == "ack":
+                unicast_attempt(est, step[1], acked=step[2])
+            elif kind == "pump":
+                routing.update_route()
+            else:
+                routing.fault_shutdown()
+                est.reset_state()
+                routing.fault_restart()
+        (memo_est, memo), (ref_est, ref) = stacks
+        assert memo_est.neighbor_qualities() == ref_est.neighbor_qualities()
+        assert memo.parent == ref.parent, step

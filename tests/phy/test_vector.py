@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
-from repro.phy.modulation import prr_fast
+from repro.phy.lqi import LqiModel
+from repro.phy.modulation import BER_MODELS, prr_fast
 from repro.phy.vector import (
     PRR_TABLE_SNR_MAX_CENTI,
     PRR_TABLE_SNR_MIN_CENTI,
     dbm_to_mw,
     gilbert_advance,
+    lqi_sample,
     mean_field_extra_db,
     ou_advance,
     prr_lookup,
@@ -37,6 +41,30 @@ def test_prr_lookup_dense_sweep_bit_identical():
     vec = prr_lookup(table, snrs)
     for snr, p in zip(snrs.tolist(), vec.tolist()):
         assert p == prr_fast("oqpsk-dsss", snr, 28)
+
+
+@pytest.mark.parametrize("modulation", sorted(BER_MODELS))
+def test_prr_lookup_short_circuit_edges_match_prr_fast(modulation):
+    """The edges the lookup serves without an explicit short-circuit: the
+    clipped gather above +25 dB and the masked store at or below −8 dB."""
+    table = prr_table(modulation, 44)
+    snrs = np.asarray([-8.0, -8.004, -7.996, 24.995, 25.0, 40.0])
+    for snr, p in zip(snrs.tolist(), prr_lookup(table, snrs).tolist()):
+        assert p == prr_fast(modulation, snr, 44), snr
+
+
+@pytest.mark.parametrize("modulation", sorted(BER_MODELS))
+def test_prr_table_saturates_at_exactly_one(modulation):
+    """``prr_lookup`` relies on the last entry being exactly 1.0."""
+    for length in (1, 5, 11, 20, 28, 44, 64, 100, 127, 133, 255):
+        assert prr_table(modulation, length)[-1] == 1.0
+
+
+def test_prr_lookup_leaves_table_untouched():
+    table = prr_table("oqpsk-dsss", 44)
+    before = table.copy()
+    prr_lookup(table, np.asarray([-30.0, -8.0, 0.0, 30.0]))
+    assert np.array_equal(table, before)
 
 
 def test_prr_table_monotone_and_bounded():
@@ -77,6 +105,95 @@ def test_ou_advance_short_step_decay():
     dt = 6.0
     out = ou_advance(x, t_last, np.arange(n), dt, 60.0, 1.5, 0.01, gen)
     assert abs(float(np.mean(out)) - 3.0 * math.exp(-dt / 60.0)) < 0.05
+
+
+def _ou_loop_reference(x, t_last, slots, t_now, tau_s, sigma_db, freeze_s, normals):
+    """The OU recurrence one slot at a time, consuming ``normals`` in slot
+    order for the moving slots.  ``np.exp`` on a scalar, not ``math.exp``:
+    the two disagree in the last bit on a few percent of inputs, and the
+    kernel is pinned to numpy's."""
+    draws = iter(normals.tolist())
+    out = []
+    for slot in slots.tolist():
+        dt = t_now - float(t_last[slot])
+        if dt > freeze_s:
+            decay = float(np.exp(-dt / tau_s))
+            innovation = sigma_db * math.sqrt(max(0.0, 1.0 - decay * decay))
+            x[slot] = float(x[slot]) * decay + innovation * next(draws)
+            t_last[slot] = t_now
+        out.append(float(x[slot]))
+    assert next(draws, None) is None, "every draw belongs to a moving slot"
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_pairs=st.integers(1, 40),
+    data=st.data(),
+    frozen=st.sampled_from(["none", "all", "some"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ou_advance_matches_scalar_loop_bit_for_bit(n_pairs, data, frozen, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.5, n_pairs)
+    t_now, freeze_s = 100.0, 0.6
+    # Moving slots were last queried 1 ms .. 300 s ago; frozen ones inside
+    # the freeze window.
+    t_last = t_now - rng.uniform(1e-3 + freeze_s, 300.0, n_pairs)
+    slots = np.asarray(
+        data.draw(st.lists(st.integers(0, n_pairs - 1), min_size=1, unique=True)),
+        dtype=np.int64,
+    )
+    if frozen == "all":
+        t_last[slots] = t_now - freeze_s / 2
+    elif frozen == "some":
+        hold = data.draw(st.lists(st.sampled_from(slots.tolist()), min_size=1, unique=True))
+        t_last[hold] = t_now - freeze_s / 2
+    n_moving = int(np.count_nonzero(t_now - t_last[slots] > freeze_s))
+    normals = Generator(PCG64(seed)).standard_normal(n_moving)
+
+    x_ref, t_ref = x.copy(), t_last.copy()
+    expected = _ou_loop_reference(x_ref, t_ref, slots, t_now, 60.0, 1.5, freeze_s, normals)
+    out = ou_advance(x, t_last, slots, t_now, 60.0, 1.5, freeze_s, Generator(PCG64(seed)))
+    assert out.tolist() == expected
+    assert x.tolist() == x_ref.tolist()
+    assert t_last.tolist() == t_ref.tolist()
+
+
+# ----------------------------------------------------------------------
+# LQI block: the scalar LqiModel, fed the same normal draws
+# ----------------------------------------------------------------------
+class _FixedGauss:
+    """Stands in for ``random.Random``: ``gauss`` replays given draws."""
+
+    def __init__(self, normals):
+        self._draws = iter(normals)
+
+    def gauss(self, mu, sigma):
+        return mu + next(self._draws) * sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sinrs=st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lqi_sample_matches_scalar_model(sinrs, seed):
+    model = LqiModel()
+    normals = Generator(PCG64(seed)).standard_normal(len(sinrs))
+    scalar = _FixedGauss(normals.tolist())
+    expected = [model.sample(s, scalar) for s in sinrs]
+    got = lqi_sample(
+        np.asarray(sinrs), model.midpoint_snr_db, model.slope_db, model.noise_sigma, normals
+    )
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+def test_lqi_sample_clamps_to_hardware_range():
+    normals = np.asarray([-10.0, 10.0, 0.0])
+    got = lqi_sample(np.asarray([-10.0, 40.0, 3.0]), 3.0, 1.8, 50.0, normals)
+    assert got.tolist() == [40, 110, 75]
 
 
 # ----------------------------------------------------------------------
