@@ -14,9 +14,8 @@ tests can only spot-check:
   counters into the :mod:`repro.obs` metrics registry.
 
 A second, whole-program tier (:mod:`repro.lint.project`) checks contracts
-no single file shows: RNG-stream provenance (R001), cache-schema drift
-against the committed ``cache-schema.lock.json`` (C001), fast/exact
-backend parity (P001), and worker-state safety (W001).
+no single file shows: RNG-stream provenance (R001), fast/exact backend
+parity (P001), and worker-state safety (W001).
 
 ``python -m repro.lint`` checks these (plus Python hygiene) over the AST,
 with per-rule enable/disable, inline ``# lint: disable=...`` suppressions,

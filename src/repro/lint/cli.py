@@ -9,7 +9,6 @@ Examples::
     python -m repro.lint --json                # machine-readable output
     python -m repro.lint --fix                 # delete unused imports, re-lint
     python -m repro.lint --write-baseline      # accept current findings
-    python -m repro.lint --write-schema-lock   # regenerate cache-schema.lock.json
     python -m repro.lint --list-rules
 
 Exit status: 0 when every finding is baselined (or none exist), 1 when new
@@ -45,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based determinism / layering / units / obs-bridge linter "
-        "with a whole-program pass (RNG provenance, cache-schema drift, "
-        "backend parity, worker state)",
+        "with a whole-program pass (RNG provenance, backend parity, "
+        "worker state)",
     )
     parser.add_argument(
         "paths",
@@ -81,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fix",
         action="store_true",
         help="delete unused imports (H003) in place, then lint the result",
-    )
-    parser.add_argument(
-        "--write-schema-lock",
-        action="store_true",
-        help="regenerate cache-schema.lock.json from the current tree and exit",
     )
     parser.add_argument(
         "--index-cache",
@@ -134,9 +128,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             index_cache = args.index_cache
         elif repo_root is not None:
             index_cache = repo_root / DEFAULT_INDEX_CACHE
-
-    if args.write_schema_lock:
-        return _write_schema_lock(parser, paths, repo_root, index_cache)
 
     fixed_files = 0
     if args.fix:
@@ -197,38 +188,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             summary += f", {fixed_files} file(s) fixed"
         print(summary if not new else f"\n{summary}")
     return 1 if new else 0
-
-
-def _write_schema_lock(
-    parser: argparse.ArgumentParser,
-    paths: Sequence[Path],
-    repo_root: Optional[Path],
-    index_cache: Optional[Path],
-) -> int:
-    from repro.lint.core import load_module
-    from repro.lint.project import IndexCache, ProjectIndex
-    from repro.lint.rules.cache_schema import write_schema_lock
-
-    if repo_root is None:
-        parser.error("--write-schema-lock needs a repo root (pyproject.toml)")
-    modules = []
-    for path in iter_python_files(paths):
-        try:
-            modules.append(load_module(path, repo_root))
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-    cache = IndexCache(index_cache)
-    facts = [cache.facts_for(m) for m in modules]
-    cache.save()
-    index = ProjectIndex.build(facts, repo_root)
-    lock = write_schema_lock(index, repo_root)
-    if lock is None:
-        print(
-            "error: schema roots (SimConfig / CollectionResult) or "
-            "CACHE_SCHEMA_VERSION not found under the linted paths",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"wrote {lock}")
-    return 0

@@ -3,18 +3,16 @@
 The per-file rules in :mod:`repro.lint.rules` judge one module at a time.
 The contracts this module serves cannot be seen that way: RNG-stream
 provenance (R001) needs every ``derive_seed``/``stream`` call site in the
-tree, cache-schema drift (C001) needs the field schemas of every dataclass
-reachable from ``SimConfig``, backend parity (P001) needs the method and
-collaborator-read surfaces of two classes in two files, and worker-state
-safety (W001) needs the import graph plus every mutation site of every
-module-level container.
+tree, backend parity (P001) needs the method and collaborator-read
+surfaces of two classes in two files, and worker-state safety (W001) needs
+the import graph plus every mutation site of every module-level container.
 
 The pass runs in three stages:
 
 1. **Extraction** — each parsed module is lowered into a :class:`FileFacts`
-   record: imports, top-level assignments, dataclass field schemas, class
-   method/surface tables, module-level mutable containers, mutation sites,
-   and RNG call sites.  Facts are plain JSON-able data.
+   record: imports, top-level assignments, class method/surface tables,
+   module-level mutable containers, mutation sites, and RNG call sites.
+   Facts are plain JSON-able data.
 2. **Indexing** — :meth:`ProjectIndex.build` aggregates the facts: a module
    table, a resolved import graph, and a cross-module resolution of every
    mutation site to the ``(module, name)`` global it targets.
@@ -40,8 +38,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.lint.core import Finding, ModuleInfo, Rule, imported_names
 
 #: Bump when the extraction below changes shape: cached facts from older
-#: extractors are discarded wholesale.
-FACTS_VERSION = 2
+#: extractors are discarded wholesale (``from_json`` is ``cls(**data)``, so
+#: a record with a dropped key must never reach it).
+FACTS_VERSION = 3
 
 #: ``RngManager`` methods whose positional arguments are a stream key:
 #: ``once`` draws from the same keyspace as ``stream`` without interning.
@@ -139,17 +138,13 @@ class FileFacts:
     #: ``[bound_name, target, lineno]`` for every import binding.
     imports: List[List[object]] = field(default_factory=list)
     #: Top-level ``Name = <expr>`` assignments (value unparsed, truncated) —
-    #: used to expand type aliases like ``FaultEvent = Union[...]``.
+    #: module globals that mutation sites resolve against.
     assignments: Dict[str, str] = field(default_factory=dict)
-    #: Top-level integer constants (``CACHE_SCHEMA_VERSION = 5``).
-    int_constants: Dict[str, int] = field(default_factory=dict)
     #: ``{name, line, kind}`` for each module-level mutable container.
     mutable_globals: List[Dict[str, object]] = field(default_factory=list)
     #: ``{recv: [parts...], op, line, func}`` — ``func`` is the enclosing
     #: function qualname ("" at module level: import-time initialization).
     mutations: List[Dict[str, object]] = field(default_factory=list)
-    #: ``name -> {line, fields: [{name, type, default}]}`` per @dataclass.
-    dataclasses: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: ``name -> {line, bases, methods: {name: line}, surfaces: {m: [..]}}``.
     classes: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: RNG call sites; see :func:`_extract_rng_sites` for the schema.
@@ -166,33 +161,6 @@ class FileFacts:
 # ----------------------------------------------------------------------
 # Extraction
 # ----------------------------------------------------------------------
-def _dataclass_decorated(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _dotted(target)
-        if name in ("dataclass", "dataclasses.dataclass"):
-            return True
-    return False
-
-
-def _dataclass_schema(node: ast.ClassDef) -> Dict[str, object]:
-    fields: List[Dict[str, object]] = []
-    for stmt in node.body:
-        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
-            continue
-        annotation = _unparse(stmt.annotation, _ASSIGN_LEN)
-        if "ClassVar" in annotation:
-            continue  # not a dataclass field; excluded from the digest too
-        fields.append(
-            {
-                "name": stmt.target.id,
-                "type": annotation,
-                "default": None if stmt.value is None else _unparse(stmt.value, _ASSIGN_LEN),
-            }
-        )
-    return {"line": node.lineno, "fields": fields}
-
-
 #: Attribute-chain roots whose reads form a backend's "config surface".
 _SURFACE_ROOTS = ("channel", "config", "cfg", "white_bit_policy", "lqi_model")
 
@@ -435,9 +403,6 @@ def extract_facts(module: ModuleInfo) -> FileFacts:
         else:
             continue
         facts.assignments[name] = _unparse(value, _ASSIGN_LEN)
-        if isinstance(value, ast.Constant) and isinstance(value.value, int) \
-                and not isinstance(value.value, bool):
-            facts.int_constants[name] = value.value
         kind = _mutable_kind(value)
         if kind is not None:
             facts.mutable_globals.append({"name": name, "line": stmt.lineno, "kind": kind})
@@ -445,8 +410,6 @@ def extract_facts(module: ModuleInfo) -> FileFacts:
     for stmt in module.tree.body:
         if isinstance(stmt, ast.ClassDef):
             facts.classes[stmt.name] = _class_facts(stmt)
-            if _dataclass_decorated(stmt):
-                facts.dataclasses[stmt.name] = _dataclass_schema(stmt)
 
     visitor = _ScopedVisitor()
     visitor.visit(module.tree)
@@ -583,19 +546,6 @@ class ProjectIndex:
         if f is None or cls not in f.classes:
             return None
         return f, f.classes[cls]
-
-    def find_dataclass(self, qualname: str) -> Optional[Tuple[FileFacts, Dict[str, object]]]:
-        module, _, cls = qualname.rpartition(".")
-        f = self.files.get(module)
-        if f is None or cls not in f.dataclasses:
-            return None
-        return f, f.dataclasses[cls]
-
-    def int_constant(self, module: str, name: str) -> Optional[int]:
-        f = self.files.get(module)
-        if f is None:
-            return None
-        return f.int_constants.get(name)
 
 
 class ProjectRule(Rule):

@@ -1,7 +1,7 @@
 """Rule registry: one instance of every lint rule, in report order.
 
 Two tiers share one registry: per-file AST rules (D/L/U/S/H) and
-whole-program project rules (R/C/P/W — see :mod:`repro.lint.project`).
+whole-program project rules (R/P/W — see :mod:`repro.lint.project`).
 ``--select`` / ``--ignore`` / inline suppressions treat them uniformly.
 """
 
@@ -11,7 +11,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.lint.core import Rule
 from repro.lint.rules.backend_parity import BackendParityRule
-from repro.lint.rules.cache_schema import CacheSchemaRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.hygiene import FloatEqualityRule, MutableDefaultRule, UnusedImportRule
 from repro.lint.rules.layering import LayeringRule
@@ -30,7 +29,6 @@ RULES: List[Rule] = [
     FloatEqualityRule(),
     UnusedImportRule(),
     RngProvenanceRule(),
-    CacheSchemaRule(),
     BackendParityRule(),
     WorkerStateRule(),
 ]

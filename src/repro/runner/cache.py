@@ -7,10 +7,12 @@ memoized on disk: re-running a sweep only executes changed cells.
 Layout: ``<root>/<digest[:2]>/<digest>.pkl`` — one pickle per run, written
 atomically (temp file + ``os.replace``) so a killed sweep never leaves a
 truncated entry behind.  The default root is ``.repro-cache`` in the
-working directory, overridable with ``REPRO_CACHE_DIR``.  To invalidate:
+working directory, overridable with ``REPRO_CACHE_DIR``.  Digests carry
+:func:`repro.runner.hashing.schema_fingerprint`, so a config or payload
+schema change misses every older entry by itself.  To invalidate by hand:
 delete the directory (``python -m repro.runner --clear-cache`` does this),
 or bump :data:`repro.runner.hashing.CACHE_SCHEMA_VERSION` after simulator
-changes that alter results without changing any config value.
+changes that alter results without changing the schema.
 """
 
 from __future__ import annotations

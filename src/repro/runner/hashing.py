@@ -12,32 +12,47 @@ Supported value types: ``None``, ``bool``, ``int``, ``float``, ``str``,
 covers :class:`~repro.sim.network.SimConfig` and everything the experiment
 grids put in their override tables.  Anything else raises ``TypeError``
 rather than silently hashing an unstable representation.
+
+The cache versions itself: every digest is salted with
+:func:`schema_fingerprint`, a digest of the field schema of each dataclass
+reachable from :data:`SCHEMA_ROOTS`.  Adding, removing, reordering,
+re-typing or re-defaulting a field anywhere in that closure changes every
+digest, so no cached result can outlive the schema it was computed under.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib
+import re
 import struct
-from typing import Any
+import sys
+import typing
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
-#: Bump to invalidate every cached result at once (e.g. after a simulator
-#: change that alters outputs without changing any config value).
-#: 2: estimator reboot detection resets the PRR history (stale sequence
-#: numbers no longer inflate PRR), changing results for any config.
-#: 3: SimConfig grew the ``medium`` backend selector; digests of configs
-#: hashed as dataclasses change, and the fast backend means one config no
-#: longer implies one bitstream for medium="fast" runs.
-#: 4: SimConfig grew the live-telemetry selectors (``telemetry_period_s``,
-#: ``telemetry_path``, ``telemetry_per_node``) and CollectionResult grew
-#: ``resources``; both change config digests and pickled payload shapes.
-#: 5: SimConfig grew ``mobility`` (preset name or MobilityConfig JSON
-#: round-trip) — config digests change shape, and mobile fast-medium runs
-#: exercise incremental structural maintenance absent from v4 payloads.
-#: 6: SimConfig grew ``white_bit_threshold`` (the campaign-tunable
-#: white-bit knob) and campaign SimulationSpec/SweepSpec digests joined
-#: the schema; cached payloads gained SimulationResult objects.
+#: Bump only for behaviour changes the schema fingerprint cannot see (a
+#: simulator fix, a preset constant): schema changes re-key every digest by
+#: themselves.  2: estimator reboot detection resets the PRR history;
+#: 3-6: schema growth, bumped by hand before the fingerprint existed.
 CACHE_SCHEMA_VERSION = 6
+
+#: Dataclasses whose field schema a cached result depends on: the config
+#: every run digest hashes, the campaign spec, and the two cached payloads.
+#: ``FaultSchedule`` and ``MobilityConfig`` appear in ``SimConfig``'s
+#: annotations only as names imported under ``TYPE_CHECKING``, so the
+#: runtime walk cannot reach them from ``SimConfig`` and lists them here.
+SCHEMA_ROOTS: Tuple[str, ...] = (
+    "repro.sim.network.SimConfig",
+    "repro.metrics.collection_stats.CollectionResult",
+    "repro.campaign.spec.SimulationSpec",
+    "repro.campaign.spec.SimulationResult",
+    "repro.faults.schedule.FaultSchedule",
+    "repro.sim.mobility.MobilityConfig",
+)
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _frame(raw: bytes) -> bytes:
@@ -85,9 +100,84 @@ def canonical_bytes(value: Any) -> bytes:
     )
 
 
-def config_digest(value: Any, schema_version: int = CACHE_SCHEMA_VERSION) -> str:
-    """Hex digest (128-bit BLAKE2b) of ``value``'s canonical encoding."""
+#: ``(name, annotation, default kind, default)`` of one dataclass field.
+_FieldSchema = Tuple[str, str, str, Any]
+
+
+def _qualified(obj: Any) -> str:
+    return f"{obj.__module__}.{obj.__qualname__}"
+
+
+def _resolve(root: Union[str, type]) -> type:
+    if isinstance(root, type):
+        return root
+    module, _, name = root.rpartition(".")
+    return getattr(importlib.import_module(module), name)
+
+
+def _referenced_dataclasses(obj: Any, scope: Dict[str, Any]) -> Iterator[type]:
+    """Dataclasses named by an annotation (a string under postponed
+    evaluation, resolved through ``scope``) or reached through its type
+    arguments, so ``Tuple[FaultEvent, ...]`` yields every ``Union`` member."""
+    if isinstance(obj, str):
+        for ident in _IDENT_RE.findall(obj):
+            if ident in scope:
+                yield from _referenced_dataclasses(scope[ident], scope)
+    elif isinstance(obj, type) and dataclasses.is_dataclass(obj):
+        yield obj
+    else:
+        for arg in typing.get_args(obj):
+            yield from _referenced_dataclasses(arg, scope)
+
+
+def _field_schema(f: "dataclasses.Field[Any]") -> _FieldSchema:
+    """A factory is named by ``module.qualname``, never by its
+    address-bearing ``repr``."""
+    annotation = str(f.type)  # the source text under postponed evaluation
+    if f.default is not dataclasses.MISSING:
+        return (f.name, annotation, "default", f.default)
+    if f.default_factory is not dataclasses.MISSING:
+        return (f.name, annotation, "factory", _qualified(f.default_factory))
+    return (f.name, annotation, "required", None)
+
+
+def schema_closure(
+    roots: Tuple[Union[str, type], ...] = SCHEMA_ROOTS,
+) -> Dict[str, Tuple[_FieldSchema, ...]]:
+    """``qualname -> field schemas`` (definition order) for every dataclass
+    reachable from ``roots`` through field annotations and dataclass-valued
+    defaults (``radio_params = CC2420`` reaches ``RadioParams``)."""
+    closure: Dict[str, Tuple[_FieldSchema, ...]] = {}
+    worklist: List[type] = [_resolve(r) for r in roots]
+    while worklist:
+        cls = worklist.pop()
+        qual = _qualified(cls)
+        if qual in closure:
+            continue
+        fields = dataclasses.fields(cls)
+        closure[qual] = tuple(_field_schema(f) for f in fields)
+        scope = vars(sys.modules[cls.__module__])
+        for f in fields:
+            worklist.extend(_referenced_dataclasses(f.type, scope))
+            if dataclasses.is_dataclass(f.default):
+                worklist.append(type(f.default))
+    return closure
+
+
+@functools.lru_cache(maxsize=None)
+def schema_fingerprint(roots: Tuple[Union[str, type], ...] = SCHEMA_ROOTS) -> str:
+    """Hex digest of :data:`CACHE_SCHEMA_VERSION` and the
+    :func:`schema_closure` of ``roots``, computed once per process.  The
+    roots are imported here, not at module load: ``repro.campaign.spec``
+    imports this module."""
+    schema = sorted(schema_closure(roots).items())
+    return hashlib.blake2b(canonical_bytes((CACHE_SCHEMA_VERSION, schema)), digest_size=16).hexdigest()
+
+
+def config_digest(value: Any) -> str:
+    """Hex digest (128-bit BLAKE2b) of ``value``'s canonical encoding,
+    salted with the :func:`schema_fingerprint` of the cached schema."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(_frame(str(schema_version).encode("ascii")))
+    h.update(_frame(schema_fingerprint(SCHEMA_ROOTS).encode("ascii")))
     h.update(canonical_bytes(value))
     return h.hexdigest()

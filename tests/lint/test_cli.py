@@ -121,23 +121,11 @@ def test_baseline_update_flow_with_project_fingerprints(tmp_path, capsys):
     assert all(f["rule"] == "W001" for f in payload["baselined"])
 
 
-def test_write_schema_lock_cli(tmp_path, monkeypatch, capsys):
-    import shutil
-
-    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n", encoding="utf-8")
-    shutil.copytree(FIXTURES / "cache_schema" / "repro", tmp_path / "repro")
-    monkeypatch.chdir(tmp_path)
-    rc = run_cli(str(tmp_path / "repro"), "--write-schema-lock", "--no-index-cache")
-    assert rc == 0
-    assert "wrote" in capsys.readouterr().out
-    assert (tmp_path / "cache-schema.lock.json").is_file()
-
-
 def test_list_rules(capsys):
     assert run_cli("--list-rules") == 0
     out = capsys.readouterr().out
     for rule_id in (
         "D001", "L001", "U001", "S001", "H001", "H002", "H003",
-        "R001", "C001", "P001", "W001",
+        "R001", "P001", "W001",
     ):
         assert rule_id in out

@@ -1,18 +1,15 @@
-"""Project pass: facts extraction, index, cache, and the R/C/P/W rules."""
+"""Project pass: facts extraction, index, cache, and the R/P/W rules."""
 
 from __future__ import annotations
 
 import ast
 import json
-import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.lint import (
-    IndexCache,
-    ProjectIndex,
     build_index,
     default_rules,
     extract_facts,
@@ -22,7 +19,6 @@ from repro.lint import (
     write_baseline,
 )
 from repro.lint.core import Rule, iter_python_files, load_module
-from repro.lint.rules.cache_schema import compute_schema, write_schema_lock
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -68,11 +64,7 @@ def test_extract_facts_inventory():
         )
     )
     assert facts.module == "repro.sim.demo"
-    assert facts.int_constants["LIMIT"] == 7
     assert [g["name"] for g in facts.mutable_globals] == ["TABLE"]
-    assert facts.dataclasses["Cfg"]["fields"] == [
-        {"name": "rate", "type": "float", "default": "1.0"}
-    ]
     (mutation,) = facts.mutations
     assert mutation["recv"] == ["TABLE"] and mutation["op"] == "[]="
     assert mutation["func"] == "fill"  # runtime, not import time
@@ -159,6 +151,17 @@ def test_index_cache_hits_and_graceful_corruption(tmp_path):
     again = lint_paths([target], rules, target, index_cache=cache_file)
     assert again.index_cache_misses == 0
 
+    # A version-2 file still carries the since-dropped schema keys, which
+    # FileFacts(**data) would reject: it is re-extracted, not loaded.
+    stale = json.loads(cache_file.read_text(encoding="utf-8"))
+    stale["version"] = 2
+    for entry in stale["files"].values():
+        entry["facts"].update(int_constants={"LIMIT": 7}, dataclasses={})
+    cache_file.write_text(json.dumps(stale), encoding="utf-8")
+    upgraded = lint_paths([target], rules, target, index_cache=cache_file)
+    assert upgraded.index_cache_hits == 0 and upgraded.findings == cold.findings
+    assert "int_constants" not in cache_file.read_text(encoding="utf-8")
+
 
 def test_index_cache_invalidates_on_edit(tmp_path):
     src = tmp_path / "repro" / "sim"
@@ -239,93 +242,6 @@ def test_worker_state_bad_flags_same_and_cross_module():
     by_name = {f.message.split("`")[1]: f for f in findings}
     assert set(by_name) == {"_CACHE", "REGISTRY"}
     assert "repro.sim.network" in by_name["REGISTRY"].message  # the mutator
-
-
-# ----------------------------------------------------------------------
-# C001 — cache-schema drift lifecycle
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def schema_tree(tmp_path):
-    shutil.copytree(FIXTURES / "cache_schema" / "repro", tmp_path / "repro")
-    return tmp_path
-
-
-def _index_for(root: Path) -> ProjectIndex:
-    return build_index([load_module(p, root) for p in iter_python_files([root])], root)
-
-
-def test_cache_schema_lifecycle(schema_tree):
-    root = schema_tree
-    network = root / "repro" / "sim" / "network.py"
-    hashing = root / "repro" / "runner" / "hashing.py"
-
-    # 1. No lock yet: the rule demands one.
-    (finding,) = run_rule("cache-schema", root, root)
-    assert "lock file is missing" in finding.message
-
-    # 2. Write the lock: clean, and the closure reached the nested config.
-    lock = write_schema_lock(_index_for(root), root)
-    assert lock is not None
-    locked = json.loads(lock.read_text(encoding="utf-8"))
-    assert set(locked["dataclasses"]) == {
-        "repro.sim.network.SimConfig",
-        "repro.workloads.collection.WorkloadConfig",
-        "repro.metrics.collection_stats.CollectionResult",
-    }
-    assert run_rule("cache-schema", root, root) == []
-
-    # 3. Add a SimConfig field without bumping the version: C001 fires,
-    #    anchored at the drifted dataclass.
-    network.write_text(
-        network.read_text(encoding="utf-8") + "    radio_gain_db: float = 0.0\n",
-        encoding="utf-8",
-    )
-    (finding,) = run_rule("cache-schema", root, root)
-    assert "without a CACHE_SCHEMA_VERSION bump (still 3)" in finding.message
-    assert finding.path == "repro/sim/network.py"
-
-    # 4. Bump the version: the remaining complaint is the stale lock.
-    hashing.write_text(
-        hashing.read_text(encoding="utf-8").replace(
-            "CACHE_SCHEMA_VERSION = 3", "CACHE_SCHEMA_VERSION = 4"
-        ),
-        encoding="utf-8",
-    )
-    (finding,) = run_rule("cache-schema", root, root)
-    assert "regenerate with --write-schema-lock" in finding.message
-
-    # 5. Regenerate: clean again.
-    write_schema_lock(_index_for(root), root)
-    assert run_rule("cache-schema", root, root) == []
-
-
-def test_cache_schema_nested_drift_is_drift(schema_tree):
-    root = schema_tree
-    write_schema_lock(_index_for(root), root)
-    workload = root / "repro" / "workloads" / "collection.py"
-    workload.write_text(
-        workload.read_text(encoding="utf-8").replace(
-            "jitter: float = 0.1", "jitter: float = 0.25"
-        ),
-        encoding="utf-8",
-    )
-    (finding,) = run_rule("cache-schema", root, root)
-    assert "repro.workloads.collection.WorkloadConfig" in finding.message
-    assert finding.path == "repro/workloads/collection.py"
-
-
-def test_cache_schema_silent_without_roots(tmp_path):
-    f = tmp_path / "repro" / "sim" / "other.py"
-    f.parent.mkdir(parents=True)
-    f.write_text("X = 1\n", encoding="utf-8")
-    assert run_rule("cache-schema", tmp_path, tmp_path) == []
-
-
-def test_compute_schema_preserves_field_order(schema_tree):
-    schema = compute_schema(_index_for(schema_tree))
-    assert schema is not None
-    names = [f["name"] for f in schema["dataclasses"]["repro.sim.network.SimConfig"]]
-    assert names == ["n_nodes", "seed", "workload"]  # definition order
 
 
 # ----------------------------------------------------------------------

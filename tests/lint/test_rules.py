@@ -33,7 +33,6 @@ def test_registry_has_all_rules():
         "float-equality",
         "unused-import",
         "rng-provenance",
-        "cache-schema",
         "backend-parity",
         "worker-state",
     }
