@@ -37,7 +37,7 @@ from repro.link.mac import Mac
 from repro.sim.packets import RxInfo, TxResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
+    from repro.sim.probe import Monitor
 
 _INF = float("inf")
 
@@ -139,13 +139,6 @@ class EstimatorStats:
     #: Metric name prefix (``layer.component``) in the obs registry.
     METRICS_PREFIX = "est.estimator"
 
-    def register_into(self, registry: "MetricsRegistry", **labels: str) -> None:
-        """Register every counter as ``est.estimator.<field>`` in an
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        from repro.obs.metrics import register_dataclass_counters
-
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
-
 
 class HybridLinkEstimator(LinkEstimator):
     """Layer 2.5: wraps network frames, owns the table, computes hybrid ETX."""
@@ -163,8 +156,10 @@ class HybridLinkEstimator(LinkEstimator):
         self.rng = rng
         self.compare_provider = compare_provider
         self.client: Optional[EstimatorClient] = None
-        self.table = NeighborTable(config.table_size)
+        self.table = NeighborTable(config.table_size, node_id=self.node_id)
         self.stats = EstimatorStats()
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         self._seq = 0
         self._footer_rr = 0
         mac.on_receive = self._mac_receive
@@ -228,10 +223,16 @@ class HybridLinkEstimator(LinkEstimator):
         return rows
 
     def pin(self, neighbor: int) -> bool:
-        return self.table.pin(neighbor)
+        ok = self.table.pin(neighbor)
+        if ok and self.probe is not None:
+            self.probe.pin(self.node_id, neighbor)
+        return ok
 
     def unpin(self, neighbor: int) -> bool:
-        return self.table.unpin(neighbor)
+        ok = self.table.unpin(neighbor)
+        if ok and self.probe is not None:
+            self.probe.unpin(self.node_id, neighbor)
+        return ok
 
     def clear_pins(self) -> None:
         self.table.clear_pins()
@@ -424,7 +425,7 @@ class HybridLinkEstimator(LinkEstimator):
     def _try_insert(self, frame: LinkEstimatorFrame, info: RxInfo) -> Optional[NeighborEntry]:
         if not self.table.full:
             self.stats.inserts_free += 1
-            return self.table.insert(frame.src)
+            return self._admit(frame.src, "free")
         if self.config.use_standard_replacement:
             entry = self._insert_evict_worst(frame)
             if entry is not None:
@@ -471,7 +472,7 @@ class HybridLinkEstimator(LinkEstimator):
         self.table.remove(victim.addr)
         self.table.evictions += 1
         self.stats.inserts_evict_worst += 1
-        return self.table.insert(frame.src)
+        return self._admit(frame.src, "evict-worst")
 
     def _insert_white_compare(self, frame: LinkEstimatorFrame, info: RxInfo) -> Optional[NeighborEntry]:
         """4B policy (Section 3.3): white bit gates a compare-bit query; a set
@@ -481,12 +482,14 @@ class HybridLinkEstimator(LinkEstimator):
             return None
         if self.config.require_white_bit and not info.white_bit:
             self.stats.rejected_no_white += 1
+            self._reject(frame.src, "no-white")
             return None
         if self.compare_provider is None:
             return None
         self.stats.compare_queries += 1
         if not self.compare_provider.compare_bit(payload, info):
             self.stats.rejected_no_compare += 1
+            self._reject(frame.src, "no-compare")
             return None
         # Entries still inside their evaluation window are off limits, as in
         # the standard policy: flushing them on every qualifying beacon would
@@ -514,6 +517,19 @@ class HybridLinkEstimator(LinkEstimator):
                 self.table.evictions += 1
         if victim is None:
             self.stats.rejected_all_pinned += 1
+            self._reject(frame.src, "all-pinned")
             return None
         self.stats.inserts_compare += 1
-        return self.table.insert(frame.src)
+        return self._admit(frame.src, "compare")
+
+    def _admit(self, neighbor: int, mode: str) -> NeighborEntry:
+        """Give ``neighbor`` a table slot; ``mode`` names the policy that did."""
+        entry = self.table.insert(neighbor)
+        if self.probe is not None:
+            self.probe.est_insert(self.node_id, neighbor, mode)
+        return entry
+
+    def _reject(self, neighbor: int, reason: str) -> None:
+        """Refuse ``neighbor`` a slot; ``reason`` names the bit that blocked it."""
+        if self.probe is not None:
+            self.probe.est_reject(self.node_id, neighbor, reason)

@@ -14,9 +14,12 @@ import math
 from random import Random
 from dataclasses import dataclass
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from repro.core.ewma import Ewma
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 
 @dataclass
@@ -77,13 +80,17 @@ class NeighborTable:
     :attr:`repro.core.interfaces.LinkEstimator.quality_version`.
     """
 
-    def __init__(self, capacity: Optional[int] = 10) -> None:
+    def __init__(self, capacity: Optional[int] = 10, node_id: int = -1) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
+        #: The owning node (names the table in probe events).
+        self.node_id = node_id
         self._entries: Dict[int, NeighborEntry] = {}
         self.evictions = 0
         self.version = 0
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -157,8 +164,8 @@ class NeighborTable:
     def clear(self) -> None:
         """Wipe every entry in place (node reboot: the RAM table is gone).
 
-        The instance survives so external references (instrumentation
-        wrappers, the estimator) stay valid; ``evictions`` keeps counting —
+        The instance survives so external references (the estimator, an
+        attached probe) stay valid; ``evictions`` keeps counting —
         it tallies events, not state.
         """
         self._entries.clear()
@@ -167,6 +174,8 @@ class NeighborTable:
     def remove(self, addr: int) -> bool:
         """Explicitly drop an entry (pinned or not).  Returns False if absent."""
         if addr in self._entries:
+            if self.probe is not None:
+                self.probe.entry_removed(self.node_id, addr)
             del self._entries[addr]
             self.version += 1
             return True

@@ -24,7 +24,7 @@ stats/counters    survive — they are the testbed's serial log, not RAM
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Set
+from typing import TYPE_CHECKING, Any, List, Optional, Set
 
 from repro.faults.schedule import (
     FaultSchedule,
@@ -37,14 +37,11 @@ from repro.faults.schedule import (
 from repro.phy.noise import INTERFERER_ID_BASE, WindowedInterferer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.network import CollectionNetwork
+    from repro.sim.probe import Monitor
 
 #: Fault-scheduled interferers live above the testbed-profile interferers.
 FAULT_INTERFERER_ID_BASE = INTERFERER_ID_BASE + 5000
-
-#: Fault-event observer: ``(kind, time_s, fields)``.
-FaultObserver = Callable[[str, float, Dict[str, Any]], None]
 
 
 @dataclass
@@ -62,13 +59,6 @@ class FaultStats:
 
     METRICS_PREFIX = "faults.injector"
 
-    def register_into(self, registry: "MetricsRegistry", **labels: str) -> None:
-        """Register every counter as ``faults.injector.<field>`` in an
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        from repro.obs.metrics import register_dataclass_counters
-
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
-
 
 class FaultInjector:
     """Schedules and executes the fault events of one run."""
@@ -85,9 +75,9 @@ class FaultInjector:
         #: perturb its bit-identical stream), relying on the MAC shutdown
         #: for dead-node silence.
         self._detached: Set[int] = set()
-        #: Observers called as ``(kind, time_s, fields)`` after each fault
-        #: lands (tracing, the invariant checker).
-        self.on_event: List[FaultObserver] = []
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network;
+        #: told of each fault as it lands.
+        self.probe: Optional["Monitor"] = None
         self._stop_at = network.config.duration_s - network.config.drain_s
         self._armed = False
         self._validate()
@@ -181,6 +171,10 @@ class FaultInjector:
         node = self._network.nodes[node_id]
         node.crashed = True
         self.crashed.add(node_id)
+        self.stats.node_crashes += 1
+        # Announced before the wipe, so the state losses it causes (the
+        # routing layer's parent loss) are observed after it.
+        self._emit("crash", node=node_id)
         self._wipe(node_id)
         medium = self._network.medium
         if medium.supports_incremental and node_id not in self._detached:
@@ -189,8 +183,6 @@ class FaultInjector:
             # interference target without any rebuild (DESIGN.md §11).
             medium.detach(node_id)
             self._detached.add(node_id)
-        self.stats.node_crashes += 1
-        self._emit("crash", node=node_id)
 
     def _reboot(self, node_id: int) -> None:
         node = self._network.nodes[node_id]
@@ -232,14 +224,13 @@ class FaultInjector:
         self._emit("interference", x=event.x, y=event.y, power=event.power_dbm)
 
     def _emit(self, kind: str, **fields: Any) -> None:
-        now = self._network.engine.now
-        for observer in self.on_event:
-            observer(kind, now, fields)
+        if self.probe is not None:
+            self.probe.fault(kind, fields)
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def register_metrics(self, registry: "MetricsRegistry") -> None:
-        """Sync medium-side counters and register ``faults.injector.*``."""
+    def synced_stats(self) -> FaultStats:
+        """:attr:`stats` with the medium-side counters brought up to date."""
         self.stats.blackout_drops = self._faults.blackout_drops
-        self.stats.register_into(registry)
+        return self.stats

@@ -1,14 +1,16 @@
 """Structural invariants checked while a simulation runs.
 
-The checker piggybacks on any :class:`~repro.sim.network.CollectionNetwork`
+The checker is a :class:`~repro.sim.probe.Monitor` attached to any
+:class:`~repro.sim.network.CollectionNetwork`
 (``SimConfig(check_invariants=True)``) and asserts, at fault boundaries, on
 a periodic timer, and once at the end of the run:
 
 1. **Pin guarantee** — an entry the network layer pinned is never evicted
    from the estimator's neighbor table (only enforced for estimators whose
-   config honors the pin bit).  Tracked via ``pin``/``unpin`` wraps, so a
-   broken eviction policy is caught even though it deletes entries behind
-   the table API's back.
+   config honors the pin bit).  Tracked from the estimator's ``pin``/
+   ``unpin`` probe events, so a broken eviction policy is caught even
+   though it deletes entries behind the table API's back; an explicit
+   ``NeighborTable.remove`` of a pinned entry fails on the spot.
 2. **ETX sanity** — every mature estimate is finite and in
    ``[1, max_etx_sample]`` (one transmission is the physical floor; samples
    are capped, and an EWMA of capped samples cannot escape the cap).
@@ -30,8 +32,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Dict, List, Set
 
+from repro.sim.probe import Monitor
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.estimator import HybridLinkEstimator
     from repro.sim.network import CollectionNetwork
 
 
@@ -39,7 +42,7 @@ class InvariantViolation(AssertionError):
     """A structural invariant failed.  The simulation is not trustworthy."""
 
 
-class InvariantChecker:
+class InvariantChecker(Monitor):
     """Asserts structural properties of a running collection network."""
 
     def __init__(self, network: "CollectionNetwork", period_s: float = 15.0) -> None:
@@ -48,93 +51,61 @@ class InvariantChecker:
         self.checks_run = 0
         #: Violation messages seen so far (the first one also raises).
         self.violations: List[str] = []
-        #: Per node: addresses the network layer currently has pinned.
+        #: Per pin-honoring node: addresses the network layer has pinned.
         self._expected_pins: Dict[int, Set[int]] = {
-            nid: set() for nid in sorted(network.nodes)
+            nid: set()
+            for nid, node in sorted(network.nodes.items())
+            if node.estimator is not None and node.estimator.config.honor_pin_bit
         }
+        injector = network.fault_injector
+        #: Nodes currently down (the injector's live set; empty without faults).
+        self._crashed: Set[int] = injector.crashed if injector is not None else set()
         self._installed = False
 
-    # ------------------------------------------------------------------
-    # Installation
-    # ------------------------------------------------------------------
     def install(self) -> None:
-        """Wrap the hooks and schedule the periodic + final checks."""
+        """Attach to the network and schedule the periodic checks."""
         if self._installed:
             return
         self._installed = True
         network = self.network
-        for nid in sorted(network.nodes):
-            estimator = network.nodes[nid].estimator
-            if estimator is not None and estimator.config.honor_pin_bit:
-                self._wrap_pins(nid, estimator)
-        injector = network.fault_injector
-        if injector is not None:
-            injector.on_event.append(self._on_fault_event)
-            self._wrap_transmissions()
         t = self.period_s
         while t < network.config.duration_s:
-            network.engine.schedule_at(t, self._periodic)
+            network.engine.schedule_at(t, self.check_now)
             t += self.period_s
-        network.on_run_end.append(self._final)
+        network.attach(self)
 
-    def _wrap_pins(self, nid: int, estimator: "HybridLinkEstimator") -> None:
-        expected = self._expected_pins[nid]
-        orig_pin = estimator.pin
-        orig_unpin = estimator.unpin
+    # ------------------------------------------------------------------
+    # Monitor events
+    # ------------------------------------------------------------------
+    def pin(self, node: int, neighbor: int) -> None:
+        expected = self._expected_pins.get(node)
+        if expected is not None:
+            expected.add(neighbor)
 
-        def pin(neighbor: int) -> bool:
-            ok = orig_pin(neighbor)
-            if ok:
-                expected.add(neighbor)
-            return ok
-
-        def unpin(neighbor: int) -> bool:
+    def unpin(self, node: int, neighbor: int) -> None:
+        expected = self._expected_pins.get(node)
+        if expected is not None:
             expected.discard(neighbor)
-            return orig_unpin(neighbor)
 
-        estimator.pin = pin  # type: ignore[method-assign]
-        estimator.unpin = unpin  # type: ignore[method-assign]
+    def entry_removed(self, node: int, neighbor: int) -> None:
+        if neighbor in self._expected_pins.get(node, ()):
+            self._fail(f"node {node}: pinned entry {neighbor} explicitly removed")
 
-        orig_remove = estimator.table.remove
+    def transmission_start(self, sender: int, frame: Any) -> None:
+        if sender in self._crashed:
+            self._fail(
+                f"dead node {sender} transmitted {type(frame).__name__} "
+                f"at t={self.network.engine.now:.6f}"
+            )
 
-        def remove(addr: int) -> bool:
-            if addr in expected:
-                self._fail(f"node {nid}: pinned entry {addr} explicitly removed")
-            return orig_remove(addr)
-
-        estimator.table.remove = remove  # type: ignore[method-assign]
-
-    def _wrap_transmissions(self) -> None:
-        injector = self.network.fault_injector
-        assert injector is not None
-        medium = self.network.medium
-        orig_start = medium.start_transmission
-        crashed = injector.crashed
-
-        def start_transmission(sender_id: int, frame: Any) -> float:
-            if sender_id in crashed:
-                self._fail(
-                    f"dead node {sender_id} transmitted {type(frame).__name__} "
-                    f"at t={self.network.engine.now:.6f}"
-                )
-            return orig_start(sender_id, frame)
-
-        medium.start_transmission = start_transmission  # type: ignore[method-assign]
-
-    # ------------------------------------------------------------------
-    # Triggers
-    # ------------------------------------------------------------------
-    def _on_fault_event(self, kind: str, now: float, fields: Dict[str, Any]) -> None:
-        if kind in ("crash", "reboot"):
+    def fault(self, kind: str, fields: Dict[str, Any]) -> None:
+        if kind in ("crash", "reboot") and fields["node"] in self._expected_pins:
             # The node's RAM (and thus every pin it held) is gone; the
             # expectation resets with it.
             self._expected_pins[fields["node"]].clear()
         self.check_now()
 
-    def _periodic(self) -> None:
-        self.check_now()
-
-    def _final(self, network: "CollectionNetwork") -> None:
+    def run_end(self, network: "CollectionNetwork") -> None:
         self.check_now(final=True)
 
     # ------------------------------------------------------------------

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.link.csma import CsmaBackoff
 from repro.link.frame import AckFrame, BROADCAST, Frame
 from repro.phy.radio import Radio
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.packets import RxInfo, TxResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 
 @dataclass
@@ -40,13 +43,6 @@ class MacStats:
 
     METRICS_PREFIX = "link.mac"
 
-    def register_into(self, registry, **labels) -> None:
-        """Register every counter as ``link.mac.<field>`` in an
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        from repro.obs.metrics import register_dataclass_counters
-
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
-
 
 class Mac:
     """One node's link layer."""
@@ -64,6 +60,8 @@ class Mac:
         # Upper-layer callbacks, wired by the node builder.
         self.on_receive: Optional[Callable[[Frame, RxInfo], None]] = None
         self.on_send_done: Optional[Callable[[Frame, TxResult], None]] = None
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         # In-flight state.
         self._current: Optional[Frame] = None
         self._backoff: Optional[CsmaBackoff] = None
@@ -144,6 +142,9 @@ class Mac:
             ack_bit=ack_bit,
             backoffs=backoffs,
         )
+        probe = self.probe
+        if probe is not None and not frame.is_broadcast:
+            probe.tx(self.node_id, frame, result)
         if self.on_send_done is not None:
             self.on_send_done(frame, result)
 
@@ -156,6 +157,9 @@ class Mac:
         # that decodes), dropped on the first comparison.  An ack for
         # another node falls into the same early return — ``_handle_ack``
         # would discard it without side effects anyway.
+        probe = self.probe
+        if probe is not None and not frame.is_ack:
+            probe.rx(self.node_id, frame, info)
         if not self.enabled:
             return
         dst = frame.dst

@@ -43,7 +43,7 @@ def _split_csv(value: Optional[str]) -> Optional[List[str]]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="AST-based determinism / layering / units / obs-bridge linter "
+        description="AST-based determinism / layering / units / hygiene linter "
         "with a whole-program pass (RNG provenance, backend parity, "
         "worker state)",
     )

@@ -15,7 +15,6 @@ from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.hygiene import FloatEqualityRule, MutableDefaultRule, UnusedImportRule
 from repro.lint.rules.layering import LayeringRule
 from repro.lint.rules.rng_provenance import RngProvenanceRule
-from repro.lint.rules.stats_bridge import StatsBridgeRule
 from repro.lint.rules.units import UnitsRule
 from repro.lint.rules.worker_state import WorkerStateRule
 
@@ -24,7 +23,6 @@ RULES: List[Rule] = [
     DeterminismRule(),
     LayeringRule(),
     UnitsRule(),
-    StatsBridgeRule(),
     MutableDefaultRule(),
     FloatEqualityRule(),
     UnusedImportRule(),

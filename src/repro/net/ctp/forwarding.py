@@ -13,12 +13,15 @@ import math
 from random import Random
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from repro.core.interfaces import LinkEstimator
 from repro.net.ctp.frames import CtpDataFrame, make_data_frame
 from repro.net.ctp.routing import CtpRoutingEngine
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,6 @@ class ForwardingStats:
     duplicates_suppressed: int = 0
 
     METRICS_PREFIX = "net.forwarding"
-
-    def register_into(self, registry, **labels) -> None:
-        """Register every counter as ``net.forwarding.<field>`` in an
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        from repro.obs.metrics import register_dataclass_counters
-
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
 
 
 class _QueuedPacket:
@@ -101,6 +97,8 @@ class CtpForwardingEngine:
         #: Called at the root for every data frame that reaches it:
         #: (origin, origin_seq, thl, time, origin_time).
         self.on_deliver: Optional[Callable[..., None]] = None
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         routing.on_route_found = self._pump_soon
 
     # ------------------------------------------------------------------
@@ -115,6 +113,8 @@ class CtpForwardingEngine:
         self._queue.append(
             _QueuedPacket(self.node_id, self._seq, thl=0, origin_time=self.engine.now)
         )
+        if self.probe is not None:
+            self.probe.pkt_orig(self.node_id, self._seq)
         self._seq += 1
         self._pump_soon()
         return True
@@ -123,13 +123,22 @@ class CtpForwardingEngine:
     # Receive path (wired by the protocol facade)
     # ------------------------------------------------------------------
     def on_data_received(self, frame: CtpDataFrame) -> None:
+        outcome = self._receive(frame)
+        probe = self.probe
+        if probe is not None:
+            probe.pkt_rx(self.node_id, frame, outcome)
+            if outcome == "queue-full":
+                probe.drop(self.node_id, frame.origin, frame.origin_seq, "queue-full")
+
+    def _receive(self, frame: CtpDataFrame) -> str:
+        """Handle one data frame; returns its fate at this node."""
         if self.routing.is_root:
             self.stats.delivered_at_root += 1
             if self.on_deliver is not None:
                 self.on_deliver(
                     frame.origin, frame.origin_seq, frame.thl, self.engine.now, frame.origin_time
                 )
-            return
+            return "deliver"
         # Cost-gradient check: a sender claiming a cost no higher than ours
         # routing *to* us indicates stale state somewhere — beacon fast.
         my_cost = self.routing.path_etx()
@@ -138,19 +147,20 @@ class CtpForwardingEngine:
         key = (frame.origin, frame.origin_seq)
         if key in self._dup_cache:
             self.stats.duplicates_suppressed += 1
-            return
+            return "dup"
         self._remember(key)
         if frame.thl + 1 > self.config.max_thl:
             self.stats.drops_thl += 1
-            return
+            return "drop-thl"
         if len(self._queue) >= self.config.queue_size:
             self.stats.drops_queue_full += 1
-            return
+            return "queue-full"
         self.stats.forwarded += 1
         self._queue.append(
             _QueuedPacket(frame.origin, frame.origin_seq, frame.thl + 1, frame.origin_time)
         )
         self._pump_soon()
+        return "forward"
 
     def _remember(self, key: Tuple[int, int]) -> None:
         self._dup_cache[key] = None
@@ -194,6 +204,9 @@ class CtpForwardingEngine:
     def on_send_done(self, frame: CtpDataFrame, sent: bool, acked: bool) -> None:
         """Completion callback for data frames (from the protocol facade)."""
         self._sending = False
+        probe = self.probe
+        if probe is not None:
+            probe.pkt_tx(self.node_id, frame, sent, acked)
         if not self._queue:
             return
         packet = self._queue[0]
@@ -206,6 +219,8 @@ class CtpForwardingEngine:
         if packet.retries > self.config.max_retries:
             self.stats.drops_retries += 1
             self._queue.popleft()
+            if probe is not None:
+                probe.drop(self.node_id, packet.origin, packet.origin_seq, "retries")
         self._pump_soon(self.rng.uniform(self.config.retry_min_s, self.config.retry_max_s))
 
     # ------------------------------------------------------------------

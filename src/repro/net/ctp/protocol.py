@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from repro.core.interfaces import EstimatorClient, LinkEstimator
 from repro.link.frame import NetworkFrame
@@ -109,6 +109,14 @@ class CtpProtocol(EstimatorClient):
     def send_from_app(self) -> bool:
         """Originate one collection packet (False if the queue is full)."""
         return self.forwarding.send_from_app()
+
+    def layers(self) -> Tuple[Any, ...]:
+        """The stack's probe-carrying layer objects."""
+        return (self.routing, self.forwarding)
+
+    def stats_objects(self) -> Tuple[Any, ...]:
+        """The stack's stats dataclasses, in report order."""
+        return (self.routing.stats, self.forwarding.stats)
 
     # ------------------------------------------------------------------
     # EstimatorClient

@@ -16,7 +16,7 @@ import math
 from random import Random
 from dataclasses import dataclass
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 
 from repro.core.interfaces import CompareBitProvider, LinkEstimator
@@ -24,6 +24,9 @@ from repro.net.ctp.frames import NO_PARENT, CtpRoutingFrame, make_routing_frame
 from repro.net.ctp.trickle import TrickleTimer
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,6 @@ class RoutingStats:
 
     METRICS_PREFIX = "net.routing"
 
-    def register_into(self, registry, **labels) -> None:
-        """Register every counter as ``net.routing.<field>`` in an
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        from repro.obs.metrics import register_dataclass_counters
-
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
-
 
 class CtpRoutingEngine(CompareBitProvider):
     """Parent selection, beaconing, and the network layer's two bits."""
@@ -107,6 +103,8 @@ class CtpRoutingEngine(CompareBitProvider):
         self.enabled = True
         #: Forwarding engine hooks this to pump its queue when a route appears.
         self.on_route_found: Optional[Callable[[], None]] = None
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         self.trickle = TrickleTimer(
             engine,
             self._send_beacon,
@@ -133,9 +131,12 @@ class CtpRoutingEngine(CompareBitProvider):
         self.trickle.stop()
         self.route_info.clear()
         self._route_version += 1
+        old = self.parent
         self.parent = None
         self._had_route = self.is_root
         self._pull_pending = False
+        if old is not None and self.probe is not None:
+            self.probe.parent_change(self.node_id, old, None)
 
     def fault_restart(self) -> None:
         """Node reboot: come back with no route and re-bootstrap.
@@ -239,6 +240,8 @@ class CtpRoutingEngine(CompareBitProvider):
                 self.trickle.reset()  # announce first route quickly
                 if self.on_route_found is not None:
                     self.on_route_found()
+        if self.probe is not None:
+            self.probe.parent_change(self.node_id, old, new_parent)
 
     # ------------------------------------------------------------------
     # Beacons

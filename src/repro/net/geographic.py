@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.interfaces import CompareBitProvider, EstimatorClient, LinkEstimator
 from repro.link.frame import BROADCAST, NetworkFrame
@@ -33,6 +33,9 @@ from repro.net.ctp.forwarding import CtpForwardingConfig, CtpForwardingEngine
 from repro.net.ctp.frames import CtpDataFrame
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 Position = Tuple[float, float]
 
@@ -88,6 +91,8 @@ class GreedyGeoRouting(CompareBitProvider):
         self.neighbor_positions: Dict[int, Position] = {}
         self.parent: Optional[int] = None
         self.on_route_found: Optional[Callable[[], None]] = None
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         self.beacons_sent = 0
         self.parent_switches = 0
 
@@ -144,14 +149,16 @@ class GreedyGeoRouting(CompareBitProvider):
             if d < best_distance:
                 best, best_distance = neighbor, d
         if best is not None and best != self.parent:
-            had_route = self.parent is not None
-            if self.parent is not None:
-                self.estimator.unpin(self.parent)
+            old = self.parent
+            if old is not None:
+                self.estimator.unpin(old)
             self.parent = best
             self.estimator.pin(best)
             self.parent_switches += 1
-            if not had_route and self.on_route_found is not None:
+            if old is None and self.on_route_found is not None:
                 self.on_route_found()
+            if self.probe is not None:
+                self.probe.parent_change(self.node_id, old, best)
 
     # ------------------------------------------------------------------
     def compare_bit(self, frame: NetworkFrame, info: RxInfo) -> bool:
@@ -215,6 +222,14 @@ class GreedyGeoProtocol(EstimatorClient):
     def send_from_app(self) -> bool:
         """Originate one collection packet (False if the queue is full)."""
         return self.forwarding.send_from_app()
+
+    def layers(self) -> Tuple[Any, ...]:
+        """The stack's probe-carrying layer objects."""
+        return (self.routing, self.forwarding)
+
+    def stats_objects(self) -> Tuple[Any, ...]:
+        """The stack's stats dataclasses (the router keeps bare counters)."""
+        return (self.forwarding.stats,)
 
     # -- EstimatorClient --------------------------------------------------
     def on_receive(self, frame: NetworkFrame, info: RxInfo, le_src: int) -> None:

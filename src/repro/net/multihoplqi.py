@@ -16,7 +16,7 @@ import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Optional, Tuple
 
 from repro.link.frame import BROADCAST, NetworkFrame
 
@@ -26,6 +26,9 @@ from repro.link.frame import BROADCAST, NetworkFrame
 from repro.link.mac import Mac  # lint: disable=layering
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo, TxResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 #: Beacon: options(1) + parent(2) + cost(2) + hopcount(1).
 BEACON_FRAME_BYTES = 14
@@ -122,13 +125,6 @@ class MhlqiStats:
 
     METRICS_PREFIX = "net.mhlqi"
 
-    def register_into(self, registry, **labels) -> None:
-        """Register every counter as ``net.mhlqi.<field>`` in an
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        from repro.obs.metrics import register_dataclass_counters
-
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
-
 
 class _QueuedPacket:
     __slots__ = ("origin", "origin_seq", "thl", "retries", "origin_time")
@@ -169,6 +165,8 @@ class MultiHopLqi:
         self._seq = 0
         self._dup_cache: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self.on_deliver: Optional[Callable[..., None]] = None
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         mac.on_receive = self._mac_receive
         mac.on_send_done = self._mac_send_done
 
@@ -176,6 +174,14 @@ class MultiHopLqi:
     def start(self) -> None:
         """Boot: begin periodic beacons."""
         self.engine.schedule(self.rng.uniform(0.1, self.config.first_beacon_max_s), self._beacon_tick)
+
+    def layers(self) -> Tuple[Any, ...]:
+        """The stack's probe-carrying layer objects (it is monolithic)."""
+        return (self,)
+
+    def stats_objects(self) -> Tuple[Any, ...]:
+        """The stack's stats dataclasses."""
+        return (self.stats,)
 
     # ------------------------------------------------------------------
     # Beaconing / route maintenance
@@ -199,8 +205,11 @@ class MultiHopLqi:
             return
         timeout = self.config.parent_timeout_periods * self.config.beacon_period_s
         if self.engine.now - self._last_parent_heard > timeout:
+            old = self.parent
             self.parent = None
             self.path_cost = math.inf
+            if self.probe is not None:
+                self.probe.parent_change(self.node_id, old, None)
 
     def _on_beacon(self, frame: LqiBeaconFrame, info: RxInfo) -> None:
         self.stats.beacons_heard += 1
@@ -215,13 +224,15 @@ class MultiHopLqi:
             self._last_parent_heard = info.timestamp
             return
         if self.parent is None or cost_via < self.config.switch_factor * self.path_cost:
-            had_route = self.parent is not None
+            old = self.parent
             self.parent = frame.src
             self.path_cost = cost_via
             self._last_parent_heard = info.timestamp
             self.stats.parent_switches += 1
-            if not had_route:
+            if old is None:
                 self._pump_soon()
+            if self.probe is not None:
+                self.probe.parent_change(self.node_id, old, frame.src)
 
     # ------------------------------------------------------------------
     # Datapath
@@ -235,36 +246,48 @@ class MultiHopLqi:
         self._queue.append(
             _QueuedPacket(self.node_id, self._seq, thl=0, origin_time=self.engine.now)
         )
+        if self.probe is not None:
+            self.probe.pkt_orig(self.node_id, self._seq)
         self._seq += 1
         self._pump_soon()
         return True
 
     def _on_data(self, frame: LqiDataFrame) -> None:
+        outcome = self._receive_data(frame)
+        probe = self.probe
+        if probe is not None:
+            probe.pkt_rx(self.node_id, frame, outcome)
+            if outcome == "queue-full":
+                probe.drop(self.node_id, frame.origin, frame.origin_seq, "queue-full")
+
+    def _receive_data(self, frame: LqiDataFrame) -> str:
+        """Handle one data frame; returns its fate at this node."""
         if self.is_root:
             self.stats.delivered_at_root += 1
             if self.on_deliver is not None:
                 self.on_deliver(
                     frame.origin, frame.origin_seq, frame.thl, self.engine.now, frame.origin_time
                 )
-            return
+            return "deliver"
         key = (frame.origin, frame.origin_seq)
         if key in self._dup_cache:
             self.stats.duplicates_suppressed += 1
-            return
+            return "dup"
         self._dup_cache[key] = None
         while len(self._dup_cache) > self.config.dup_cache_size:
             self._dup_cache.popitem(last=False)
         if frame.thl + 1 > self.config.max_thl:
             self.stats.drops_thl += 1
-            return
+            return "drop-thl"
         if len(self._queue) >= self.config.queue_size:
             self.stats.drops_queue_full += 1
-            return
+            return "queue-full"
         self.stats.forwarded += 1
         self._queue.append(
             _QueuedPacket(frame.origin, frame.origin_seq, frame.thl + 1, frame.origin_time)
         )
         self._pump_soon()
+        return "forward"
 
     def _pump_soon(self, delay: float = 0.0) -> None:
         if self._pump_scheduled or self._sending_data:
@@ -309,6 +332,9 @@ class MultiHopLqi:
         if not isinstance(frame, LqiDataFrame):
             return  # beacon completion
         self._sending_data = False
+        probe = self.probe
+        if probe is not None:
+            probe.pkt_tx(self.node_id, frame, result.sent, result.ack_bit)
         if not self._queue:
             return
         packet = self._queue[0]
@@ -322,4 +348,6 @@ class MultiHopLqi:
         if packet.retries > self.config.max_retries:
             self.stats.drops_retries += 1
             self._queue.popleft()
+            if probe is not None:
+                probe.drop(self.node_id, packet.origin, packet.origin_seq, "retries")
         self._pump_soon(self.rng.uniform(self.config.retry_min_s, self.config.retry_max_s))

@@ -25,9 +25,9 @@ Three pillars, all optional and all zero-cost when unused:
 * :mod:`repro.obs.resources` — **run resource accounting**: wall/CPU/peak
   RSS per run via ``resource.getrusage``, aggregated across sweeps.
 
-The structured tracing itself lives in :mod:`repro.sim.trace` (it hooks a
-built network); :func:`repro.obs.bridge.network_metrics` lifts every
-layer's ad-hoc stats dataclasses into one registry after a run.
+The structured tracing itself lives in :mod:`repro.sim.trace` (a monitor
+attached to a built network); :func:`repro.obs.bridge.network_metrics`
+lifts every layer's stats dataclasses into one registry after a run.
 """
 
 from repro.obs.bridge import network_metrics

@@ -14,30 +14,18 @@ merges across runs for sweep-level aggregation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, register_dataclass_counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import CollectionNetwork
 
 
-def _node_stats_objects(node):
-    """Yield every per-node stats dataclass that knows ``register_into``."""
-    yield node.mac.stats
-    if node.estimator is not None:
-        yield node.estimator.stats
-    protocol = node.protocol
-    routing = getattr(protocol, "routing", None)
-    if routing is not None:
-        yield routing.stats
-    forwarding = getattr(protocol, "forwarding", None)
-    if forwarding is not None:
-        yield forwarding.stats
-    # Monolithic stacks (MultiHopLQI) keep one stats object on the protocol.
-    stats = getattr(protocol, "stats", None)
-    if stats is not None and hasattr(stats, "register_into"):
-        yield stats
+def register_stats(registry: MetricsRegistry, stats: Any, **labels: Any) -> None:
+    """Register every counter of a stats dataclass under its
+    ``METRICS_PREFIX`` (e.g. ``link.mac.tx_unicast``)."""
+    register_dataclass_counters(registry, stats.METRICS_PREFIX, stats, **labels)
 
 
 def network_metrics(
@@ -55,8 +43,8 @@ def network_metrics(
         registry = MetricsRegistry()
     for nid, node in sorted(network.nodes.items()):
         labels = {"node": str(nid)} if per_node else {}
-        for stats in _node_stats_objects(node):
-            stats.register_into(registry, **labels)
+        for stats in node.stats_objects():
+            register_stats(registry, stats, **labels)
     medium = network.medium
     registry.counter("phy.medium.transmissions").inc(medium.transmissions)
     registry.counter("phy.medium.deliveries").inc(medium.deliveries)
@@ -65,10 +53,10 @@ def network_metrics(
     registry.counter("sim.engine.events_run").inc(network.engine.events_run)
     registry.gauge("sim.engine.pending").set(network.engine.pending)
     registry.gauge("sim.engine.now_s").set(network.engine.now)
-    injector = getattr(network, "fault_injector", None)
+    injector = network.fault_injector
     if injector is not None:
-        injector.register_metrics(registry)
-    checker = getattr(network, "invariant_checker", None)
+        register_stats(registry, injector.synced_stats())
+    checker = network.invariant_checker
     if checker is not None:
         registry.counter("faults.invariants.checks_run").inc(checker.checks_run)
         registry.counter("faults.invariants.violations").inc(len(checker.violations))

@@ -11,8 +11,8 @@ in :mod:`repro.sim.trace`) without re-running the simulation::
     python -m repro.obs tail live.jsonl --check      # telemetry stream records
     python -m repro.obs tail live.jsonl -f           # ... following live appends
 
-Rotated sink segments may be passed oldest-first (``trace.jsonl.2
-trace.jsonl.1 trace.jsonl``); records from every file are pooled.
+Several trace files may be passed; records from every file are pooled in
+the order given.
 
 All analysis output goes to stdout; it is plain text, not JSON.
 """
@@ -364,7 +364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("summary", help="whole-run overview: kinds, counter totals")
-    p.add_argument("trace", nargs="+", help="JSONL trace file(s), oldest first")
+    p.add_argument("trace", nargs="+", help="JSONL trace file(s), in order")
     p.set_defaults(fn=cmd_summary)
 
     p = sub.add_parser("timeline", help="chronological event listing")

@@ -1,6 +1,6 @@
 """Causal packet-journey reconstruction from trace records.
 
-The forwarding hooks in :mod:`repro.sim.trace` stamp every datapath event
+The datapath records of :mod:`repro.sim.trace` stamp every event
 with the packet's ``(origin, seq)`` identity: ``pkt-orig`` when the
 application hands a packet to its origin's forwarding queue, one
 ``pkt-tx`` per forwarding-level unicast attempt, one ``pkt-rx`` per
@@ -11,10 +11,9 @@ This module correlates them into one **span tree** per packet: a
 ``src`` field of each reception, per-hop attempt/retry counts and
 latencies, and a terminal state.
 
-Offline entry point: ``python -m repro.obs journey trace.jsonl``.  The
-MultiHopLQI stack has no forwarding engine and emits no ``pkt-*``
-records; its packets still get a (hop-less) journey from the ``deliver``
-records, so delivery accounting stays protocol-agnostic.
+Offline entry point: ``python -m repro.obs journey trace.jsonl``.  Every
+stack (CTP, geographic, MultiHopLQI) emits the same ``pkt-*`` records, so
+journeys rebuild the same way for all of them.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ per-run registries fold into one sweep view.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 
 #: ``layer.component.event`` — lowercase dotted path, underscores allowed.
@@ -325,20 +326,29 @@ class MetricsRegistry:
         return "\n".join(lines) if lines else "(no metrics)"
 
 
-def register_dataclass_counters(
-    registry: MetricsRegistry, prefix: str, stats: object, **labels
-) -> None:
-    """Register every integer field of a stats dataclass as a counter.
+def numeric_fields(stats: Any) -> Dict[str, float]:
+    """The numeric fields of a stats dataclass, in declaration order.
 
-    This is the bridge between the per-component stats dataclasses and the
-    registry: ``register_dataclass_counters(reg, "link.mac", mac.stats,
-    node=7)`` yields ``link.mac.tx_unicast{node=7}`` etc.  Non-numeric
-    fields (lists of failures, nested objects) are skipped.
+    Non-numeric fields (lists of failures, nested objects) and bools are
+    skipped.
     """
-    import dataclasses
-
+    out: Dict[str, float] = {}
     for f in dataclasses.fields(stats):
         value = getattr(stats, f.name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        registry.counter(f"{prefix}.{f.name}", **labels).inc(value)
+        out[f.name] = value
+    return out
+
+
+def register_dataclass_counters(
+    registry: MetricsRegistry, prefix: str, stats: object, **labels
+) -> None:
+    """Register every numeric field of a stats dataclass as a counter.
+
+    This is the bridge between the per-component stats dataclasses and the
+    registry: ``register_dataclass_counters(reg, "link.mac", mac.stats,
+    node=7)`` yields ``link.mac.tx_unicast{node=7}`` etc.
+    """
+    for name, value in numeric_fields(stats).items():
+        registry.counter(f"{prefix}.{name}", **labels).inc(value)

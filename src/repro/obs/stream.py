@@ -67,7 +67,8 @@ from typing import (
     Union,
 )
 
-from repro.obs.metrics import MetricsRegistry, parse_flat_key, register_dataclass_counters
+from repro.obs.metrics import parse_flat_key
+from repro.sim.probe import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import CollectionNetwork
@@ -215,10 +216,6 @@ class StreamStats:
 
     METRICS_PREFIX = "obs.stream"
 
-    def register_into(self, registry: MetricsRegistry, **labels: object) -> None:
-        """Register every counter as ``obs.stream.<field>``."""
-        register_dataclass_counters(registry, self.METRICS_PREFIX, self, **labels)
-
 
 class JsonlStreamSink(TelemetrySink):
     """Append stream records to a JSONL file, flushed per record.
@@ -338,15 +335,16 @@ class PrometheusTextSink(TelemetrySink):
 # ---------------------------------------------------------------------------
 # The sampler
 # ---------------------------------------------------------------------------
-class TelemetrySampler:
+class TelemetrySampler(Monitor):
     """Deterministic sim-time metrics sampler driven by engine events.
 
     Built by :class:`~repro.sim.network.CollectionNetwork` when
     ``SimConfig.telemetry_period_s`` is set (or attached manually via
     :meth:`install`).  Each fire rebuilds the registry from the live
     network, emits the changed keys, and reschedules itself; the final
-    sample plus the ``run-end`` record ride the network's ``on_run_end``
-    hook so the stream always closes with the exact end-of-run state.
+    sample plus the ``run-end`` record come from the monitor's
+    :meth:`run_end` event, so the stream always closes with the exact
+    end-of-run state.
     """
 
     def __init__(
@@ -399,7 +397,7 @@ class TelemetrySampler:
 
     # -- lifecycle -------------------------------------------------------
     def install(self) -> None:
-        """Emit ``run-start``, arm the periodic sample, hook run end."""
+        """Emit ``run-start``, arm the periodic sample, attach for run end."""
         if self._installed:
             return
         self._installed = True
@@ -417,7 +415,7 @@ class TelemetrySampler:
         )
         if self.period_s <= config.duration_s:
             self.network.engine.schedule(self.period_s, self._sample)
-        self.network.on_run_end.append(self._on_run_end)
+        self.network.attach(self)
 
     def _sample(self) -> None:
         self._emit_snapshot()
@@ -425,7 +423,7 @@ class TelemetrySampler:
         if engine.now + self.period_s <= self.network.config.duration_s:
             engine.schedule(self.period_s, self._sample)
 
-    def _on_run_end(self, network: "CollectionNetwork") -> None:
+    def run_end(self, network: "CollectionNetwork") -> None:
         if self._finished:
             return
         self._finished = True

@@ -26,7 +26,7 @@ floating-point association of the original code are preserved exactly
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
 
 
 from repro.link.frame import AckFrame, Frame, JamFrame
@@ -39,6 +39,9 @@ from repro.phy.white_bit import DEFAULT_WHITE_BIT, LqiWhiteBit, WhiteBitPolicy
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo
 from repro.sim.rng import RngManager
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 #: Mean-SNR margin (dB) below which a potential receiver is pruned from the
 #: candidate list.  At −15 dB below the noise floor the reception probability
@@ -222,6 +225,8 @@ class RadioMedium:
         self._finalized = False
         #: Fault overlay; ``None`` until a fault injector enables it.
         self._faults: Optional[MediumFaultState] = None
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
         # Statistics.
         self.transmissions = 0
         self.deliveries = 0
@@ -314,9 +319,8 @@ class RadioMedium:
                     # A mutable list, not a tuple: the last two slots cache
                     # the pair's resolved OU / Gilbert state objects once
                     # the channel creates them (see _evaluate_receptions).
-                    # The participant is stored (not its bound callback):
-                    # tracing instruments runs by swapping on_frame_received
-                    # after construction, so delivery must late-bind it.
+                    # The participant is stored (not its bound callback),
+                    # so delivery late-binds on_frame_received.
                     rx_row.append(
                         [
                             rid,
@@ -380,6 +384,8 @@ class RadioMedium:
     # ------------------------------------------------------------------
     def start_transmission(self, sender_id: int, frame: Frame) -> float:
         """Put ``frame`` on the air; returns its airtime in seconds."""
+        if self.probe is not None:
+            self.probe.transmission_start(sender_id, frame)
         if not self._finalized:
             self.finalize()
         sender = self._participants[sender_id]

@@ -27,6 +27,7 @@ from repro.phy.white_bit import LqiWhiteBit, NeverWhiteBit, SnrWhiteBit
 from repro.sim.engine import Engine
 from repro.sim.medium import RadioMedium
 from repro.sim.node import Node
+from repro.sim.probe import Monitor, MonitorSet
 from repro.sim.rng import RngManager
 from repro.topology.generators import Topology
 from repro.topology.testbeds import TestbedProfile
@@ -214,10 +215,10 @@ class CollectionNetwork:
         self.nodes: Dict[int, Node] = {}
         self.interferers: List[MarkovInterferer] = []
         self._depth_samples: List[Dict[int, Optional[int]]] = []
-        #: Callbacks invoked with the network after the event loop drains,
-        #: before the result is computed (tracing uses this for end-of-run
-        #: stats records).
-        self.on_run_end: List = []
+        #: Subscribed monitors, in :meth:`attach` order.
+        self.monitors: List[Monitor] = []
+        #: What every layer's ``probe`` points at (``None``: nothing attached).
+        self.probe: Optional[Monitor] = None
         if config.profile_events:
             self.engine.enable_profiling()
         self._build_nodes()
@@ -433,10 +434,10 @@ class CollectionNetwork:
         self.telemetry.install()
 
     def _boot_node(self, node: Node) -> None:
-        # Late-bound lookup so post-construction instrumentation (tracing)
-        # that wraps ``protocol.start`` is honored.
         if node.crashed:
             return  # crashed before its boot time: stays down until reboot
+        if self.probe is not None:
+            self.probe.boot(node.node_id)
         node.protocol.start()
 
     def _start_source(self, node: Node) -> None:
@@ -453,6 +454,28 @@ class CollectionNetwork:
                 self.engine.schedule_at(stop_at, node.source.stop)
         for interferer in self.interferers:
             self.engine.schedule_at(0.0, interferer.start)
+
+    # ------------------------------------------------------------------
+    # Observation
+    # ------------------------------------------------------------------
+    def attach(self, monitor: Monitor) -> None:
+        """Subscribe ``monitor`` to every layer's events (DESIGN.md §6).
+
+        The one attach point for tracing, invariant checking and
+        telemetry: it points every layer's ``probe`` at the monitors
+        attached so far, which then see events in attachment order.
+        """
+        self.monitors.append(monitor)
+        monitor.attached(self)
+        probe = monitor if len(self.monitors) == 1 else MonitorSet(self.monitors)
+        self.probe = probe
+        layers: List[Any] = [self.medium, self.sink]
+        if self.fault_injector is not None:
+            layers.append(self.fault_injector)
+        for node in self.nodes.values():
+            layers += node.layers()
+        for layer in layers:
+            layer.probe = probe
 
     # ------------------------------------------------------------------
     # Tree observation
@@ -497,16 +520,16 @@ class CollectionNetwork:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> CollectionResult:
-        probe = None
+        resources = None
         if self.telemetry is not None:
             from repro.obs.resources import ResourceProbe
 
-            probe = ResourceProbe()
+            resources = ResourceProbe()
         self.engine.run_until(self.config.duration_s)
-        if probe is not None:
-            self.run_resources = probe.stop()
-        for hook in self.on_run_end:
-            hook(self)
+        if resources is not None:
+            self.run_resources = resources.stop()
+        if self.probe is not None:
+            self.probe.run_end(self)
         if self.telemetry is not None:
             self.telemetry.close()
         return compute_result(self)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, List, Optional, Union
 
 from repro.core.estimator import HybridLinkEstimator
 from repro.link.mac import Mac
@@ -12,8 +12,9 @@ from repro.net.multihoplqi import MultiHopLqi
 from repro.phy.radio import Radio
 from repro.workloads.collection import CollectionSource
 
-#: Any object exposing start() / send_from_app() / parent / is_root.
-Protocol = Union[CtpProtocol, MultiHopLqi, object]
+#: Any object exposing start() / send_from_app() / parent / is_root plus
+#: layers() / stats_objects().
+Protocol = Union[CtpProtocol, MultiHopLqi, Any]
 
 
 @dataclass
@@ -40,6 +41,22 @@ class Node:
     @property
     def parent(self) -> Optional[int]:
         return self.protocol.parent
+
+    def layers(self) -> List[Any]:
+        """Every layer object of this stack that carries a ``probe``."""
+        out: List[Any] = [self.mac]
+        if self.estimator is not None:
+            out += [self.estimator, self.estimator.table]
+        out.extend(self.protocol.layers())
+        return out
+
+    def stats_objects(self) -> List[Any]:
+        """Every stats dataclass of this stack, bottom layer first."""
+        out: List[Any] = [self.mac.stats]
+        if self.estimator is not None:
+            out.append(self.estimator.stats)
+        out.extend(self.protocol.stats_objects())
+        return out
 
     def data_transmissions(self) -> int:
         """Unicast frames this node actually put on the air (data only —

@@ -1,10 +1,12 @@
 """Structured event tracing for simulations.
 
-A :class:`Tracer` collects typed, timestamped records from any layer.
-Components don't depend on it — instead, :func:`instrument_network` hooks a
-built :class:`~repro.sim.network.CollectionNetwork` non-invasively (the
-same chaining trick the metrics probes use), so tracing costs nothing
-unless requested.
+A :class:`Tracer` collects typed, timestamped records from any layer.  It
+is a :class:`~repro.sim.probe.Monitor`: :func:`instrument_network` attaches
+it to a built :class:`~repro.sim.network.CollectionNetwork` through the
+network's one attach point, and every layer reports to it through the
+explicit probe calls it makes at its decision points.  With no monitor
+attached each of those calls is a single ``probe is None`` test, so
+tracing costs nothing unless requested.
 
 Typical use, debugging a misbehaving run::
 
@@ -15,9 +17,12 @@ Typical use, debugging a misbehaving run::
     parent_flaps = tracer.count(kind="parent-change", node=17)
 
 Traces export to JSONL (one JSON object per line) and round-trip through
-:meth:`Tracer.to_jsonl` / :meth:`Tracer.from_jsonl`; the offline analysis
-CLI (``python -m repro.obs``) answers summary/timeline/flap/convergence
-questions over the exported file.
+:meth:`Tracer.to_jsonl` / :meth:`Tracer.from_jsonl`; long runs can stream
+records straight to disk instead through a
+:class:`~repro.obs.stream.JsonlStreamSink` (``Tracer(sink=...)``).  Both
+paths write lines with :func:`~repro.obs.stream.encode_record`.  The
+offline analysis CLI (``python -m repro.obs``) answers
+summary/timeline/flap/convergence/journey questions over the exported file.
 
 Trace schema
 ============
@@ -37,7 +42,9 @@ link      ``cca-fail``    ``dest, backoffs`` — CSMA gave up, frame never sent
 est       ``est-insert``  ``neighbor, mode (free|evict-worst|compare)``
 est       ``est-reject``  ``neighbor, reason (no-white|no-compare|all-pinned)``
 est       ``pin``/``unpin``  ``neighbor`` — the network layer's pin bit
-net       ``parent-change``  ``old, new`` (node ids; -1 = none)
+net       ``parent-change``  ``old, new`` (node ids; -1 = none).  A crash's
+                          parent loss is stamped at the crash, right after
+                          its ``crash`` record
 net       ``drop``        ``origin, seq, reason (retries|queue-full)``
 net       ``pkt-orig``    ``seq`` — the record node accepted one app packet
                           into its forwarding queue (its origin sequence)
@@ -59,6 +66,9 @@ faults    ``interference``  ``x, y, power (dBm)`` — burst window opened
                           dataclass, one record per node per layer at run end
 ========  ==============  ====================================================
 
+The ``net`` records cover every stack: CTP, the geographic router (on
+CTP's forwarding engine) and MultiHopLQI emit the same kinds with the same
+fields, so :mod:`repro.obs.journey` rebuilds packets of any of them.
 Fault records carry ``node=NETWORK_NODE`` except ``crash``/``reboot``,
 whose ``node`` is the affected mote.
 """
@@ -67,15 +77,20 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Union
 
+from repro.obs.metrics import numeric_fields
+from repro.obs.stream import JsonlStreamSink, encode_record
+from repro.sim.probe import Monitor
+
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.link.frame import Frame
     from repro.sim.engine import Engine
     from repro.sim.network import CollectionNetwork
+    from repro.sim.packets import RxInfo, TxResult
 
 #: JSON keys reserved for the record envelope; field names must avoid them.
 RESERVED_KEYS = ("t", "kind", "node")
@@ -117,75 +132,12 @@ class TraceRecord:
         )
 
 
-class JsonlSink:
-    """Streaming JSONL writer with size-based rotation.
-
-    Keeps memory bounded regardless of trace volume: each record goes to
-    disk immediately.  When ``max_bytes`` is set the file rotates through
-    ``path.1 … path.<max_files>`` (highest suffix oldest), so a runaway
-    trace occupies at most ``max_bytes × (max_files + 1)`` on disk.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        max_bytes: Optional[int] = None,
-        max_files: int = 3,
-    ) -> None:
-        self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.max_files = max(1, max_files)
-        self.written = 0
-        self.rotations = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w")
-        self._bytes = 0
-
-    def write(self, record: TraceRecord) -> None:
-        self.write_line(record.to_dict())
-
-    def write_line(self, payload: Dict[str, Any]) -> None:
-        line = json.dumps(payload, separators=(",", ":"), default=str) + "\n"
-        if (
-            self.max_bytes is not None
-            and self._bytes
-            and self._bytes + len(line) > self.max_bytes
-        ):
-            self._rotate()
-        self._fh.write(line)
-        self._bytes += len(line)
-        self.written += 1
-
-    def _rotate(self) -> None:
-        self._fh.close()
-        oldest = self.path.with_name(f"{self.path.name}.{self.max_files}")
-        if oldest.exists():
-            oldest.unlink()
-        for i in range(self.max_files - 1, 0, -1):
-            src = self.path.with_name(f"{self.path.name}.{i}")
-            if src.exists():
-                os.replace(src, self.path.with_name(f"{self.path.name}.{i + 1}"))
-        os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))
-        self._fh = open(self.path, "w")
-        self._bytes = 0
-        self.rotations += 1
-
-    def close(self, meta: Optional[Dict[str, Any]] = None) -> None:
-        if self._fh.closed:
-            return
-        if meta is not None:
-            self.write_line(meta)
-            self.written -= 1  # meta lines aren't records
-        self._fh.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+def _node_field(node: Optional[int]) -> int:
+    """A node id as a record field: -1 stands for none."""
+    return node if node is not None else -1
 
 
-class Tracer:
+class Tracer(Monitor):
     """Bounded in-memory event log with filtering and JSONL export.
 
     ``keep`` selects what the memory bound protects: ``"head"`` keeps the
@@ -199,6 +151,10 @@ class Tracer:
     Drop accounting is split so summaries stay trustworthy: ``dropped``
     counts only records lost to the capacity bound; ``filtered`` counts
     records excluded by the ``kinds`` whitelist (deliberate, not lost).
+
+    Attached to a network (:func:`instrument_network`), the tracer turns
+    each :class:`~repro.sim.probe.Monitor` event into one record of the
+    module's schema, stamped with the network's simulated time.
     """
 
     def __init__(
@@ -206,7 +162,7 @@ class Tracer:
         max_records: Optional[int] = 100_000,
         kinds: Optional[Set[str]] = None,
         keep: str = "head",
-        sink: Optional[JsonlSink] = None,
+        sink: Optional[JsonlStreamSink] = None,
     ) -> None:
         if keep not in ("head", "tail"):
             raise ValueError(f"keep must be 'head' or 'tail', not {keep!r}")
@@ -223,6 +179,8 @@ class Tracer:
         self.dropped = 0
         #: Records excluded by the ``kinds`` whitelist (not lost — excluded).
         self.filtered = 0
+        #: Clock of the network this tracer is attached to.
+        self._engine: Optional["Engine"] = None
 
     def emit(self, time: float, kind: str, node: int, detail: str = "", **fields: Any) -> None:
         """Record one event.  ``fields`` are typed key/values; the legacy
@@ -237,7 +195,7 @@ class Tracer:
                 raise ValueError(f"field name {key!r} is reserved")
         record = TraceRecord(time, kind, node, fields)
         if self.sink is not None:
-            self.sink.write(record)
+            self.sink.emit(record.to_dict())
         if self.max_records == 0:
             return
         if isinstance(self.records, deque):
@@ -249,6 +207,104 @@ class Tracer:
                 self.dropped += 1
                 return
             self.records.append(record)
+
+    # ------------------------------------------------------------------
+    # Monitor events → records (the module's schema table)
+    # ------------------------------------------------------------------
+    def attached(self, network: "CollectionNetwork") -> None:
+        self._engine = network.engine
+
+    def _event(self, kind: str, node: int, **fields: Any) -> None:
+        assert self._engine is not None, "tracer is not attached to a network"
+        self.emit(self._engine.now, kind, node, **fields)
+
+    def rx(self, node: int, frame: "Frame", info: "RxInfo") -> None:
+        self._event(
+            "rx", node, src=frame.src, snr=round(info.snr_db, 1), lqi=info.lqi,
+            white=1 if info.white_bit else 0,
+        )
+
+    def tx(self, node: int, frame: "Frame", result: "TxResult") -> None:
+        if result.sent:
+            self._event(
+                "tx", node, dest=result.dest, ack=1 if result.ack_bit else 0,
+                backoffs=result.backoffs,
+            )
+        else:
+            self._event("cca-fail", node, dest=result.dest, backoffs=result.backoffs)
+
+    def est_insert(self, node: int, neighbor: int, mode: str) -> None:
+        self._event("est-insert", node, neighbor=neighbor, mode=mode)
+
+    def est_reject(self, node: int, neighbor: int, reason: str) -> None:
+        self._event("est-reject", node, neighbor=neighbor, reason=reason)
+
+    def pin(self, node: int, neighbor: int) -> None:
+        self._event("pin", node, neighbor=neighbor)
+
+    def unpin(self, node: int, neighbor: int) -> None:
+        self._event("unpin", node, neighbor=neighbor)
+
+    def parent_change(self, node: int, old: Optional[int], new: Optional[int]) -> None:
+        self._event("parent-change", node, old=_node_field(old), new=_node_field(new))
+
+    def pkt_orig(self, node: int, seq: int) -> None:
+        self._event("pkt-orig", node, seq=seq)
+
+    def pkt_tx(self, node: int, frame: Any, sent: bool, acked: bool) -> None:
+        self._event(
+            "pkt-tx", node, origin=frame.origin, seq=frame.origin_seq, to=frame.dst,
+            sent=1 if sent else 0, acked=1 if acked else 0,
+        )
+
+    def pkt_rx(self, node: int, frame: Any, outcome: str) -> None:
+        self._event(
+            "pkt-rx", node, origin=frame.origin, seq=frame.origin_seq, src=frame.src,
+            thl=frame.thl, outcome=outcome,
+        )
+
+    def drop(self, node: int, origin: int, seq: int, reason: str) -> None:
+        self._event("drop", node, origin=origin, seq=seq, reason=reason)
+
+    def deliver(self, origin: int, seq: int, thl: int) -> None:
+        self._event("deliver", origin, seq=seq, hops=thl + 1)
+
+    def boot(self, node: int) -> None:
+        self._event("boot", node)
+
+    def fault(self, kind: str, fields: Dict[str, Any]) -> None:
+        if kind in ("crash", "reboot"):
+            self._event(kind, fields["node"])
+            return
+        out = dict(fields)
+        for key in ("a", "b"):
+            if key in out:
+                out[key] = _node_field(out[key])
+        self._event(kind, NETWORK_NODE, **out)
+
+    def run_end(self, network: "CollectionNetwork") -> None:
+        """One ``stats`` record per node per layer, then the medium's and
+        the engine's.
+
+        This is what makes an exported trace self-contained: the offline
+        CLI can report exact counter totals (the four-bit events included)
+        without the live objects, and they match the in-process snapshots
+        by construction.
+        """
+        for nid, node in network.nodes.items():
+            for stats in node.stats_objects():
+                self._event("stats", nid, layer=stats.METRICS_PREFIX, **numeric_fields(stats))
+        medium = network.medium
+        self._event(
+            "stats", NETWORK_NODE, layer="phy.medium",
+            transmissions=medium.transmissions, deliveries=medium.deliveries,
+            collisions=medium.collisions, white_bits_set=medium.white_bits_set,
+        )
+        engine = network.engine
+        self._event(
+            "stats", NETWORK_NODE, layer="sim.engine",
+            events_run=engine.events_run, pending=engine.pending,
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -297,24 +353,23 @@ class Tracer:
         Returns the number of records written."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        n = 0
         with open(path, "w") as fh:
             for record in self.records:
-                fh.write(json.dumps(record.to_dict(), separators=(",", ":"), default=str) + "\n")
-                n += 1
-            fh.write(json.dumps(self._meta(), separators=(",", ":")) + "\n")
-        return n
+                fh.write(encode_record(record.to_dict()) + "\n")
+            fh.write(encode_record(self._meta()) + "\n")
+        return len(self.records)
 
     def close(self) -> None:
-        """Flush and close the streaming sink (writes the ``_meta`` footer)."""
+        """Write the ``_meta`` footer to the streaming sink and close it."""
         if self.sink is not None:
-            self.sink.close(meta=self._meta())
+            self.sink.emit(self._meta())
+            self.sink.close()
+            self.sink = None
 
     @classmethod
     def from_jsonl(cls, *paths: Union[str, Path]) -> "Tracer":
-        """Load a tracer back from one or more JSONL files (rotated segments
-        may be passed oldest-first).  Restores drop/filter accounting from
-        the ``_meta`` footer when present."""
+        """Load a tracer back from one or more JSONL files (in order).
+        Restores drop/filter accounting from the ``_meta`` footers."""
         tracer = cls(max_records=None)
         for path in paths:
             with open(path) as fh:
@@ -341,7 +396,7 @@ def instrument_network(
     kinds: Optional[Set[str]] = None,
     max_records: Optional[int] = 100_000,
     keep: str = "head",
-    sink: Optional[JsonlSink] = None,
+    sink: Optional[JsonlStreamSink] = None,
     etx_sample_s: Optional[float] = None,
 ) -> Tracer:
     """Attach a :class:`Tracer` to every layer of a built network.
@@ -349,307 +404,15 @@ def instrument_network(
     See the module docstring for the full record schema.  ``etx_sample_s``
     additionally samples each node's parent-link ETX estimate against the
     channel's ground truth at that period (off by default — it adds engine
-    events, though it never changes results).  All hooks are passive: they
-    consume no randomness and schedule nothing on the frame path, so a
-    traced run is bit-identical to an untraced one.
+    events, though it never changes results).  The tracer only observes:
+    it consumes no randomness and schedules nothing on the frame path, so
+    a traced run is bit-identical to an untraced one.
     """
     tracer = Tracer(max_records=max_records, kinds=kinds, keep=keep, sink=sink)
-    engine = network.engine
-
-    for node in network.nodes.values():
-        _hook_parent_changes(tracer, engine, node)
-        _hook_mac(tracer, engine, node)
-        _hook_phy(tracer, engine, node)
-        _hook_boot(tracer, engine, node)
-        _hook_estimator(tracer, engine, node)
-        _hook_forwarding(tracer, engine, node)
-    _hook_sink(tracer, network)
-    injector = getattr(network, "fault_injector", None)
-    if injector is not None:
-        _hook_faults(tracer, injector)
+    network.attach(tracer)
     if etx_sample_s is not None:
         _schedule_etx_sampling(tracer, network, etx_sample_s)
-    run_end_hooks = getattr(network, "on_run_end", None)
-    if run_end_hooks is not None:
-        run_end_hooks.append(lambda net: _emit_stats_records(tracer, net))
     return tracer
-
-
-def _hook_parent_changes(tracer: Tracer, engine: "Engine", node: Any) -> None:
-    protocol = node.protocol
-    routing = getattr(protocol, "routing", protocol)
-    if not hasattr(routing, "update_route"):
-        return
-    original = routing.update_route
-    state = {"parent": getattr(routing, "parent", None)}
-
-    def wrapped() -> None:
-        original()
-        new_parent = getattr(routing, "parent", None)
-        if new_parent != state["parent"]:
-            tracer.emit(
-                engine.now,
-                "parent-change",
-                node.node_id,
-                old=state["parent"] if state["parent"] is not None else -1,
-                new=new_parent if new_parent is not None else -1,
-            )
-            state["parent"] = new_parent
-
-    routing.update_route = wrapped
-
-
-def _hook_mac(tracer: Tracer, engine: "Engine", node: Any) -> None:
-    mac = node.mac
-    original = mac.on_send_done
-
-    def wrapped(frame: Any, result: Any) -> None:
-        if not frame.is_broadcast:
-            if result.sent:
-                tracer.emit(
-                    engine.now,
-                    "tx",
-                    node.node_id,
-                    dest=result.dest,
-                    ack=1 if result.ack_bit else 0,
-                    backoffs=result.backoffs,
-                )
-            else:
-                tracer.emit(
-                    engine.now,
-                    "cca-fail",
-                    node.node_id,
-                    dest=result.dest,
-                    backoffs=result.backoffs,
-                )
-        if original is not None:
-            original(frame, result)
-
-    mac.on_send_done = wrapped
-
-
-def _hook_phy(tracer: Tracer, engine: "Engine", node: Any) -> None:
-    """Trace every decoded frame with its PHY measurements (the layer the
-    white bit is derived from)."""
-    mac = node.mac
-    original = mac.on_frame_received
-
-    def wrapped(frame: Any, info: Any) -> None:
-        # Acks are link-layer bookkeeping; everything else is a reception
-        # whose SNR/LQI/white-bit measurements are worth recording.
-        if not getattr(frame, "is_ack", False):
-            tracer.emit(
-                engine.now,
-                "rx",
-                node.node_id,
-                src=frame.src,
-                snr=round(info.snr_db, 1),
-                lqi=info.lqi,
-                white=1 if info.white_bit else 0,
-            )
-        original(frame, info)
-
-    mac.on_frame_received = wrapped
-
-
-def _hook_boot(tracer: Tracer, engine: "Engine", node: Any) -> None:
-    protocol = node.protocol
-    original = protocol.start
-
-    def wrapped() -> None:
-        tracer.emit(engine.now, "boot", node.node_id)
-        original()
-
-    protocol.start = wrapped
-
-
-#: (stats counter name → emitted record fields) for estimator insertions.
-_INSERT_MODES = (
-    ("inserts_free", "free"),
-    ("inserts_evict_worst", "evict-worst"),
-    ("inserts_compare", "compare"),
-)
-_REJECT_REASONS = (
-    ("rejected_no_white", "no-white"),
-    ("rejected_no_compare", "no-compare"),
-    ("rejected_all_pinned", "all-pinned"),
-)
-
-
-def _hook_estimator(tracer: Tracer, engine: "Engine", node: Any) -> None:
-    """Trace the four-bit table events: insertions (and which policy
-    admitted them), rejections (and which bit blocked them), pin/unpin."""
-    est = node.estimator
-    if est is None:
-        return
-    stats = est.stats
-    original_insert = est._try_insert
-
-    def wrapped_insert(frame: Any, info: Any) -> Any:
-        before = {name: getattr(stats, name) for name, _ in _INSERT_MODES + _REJECT_REASONS}
-        entry = original_insert(frame, info)
-        if entry is not None:
-            for name, mode in _INSERT_MODES:
-                if getattr(stats, name) != before[name]:
-                    tracer.emit(engine.now, "est-insert", node.node_id,
-                                neighbor=frame.src, mode=mode)
-                    break
-        else:
-            for name, reason in _REJECT_REASONS:
-                if getattr(stats, name) != before[name]:
-                    tracer.emit(engine.now, "est-reject", node.node_id,
-                                neighbor=frame.src, reason=reason)
-                    break
-        return entry
-
-    est._try_insert = wrapped_insert
-
-    original_pin, original_unpin = est.pin, est.unpin
-
-    def wrapped_pin(neighbor: int) -> bool:
-        ok = original_pin(neighbor)
-        if ok:
-            tracer.emit(engine.now, "pin", node.node_id, neighbor=neighbor)
-        return ok
-
-    def wrapped_unpin(neighbor: int) -> bool:
-        ok = original_unpin(neighbor)
-        if ok:
-            tracer.emit(engine.now, "unpin", node.node_id, neighbor=neighbor)
-        return ok
-
-    est.pin = wrapped_pin
-    est.unpin = wrapped_unpin
-
-
-#: (forwarding stats counter → ``pkt-rx`` outcome), checked in order; the
-#: receive path increments exactly one of these per data frame.
-_RX_OUTCOMES = (
-    ("delivered_at_root", "deliver"),
-    ("duplicates_suppressed", "dup"),
-    ("drops_thl", "drop-thl"),
-    ("drops_queue_full", "queue-full"),
-    ("forwarded", "forward"),
-)
-
-
-def _hook_forwarding(tracer: Tracer, engine: "Engine", node: Any) -> None:
-    """Trace the causal packet path: originations (``pkt-orig``), per-attempt
-    transmissions (``pkt-tx``), arrivals with their fate (``pkt-rx``) and
-    datapath drops (retries exhausted / queue full) as they happen.  The
-    ``(origin, seq)`` pair on every record is what
-    :mod:`repro.obs.journey` correlates into span trees."""
-    forwarding = getattr(node.protocol, "forwarding", None)
-    if forwarding is None:
-        return
-    stats = forwarding.stats
-    node_id = node.node_id
-
-    original_send_app = forwarding.send_from_app
-
-    def wrapped_send_app() -> bool:
-        seq = forwarding._seq
-        accepted = original_send_app()
-        if accepted:
-            tracer.emit(engine.now, "pkt-orig", node_id, seq=seq)
-        return accepted
-
-    forwarding.send_from_app = wrapped_send_app
-
-    original_send_done = forwarding.on_send_done
-
-    def wrapped_send_done(frame: Any, sent: bool, acked: bool) -> None:
-        before = stats.drops_retries
-        queue_head = forwarding._queue[0] if forwarding._queue else None
-        tracer.emit(engine.now, "pkt-tx", node_id,
-                    origin=frame.origin, seq=frame.origin_seq, to=frame.dst,
-                    sent=1 if sent else 0, acked=1 if acked else 0)
-        original_send_done(frame, sent, acked)
-        if stats.drops_retries != before and queue_head is not None:
-            tracer.emit(engine.now, "drop", node_id,
-                        origin=queue_head.origin, seq=queue_head.origin_seq,
-                        reason="retries")
-
-    forwarding.on_send_done = wrapped_send_done
-
-    original_rx = forwarding.on_data_received
-
-    def wrapped_rx(frame: Any) -> None:
-        before = {name: getattr(stats, name) for name, _ in _RX_OUTCOMES}
-        original_rx(frame)
-        outcome = "?"
-        for name, label in _RX_OUTCOMES:
-            if getattr(stats, name) != before[name]:
-                outcome = label
-                break
-        tracer.emit(engine.now, "pkt-rx", node_id,
-                    origin=frame.origin, seq=frame.origin_seq,
-                    src=frame.src, thl=frame.thl, outcome=outcome)
-        if outcome == "queue-full":
-            tracer.emit(engine.now, "drop", node_id,
-                        origin=frame.origin, seq=frame.origin_seq,
-                        reason="queue-full")
-
-    forwarding.on_data_received = wrapped_rx
-
-
-def _hook_sink(tracer: Tracer, network: "CollectionNetwork") -> None:
-    sink = network.sink
-    original = sink.on_deliver
-
-    def wrapped(
-        origin: int, seq: int, thl: int, time: float, origin_time: Optional[float] = None
-    ) -> None:
-        tracer.emit(time, "deliver", origin, seq=seq, hops=thl + 1)
-        original(origin, seq, thl, time, origin_time)
-
-    # Rewire every root's delivery callback to the wrapper.
-    for node in network.nodes.values():
-        if not node.is_root:
-            continue
-        protocol = node.protocol
-        if hasattr(protocol, "forwarding"):
-            protocol.forwarding.on_deliver = wrapped
-        else:
-            protocol.on_deliver = wrapped
-
-
-def _hook_faults(tracer: Tracer, injector: Any) -> None:
-    """Emit one record per fault event (see the module schema table)."""
-
-    def on_event(kind: str, now: float, fields: Dict[str, Any]) -> None:
-        if kind in ("crash", "reboot"):
-            tracer.emit(now, kind, fields["node"])
-        elif kind in ("blackout", "blackout-end"):
-            a, b = fields["a"], fields["b"]
-            tracer.emit(
-                now,
-                kind,
-                NETWORK_NODE,
-                a=a if a is not None else -1,
-                b=b if b is not None else -1,
-            )
-        elif kind == "quality-shift":
-            a, b = fields["a"], fields["b"]
-            tracer.emit(
-                now,
-                kind,
-                NETWORK_NODE,
-                delta=fields["delta"],
-                a=a if a is not None else -1,
-                b=b if b is not None else -1,
-            )
-        elif kind == "interference":
-            tracer.emit(
-                now,
-                kind,
-                NETWORK_NODE,
-                x=fields["x"],
-                y=fields["y"],
-                power=fields["power"],
-            )
-
-    injector.on_event.append(on_event)
 
 
 # ---------------------------------------------------------------------------
@@ -700,54 +463,3 @@ def _schedule_etx_sampling(tracer: Tracer, network: "CollectionNetwork", period_
         engine.schedule(period_s, sample)
 
     engine.schedule(period_s, sample)
-
-
-# ---------------------------------------------------------------------------
-# End-of-run stats records
-# ---------------------------------------------------------------------------
-def _stats_fields(stats: Any) -> Dict[str, Any]:
-    import dataclasses
-
-    out: Dict[str, Any] = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        out[f.name] = value
-    return out
-
-
-def _emit_stats_records(tracer: Tracer, network: "CollectionNetwork") -> None:
-    """One ``stats`` record per node per layer, at run end.
-
-    This is what makes an exported trace self-contained: the offline CLI
-    can report exact counter totals (the four-bit events included) without
-    the live objects, and they match the in-process snapshots by
-    construction.
-    """
-    now = network.engine.now
-    for nid, node in network.nodes.items():
-        tracer.emit(now, "stats", nid, layer="link.mac", **_stats_fields(node.mac.stats))
-        if node.estimator is not None:
-            tracer.emit(now, "stats", nid, layer="est.estimator",
-                        **_stats_fields(node.estimator.stats))
-        routing = getattr(node.protocol, "routing", None)
-        if routing is not None and hasattr(routing, "stats"):
-            tracer.emit(now, "stats", nid, layer="net.routing",
-                        **_stats_fields(routing.stats))
-        forwarding = getattr(node.protocol, "forwarding", None)
-        if forwarding is not None and hasattr(forwarding, "stats"):
-            tracer.emit(now, "stats", nid, layer="net.forwarding",
-                        **_stats_fields(forwarding.stats))
-        # Monolithic stacks (MultiHopLQI) keep one stats object on the protocol.
-        proto_stats = getattr(node.protocol, "stats", None)
-        if proto_stats is not None and hasattr(proto_stats, "METRICS_PREFIX"):
-            tracer.emit(now, "stats", nid, layer=proto_stats.METRICS_PREFIX,
-                        **_stats_fields(proto_stats))
-    medium = network.medium
-    tracer.emit(now, "stats", NETWORK_NODE, layer="phy.medium",
-                transmissions=medium.transmissions, deliveries=medium.deliveries,
-                collisions=medium.collisions, white_bits_set=medium.white_bits_set)
-    engine = network.engine
-    tracer.emit(now, "stats", NETWORK_NODE, layer="sim.engine",
-                events_run=engine.events_run, pending=engine.pending)

@@ -11,9 +11,12 @@ from __future__ import annotations
 from random import Random
 from dataclasses import dataclass
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.probe import Monitor
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,14 @@ class SinkRecorder:
         self.duplicates = 0
         self.unique_per_origin: Dict[int, int] = {}
         self.hops_sum = 0
+        #: Observation hook (:mod:`repro.sim.probe`), set by the network.
+        self.probe: Optional["Monitor"] = None
 
     def on_deliver(
         self, origin: int, seq: int, thl: int, time: float, origin_time: Optional[float] = None
     ) -> None:
+        if self.probe is not None:
+            self.probe.deliver(origin, seq, thl)
         key = (origin, seq)
         if key in self._unique:
             self.duplicates += 1

@@ -187,3 +187,28 @@ def test_medium_faults_allowed_for_any_protocol():
     net.run()
     assert net.fault_injector is not None
     assert net.fault_injector.stats.quality_shifts == 1
+
+
+# ----------------------------------------------------------------------
+# Tracing
+# ----------------------------------------------------------------------
+def test_crash_record_is_followed_by_the_parent_loss():
+    """A crash wipes the routing state at once, so the node's parent loss is
+    stamped at the crash, not at its first route evaluation after reboot."""
+    from repro.sim.trace import instrument_network
+
+    net = build_network(faults="reboot_storm")
+    tracer = instrument_network(net, max_records=None, kinds={"crash", "parent-change"})
+    net.run()
+    records = list(tracer.records)
+    parent = {}
+    losses = 0
+    for i, record in enumerate(records):
+        if record.kind == "parent-change":
+            parent[record.node] = record.get("new")
+        elif record.kind == "crash" and parent.get(record.node, -1) != -1:
+            after = records[i + 1]
+            assert (after.kind, after.node, after.time) == ("parent-change", record.node, record.time)
+            assert after.get("old") == parent[record.node] and after.get("new") == -1
+            losses += 1
+    assert losses > 0

@@ -125,7 +125,7 @@ def test_list_rules(capsys):
     assert run_cli("--list-rules") == 0
     out = capsys.readouterr().out
     for rule_id in (
-        "D001", "L001", "U001", "S001", "H001", "H002", "H003",
+        "D001", "L001", "U001", "H001", "H002", "H003",
         "R001", "P001", "W001",
     ):
         assert rule_id in out

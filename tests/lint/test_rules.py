@@ -28,7 +28,6 @@ def test_registry_has_all_rules():
         "determinism",
         "layering",
         "units",
-        "stats-bridge",
         "mutable-default",
         "float-equality",
         "unused-import",
@@ -117,19 +116,6 @@ def test_units_bad():
 
 def test_units_good():
     assert run_rule("units", FIXTURES / "units" / "good.py") == []
-
-
-def test_stats_bridge_bad():
-    findings = run_rule("stats-bridge", FIXTURES / "stats_bridge" / "bad.py")
-    messages = [f.message for f in findings]
-    assert len(findings) == 3
-    assert any("`OrphanStats` has no METRICS_PREFIX" in m for m in messages)
-    assert any("`OrphanStats` has no register_into" in m for m in messages)
-    assert any("`PartialStats.dropped` is never registered" in m for m in messages)
-
-
-def test_stats_bridge_good():
-    assert run_rule("stats-bridge", FIXTURES / "stats_bridge" / "good.py") == []
 
 
 def test_mutable_default_bad():

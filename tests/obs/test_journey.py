@@ -126,11 +126,16 @@ def test_journeys_survive_trace_dicts_round_trip():
         assert journey.total_attempts == other.total_attempts
 
 
-def test_mhlqi_packets_get_hopless_journeys():
-    # MultiHopLQI has no forwarding engine → no pkt-* records; delivery
-    # accounting must still work from the protocol-agnostic deliver records.
+def test_mhlqi_packets_get_complete_journeys():
+    # MultiHopLQI emits the same parent-change and pkt-* records as CTP, so
+    # its parent switches are all traced and its packets rebuild end to end.
     net, tracer, result = _traced_run(protocol="mhlqi")
+    switches = sum(node.protocol.stats.parent_switches for node in net.nodes.values())
+    assert switches > 0
+    acquired = [r for r in tracer.filter(kind="parent-change") if r.get("new") != -1]
+    assert len(acquired) == switches
     journeys = build_journeys(tracer.records)
     delivered = [j for j in journeys.values() if j.delivered]
-    assert len(delivered) == result.unique_delivered
-    assert all(not j.is_complete() for j in delivered)  # no span chain
+    assert len(delivered) == result.unique_delivered > 0
+    for journey in delivered:
+        assert journey.is_complete(), journey.render()

@@ -198,7 +198,7 @@ def test_register_dataclass_counters():
 
     stats = EstimatorStats(beacons_sent=3, rejected_no_white=2)
     reg = MetricsRegistry()
-    stats.register_into(reg, node=4)
+    register_dataclass_counters(reg, "est.estimator", stats, node=4)
     snap = reg.snapshot()
     assert snap["est.estimator.beacons_sent{node=4}"] == 3
     assert snap["est.estimator.rejected_no_white{node=4}"] == 2
@@ -211,6 +211,7 @@ def test_register_dataclass_counters():
 
 def test_all_stats_dataclasses_register_under_their_layer():
     from repro.core.estimator import EstimatorStats
+    from repro.obs.bridge import register_stats
     from repro.link.mac import MacStats
     from repro.net.ctp.forwarding import ForwardingStats
     from repro.net.ctp.routing import RoutingStats
@@ -225,7 +226,7 @@ def test_all_stats_dataclasses_register_under_their_layer():
     }
     for cls, prefix in expected.items():
         reg = MetricsRegistry()
-        cls().register_into(reg, node=0)
+        register_stats(reg, cls(), node=0)
         keys = list(reg.snapshot())
         assert keys, cls.__name__
         assert all(k.startswith(prefix + ".") for k in keys), cls.__name__
@@ -254,6 +255,36 @@ def test_network_metrics_bridge():
     # Folded totals (per_node=False) are exact.
     folded = network_metrics(net, per_node=False)
     assert folded.aggregate("link.mac.tx_unicast") == reg.aggregate("link.mac.tx_unicast")
+
+
+_ESTIMATOR_STACK = ("link.mac", "est.estimator", "net.routing", "net.forwarding")
+
+
+@pytest.mark.parametrize(
+    "protocol, layers",
+    [("4b", _ESTIMATOR_STACK), ("ctp", _ESTIMATOR_STACK), ("mhlqi", ("link.mac", "net.mhlqi"))],
+)
+def test_every_enumerated_stats_field_reaches_the_registry(protocol, layers):
+    """The bridge registers every numeric field of every stats object a
+    node enumerates, for every stack."""
+    from repro.obs import network_metrics
+    from repro.obs.metrics import numeric_fields
+    from repro.sim.network import CollectionNetwork, SimConfig
+    from repro.sim.rng import RngManager
+    from repro.topology.generators import grid
+
+    topo = grid(3, 3, spacing_m=6.0, rng=RngManager(5).stream("t"), jitter_m=0.5)
+    config = SimConfig(protocol=protocol, seed=2, duration_s=150.0, warmup_s=60.0)
+    net = CollectionNetwork(topo, config)
+    net.run()
+    snap = network_metrics(net).snapshot()
+    for nid, node in net.nodes.items():
+        stats_objects = node.stats_objects()
+        assert tuple(s.METRICS_PREFIX for s in stats_objects) == layers
+        for stats in stats_objects:
+            for name, value in numeric_fields(stats).items():
+                key = f"{stats.METRICS_PREFIX}.{name}{{node={nid}}}"
+                assert snap[key] == value, key
 
 
 def test_collect_metrics_config_flag():

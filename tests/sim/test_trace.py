@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from repro.obs.stream import JsonlStreamSink
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
 from repro.sim.trace import (
     NETWORK_NODE,
-    JsonlSink,
     Tracer,
     TraceRecord,
     instrument_network,
@@ -103,7 +103,7 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_streaming_sink_keeps_nothing_in_memory(tmp_path):
     path = tmp_path / "stream.jsonl"
-    sink = JsonlSink(path)
+    sink = JsonlStreamSink(path, append=False)
     tracer = Tracer(max_records=0, sink=sink)
     for i in range(10):
         tracer.emit(float(i), "tx", 0, seq=i)
@@ -113,23 +113,6 @@ def test_streaming_sink_keeps_nothing_in_memory(tmp_path):
     back = Tracer.from_jsonl(path)
     assert len(back.records) == 10
     assert [r.get("seq") for r in back.records] == list(range(10))
-
-
-def test_sink_rotation(tmp_path):
-    path = tmp_path / "rot.jsonl"
-    sink = JsonlSink(path, max_bytes=200, max_files=2)
-    tracer = Tracer(max_records=0, sink=sink)
-    for i in range(50):
-        tracer.emit(float(i), "tx", 0, seq=i)
-    tracer.close()
-    assert sink.rotations > 0
-    segments = [p for p in (path.with_name("rot.jsonl.2"), path.with_name("rot.jsonl.1"), path)
-                if p.exists()]
-    assert len(segments) >= 2
-    back = Tracer.from_jsonl(*segments)
-    seqs = [r.get("seq") for r in back.records]
-    assert seqs == sorted(seqs)
-    assert seqs[-1] == 49  # newest survives; oldest segments may be deleted
 
 
 def test_render_format():
