@@ -41,6 +41,10 @@ class ExperimentScale:
     seeds: Tuple[int, ...] = (1, 2)
     topology_seed: int = 11
 
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("ExperimentScale needs at least one seed")
+
     def profile(self) -> TestbedProfile:
         base = PROFILES[self.profile_name]
         if self.n_nodes is None or self.n_nodes == base.n_nodes:

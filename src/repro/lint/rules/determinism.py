@@ -23,9 +23,9 @@ that feeds event ordering) the rule flags:
   ``sorted(...)`` instead.
 
 :mod:`repro.sim.rng` itself is exempt (it is the sanctioned wrapper), and
-harness packages that legitimately measure wall-clock time (``repro.bench``,
-``repro.obs``, ``repro.runner``, ``repro.experiments``, ``repro.analysis``,
-``repro.lint``) are out of scope.
+harness packages that legitimately measure wall-clock time (``repro.obs``,
+``repro.runner``, ``repro.experiments``, ``repro.analysis``, ``repro.lint``)
+are out of scope.
 """
 
 from __future__ import annotations

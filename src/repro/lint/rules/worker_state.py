@@ -35,12 +35,11 @@ from repro.lint.core import Finding
 from repro.lint.project import ProjectIndex, ProjectRule
 
 #: Modules whose import closure constitutes "worker code": the runner
-#: itself, the experiment entry functions it submits, the bench scenarios
-#: (submitted the same way), and the network builder every task calls.
+#: itself, the experiment entry functions it submits, and the network
+#: builder every task calls.
 WORKER_ENTRY_PREFIXES = (
     "repro.runner",
     "repro.experiments",
-    "repro.bench.scenarios",
     "repro.sim.network",
     # Campaign points execute via simulate() inside pool workers.
     "repro.campaign",

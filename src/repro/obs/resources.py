@@ -3,7 +3,7 @@
 A run's *simulated* behavior is deterministic, but where the wall clock
 and memory went is not — and that is exactly what capacity planning for
 the sweep backbone needs.  :func:`measure_run` wraps one unit of work
-(inside a runner worker process, or around a bench scenario) and returns
+(inside a runner worker process, or around a whole network run) and returns
 the deltas from ``resource.getrusage``:
 
 * ``wall_s`` — elapsed real time (``perf_counter`` delta);

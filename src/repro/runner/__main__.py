@@ -109,6 +109,8 @@ def main(argv=None) -> int:
         help="simulated seconds between telemetry snapshots (with --live-telemetry)",
     )
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     if args.clear_cache:
         cache = ResultCache(args.cache_dir)

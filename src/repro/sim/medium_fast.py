@@ -38,7 +38,7 @@ quantization, LQI logistic and white-bit rule are mathematically the same
 uses the mean link gain, and interference uses mean-field gains with a
 Jensen correction rather than advancing the interferer pair's fading
 state.  The exact backend (``medium="exact"``, the default) remains the
-bit-identical golden/bench ``--compare`` contract.
+bit-identical golden contract.
 """
 
 from __future__ import annotations

@@ -37,6 +37,11 @@ def test_scale_full_size_passthrough():
     assert scale.profile().name == "mirage-85"
 
 
+def test_scale_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="at least one seed"):
+        ExperimentScale(seeds=())
+
+
 def test_run_one_produces_result():
     result = run_one(MICRO, "4b", seed=1)
     assert result.protocol == "4b"

@@ -69,3 +69,10 @@ def test_mobility_flag_runs_and_rejects_unknown(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(ARGS + ["--mobility", "warp-drive"])
     assert "--mobility" in capsys.readouterr().err
+
+
+def test_zero_seeds_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seeds", "0", "--no-cache"])
+    assert exc.value.code == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err

@@ -130,3 +130,45 @@ def test_detach_then_reattach_restores_candidates():
     )
     medium.attach(nodes[12])
     assert all_candidates(medium, GRID25) == before
+
+
+def test_position_update_touches_only_neighborhood():
+    """O(k) gate, counted not timed: one position update may only bump
+    the sender epochs of nodes inside the mover's old/new radius — never
+    a fixed fraction of the whole deployment."""
+    from repro.sim.engine import Engine
+    from repro.sim.medium_fast import FastRadioMedium
+    from repro.sim.rng import RngManager
+    from repro.phy.channel import ChannelModel
+    from repro.topology.generators import city_grid
+
+    topo = city_grid(2000, blocks=14, block_m=220.0, rng=RngManager(5).stream("t"))
+    engine = Engine()
+    rng = RngManager(7)
+    channel = ChannelModel(topo.positions, rng.fork("channel"), shadowing_sigma_db=3.0)
+    medium = FastRadioMedium(engine, channel, rng)
+
+    class _Stub:
+        def __init__(self, nid, radio):
+            self.node_id = nid
+            self.radio = radio
+
+    from repro.phy.radio import Radio
+
+    for nid in topo.node_ids():
+        medium.attach(_Stub(nid, Radio(node_id=nid)))
+    medium.finalize()
+
+    mover = topo.node_ids()[0]
+    x, y = channel.positions[mover]
+    before = dict(medium._sender_epoch)
+    medium.update_position(mover, x + 3.0, y + 1.0)
+    bumped = [
+        nid
+        for nid, epoch in medium._sender_epoch.items()
+        if epoch != before.get(nid)
+    ]
+    neighborhood = set(medium._grid.neighbors(mover)) | {mover}
+    assert set(bumped) <= neighborhood
+    # O(k), not O(N): the touched set is the local neighborhood.
+    assert len(bumped) < len(topo.node_ids()) / 10
