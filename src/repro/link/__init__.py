@@ -5,7 +5,6 @@ from repro.link.frame import (
     BROADCAST,
     AckFrame,
     Frame,
-    JamFrame,
     LinkEstimatorFrame,
     NetworkFrame,
     le_wrap,
@@ -17,7 +16,6 @@ __all__ = [
     "AckFrame",
     "CsmaBackoff",
     "Frame",
-    "JamFrame",
     "LinkEstimatorFrame",
     "Mac",
     "MacStats",

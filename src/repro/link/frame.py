@@ -61,18 +61,6 @@ class AckFrame(Frame):
 
 
 @dataclass
-class JamFrame(Frame):
-    """Interference burst from an external (non-network) transmitter.
-
-    Never decodable by network nodes; exists only to raise the interference
-    floor during its airtime.
-    """
-
-    def describe(self) -> str:
-        return "Jam"
-
-
-@dataclass
 class NetworkFrame(Frame):
     """Base class for layer-3 frames (CTP, MultiHopLQI, application)."""
 

@@ -40,9 +40,13 @@ FAST_CLASS = "repro.sim.medium_fast.FastRadioMedium"
 #: Public base methods the fast backend intentionally inherits: these
 #: operate purely on state the base class owns on both backends.
 PARITY_INHERITED: Dict[str, str] = {
+    "add_interferer": "interferer registration is shared bookkeeping on both backends",
+    "advance_interferers": "lazy burst schedules fill the shared _active/_recent lists",
     "enable_faults": "fault overlay state (MediumFaultState) is backend-independent",
+    "interferer_started": "interferer registration is shared bookkeeping on both backends",
     "is_transmitting": "half-duplex check reads the shared _tx_by_sender bookkeeping",
     "start_transmission": "admission/airtime accounting is shared; only reception evaluation diverges",
+    "transmissions": "the counter includes lazily started bursts identically on both backends",
 }
 
 #: Collaborator reads the fast backend intentionally replaces.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
-from repro.link.frame import AckFrame, Frame, JamFrame
+from repro.link.frame import AckFrame, Frame
 from repro.link.mac import Mac
 from repro.sim.packets import RxInfo, TxResult
 
@@ -41,7 +41,7 @@ class RxProbe:
         mac.on_receive = self._on_receive
 
     def _on_receive(self, frame: Frame, info: RxInfo) -> None:
-        if frame.src == self.sender and not isinstance(frame, (AckFrame, JamFrame)):
+        if frame.src == self.sender and not isinstance(frame, AckFrame):
             self.rx_times.append(info.timestamp)
             self.lqi_samples.append((info.timestamp, info.lqi))
         if self._chain is not None:

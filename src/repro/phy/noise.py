@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from random import Random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.link.frame import BROADCAST, Frame, JamFrame
+from repro.link.frame import Frame
 from repro.phy.radio import Radio, RadioParams
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo
-from repro.sim.medium import RadioMedium
+from repro.sim.medium import NO_BURST, RadioMedium
 
 #: Interferer node ids live far above real node ids.
 INTERFERER_ID_BASE = 100_000
@@ -55,9 +55,16 @@ class BurstParams:
 class _InterfererBase:
     """Common burst machinery.  Subclasses decide *when* the source is active.
 
-    The interferer is attached to the medium as a transmit-only participant;
-    its bursts raise the interference floor at nearby receivers for their
-    duration, corrupting overlapping packets via the SINR computation.
+    The interferer is a transmit-only participant of the medium: its bursts
+    raise the interference floor at nearby receivers for their duration,
+    corrupting overlapping packets via the SINR computation.  Nobody decodes
+    a burst, so the source is a *lazy schedule* rather than a sender: it
+    draws each burst's ``(start, end)`` from its private stream only when
+    the medium reads the air (carrier sense, the overlap scan at a frame's
+    end, the ``transmissions`` counter) and advances its sources to
+    ``engine.now``.  A burst costs no engine event, frame or transmission
+    call; :meth:`_bursts` keeps the draw order and float arithmetic of an
+    event-driven burst loop, so the medium sees the same bursts.
     """
 
     def __init__(
@@ -76,45 +83,72 @@ class _InterfererBase:
         self.radio = Radio(node_id=node_id, params=params or RadioParams(), tx_power_dbm=power_dbm)
         self.rng = rng
         self.burst = burst
-        self.bursts_sent = 0
-        medium.attach(self, receiver=False)
+        #: The next burst not yet on the air, and the ones after it; the
+        #: medium reads and advances both (the :class:`BurstSource` protocol).
+        self.next_burst = NO_BURST
+        self.schedule: Iterator[Tuple[float, float]] = iter(())
+        #: Bursts whose start the medium has passed (see :attr:`bursts_sent`).
+        self.started_bursts = 0
+        medium.add_interferer(self)
 
     # Transmit-only participant: never receives.
     def on_frame_received(self, frame: Frame, info: RxInfo) -> None:  # pragma: no cover
         raise AssertionError("interferers do not receive")
 
-    def _emit_burst(self) -> float:
-        duration = self.rng.uniform(self.burst.burst_min_s, self.burst.burst_max_s)
-        length_bytes = max(4, int(duration * self.radio.params.bitrate_bps / 8))
-        frame = JamFrame(src=self.node_id, dst=BROADCAST, length_bytes=length_bytes)
-        self.medium.start_transmission(self.node_id, frame)
-        self.bursts_sent += 1
-        return duration
+    @property
+    def bursts_sent(self) -> int:
+        """Bursts started at or before ``engine.now``."""
+        self.medium.advance_interferers()
+        return self.started_bursts
 
-    def _burst_loop(self, active_until: float) -> None:
-        if self.engine.now >= active_until:
-            return
-        duration = self._emit_burst()
-        gap = self.rng.expovariate(1.0 / self.burst.gap_mean_s)
-        self.engine.schedule(duration + gap, self._burst_loop, active_until)
+    def _begin(self, schedule: Iterator[Tuple[float, float]]) -> None:
+        """Hand ``schedule`` to the medium, which pulls it lazily."""
+        self.schedule = schedule
+        self.next_burst = next(schedule, NO_BURST)
+        self.medium.interferer_started(self)
+
+    def _bursts(self, t: float, active_until: float) -> Iterator[Tuple[float, float]]:
+        """Bursts from ``t`` while ``t < active_until``: duration, then gap."""
+        burst = self.burst
+        uniform = self.rng.uniform
+        expovariate = self.rng.expovariate
+        lo, hi = burst.burst_min_s, burst.burst_max_s
+        rate = 1.0 / burst.gap_mean_s
+        params = self.radio.params
+        bitrate = params.bitrate_bps
+        airtime = params.airtime
+        while t < active_until:
+            duration = uniform(lo, hi)
+            gap = expovariate(rate)
+            yield t, t + airtime(max(4, int(duration * bitrate / 8)))
+            t = t + (duration + gap)
 
 
 class WindowedInterferer(_InterfererBase):
     """Interferer active during explicit ``(start, end)`` windows.
 
     Used by the Figure 3 experiment to place a burst-loss episode at a known
-    point in the run.
+    point in the run.  Windows must be non-empty and must not overlap (two
+    overlapping windows would run two burst loops at once); touching windows
+    are fine.
     """
 
     def __init__(self, *args: Any, windows: Sequence[Tuple[float, float]], **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
         self.windows = sorted(windows)
-
-    def start(self) -> None:
         for begin, end in self.windows:
             if end <= begin:
                 raise ValueError(f"bad window: ({begin}, {end})")
-            self.engine.schedule_at(begin, self._burst_loop, end)
+        for earlier, later in zip(self.windows, self.windows[1:]):
+            if later[0] < earlier[1]:
+                raise ValueError(f"overlapping windows: {earlier} and {later}")
+        super().__init__(*args, **kwargs)
+
+    def start(self) -> None:
+        if self.windows and self.windows[0][0] < self.engine.now:
+            raise ValueError(f"window opens in the past: {self.windows[0][0]} < {self.engine.now}")
+        self._begin(
+            burst for begin, end in self.windows for burst in self._bursts(begin, end)
+        )
 
 
 class MarkovInterferer(_InterfererBase):
@@ -126,13 +160,21 @@ class MarkovInterferer(_InterfererBase):
         self.on_mean_s = on_mean_s
 
     def start(self) -> None:
-        self.engine.schedule(self.rng.expovariate(1.0 / self.off_mean_s), self._activate)
+        self._begin(self._periods(self.engine.now + self.rng.expovariate(1.0 / self.off_mean_s)))
 
-    def _activate(self) -> None:
-        active_for = self.rng.expovariate(1.0 / self.on_mean_s)
-        self._burst_loop(self.engine.now + active_for)
-        next_off = self.rng.expovariate(1.0 / self.off_mean_s)
-        self.engine.schedule(active_for + next_off, self._activate)
+    def _periods(self, t: float) -> Iterator[Tuple[float, float]]:
+        """ON periods from ``t`` on.  The OFF draw that follows a period
+        comes after its first burst's draws, or at once if it has none."""
+        expovariate = self.rng.expovariate
+        while True:
+            active_for = expovariate(1.0 / self.on_mean_s)
+            bursts = self._bursts(t, t + active_for)
+            first = next(bursts, None)
+            next_off = expovariate(1.0 / self.off_mean_s)
+            if first is not None:
+                yield first
+                yield from bursts
+            t = t + (active_for + next_off)
 
 
 def place_interferers(

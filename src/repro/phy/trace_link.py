@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 
-from repro.link.frame import Frame, JamFrame
+from repro.link.frame import Frame
 from repro.phy.lqi import DEFAULT_LQI_MODEL, LqiModel
 from repro.phy.modulation import snr_for_prr
 from repro.phy.white_bit import DEFAULT_WHITE_BIT, WhiteBitPolicy
@@ -143,8 +143,6 @@ class TraceMedium:
         return duration
 
     def _deliver(self, sender_id: int, frame: Frame) -> None:
-        if isinstance(frame, JamFrame):
-            return
         now = self.engine.now
         for (src, dst), trace in self._links.items():
             if src != sender_id:

@@ -1,8 +1,10 @@
 """Shared radio medium: propagation, carrier sense, collisions, capture.
 
-Every transmission (data, beacons, acks, interference bursts) goes through
-the medium.  At the end of each transmission the medium evaluates, for every
-candidate receiver, whether the frame was decodable given
+Every transmission (data, beacons, acks) goes through the medium, and so
+do the bursts of external interferers, which it reads from lazy schedules
+(see :meth:`RadioMedium.advance_interferers`).  At the end of each
+transmission the medium evaluates, for every candidate receiver, whether
+the frame was decodable given
 
 * the instantaneous channel gain (path loss + shadowing + temporal fading),
 * the receiver's noise floor,
@@ -26,10 +28,11 @@ floating-point association of the original code are preserved exactly
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Tuple
 
 
-from repro.link.frame import AckFrame, Frame, JamFrame
+from repro.link.frame import AckFrame, Frame
 from repro.phy.channel import _CACHE_MAX as _CHANNEL_CACHE_MAX
 from repro.phy.channel import ChannelModel
 from repro.phy.lqi import DEFAULT_LQI_MODEL, LQI_MAX, LQI_MIN, LqiModel, _LQI_SPAN
@@ -60,6 +63,11 @@ _RECENT_PRUNE_LEN = 64
 #: (``None`` is a valid resolution: the pair is not bimodal).
 _UNRESOLVED = object()
 
+#: ``(start, end)`` of a burst that never comes: an exhausted schedule.
+NO_BURST: Tuple[float, float] = (math.inf, math.inf)
+
+_END = attrgetter("end")
+
 #: Same constant the stdlib's ``random.gauss`` uses for Box–Muller.
 _TWOPI = 2.0 * math.pi
 
@@ -87,6 +95,23 @@ class MediumParticipant(Protocol):
 
     node_id: int
     radio: Radio
+
+    def on_frame_received(self, frame: Frame, info: RxInfo) -> None:  # pragma: no cover
+        ...
+
+
+class BurstSource(Protocol):
+    """What the medium needs from an external interferer (a transmit-only
+    participant whose bursts nobody decodes; see :mod:`repro.phy.noise`)."""
+
+    node_id: int
+    radio: Radio
+    #: ``(start, end)`` of the next burst not yet on the air.
+    next_burst: Tuple[float, float]
+    #: The bursts after ``next_burst``, in start order.
+    schedule: Iterator[Tuple[float, float]]
+    #: Bursts whose start the medium has passed.
+    started_bursts: int
 
     def on_frame_received(self, frame: Frame, info: RxInfo) -> None:  # pragma: no cover
         ...
@@ -177,9 +202,13 @@ class MediumFaultState:
 
 
 class _Transmission:
+    """One frame on the air, or an interferer burst (``frame`` is ``None``)."""
+
     __slots__ = ("sender", "frame", "power_dbm", "start", "end")
 
-    def __init__(self, sender: int, frame: Frame, power_dbm: float, start: float, end: float) -> None:
+    def __init__(
+        self, sender: int, frame: Optional[Frame], power_dbm: float, start: float, end: float
+    ) -> None:
         self.sender = sender
         self.frame = frame
         self.power_dbm = power_dbm
@@ -211,10 +240,16 @@ class RadioMedium:
         self._rng = rng
         self._participants: Dict[int, MediumParticipant] = {}
         self._receivers: Dict[int, MediumParticipant] = {}
+        #: Transmissions on the air, sorted by ``start``.
         self._active: List[_Transmission] = []
         #: Finished transmissions young enough to still overlap something;
         #: appended at end time, so always sorted by ``end``.
         self._recent: List[_Transmission] = []
+        #: Registered interferers, their bursts now in ``_active``, and the
+        #: earliest time at which :meth:`advance_interferers` has work.
+        self._interferers: List[BurstSource] = []
+        self._bursts_on_air: List[_Transmission] = []
+        self._interferer_horizon = math.inf
         #: sender → its transmissions still in ``_active`` or ``_recent``
         #: (the half-duplex check scans only this).
         self._tx_by_sender: Dict[int, List[_Transmission]] = {}
@@ -228,7 +263,7 @@ class RadioMedium:
         #: Observation hook (:mod:`repro.sim.probe`), set by the network.
         self.probe: Optional["Monitor"] = None
         # Statistics.
-        self.transmissions = 0
+        self._transmissions = 0
         self.deliveries = 0
         self.collisions = 0
         #: Deliveries whose white bit came back set (phy-layer telemetry).
@@ -247,6 +282,17 @@ class RadioMedium:
         if receiver:
             self._receivers[nid] = participant
         self._finalized = False
+
+    def add_interferer(self, source: BurstSource) -> None:
+        """Register an external interferer: a transmit-only participant
+        whose bursts the medium pulls from ``source.schedule`` once the
+        source calls :meth:`interferer_started`."""
+        self.attach(source, receiver=False)
+        self._interferers.append(source)
+
+    def interferer_started(self, source: BurstSource) -> None:
+        """``source`` set its first ``next_burst``: read it from then on."""
+        self._interferer_horizon = min(self._interferer_horizon, source.next_burst[0])
 
     def detach(self, node_id: int) -> None:
         """Remove a participant (a crashed node goes dark at the medium).
@@ -363,11 +409,13 @@ class RadioMedium:
             raise ValueError(
                 f"channel_clear: node {node_id} is not attached to the medium"
             )
+        now = self.engine.now
+        if now >= self._interferer_horizon:
+            self.advance_interferers()
         active = self._active
         if not active:
             return True
         threshold = listener.radio.params.cca_threshold_dbm
-        now = self.engine.now
         gain_db = self.channel.gain_db
         for tx in active:
             if tx.sender == node_id:
@@ -398,11 +446,88 @@ class RadioMedium:
         if own is None:
             own = self._tx_by_sender[sender_id] = []
         own.append(tx)
-        self.transmissions += 1
+        self._transmissions += 1
         self.engine.schedule(duration, self._end_transmission, tx)
         return duration
 
+    @property
+    def transmissions(self) -> int:
+        """Frames put on the air, plus interferer bursts started by now."""
+        if self.engine.now >= self._interferer_horizon:
+            self.advance_interferers()
+        return self._transmissions
+
+    def advance_interferers(self) -> None:
+        """Bring the interferers' bursts on the air up to ``engine.now``.
+
+        Called before every read of on-air state, so carrier sense and the
+        overlap scan see what an event per burst start and end would have
+        left in ``_active`` (sorted by start) and ``_recent`` (sorted by
+        end).  Tie rule: a burst is on the air from ``start <= now`` and off
+        it from ``end <= now``.  A burst that ended no later than the start
+        of the earliest frame on the air (or than ``now``) can overlap no
+        frame evaluated from here on, so it is counted but never listed.
+        """
+        now = self.engine.now
+        if now < self._interferer_horizon:
+            return
+        active = self._active
+        floor = now
+        for tx in active:
+            if tx.frame is not None:
+                floor = tx.start
+                break
+        ended: List[_Transmission] = []
+        on_air = self._bursts_on_air
+        if on_air:
+            still = []
+            for tx in on_air:
+                if tx.end <= now:
+                    active.remove(tx)
+                    if tx.end > floor:
+                        ended.append(tx)
+                else:
+                    still.append(tx)
+            self._bursts_on_air = on_air = still
+        horizon = math.inf
+        for source in self._interferers:
+            start, end = source.next_burst
+            if start <= now:
+                sid = source.node_id
+                power_dbm = source.radio.effective_tx_power_dbm
+                schedule = source.schedule
+                count = 0
+                while start <= now:
+                    count += 1
+                    if end > floor:
+                        tx = _Transmission(sid, None, power_dbm, start, end)
+                        if end > now:
+                            i = len(active)
+                            while i and active[i - 1].start > start:
+                                i -= 1
+                            active.insert(i, tx)
+                            on_air.append(tx)
+                        else:
+                            ended.append(tx)
+                    start, end = next(schedule, NO_BURST)
+                source.next_burst = (start, end)
+                source.started_bursts += count
+                self._transmissions += count
+            if start < horizon:
+                horizon = start
+        for tx in on_air:
+            if tx.end < horizon:
+                horizon = tx.end
+        self._interferer_horizon = horizon
+        if ended:
+            # These bursts ended after the previous call's ``now``, and all
+            # of ``_recent`` had ended by then: appending keeps it sorted.
+            ended.sort(key=_END)
+            self._recent.extend(ended)
+
     def _end_transmission(self, tx: _Transmission) -> None:
+        if self.engine.now >= self._interferer_horizon:
+            self.advance_interferers()
         self._active.remove(tx)
         self._recent.append(tx)
         self._evaluate_receptions(tx)
@@ -437,7 +562,8 @@ class RadioMedium:
             return
         by_sender = self._tx_by_sender
         for tx in recent[:lo]:
-            by_sender[tx.sender].remove(tx)
+            if tx.frame is not None:  # interferer bursts are not indexed
+                by_sender[tx.sender].remove(tx)
         del recent[:lo]
 
     # ------------------------------------------------------------------
@@ -469,8 +595,7 @@ class RadioMedium:
 
     def _evaluate_receptions(self, tx: _Transmission) -> None:
         frame = tx.frame
-        if isinstance(frame, JamFrame):
-            return  # nobody decodes interference
+        assert frame is not None  # interferer bursts are never evaluated
         if not self._finalized:
             self.finalize()
         overlapping = self._overlapping(tx)

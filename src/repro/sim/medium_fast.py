@@ -50,7 +50,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 from numpy.random import Generator, PCG64
 
-from repro.link.frame import JamFrame
 from repro.phy.channel import ChannelModel
 from repro.phy.lqi import DEFAULT_LQI_MODEL, LqiModel
 from repro.phy.radio import RadioParams
@@ -793,6 +792,8 @@ class FastRadioMedium(RadioMedium):
             raise ValueError(
                 f"channel_clear: node {node_id} is not attached to the medium"
             )
+        if self.engine.now >= self._interferer_horizon:
+            self.advance_interferers()
         active = self._active
         if not active:
             return True
@@ -881,8 +882,7 @@ class FastRadioMedium(RadioMedium):
 
     def _evaluate_receptions(self, tx: _Transmission) -> None:
         frame = tx.frame
-        if isinstance(frame, JamFrame):
-            return  # nobody decodes interference
+        assert frame is not None  # interferer bursts are never evaluated
         if not self._finalized:
             self.finalize()
         sender_id = tx.sender

@@ -38,7 +38,8 @@ class Monitor:
 
     # -- phy / link ------------------------------------------------------
     def transmission_start(self, sender: int, frame: "Frame") -> None:
-        """``sender`` put ``frame`` on the air (medium)."""
+        """``sender`` put ``frame`` on the air (medium).  External
+        interferers' bursts are not frames and do not emit this."""
 
     def rx(self, node: int, frame: "Frame", info: "RxInfo") -> None:
         """``node`` decoded a non-ack frame (MAC, before any filtering)."""

@@ -6,7 +6,6 @@ from repro.link.frame import (
     BROADCAST,
     AckFrame,
     Frame,
-    JamFrame,
     LinkEstimatorFrame,
     NetworkFrame,
     le_wrap,
@@ -67,7 +66,6 @@ def test_describe_strings():
     wrapped = le_wrap(payload, le_seq=9)
     assert "seq=9" in wrapped.describe()
     assert AckFrame(src=1, dst=2, length_bytes=5, acked_frame_id=77).describe() == "Ack(77)"
-    assert JamFrame(src=1, dst=BROADCAST, length_bytes=4).describe() == "Jam"
 
 
 def test_network_frame_route_info_default():

@@ -22,3 +22,16 @@ class RadioMedium:
 
     def start_transmission(self, frame):
         return frame
+
+    def add_interferer(self, source):
+        return source
+
+    def interferer_started(self, source):
+        return source
+
+    def advance_interferers(self):
+        return None
+
+    @property
+    def transmissions(self):
+        return 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.link.frame import BROADCAST, Frame, JamFrame
+from repro.link.frame import BROADCAST, Frame
 from repro.link.mac import Mac
 from repro.phy.trace_link import LinkTrace, TraceMedium
 from repro.sim.engine import Engine
@@ -101,15 +101,6 @@ def test_trace_medium_intermediate_link_statistics():
         macs[0].send(Frame(src=0, dst=BROADCAST, length_bytes=20))
         engine.run()
     assert 0.4 < len(received) / n < 0.6
-
-
-def test_trace_medium_ignores_jam_frames():
-    engine, medium, macs = _build_pair(1.0)
-    received = []
-    macs[1].on_receive = lambda frame, info: received.append(frame)
-    medium.start_transmission(0, JamFrame(src=0, dst=BROADCAST, length_bytes=20))
-    engine.run()
-    assert received == []
 
 
 def test_trace_medium_rx_info_consistent_with_prr():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.link.frame import BROADCAST, Frame, JamFrame
+from repro.link.frame import BROADCAST, Frame
 from repro.phy.channel import ChannelModel, PathLossModel
 from repro.phy.radio import Radio
 from repro.sim.engine import Engine
@@ -82,13 +82,6 @@ def test_intermediate_distance_gives_partial_prr():
         engine.run()
     ratio = len(nodes[1].received) / n
     assert 0.1 < ratio < 0.95
-
-
-def test_jam_frames_never_delivered():
-    engine, medium, nodes = build_medium({0: (0.0, 0.0), 1: (2.0, 0.0)})
-    medium.start_transmission(0, JamFrame(src=0, dst=BROADCAST, length_bytes=20))
-    engine.run()
-    assert nodes[1].received == []
 
 
 def test_overlapping_transmission_destroys_weaker_frame():

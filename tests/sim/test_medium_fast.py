@@ -10,7 +10,7 @@ fault overlay) and bound the parts that are statistical (per-link PRR).
 
 import pytest
 
-from repro.link.frame import BROADCAST, Frame, JamFrame
+from repro.link.frame import BROADCAST, Frame
 from repro.phy.channel import ChannelModel
 from repro.phy.radio import Radio
 from repro.sim.engine import Engine
@@ -88,14 +88,6 @@ def test_self_reception_excluded():
         assert all(rid != sid for rid, _ in medium.candidate_receivers(sid))
     broadcast(medium, engine, 5)
     assert nodes[5].received == []
-
-
-def test_jam_frames_never_delivered():
-    engine, medium, nodes = build({0: (0.0, 0.0), 1: (5.0, 0.0)})
-    medium.start_transmission(0, JamFrame(src=0, dst=BROADCAST, length_bytes=40))
-    engine.run()
-    assert nodes[1].received == []
-    assert medium.deliveries == 0
 
 
 def test_half_duplex_sender_cannot_receive():
