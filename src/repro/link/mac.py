@@ -152,11 +152,12 @@ class Mac:
     # Receive path (called by the medium)
     # ------------------------------------------------------------------
     def on_frame_received(self, frame: Frame, info: RxInfo) -> None:
-        # Ordered for the common case: most deliveries are overheard frames
-        # addressed to someone else (the medium delivers to every receiver
-        # that decodes), dropped on the first comparison.  An ack for
-        # another node falls into the same early return — ``_handle_ack``
-        # would discard it without side effects anyway.
+        # The radio mediums hand up only frames addressed to this node or
+        # broadcast, and emit the ``rx`` record of an overheard frame
+        # themselves; ``TraceMedium`` still delivers every decode, so a frame
+        # for another node is dropped here.  An ack for another node falls
+        # into the same early return — ``_handle_ack`` would discard it
+        # without side effects anyway.
         probe = self.probe
         if probe is not None and not frame.is_ack:
             probe.rx(self.node_id, frame, info)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Tuple
 
 # C(16, k) for k = 2..16, precomputed.
 _BINOM_16 = [math.comb(16, k) for k in range(17)]
@@ -87,23 +88,41 @@ def prr(modulation: str, snr_db: float, length_bytes: int) -> float:
     return (1.0 - ber) ** (8 * length_bytes)
 
 
-@lru_cache(maxsize=131072)
-def _prr_quantized(modulation: str, snr_centi_db: int, length_bytes: int) -> float:
-    return prr(modulation, snr_centi_db / 100.0, length_bytes)
+#: The quantized SNR grid of :func:`prr_grid`, in centi-dB: the transition
+#: region :func:`prr_fast` does not short-circuit, [−8.00 dB, +25.00 dB].
+PRR_TABLE_SNR_MIN_CENTI = -800
+PRR_TABLE_SNR_MAX_CENTI = 2500
+
+
+@lru_cache(maxsize=128)
+def prr_grid(modulation: str, length_bytes: int) -> Tuple[float, ...]:
+    """:func:`prr` on the 0.01 dB grid for one (modulation, frame length).
+
+    Entry ``i`` is the PRR at ``(PRR_TABLE_SNR_MIN_CENTI + i) / 100`` dB.  This
+    is the one PRR table: :func:`prr_fast`, the exact medium's reception
+    loop and :func:`repro.phy.vector.prr_table` all index it, so every
+    backend returns bit-identical PRR for a given SNR.  A tuple, because
+    every caller shares it; a 12-node Mirage run uses at most 10 frame
+    lengths, and each table costs about 9 ms to build.
+    """
+    return tuple(
+        prr(modulation, q / 100.0, length_bytes)
+        for q in range(PRR_TABLE_SNR_MIN_CENTI, PRR_TABLE_SNR_MAX_CENTI + 1)
+    )
 
 
 def prr_fast(modulation: str, snr_db: float, length_bytes: int) -> float:
-    """Cached :func:`prr` on a 0.01 dB SNR grid.
+    """:func:`prr` on a 0.01 dB SNR grid (:func:`prr_grid`).
 
-    The medium calls this once per candidate reception; quantizing SNR to
-    0.01 dB changes PRR by far less than the model's own fidelity.  SNRs
+    The medium decides every candidate reception this way; quantizing SNR
+    to 0.01 dB changes PRR by far less than the model's own fidelity.  SNRs
     outside any modulation's transition region short-circuit.
     """
     if snr_db >= 25.0:
         return 1.0
     if snr_db <= -8.0:
         return 0.0
-    return _prr_quantized(modulation, round(snr_db * 100.0), length_bytes)
+    return prr_grid(modulation, length_bytes)[round(snr_db * 100.0) - PRR_TABLE_SNR_MIN_CENTI]
 
 
 def prr_from_snr_fast(snr_db: float, length_bytes: int) -> float:

@@ -13,6 +13,7 @@ Two phenomena the paper leans on live here:
 
 from __future__ import annotations
 
+import math
 from random import Random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -51,6 +52,14 @@ class BurstParams:
     #: Mean gap between bursts while active (exponential), seconds.
     gap_mean_s: float = 8e-3
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.burst_min_s, self.burst_max_s, self.gap_mean_s))):
+            raise ValueError(f"burst parameters must be finite: {self}")
+        if not 0.0 <= self.burst_min_s <= self.burst_max_s:
+            raise ValueError(f"need 0 <= burst_min_s <= burst_max_s: {self}")
+        if self.gap_mean_s <= 0.0:
+            raise ValueError(f"gap_mean_s must be positive: {self}")
+
 
 class _InterfererBase:
     """Common burst machinery.  Subclasses decide *when* the source is active.
@@ -63,8 +72,14 @@ class _InterfererBase:
     the medium reads the air (carrier sense, the overlap scan at a frame's
     end, the ``transmissions`` counter) and advances its sources to
     ``engine.now``.  A burst costs no engine event, frame or transmission
-    call; :meth:`_bursts` keeps the draw order and float arithmetic of an
-    event-driven burst loop, so the medium sees the same bursts.
+    call; the subclasses' schedules keep the draw order and float arithmetic
+    of an event-driven burst loop, so the medium sees the same bursts.
+
+    Each schedule is one generator frame per burst: the draws are the
+    bodies of ``Random.uniform`` (``lo + (hi − lo)·u``) and
+    ``Random.expovariate`` (``−log(1 − u)/rate``) written out, and the
+    burst's on-air end is :meth:`RadioParams.airtime` written out, so every
+    float matches the calls they replace.
     """
 
     def __init__(
@@ -107,21 +122,12 @@ class _InterfererBase:
         self.next_burst = next(schedule, NO_BURST)
         self.medium.interferer_started(self)
 
-    def _bursts(self, t: float, active_until: float) -> Iterator[Tuple[float, float]]:
-        """Bursts from ``t`` while ``t < active_until``: duration, then gap."""
+    def _burst_shape(self) -> Tuple[float, float, float, float, int]:
+        """``(lo, hi − lo, gap rate, bitrate, PHY overhead bytes)`` of a burst."""
         burst = self.burst
-        uniform = self.rng.uniform
-        expovariate = self.rng.expovariate
-        lo, hi = burst.burst_min_s, burst.burst_max_s
-        rate = 1.0 / burst.gap_mean_s
         params = self.radio.params
-        bitrate = params.bitrate_bps
-        airtime = params.airtime
-        while t < active_until:
-            duration = uniform(lo, hi)
-            gap = expovariate(rate)
-            yield t, t + airtime(max(4, int(duration * bitrate / 8)))
-            t = t + (duration + gap)
+        lo, hi = burst.burst_min_s, burst.burst_max_s
+        return lo, hi - lo, 1.0 / burst.gap_mean_s, params.bitrate_bps, params.phy_overhead_bytes
 
 
 class WindowedInterferer(_InterfererBase):
@@ -146,15 +152,29 @@ class WindowedInterferer(_InterfererBase):
     def start(self) -> None:
         if self.windows and self.windows[0][0] < self.engine.now:
             raise ValueError(f"window opens in the past: {self.windows[0][0]} < {self.engine.now}")
-        self._begin(
-            burst for begin, end in self.windows for burst in self._bursts(begin, end)
-        )
+        self._begin(self._bursts())
+
+    def _bursts(self) -> Iterator[Tuple[float, float]]:
+        """Bursts from each window's start while ``t < end``: duration, then gap."""
+        random = self.rng.random
+        log = math.log
+        lo, span, rate, bitrate, overhead = self._burst_shape()
+        for t, active_until in self.windows:
+            while t < active_until:
+                duration = lo + span * random()
+                gap = -log(1.0 - random()) / rate
+                n = int(duration * bitrate / 8)
+                yield t, t + ((n if n > 4 else 4) + overhead) * 8.0 / bitrate
+                t = t + (duration + gap)
 
 
 class MarkovInterferer(_InterfererBase):
     """Interferer that alternates exponential OFF/ON periods (Gilbert–Elliott)."""
 
     def __init__(self, *args: Any, off_mean_s: float = 120.0, on_mean_s: float = 20.0, **kwargs: Any) -> None:
+        for name, mean in (("off_mean_s", off_mean_s), ("on_mean_s", on_mean_s)):
+            if not (math.isfinite(mean) and mean > 0.0):
+                raise ValueError(f"{name} must be finite and positive: {mean}")
         super().__init__(*args, **kwargs)
         self.off_mean_s = off_mean_s
         self.on_mean_s = on_mean_s
@@ -163,17 +183,32 @@ class MarkovInterferer(_InterfererBase):
         self._begin(self._periods(self.engine.now + self.rng.expovariate(1.0 / self.off_mean_s)))
 
     def _periods(self, t: float) -> Iterator[Tuple[float, float]]:
-        """ON periods from ``t`` on.  The OFF draw that follows a period
-        comes after its first burst's draws, or at once if it has none."""
-        expovariate = self.rng.expovariate
+        """Bursts of the ON periods from ``t`` on.  A period draws its
+        length, then its first burst's duration and gap (if it has one),
+        then the OFF time that follows it, then the rest of its bursts."""
+        random = self.rng.random
+        log = math.log
+        on_rate = 1.0 / self.on_mean_s
+        off_rate = 1.0 / self.off_mean_s
+        lo, span, rate, bitrate, overhead = self._burst_shape()
         while True:
-            active_for = expovariate(1.0 / self.on_mean_s)
-            bursts = self._bursts(t, t + active_for)
-            first = next(bursts, None)
-            next_off = expovariate(1.0 / self.off_mean_s)
-            if first is not None:
-                yield first
-                yield from bursts
+            active_for = -log(1.0 - random()) / on_rate
+            active_until = t + active_for
+            b = t
+            if b < active_until:
+                duration = lo + span * random()
+                gap = -log(1.0 - random()) / rate
+                next_off = -log(1.0 - random()) / off_rate
+                while True:
+                    n = int(duration * bitrate / 8)
+                    yield b, b + ((n if n > 4 else 4) + overhead) * 8.0 / bitrate
+                    b = b + (duration + gap)
+                    if not b < active_until:
+                        break
+                    duration = lo + span * random()
+                    gap = -log(1.0 - random()) / rate
+            else:
+                next_off = -log(1.0 - random()) / off_rate
             t = t + (active_for + next_off)
 
 

@@ -17,9 +17,9 @@ kernels that advance them:
   previous state keeps the joint law of the sampled trajectory identical
   to dwell replay (the process is Markov), so the fast path is
   distribution-equivalent, not merely marginally equivalent.
-* :func:`prr_table` — the SNR→PRR curve sampled on the exact path's
-  0.01 dB quantization grid, so a vectorized ``table[idx]`` gather returns
-  byte-identical PRR values to ``repro.phy.modulation.prr_fast``.
+* :func:`prr_table` — the exact path's SNR→PRR table on its 0.01 dB
+  quantization grid as an array, so a vectorized ``table[idx]`` gather
+  returns byte-identical PRR values to ``repro.phy.modulation.prr_fast``.
 * :func:`lqi_sample` — the :class:`~repro.phy.lqi.LqiModel` logistic plus
   measurement noise, clamped and rounded, for a whole decoded subset.
 * :func:`mean_field_extra_db` — the Jensen correction for treating a
@@ -46,12 +46,7 @@ from typing import Any, Tuple
 import numpy as np
 
 from repro.phy.lqi import LQI_MAX, LQI_MIN, _LQI_SPAN
-from repro.phy.modulation import _prr_quantized
-
-#: The exact path short-circuits PRR outside the transition region; the
-#: table covers exactly the quantized interior, [−8.00 dB, +25.00 dB].
-PRR_TABLE_SNR_MIN_CENTI = -800
-PRR_TABLE_SNR_MAX_CENTI = 2500
+from repro.phy.modulation import PRR_TABLE_SNR_MAX_CENTI, PRR_TABLE_SNR_MIN_CENTI, prr_grid
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 
@@ -142,23 +137,18 @@ def gilbert_advance(
 
 
 def prr_table(modulation: str, length_bytes: int) -> Any:
-    """PRR over the quantized SNR grid for one (modulation, frame length).
+    """:func:`~repro.phy.modulation.prr_grid` as an array.
 
     Index ``i`` holds the PRR at ``(PRR_TABLE_SNR_MIN_CENTI + i) / 100``
-    dB, computed through the exact path's ``_prr_quantized`` so the two
-    backends return bit-identical PRR for any in-range SNR.  Callers cache
-    the returned array (≈26 KiB) per (modulation, length).
+    dB.  It is the exact path's table, so the two backends return
+    bit-identical PRR for any in-range SNR.  Callers cache the returned
+    array (≈26 KiB) per (modulation, length).
 
     The last entry (+25.00 dB) must be exactly 1.0: :func:`prr_lookup`
     relies on it to serve the exact path's ``snr ≥ 25 dB → 1.0``
     short-circuit from the clipped gather.
     """
-    centi = range(PRR_TABLE_SNR_MIN_CENTI, PRR_TABLE_SNR_MAX_CENTI + 1)
-    table = np.fromiter(
-        (_prr_quantized(modulation, q, length_bytes) for q in centi),
-        dtype=np.float64,
-        count=PRR_TABLE_SNR_MAX_CENTI - PRR_TABLE_SNR_MIN_CENTI + 1,
-    )
+    table = np.array(prr_grid(modulation, length_bytes), dtype=np.float64)
     if table[-1] != 1.0:
         raise ValueError(
             f"PRR table for {modulation!r}/{length_bytes} B does not saturate "

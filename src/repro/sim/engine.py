@@ -91,15 +91,24 @@ class Engine:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, fn, *args)
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
+
+        The body is :meth:`schedule_at` inlined (one frame per event).  The
+        negated comparisons reject NaN, which compares false both ways and
+        would otherwise break the heap order and the clock.
+        """
+        if not delay >= 0.0:
+            raise ValueError(f"negative or NaN delay: {delay}")
+        time = self.now + delay
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, fn, args, engine=self)
+        heapq.heappush(self._queue, (time, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        if not time >= self.now:
+            raise ValueError(f"cannot schedule in the past (or at NaN): {time} < {self.now}")
         seq = next(self._seq)
         handle = EventHandle(time, seq, fn, args, engine=self)
         heapq.heappush(self._queue, (time, seq, handle))

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Protocol, Tuple
 
 
-from repro.link.frame import AckFrame, Frame
+from repro.link.frame import BROADCAST, AckFrame, Frame
 from repro.phy.channel import _CACHE_MAX as _CHANNEL_CACHE_MAX
 from repro.phy.channel import ChannelModel
 from repro.phy.lqi import DEFAULT_LQI_MODEL, LQI_MAX, LQI_MIN, LqiModel, _LQI_SPAN
-from repro.phy.modulation import _prr_quantized
+from repro.phy.modulation import PRR_TABLE_SNR_MIN_CENTI, prr_grid
 from repro.phy.radio import Radio, RadioParams
 from repro.phy.white_bit import DEFAULT_WHITE_BIT, LqiWhiteBit, WhiteBitPolicy
 from repro.sim.engine import Engine
@@ -71,6 +71,9 @@ _END = attrgetter("end")
 #: Same constant the stdlib's ``random.gauss`` uses for Box–Muller.
 _TWOPI = 2.0 * math.pi
 
+#: The half-duplex busy set of a frame nothing overlapped.
+_NOBODY: FrozenSet[int] = frozenset()
+
 #: Bounded memo for the dBm→mW conversion: every entry is a pure function
 #: of its key, so carried state can never change results across runs.
 _MW_PER_DBM_CACHE: Dict[float, float] = {}  # lint: disable=worker-state
@@ -91,7 +94,16 @@ def _dbm_to_mw(dbm: float) -> float:
 
 
 class MediumParticipant(Protocol):
-    """What the medium needs from an attached entity."""
+    """What the medium needs from an attached entity.
+
+    Delivery contract (both backends, DESIGN.md §6): the medium calls
+    :meth:`on_frame_received` only for a decoded frame addressed to this
+    node or broadcast.  An overheard frame, one decoded here but addressed
+    to another node, makes every draw and counts in ``deliveries`` like any
+    other decode, but is not handed up; when a probe is attached the medium
+    itself emits its ``rx`` record (non-ack frames only), where the MAC
+    would have emitted it.
+    """
 
     node_id: int
     radio: Radio
@@ -641,7 +653,15 @@ class RadioMedium:
         policy = self.white_bit_policy
         wb_threshold = policy.threshold if type(policy) is LqiWhiteBit else None
         white_eval = policy.evaluate
-        prr_q = _prr_quantized
+        # ---- quantized PRR table (== prr_fast), fetched per modulation --
+        prr_mod: Optional[str] = None
+        prr_tab: Tuple[float, ...] = ()
+        prr_offset = -PRR_TABLE_SNR_MIN_CENTI
+        # ---- addressed delivery (see MediumParticipant) ---------------
+        dst = frame.dst
+        to_all = dst == BROADCAST
+        probe = self.probe
+        overheard_rx = probe.rx if probe is not None and not frame.is_ack else None
         log10 = math.log10
         exp = math.exp
         log = math.log
@@ -653,7 +673,7 @@ class RadioMedium:
         # Half duplex: a node transmitting during any part of the frame
         # cannot receive it.  Every such transmission overlaps ``tx`` in
         # time, so the senders of ``overlapping`` are exactly the busy nodes.
-        busy = {other.sender for other in overlapping}
+        busy = {other.sender for other in overlapping} if overlapping else _NOBODY
         for row in self._rx_rows[sender_id]:
             (
                 rid,
@@ -708,7 +728,8 @@ class RadioMedium:
                     state_t = gilbert_state.t
                     faded = gilbert_state.faded
                     while True:
-                        dwell = s.expovariate(inv_fade_dwell if faded else inv_good_dwell)
+                        # Random.expovariate written out (same float ops).
+                        dwell = -log(1.0 - s.random()) / (inv_fade_dwell if faded else inv_good_dwell)
                         if state_t + dwell > t:
                             break
                         state_t += dwell
@@ -744,7 +765,10 @@ class RadioMedium:
             elif sinr_db <= -8.0:
                 prr = 0.0
             else:
-                prr = prr_q(modulation, round(sinr_db * 100.0), frame_bytes)
+                if modulation is not prr_mod:
+                    prr_tab = prr_grid(modulation, frame_bytes)
+                    prr_mod = modulation
+                prr = prr_tab[round(sinr_db * 100.0) + prr_offset]
             if rx_random() >= prr:
                 if interference_mw > noise_mw:
                     self.collisions += 1
@@ -762,8 +786,20 @@ class RadioMedium:
                 + _LQI_SPAN / (1.0 + exp(-(sinr_db - lqi_mid) / lqi_slope))
                 + (0.0 + z * lqi_sigma)
             )
-            lqi = int(round(min(max(value, LQI_MIN), LQI_MAX)))
+            # == int(round(min(max(value, LQI_MIN), LQI_MAX)))
+            if value <= LQI_MIN:
+                lqi = LQI_MIN
+            elif value >= LQI_MAX:
+                lqi = LQI_MAX
+            else:
+                lqi = round(value)
             white = lqi >= wb_threshold if wb_threshold is not None else white_eval(sinr_db, lqi)
+            self.deliveries += 1
+            if white:
+                self.white_bits_set += 1
+            addressed = to_all or rid == dst
+            if not addressed and overheard_rx is None:
+                continue
             # RxInfo is a frozen dataclass; built the regular way each field
             # pays an ``object.__setattr__`` call.  Populating ``__dict__``
             # directly is byte-equivalent (the lqi range check is vacuous:
@@ -772,10 +808,10 @@ class RadioMedium:
             info.__dict__.update(
                 timestamp=t, rssi_dbm=rssi, snr_db=sinr_db, lqi=lqi, white_bit=white
             )
-            self.deliveries += 1
-            if white:
-                self.white_bits_set += 1
-            receiver.on_frame_received(frame, info)
+            if addressed:
+                receiver.on_frame_received(frame, info)
+            elif overheard_rx is not None:
+                overheard_rx(rid, frame, info)
 
     def _was_transmitting(self, node_id: int, start: float, end: float) -> bool:
         own = self._tx_by_sender.get(node_id)

@@ -50,6 +50,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 from numpy.random import Generator, PCG64
 
+from repro.link.frame import BROADCAST
 from repro.phy.channel import ChannelModel
 from repro.phy.lqi import DEFAULT_LQI_MODEL, LqiModel
 from repro.phy.radio import RadioParams
@@ -1064,7 +1065,11 @@ class FastRadioMedium(RadioMedium):
             )
 
         # ---- delivery (candidate order, late-bound callbacks) -----------
+        # Addressed delivery (see ``MediumParticipant``): a decode at a node
+        # the frame is not addressed to is counted, and reaches only the
+        # probe's ``rx`` record.
         receivers = batch.receivers
+        rid_list = batch.rid_list
         rssi_list = rssi[dec].tolist()
         sinr_list = sinr_dec.tolist()
         lqi_list = lqi.tolist()
@@ -1073,7 +1078,16 @@ class FastRadioMedium(RadioMedium):
         rx_info_new = RxInfo.__new__
         self.deliveries += dec.size
         self.white_bits_set += white_list.count(True)
+        dst = frame.dst
+        to_all = dst == BROADCAST
+        probe = self.probe
+        overheard_rx = probe.rx if probe is not None and not frame.is_ack else None
         for k in range(len(pos_list)):
+            pos = pos_list[k]
+            rid = rid_list[pos]
+            addressed = to_all or rid == dst
+            if not addressed and overheard_rx is None:
+                continue
             info = rx_info_new(RxInfo)
             info.__dict__.update(
                 timestamp=t,
@@ -1082,7 +1096,10 @@ class FastRadioMedium(RadioMedium):
                 lqi=lqi_list[k],
                 white_bit=white_list[k],
             )
-            receivers[pos_list[k]].on_frame_received(frame, info)
+            if addressed:
+                receivers[pos].on_frame_received(frame, info)
+            elif overheard_rx is not None:
+                overheard_rx(rid, frame, info)
         if prof is not None:
             prof.record_kernel("medium_fast.deliver", perf_counter() - k0)
 

@@ -76,6 +76,35 @@ def test_windowed_interferer_rejects_bad_window():
             WindowedInterferer(engine, medium, 1000, -5.0, random.Random(1), windows=windows)
 
 
+def test_interferer_rejects_bad_parameters():
+    # Each used to hang (falling ON/OFF times), divide by zero in start(),
+    # or schedule its first burst before t = 0.
+    bad_means = [
+        {"on_mean_s": -20.0, "off_mean_s": -5.0},
+        {"on_mean_s": 0.0},
+        {"off_mean_s": -5.0},
+        {"on_mean_s": math.inf},
+        {"off_mean_s": math.nan},
+    ]
+    for means in bad_means:
+        engine, medium = _medium_with_interferer_slot()
+        with pytest.raises(ValueError):
+            MarkovInterferer(engine, medium, 1000, -5.0, random.Random(1), **means)
+        assert medium.transmissions == 0
+    bad_bursts = [
+        {"gap_mean_s": 0.0},
+        {"gap_mean_s": -1e-3},
+        {"gap_mean_s": math.inf},
+        {"burst_min_s": 5e-3, "burst_max_s": 1e-3},
+        {"burst_min_s": -1e-3},
+        {"burst_max_s": math.inf},
+        {"burst_min_s": math.nan},
+    ]
+    for shape in bad_bursts:
+        with pytest.raises(ValueError):
+            BurstParams(**shape)
+
+
 def test_windowed_interferer_accepts_touching_windows():
     engine, medium = _medium_with_interferer_slot()
     source = WindowedInterferer(

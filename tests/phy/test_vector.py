@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
+from repro.link.frame import BROADCAST, Frame
+
+from repro.phy.channel import ChannelModel
 from repro.phy.lqi import LqiModel
-from repro.phy.modulation import BER_MODELS, prr_fast
+from repro.phy.modulation import BER_MODELS, prr_fast, prr_grid
+from repro.phy.radio import Radio, RadioParams
 from repro.phy.vector import (
     PRR_TABLE_SNR_MAX_CENTI,
     PRR_TABLE_SNR_MIN_CENTI,
@@ -21,17 +25,90 @@ from repro.phy.vector import (
     prr_lookup,
     prr_table,
 )
+from repro.sim.engine import Engine
+from repro.sim.medium import RadioMedium
+from repro.sim.rng import RngManager
 
 
 # ----------------------------------------------------------------------
 # PRR table/gather: bit-identical to the scalar fast path
 # ----------------------------------------------------------------------
+class _RecordingDraw(float):
+    """A receiver's uniform draw (0.5) that records the PRR the exact
+    medium compares it with, then decodes regardless."""
+
+    def __new__(cls, log):
+        draw = float.__new__(cls, 0.5)
+        draw.log = log
+        return draw
+
+    def __ge__(self, prr):
+        self.log.append(prr)
+        return False
+
+
+class _Sink:
+    def __init__(self, node_id, params):
+        self.node_id = node_id
+        self.radio = Radio(node_id=node_id, params=params)
+        self.infos = []
+
+    def on_frame_received(self, frame, info):
+        self.infos.append(info)
+
+
+def _exact_loop_prr(modulation, snrs, length_bytes):
+    """``(SINR, PRR)`` pairs as the exact medium's reception loop decides them.
+
+    A two-node static channel; the sender's power is tuned bit by bit
+    toward each target SINR (reached exactly where the float grid allows),
+    and the recording draw forces a decode so the RxInfo reports the SINR
+    of the lookup.
+    """
+    params = RadioParams(modulation=modulation)
+    rng = RngManager(1)
+    channel = ChannelModel(
+        {0: (0.0, 0.0), 1: (5.0, 0.0)},
+        rng.fork("ch"),
+        shadowing_sigma_db=0.0,
+        temporal_sigma_db=0.0,
+    )
+    engine = Engine()
+    medium = RadioMedium(engine, channel, rng)
+    sender, sink = _Sink(0, params), _Sink(1, params)
+    medium.attach(sender)
+    medium.attach(sink)
+    medium.finalize()
+    row = medium._rx_rows[0][0]
+    gain, noise_db = row[1], row[4]
+    prrs = []
+    row[8] = lambda: _RecordingDraw(prrs)
+    for snr in snrs:
+        power = snr - gain + noise_db
+        for _ in range(64):
+            got = (power + gain) - noise_db
+            if got == snr:
+                break
+            power = math.nextafter(power, math.inf if got < snr else -math.inf)
+        sender.radio.tx_power_dbm = power
+        medium.start_transmission(0, Frame(src=0, dst=BROADCAST, length_bytes=length_bytes - 6))
+        engine.run()
+    sinrs = [info.snr_db for info in sink.infos]
+    assert sinrs == pytest.approx(list(snrs), abs=1e-12)
+    # The short-circuit edges themselves are always reachable to the bit.
+    assert all(got == snr for got, snr in zip(sinrs, snrs) if snr in (-8.0, 25.0))
+    assert len(prrs) == len(sinrs)
+    return list(zip(sinrs, prrs))
+
+
 def test_prr_lookup_matches_scalar_prr_fast():
     table = prr_table("oqpsk-dsss", 44)
     snrs = np.asarray([-12.0, -8.0, -7.99, -3.2, 0.0, 1.234, 7.77, 24.99, 25.0, 30.0])
     vec = prr_lookup(table, snrs)
     for snr, p in zip(snrs.tolist(), vec.tolist()):
         assert p == prr_fast("oqpsk-dsss", snr, 44)  # exact equality
+    for snr, p in _exact_loop_prr("oqpsk-dsss", snrs.tolist(), 44):
+        assert p == prr_fast("oqpsk-dsss", snr, 44)
 
 
 def test_prr_lookup_dense_sweep_bit_identical():
@@ -40,6 +117,8 @@ def test_prr_lookup_dense_sweep_bit_identical():
     snrs = centi / 100.0
     vec = prr_lookup(table, snrs)
     for snr, p in zip(snrs.tolist(), vec.tolist()):
+        assert p == prr_fast("oqpsk-dsss", snr, 28)
+    for snr, p in _exact_loop_prr("oqpsk-dsss", snrs.tolist()[::5], 28):
         assert p == prr_fast("oqpsk-dsss", snr, 28)
 
 
@@ -50,6 +129,8 @@ def test_prr_lookup_short_circuit_edges_match_prr_fast(modulation):
     table = prr_table(modulation, 44)
     snrs = np.asarray([-8.0, -8.004, -7.996, 24.995, 25.0, 40.0])
     for snr, p in zip(snrs.tolist(), prr_lookup(table, snrs).tolist()):
+        assert p == prr_fast(modulation, snr, 44), snr
+    for snr, p in _exact_loop_prr(modulation, snrs.tolist(), 44):
         assert p == prr_fast(modulation, snr, 44), snr
 
 
@@ -65,6 +146,27 @@ def test_prr_lookup_leaves_table_untouched():
     before = table.copy()
     prr_lookup(table, np.asarray([-30.0, -8.0, 0.0, 30.0]))
     assert np.array_equal(table, before)
+
+
+def _oqpsk_ber_closed_form(snr_db):
+    """IEEE 802.15.4 O-QPSK/DSSS bit error rate (Zuniga & Krishnamachari):
+    BER = (8/15)·(1/16)·Σ_{k=2}^{16} (−1)^k·C(16,k)·exp(20·γ·(1/k − 1))."""
+    gamma = 10.0 ** (snr_db / 10.0)
+    total = sum(
+        (-1) ** k * math.comb(16, k) * math.exp(20.0 * gamma * (1.0 / k - 1.0))
+        for k in range(2, 17)
+    )
+    return min(max(8.0 / 15.0 / 16.0 * total, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("length", [11, 28, 44, 133])
+def test_prr_table_matches_oqpsk_closed_form(length):
+    table = prr_grid("oqpsk-dsss", length)
+    assert list(table) == prr_table("oqpsk-dsss", length).tolist()
+    for i, p in enumerate(table):
+        snr = (PRR_TABLE_SNR_MIN_CENTI + i) / 100.0
+        truth = (1.0 - _oqpsk_ber_closed_form(snr)) ** (8 * length)
+        assert p == pytest.approx(truth, rel=1e-12, abs=0.0), snr
 
 
 def test_prr_table_monotone_and_bounded():

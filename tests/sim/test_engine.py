@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,15 +39,19 @@ def test_same_time_events_fire_fifo(engine):
 
 
 def test_negative_delay_rejected(engine):
-    with pytest.raises(ValueError):
-        engine.schedule(-0.1, lambda: None)
+    for delay in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            engine.schedule(delay, lambda: None)
+    assert engine.pending == 0
 
 
 def test_schedule_in_past_rejected(engine):
     engine.schedule(1.0, lambda: None)
     engine.run()
-    with pytest.raises(ValueError):
-        engine.schedule_at(0.5, lambda: None)
+    for time in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            engine.schedule_at(time, lambda: None)
+    assert engine.pending == 0
 
 
 def test_cancel_prevents_firing(engine):

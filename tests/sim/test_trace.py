@@ -246,19 +246,38 @@ def test_etx_sampling_emits_records():
 
 
 def test_instrumentation_does_not_change_results():
+    # A traced run's medium records overheard frames itself while an
+    # untraced one skips them (addressed delivery), so the two take
+    # different delivery branches: every counter must still agree.
     topo = grid(3, 3, spacing_m=6.0, rng=RngManager(5).stream("t"), jitter_m=0.5)
 
-    def run(traced: bool):
+    def run(medium: str, protocol: str, traced: bool):
         config = SimConfig(
-            protocol="4b", seed=2, duration_s=240.0, warmup_s=80.0,
-            workload=WorkloadConfig(send_interval_s=5.0),
+            protocol=protocol, seed=2, duration_s=240.0, warmup_s=80.0,
+            medium=medium, workload=WorkloadConfig(send_interval_s=5.0),
         )
         net = CollectionNetwork(topo, config)
-        if traced:
-            instrument_network(net)
-        return net.run()
+        tracer = instrument_network(net) if traced else None
+        result = net.run()
+        m = net.medium
+        counters = {
+            "transmissions": m.transmissions,
+            "deliveries": m.deliveries,
+            "collisions": m.collisions,
+            "white_bits_set": m.white_bits_set,
+        }
+        for node in net.nodes.values():
+            for name, value in vars(node.mac.stats).items():
+                counters["mac." + name] = counters.get("mac." + name, 0) + value
+        return result, counters, tracer
 
-    plain = run(False)
-    traced = run(True)
-    assert plain.cost == traced.cost
-    assert plain.unique_delivered == traced.unique_delivered
+    for medium in ("exact", "fast"):
+        for protocol in ("4b", "ctp"):
+            plain, plain_counters, _ = run(medium, protocol, False)
+            traced, traced_counters, tracer = run(medium, protocol, True)
+            case = (medium, protocol)
+            assert plain.cost == traced.cost, case
+            assert plain.unique_delivered == traced.unique_delivered, case
+            assert plain_counters == traced_counters, case
+            assert plain_counters["deliveries"] > plain_counters["mac.frames_delivered_up"], case
+            assert tracer.count(kind="rx") > 0, case
