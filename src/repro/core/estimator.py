@@ -27,12 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Collection, Dict, ItemsView, List, Optional
 
 from repro.core.ewma import Ewma
 from repro.core.interfaces import CompareBitProvider, EstimatorClient, LinkEstimator
 from repro.core.neighbor_table import NeighborEntry, NeighborTable
-from repro.link.frame import FooterEntry, Frame, LinkEstimatorFrame, NetworkFrame, le_wrap
+from repro.link.frame import (
+    BROADCAST,
+    FooterEntry,
+    Frame,
+    LinkEstimatorFrame,
+    NetworkFrame,
+    le_wrap,
+)
 from repro.link.mac import Mac
 from repro.sim.packets import RxInfo, TxResult
 
@@ -169,31 +176,22 @@ class HybridLinkEstimator(LinkEstimator):
     # LinkEstimator interface
     # ------------------------------------------------------------------
     def link_quality(self, neighbor: int) -> float:
-        entry = self.table._entries.get(neighbor)
-        if entry is None:
-            return _INF
-        ewma = entry.etx_ewma
-        if ewma is None or not ewma._initialized:
-            return _INF
-        return ewma._value
+        return self.table.etx.get(neighbor, _INF)
 
-    @property
-    def quality_version(self) -> int:
-        return self.table.version
+    def take_changed_neighbors(self) -> Collection[int]:
+        table = self.table
+        changed = table.changed
+        if not changed:
+            return ()
+        table.changed = set()
+        return changed
 
     def neighbors(self) -> List[int]:
         return self.table.addresses()
 
-    def neighbor_qualities(self) -> List[tuple]:
-        """Single-pass ``(address, ETX)`` view (hot: every parent update)."""
-        out = []
-        for addr, entry in self.table._entries.items():
-            ewma = entry.etx_ewma
-            if ewma is None or not ewma._initialized:
-                out.append((addr, _INF))
-            else:
-                out.append((addr, ewma._value))
-        return out
+    def neighbor_qualities(self) -> ItemsView[int, float]:
+        """The table's live ``(address, ETX)`` view (hot: every parent scan)."""
+        return self.table.etx.items()
 
     def table_snapshot(self) -> List[Dict[str, object]]:
         """Debug/inspection view of the table (sorted by address).
@@ -293,7 +291,7 @@ class HybridLinkEstimator(LinkEstimator):
     def _mac_receive(self, frame: Frame, info: RxInfo) -> None:
         if not isinstance(frame, LinkEstimatorFrame):
             return  # foreign stack
-        if frame.is_broadcast:
+        if frame.dst == BROADCAST:
             self.stats.beacons_received += 1
             self._process_beacon(frame, info)
         if self.client is not None and frame.payload is not None:
@@ -326,13 +324,14 @@ class HybridLinkEstimator(LinkEstimator):
     # Beacon (broadcast) stream
     # ------------------------------------------------------------------
     def _process_beacon(self, frame: LinkEstimatorFrame, info: RxInfo) -> None:
-        entry = self.table.find(frame.src)
+        entry = self.table._entries.get(frame.src)
         if entry is None:
             entry = self._try_insert(frame, info)
             if entry is None:
                 return
         self._update_beacon_window(entry, frame.le_seq)
-        self._process_footer(entry, frame)
+        if frame.footer:  # 4B sends none
+            self._process_footer(entry, frame)
 
     def _process_footer(self, entry: NeighborEntry, frame: LinkEstimatorFrame) -> None:
         for addr, quality in frame.footer:
@@ -410,14 +409,18 @@ class HybridLinkEstimator(LinkEstimator):
         return 1.0 / prr
 
     def _fold_etx_sample(self, entry: NeighborEntry, sample: float) -> None:
-        sample = min(sample, self.config.max_etx_sample)
+        cap = self.config.max_etx_sample
+        if sample > cap:  # min(sample, cap) without the builtin call
+            sample = cap
         ewma = entry.etx_ewma
         if ewma is None:
             ewma = entry.etx_ewma = Ewma(self.config.alpha_outer)
         before = ewma._value if ewma._initialized else None
         ewma.update(sample)
-        if ewma._value != before:
-            self.table.version += 1  # the quality view changed
+        if ewma._value != before:  # the quality view changed
+            table = self.table
+            table.etx[entry.addr] = ewma._value
+            table.changed.add(entry.addr)
 
     # ------------------------------------------------------------------
     # Table insertion (white + compare bits)
@@ -445,14 +448,20 @@ class HybridLinkEstimator(LinkEstimator):
         # One pass over the table computing both victim candidates (this
         # runs for every beacon from an unknown neighbor once the table is
         # full).  ``>`` keeps the first of equal keys, matching
-        # ``max(..., key=...)``.
+        # ``max(..., key=...)``.  The pass reads the ETX view first: a
+        # finite ETX means a mature entry, and one at or below the
+        # threshold is neither candidate, so most entries cost one lookup.
         threshold = self.config.evict_etx_threshold
         stale_expected = self.config.immature_evict_expected
+        entries = self.table._entries
         worst_bad = None
         worst_bad_key = None
         worst_stale = None
         worst_stale_key = None
-        for e in self.table:
+        for addr, view_etx in self.table.etx.items():
+            if view_etx <= threshold and view_etx != _INF:
+                continue
+            e = entries[addr]
             if e.pinned:
                 continue
             ewma = e.etx_ewma

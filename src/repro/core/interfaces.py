@@ -21,7 +21,7 @@ paper argues for.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Collection, Iterable, Optional, Protocol, Tuple, runtime_checkable
 
 
 from repro.link.frame import NetworkFrame
@@ -66,26 +66,26 @@ class LinkEstimator(abc.ABC):
     def neighbors(self) -> Iterable[int]:
         """Addresses currently in the link table."""
 
-    @property
     @abc.abstractmethod
-    def quality_version(self) -> int:
-        """Counter that changes whenever :meth:`neighbor_qualities` may.
+    def take_changed_neighbors(self) -> Collection[int]:
+        """Addresses whose entry in :meth:`neighbor_qualities` changed since
+        the previous call; the record starts empty again.
 
-        Implementations bump it on every table insert, removal, eviction
-        and wipe, and on every change to an entry's ETX.  Equal versions
-        promise an identical ``(neighbor, ETX)`` view in the same order,
-        which lets the network layer skip re-deriving a decision from an
-        unchanged view (CTP's parent re-evaluation memo, DESIGN.md §6).
-        Pin bits are not part of the view.
+        An address is recorded when its entry is inserted, removed (by any
+        eviction, removal or wipe) or its ETX value moves.  Pin bits are
+        not part of the view and record nothing.  An address absent from
+        the result holds the same ETX at the same relative place in the
+        view, which lets the network layer re-derive a decision from the
+        changed addresses alone (CTP's parent re-evaluation, DESIGN.md §6).
         """
 
-    def neighbor_qualities(self) -> "list[tuple[int, float]]":
+    def neighbor_qualities(self) -> Iterable[Tuple[int, float]]:
         """``(address, link ETX)`` for every table entry.
 
         Equivalent to querying :meth:`link_quality` for each address in
         :meth:`neighbors`; implementations sitting on the routing hot path
-        override this with a single-pass version.  The order matches
-        :meth:`neighbors`.
+        override this with a view that is not rebuilt per call.  The order
+        matches :meth:`neighbors`.
         """
         link_quality = self.link_quality
         return [(neighbor, link_quality(neighbor)) for neighbor in self.neighbors()]

@@ -14,7 +14,7 @@ import math
 from random import Random
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.core.ewma import Ewma
 
@@ -59,8 +59,8 @@ class NeighborEntry:
     def etx(self) -> float:
         """Current hybrid ETX, or +inf before the first sample.
 
-        Reads the EWMA slots directly: this property runs once per routing
-        candidate per beacon, and the nested property calls dominate it.
+        The owning table mirrors this value in its ``etx`` view, which the
+        routing hot path reads instead.
         """
         ewma = self.etx_ewma
         if ewma is None or not ewma._initialized:
@@ -74,10 +74,14 @@ class NeighborTable:
     ``capacity=None`` models the "CTP unconstrained" configuration of the
     paper's Figure 2(c).
 
-    ``version`` counts mutations of the table's contents: every insert,
-    removal, eviction and wipe bumps it, and the owning estimator bumps it
-    when it changes an entry's ETX.  It backs
-    :attr:`repro.core.interfaces.LinkEstimator.quality_version`.
+    ``etx`` is the live quality view: address → hybrid ETX (``inf`` until
+    the entry matures), in table order.  Every mutator below writes it, and
+    the owning estimator writes it when a fold moves an entry's ETX, so
+    reading it never rebuilds anything.  ``changed`` records each address
+    whose place in that view was inserted, removed or changed since the
+    estimator last handed the set out
+    (:meth:`repro.core.interfaces.LinkEstimator.take_changed_neighbors`).
+    Pin bits are not part of the view and record nothing.
     """
 
     def __init__(self, capacity: Optional[int] = 10, node_id: int = -1) -> None:
@@ -87,8 +91,11 @@ class NeighborTable:
         #: The owning node (names the table in probe events).
         self.node_id = node_id
         self._entries: Dict[int, NeighborEntry] = {}
+        #: The live quality view (address → ETX, table order).
+        self.etx: Dict[int, float] = {}
+        #: Addresses whose place in ``etx`` moved since the last hand-out.
+        self.changed: Set[int] = set()
         self.evictions = 0
-        self.version = 0
         #: Observation hook (:mod:`repro.sim.probe`), set by the network.
         self.probe: Optional["Monitor"] = None
 
@@ -121,7 +128,8 @@ class NeighborTable:
             raise ValueError("table full; evict first")
         entry = NeighborEntry(addr=addr)
         self._entries[addr] = entry
-        self.version += 1
+        self.etx[addr] = math.inf
+        self.changed.add(addr)
         return entry
 
     def evict_random_unpinned(
@@ -143,22 +151,9 @@ class NeighborTable:
             return None
         victim = rng.choice(pool)
         del self._entries[victim]
+        del self.etx[victim]
+        self.changed.add(victim)
         self.evictions += 1
-        self.version += 1
-        return victim
-
-    def evict_worst_unpinned(self) -> Optional[int]:
-        """Ablation policy: evict the unpinned entry with the worst ETX.
-
-        Immature entries (no estimate yet) are considered worst of all.
-        """
-        candidates = [(e.etx, addr) for addr, e in self._entries.items() if not e.pinned]
-        if not candidates:
-            return None
-        victim = max(candidates, key=lambda pair: (pair[0], pair[1]))[1]
-        del self._entries[victim]
-        self.evictions += 1
-        self.version += 1
         return victim
 
     def clear(self) -> None:
@@ -168,8 +163,9 @@ class NeighborTable:
         attached probe) stay valid; ``evictions`` keeps counting —
         it tallies events, not state.
         """
+        self.changed.update(self._entries)
         self._entries.clear()
-        self.version += 1
+        self.etx.clear()
 
     def remove(self, addr: int) -> bool:
         """Explicitly drop an entry (pinned or not).  Returns False if absent."""
@@ -177,7 +173,8 @@ class NeighborTable:
             if self.probe is not None:
                 self.probe.entry_removed(self.node_id, addr)
             del self._entries[addr]
-            self.version += 1
+            del self.etx[addr]
+            self.changed.add(addr)
             return True
         return False
 
@@ -199,6 +196,3 @@ class NeighborTable:
     def clear_pins(self) -> None:
         for entry in self._entries.values():
             entry.pinned = False
-
-    def pinned_addresses(self) -> List[int]:
-        return [addr for addr, e in self._entries.items() if e.pinned]

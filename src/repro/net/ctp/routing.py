@@ -16,7 +16,7 @@ import math
 from random import Random
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Optional, Set, Tuple
 
 
 from repro.core.interfaces import CompareBitProvider, LinkEstimator
@@ -87,13 +87,12 @@ class CtpRoutingEngine(CompareBitProvider):
         self.config = config
         self.stats = RoutingStats()
         self.route_info: Dict[int, RouteInfo] = {}
-        #: Bumped whenever ``route_info`` changes in a way
-        #: :meth:`update_route` can see: a new neighbor or a changed
-        #: ``(parent, path_etx)`` behind a usable link, or a wipe.
-        self._route_version = 0
-        #: ``(estimator.quality_version, _route_version, parent)`` of the
-        #: last evaluation that kept the parent (see :meth:`update_route`).
-        self._memo_key: Optional[Tuple[int, int, Optional[int]]] = None
+        #: Neighbors whose advertised ``(parent, path_etx)`` is new or
+        #: changed since the last :meth:`update_route`.
+        self._heard: Set[int] = set()
+        #: ``(best, best_cost)`` of the last full evaluation that kept the
+        #: parent; ``None`` forces the next :meth:`update_route` to scan.
+        self._kept: Optional[Tuple[Optional[int], float]] = None
         self.parent: Optional[int] = None
         self._had_route = is_root
         self._pull_pending = False
@@ -130,7 +129,7 @@ class CtpRoutingEngine(CompareBitProvider):
         self.enabled = False
         self.trickle.stop()
         self.route_info.clear()
-        self._route_version += 1
+        self._kept = None
         old = self.parent
         self.parent = None
         self._had_route = self.is_root
@@ -177,25 +176,45 @@ class CtpRoutingEngine(CompareBitProvider):
     def update_route(self) -> None:
         """Re-evaluate the parent (hysteresis applies).
 
-        The loop is :meth:`_route_through` inlined over the estimator's
-        single-pass ``(neighbor, link ETX)`` view: it runs for every beacon
+        The full evaluation is :meth:`_route_through` inlined over the
+        estimator's ``(neighbor, link ETX)`` view: it runs for every beacon
         heard, and the per-neighbor attribute and table lookups dominate
         it.  The skip conditions are exactly the inf-cost cases of
         :meth:`_route_through` (an inf cost can never win ``cost <
         best_cost``).
 
-        The decision is a pure function of the estimator's quality view,
-        ``route_info`` and the current parent, so it is memoized on their
-        versions: when the key equals that of the last evaluation that
-        kept the parent, re-evaluating would keep it again and is skipped.
-        An evaluation that switches parent leaves no key behind.
+        Most calls follow a change at one neighbor, or none, so the scan is
+        skipped when the changed neighbors cannot move the decision.  A
+        full evaluation that keeps the parent stores its first argmin
+        ``best`` and ``best_cost``.  A neighbor's cost depends only on its
+        entry in the estimator's view and its ``route_info`` record, and
+        every change to either is reported:
+        :meth:`LinkEstimator.take_changed_neighbors` for the view, and
+        ``_heard`` for advertisements.  A later call scans again only if a
+        changed neighbor is the parent or ``best``, or its cost is finite
+        and ≤ ``best_cost``.  Otherwise the scan would return the same
+        result: every unchanged neighbor keeps its cost and its order
+        relative to the other unchanged ones (the view only appends and
+        deletes), so each one before ``best`` still costs more than
+        ``best_cost`` and none after it costs less; every changed neighbor
+        costs more than ``best_cost`` or is unusable, so it cannot win or
+        tie; the parent's cost is unchanged, so the no-switch decision
+        stands.  Ties go to the full scan because table order breaks them.
+        A parent switch or :meth:`fault_shutdown` leaves nothing stored, so
+        the next call scans.
         """
         if self.is_root:
             return
-        key = (self.estimator.quality_version, self._route_version, self.parent)
-        if key == self._memo_key:
+        changed = self.estimator.take_changed_neighbors()
+        heard = self._heard
+        kept = self._kept
+        if kept is not None and not (
+            changed and self._sways(changed, kept) or heard and self._sways(heard, kept)
+        ):
+            if heard:
+                heard.clear()
             return
-        self._memo_key = key
+        heard.clear()
         inf = math.inf
         isinf = math.isinf
         route_info_get = self.route_info.get
@@ -215,6 +234,7 @@ class CtpRoutingEngine(CompareBitProvider):
             cost = link + path_etx
             if cost < best_cost:
                 best, best_cost = neighbor, cost
+        self._kept = (best, best_cost)
         current_cost = self._route_through(self.parent) if self.parent is not None else math.inf
         if best is None:
             return
@@ -224,8 +244,37 @@ class CtpRoutingEngine(CompareBitProvider):
         elif best != self.parent and best_cost + self.config.parent_switch_threshold < current_cost:
             switch = True
         if switch and best != self.parent:
-            self._memo_key = None
+            self._kept = None
             self._set_parent(best)
+
+    def _sways(
+        self, neighbors: Collection[int], kept: Tuple[Optional[int], float]
+    ) -> bool:
+        """Could a changed cost at one of ``neighbors`` move the decision
+        stored in ``kept`` (see :meth:`update_route`)?
+
+        The cost test is :meth:`_route_through` inlined: a neighbor whose
+        cost is inf can never win or tie.
+        """
+        best, best_cost = kept
+        parent = self.parent
+        route_info_get = self.route_info.get
+        link_quality = self.estimator.link_quality
+        max_link_etx = self.config.max_link_etx
+        node_id = self.node_id
+        for neighbor in neighbors:
+            if neighbor == parent or neighbor == best:
+                return True
+            info = route_info_get(neighbor)
+            if info is None or info.parent == node_id:
+                continue
+            link = link_quality(neighbor)
+            if link > max_link_etx:
+                continue
+            cost = link + info.path_etx
+            if cost <= best_cost and cost < math.inf:
+                return True
+        return False
 
     def _set_parent(self, new_parent: Optional[int]) -> None:
         old = self.parent
@@ -287,11 +336,8 @@ class CtpRoutingEngine(CompareBitProvider):
             info_rec.parent = frame.parent
             info_rec.path_etx = frame.path_etx
             info_rec.heard_at = self.engine.now
-        # Route info behind an unusable link cannot sway parent selection;
-        # when that link becomes usable the estimator's quality_version
-        # moves instead.
-        if changed and self.estimator.link_quality(le_src) <= self.config.max_link_etx:
-            self._route_version += 1
+        if changed:
+            self._heard.add(le_src)
         if frame.pull and (self.is_root or self.parent is not None):
             self.trickle.reset()
         self.update_route()

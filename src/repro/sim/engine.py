@@ -202,8 +202,11 @@ class Engine:
         bound once: the peek/pop pair and per-event method dispatch are
         measurable at millions of events.  Never-canceled events (the
         overwhelming majority) take the straight-line path with no
-        cancellation bookkeeping.
+        cancellation bookkeeping.  A NaN ``t_end`` is rejected: it compares
+        false with every event time and would run the whole queue.
         """
+        if t_end != t_end:
+            raise ValueError("NaN end time")
         queue = self._queue
         pop = heapq.heappop
         while queue:

@@ -9,6 +9,7 @@ and the sink recorder.  ``run()`` executes it and returns a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
@@ -125,8 +126,13 @@ class SimConfig:
             raise ValueError(
                 f"unknown medium backend {self.medium!r}; choose from {MEDIUM_BACKENDS}"
             )
-        if self.duration_s <= self.warmup_s:
-            raise ValueError("duration must exceed warmup")
+        # Negated comparisons: NaN fails every one of them.
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and positive: {self.duration_s!r}")
+        if not 0.0 <= self.warmup_s < self.duration_s:
+            raise ValueError(
+                f"warmup_s must satisfy 0 <= warmup < duration: {self.warmup_s!r}"
+            )
         if self.white_bit not in ("lqi", "snr", "never"):
             raise ValueError(f"unknown white-bit policy {self.white_bit!r}")
         if self.white_bit_threshold is not None:

@@ -134,17 +134,23 @@ def test_standard_replacement_evicts_measured_bad_entry():
 
 
 def test_standard_replacement_evicts_stale_immature():
-    config = tiny_config(
-        bidirectional_beacons=True, default_prr_out=None, immature_evict_expected=4
-    )
-    est, _, _ = build_estimator(config, compare=StubCompare(False))
-    for seq in range(5):  # entry 1 ages without ever maturing (no footer)
-        beacon(est, 1, seq=seq)
-    beacon(est, 2, seq=0)  # fills the table (young immature)
-    beacon(est, 9, seq=0, white=False, route_info=False)
-    assert 9 in est.table
-    assert 1 not in est.table  # the stale one went, not the young one
-    assert 2 in est.table
+    # An infinite threshold disables "measurably bad" eviction only: an
+    # immature entry's ETX (inf) must not pass for a good one.
+    for threshold in (3.0, math.inf):
+        config = tiny_config(
+            bidirectional_beacons=True,
+            default_prr_out=None,
+            immature_evict_expected=4,
+            evict_etx_threshold=threshold,
+        )
+        est, _, _ = build_estimator(config, compare=StubCompare(False))
+        for seq in range(5):  # entry 1 ages without ever maturing (no footer)
+            beacon(est, 1, seq=seq)
+        beacon(est, 2, seq=0)  # fills the table (young immature)
+        beacon(est, 9, seq=0, white=False, route_info=False)
+        assert 9 in est.table
+        assert 1 not in est.table  # the stale one went, not the young one
+        assert 2 in est.table
 
 
 def test_standard_replacement_keeps_good_entries():

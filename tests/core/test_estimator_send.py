@@ -115,7 +115,7 @@ def test_pin_interface_delegates_to_table():
     assert not est.table.find(5).pinned
     est.pin(5)
     est.clear_pins()
-    assert est.table.pinned_addresses() == []
+    assert not est.table.find(5).pinned
 
 
 def test_neighbors_lists_table_contents():

@@ -135,20 +135,21 @@ def test_ack_resets_consecutive_failure_count():
 
 
 def test_quality_version_moves_with_the_etx():
-    """``quality_version`` changes exactly when the (neighbor, ETX) view
-    does: a fold that moves the ETX bumps it, one that lands on the same
-    value does not, and a reboot wipe does."""
+    """The changed-neighbor record follows the (neighbor, ETX) view: a
+    fold that moves the ETX records the neighbor, one that lands on the
+    same value does not, and a reboot wipe does."""
     est = seeded_estimator()
-    v0 = est.quality_version
+    assert set(est.take_changed_neighbors()) == {NBR}  # inserted, then matured
+    assert not est.take_changed_neighbors()  # taking clears the record
     for _ in range(5):
         unicast_attempt(est, NBR, acked=True)  # sample 1.0 onto ETX 1.0
     assert est.stats.unicast_samples == 1
     assert est.link_quality(NBR) == 1.0
-    assert est.quality_version == v0
+    assert not est.take_changed_neighbors()
     for acked in (True, False, True, False, True):
         unicast_attempt(est, NBR, acked=acked)  # sample 5/3
     assert est.link_quality(NBR) == pytest.approx(5 / 3)
-    assert est.quality_version != v0
-    v1 = est.quality_version
+    assert set(est.take_changed_neighbors()) == {NBR}
     est.reset_state()
-    assert est.quality_version != v1
+    assert set(est.take_changed_neighbors()) == {NBR}
+    assert math.isinf(est.link_quality(NBR))

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ewma import Ewma
+from repro.core.estimator import EstimatorConfig
 from repro.core.neighbor_table import NeighborEntry, NeighborTable
 
-
-def mature_entry(addr: int, etx: float) -> NeighborEntry:
-    entry = NeighborEntry(addr=addr)
-    entry.etx_ewma = Ewma(0.5)
-    entry.etx_ewma.update(etx)
-    return entry
+from tests.core.helpers import StubCompare, beacon, build_estimator
 
 
 def test_insert_and_find():
@@ -87,35 +82,47 @@ def test_evict_random_respects_eligibility_filter():
     assert victim == 1
 
 
-def test_evict_worst_unpinned():
-    table = NeighborTable(capacity=3)
-    for i, etx in enumerate([1.5, 8.0, 3.0]):
-        table._entries[i] = mature_entry(i, etx)
-    assert table.evict_worst_unpinned() == 1
+def _worst_evicting_estimator():
+    """A full 2-slot table whose only insertion path is the estimator's
+    ``compare_evict="worst"`` rule (the table itself evicts at random)."""
+    config = EstimatorConfig(
+        table_size=2,
+        kb=2,
+        alpha_outer=0.0,
+        alpha_beacon=0.0,
+        use_standard_replacement=False,
+        compare_evict="worst",
+        immature_evict_expected=1,
+    )
+    est, _, _ = build_estimator(config, compare=StubCompare(True))
+    beacon(est, 0, seq=0)
+    beacon(est, 0, seq=8)  # mature: 2 of 9 beacons, ETX 4.5
+    return est
 
 
 def test_evict_worst_treats_immature_as_worst():
-    table = NeighborTable(capacity=2)
-    table._entries[0] = mature_entry(0, 9.0)
-    table.insert(1)  # immature: etx = inf
-    assert table.evict_worst_unpinned() == 1
+    est = _worst_evicting_estimator()
+    beacon(est, 1, seq=0)  # immature (etx = inf), past its window
+    beacon(est, 9, seq=0)
+    assert set(est.table.addresses()) == {0, 9}
 
 
 def test_evict_worst_spares_pinned():
-    table = NeighborTable(capacity=2)
-    table._entries[0] = mature_entry(0, 9.0)
-    table._entries[1] = mature_entry(1, 2.0)
-    table.pin(0)
-    assert table.evict_worst_unpinned() == 1
+    est = _worst_evicting_estimator()
+    beacon(est, 1, seq=0)
+    beacon(est, 1, seq=1)  # mature at ETX 1.0, better than entry 0
+    est.pin(0)
+    beacon(est, 9, seq=0)
+    assert set(est.table.addresses()) == {0, 9}
 
 
 def test_pin_unpin_lifecycle():
     table = NeighborTable(capacity=2)
     table.insert(5)
     assert table.pin(5)
-    assert table.pinned_addresses() == [5]
+    assert table.find(5).pinned
     assert table.unpin(5)
-    assert table.pinned_addresses() == []
+    assert not table.find(5).pinned
 
 
 def test_pin_unknown_address_returns_false():
@@ -130,7 +137,7 @@ def test_clear_pins():
         table.insert(i)
         table.pin(i)
     table.clear_pins()
-    assert table.pinned_addresses() == []
+    assert not any(entry.pinned for entry in table)
 
 
 def test_remove():
@@ -189,65 +196,108 @@ def test_property_capacity_never_exceeded(capacity, addrs):
 
 
 # ----------------------------------------------------------------------
-# version: every content mutation bumps it, pin bits do not
+# The live ETX view and its changed-address record: every content mutation
+# records the address, pin bits do not
 # ----------------------------------------------------------------------
-class _VersionWatch:
-    def __init__(self, table: NeighborTable) -> None:
-        self.table = table
-        self.seen = table.version
-
-    def bumped(self) -> bool:
-        now = self.table.version
-        moved = now != self.seen
-        self.seen = now
-        return moved
+def take_changed(table: NeighborTable) -> set:
+    changed, table.changed = table.changed, set()
+    return changed
 
 
 def test_insert_and_remove_bump_version():
     table = NeighborTable(capacity=3)
-    watch = _VersionWatch(table)
     table.insert(1)
-    assert watch.bumped()
+    assert take_changed(table) == {1}
     table.insert(2)
-    assert watch.bumped()
+    assert take_changed(table) == {2}
+    assert table.etx == {1: math.inf, 2: math.inf}
     assert table.remove(1)
-    assert watch.bumped()
+    assert take_changed(table) == {1}
     assert not table.remove(1)  # absent: nothing changed
-    assert not watch.bumped()
+    assert take_changed(table) == set()
+    assert table.etx == {2: math.inf}
 
 
 def test_evictions_bump_version():
     table = NeighborTable(capacity=None)
     for addr in range(4):
         table.insert(addr)
-    watch = _VersionWatch(table)
-    assert table.evict_random_unpinned(random.Random(2)) is not None
-    assert watch.bumped()
-    assert table.evict_worst_unpinned() is not None
-    assert watch.bumped()
+    take_changed(table)
+    victim = table.evict_random_unpinned(random.Random(2))
+    assert victim is not None
+    assert take_changed(table) == {victim}
+    assert victim not in table.etx
     for addr in table.addresses():
         table.pin(addr)
-    watch.bumped()
     assert table.evict_random_unpinned(random.Random(2)) is None
-    assert table.evict_worst_unpinned() is None
-    assert not watch.bumped()  # nothing evicted
+    assert take_changed(table) == set()  # nothing evicted
 
 
 def test_clear_bumps_version():
     table = NeighborTable(capacity=3)
     table.insert(5)
-    watch = _VersionWatch(table)
+    table.insert(6)
+    take_changed(table)
     table.clear()
-    assert watch.bumped()
+    assert take_changed(table) == {5, 6}
+    assert table.etx == {}
 
 
 def test_pin_bits_leave_version_alone():
     table = NeighborTable(capacity=3)
     table.insert(1)
     table.insert(2)
-    watch = _VersionWatch(table)
+    take_changed(table)
     table.pin(1)
     table.unpin(1)
     table.pin(2)
     table.clear_pins()
-    assert not watch.bumped()
+    assert take_changed(table) == set()
+
+
+_ADDRS = st.integers(0, 5)
+_TABLE_STEPS = st.one_of(
+    st.tuples(st.just("insert"), _ADDRS),
+    st.tuples(st.just("remove"), _ADDRS),
+    st.tuples(st.just("pin"), _ADDRS),
+    st.tuples(st.just("evict"), st.integers(0, 2**16)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("fold"), _ADDRS, st.sampled_from([1.0, 1.0, 1.25, 2.0, 7.5, 80.0])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TABLE_STEPS, min_size=1, max_size=60))
+def test_property_etx_view_tracks_entries(steps):
+    """After any sequence of inserts, removals, pins, random evictions,
+    wipes and estimator folds, ``table.etx`` equals the entries' ETX in
+    table order, and the changed-address record holds exactly the
+    addresses whose place in that view moved."""
+    est, _, _ = build_estimator(EstimatorConfig(table_size=4, alpha_outer=0.5))
+    table = est.table
+    for step in steps:
+        before = dict(table.etx)
+        kind = step[0]
+        if kind == "insert":
+            if step[1] not in table and not table.full:
+                table.insert(step[1])
+        elif kind == "remove":
+            table.remove(step[1])
+        elif kind == "pin":
+            table.pin(step[1])
+        elif kind == "evict":
+            table.evict_random_unpinned(random.Random(step[1]))
+        elif kind == "clear":
+            table.clear()
+        else:
+            entry = table.find(step[1])
+            if entry is not None:
+                est._fold_etx_sample(entry, step[2])
+        assert list(table.etx.items()) == [(entry.addr, entry.etx) for entry in table]
+        after = table.etx
+        moved = {
+            addr
+            for addr in set(before) | set(after)
+            if before.get(addr) != after.get(addr) or (addr in before) != (addr in after)
+        }
+        assert set(est.take_changed_neighbors()) == moved, step

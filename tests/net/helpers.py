@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.interfaces import LinkEstimator
 from repro.link.frame import NetworkFrame
@@ -16,17 +16,17 @@ class FakeEstimator(LinkEstimator):
         self.pinned: set = set()
         self.sent: List[NetworkFrame] = []
         self.accept_sends = True
-        self._version = 0
+        self._changed: Set[int] = set(self.qualities)
 
     # -- test controls ---------------------------------------------------
     def set_quality(self, neighbor: int, etx: float) -> None:
         self.qualities[neighbor] = etx
-        self._version += 1
+        self._changed.add(neighbor)
 
     # -- LinkEstimator ----------------------------------------------------
-    @property
-    def quality_version(self) -> int:
-        return self._version
+    def take_changed_neighbors(self) -> Set[int]:
+        changed, self._changed = self._changed, set()
+        return changed
 
     def link_quality(self, neighbor: int) -> float:
         return self.qualities.get(neighbor, float("inf"))

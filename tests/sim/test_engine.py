@@ -73,6 +73,10 @@ def test_run_until_stops_at_boundary(engine):
     fired = []
     engine.schedule(1.0, fired.append, "early")
     engine.schedule(5.0, fired.append, "late")
+    engine.schedule(1e9, fired.append, "far")
+    with pytest.raises(ValueError):
+        engine.run_until(math.nan)  # would otherwise run the whole queue
+    assert fired == [] and engine.now == 0.0
     engine.run_until(2.0)
     assert fired == ["early"]
     assert engine.now == 2.0

@@ -22,8 +22,22 @@ def test_unknown_protocol_rejected():
 
 
 def test_duration_must_exceed_warmup():
-    with pytest.raises(ValueError):
-        SimConfig(duration_s=100.0, warmup_s=200.0)
+    """The run window fails cleanly: a finite positive duration and a
+    finite warmup in [0, duration), NaN rejected everywhere."""
+    for duration, warmup in (
+        (100.0, 200.0),
+        (100.0, 100.0),
+        (math.inf, 120.0),
+        (math.nan, 120.0),
+        (0.0, 0.0),
+        (-10.0, -20.0),
+        (600.0, -1.0),
+        (600.0, math.nan),
+        (600.0, -math.inf),
+    ):
+        with pytest.raises(ValueError):
+            SimConfig(duration_s=duration, warmup_s=warmup)
+    assert SimConfig(duration_s=10.0, warmup_s=0.0).warmup_s == 0.0
 
 
 def test_builds_one_node_per_position():
