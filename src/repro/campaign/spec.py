@@ -7,11 +7,13 @@ entry point the runner's workers call; it dispatches on ``spec.kind``:
 
 ``collection``
     A full :class:`~repro.sim.network.CollectionNetwork` run built through
-    the experiment harness.  Parameters name the scale (``profile``,
-    ``n_nodes``, ``duration_s``, ...), the run (``protocol``, ``seed``,
-    ``tx_power_dbm``), estimator constants (``ku``, ``kb``,
-    ``alpha_outer``, ``alpha_beacon``, ``table_size``, ...), and the
-    white-bit derivation (``white_bit``, ``white_bit_threshold``).
+    the experiment harness — every figure's grid and the runner CLI's
+    sweeps run as this kind.  Parameters name the testbed (``profile``,
+    ``n_nodes``, ``topology_seed``), any :class:`~repro.sim.network.SimConfig`
+    field by its own name (``protocol``, ``seed``, ``duration_s``,
+    ``tx_power_dbm``, ``white_bit``, ``medium``, ``faults``, ...), and
+    estimator constants on top of the protocol's preset (``ku``, ``kb``,
+    ``alpha_outer``, ``honor_pin_bit``, ``compare_evict``, ...).
 ``accuracy``
     A scripted single-link estimator-accuracy run
     (:mod:`repro.estimators.accuracy`) scored against ground-truth ETX —
@@ -25,30 +27,27 @@ Every kind returns a :class:`SimulationResult` whose ``summary`` contains
 only **deterministic, strict-JSON-safe** values: two runs of the same spec
 — serial or pooled, fresh or resumed — serialize byte-identically.  Wall
 -clock accounting stays on the separate ``resources`` slot, which the
-runner fills and summaries never include.
+runner fills, and a ``collection`` run's full
+:class:`~repro.metrics.collection_stats.CollectionResult` on ``run``;
+summaries include neither.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.metrics.collection_stats import json_sanitize
+from repro.metrics.collection_stats import CollectionResult, json_sanitize
 from repro.runner.hashing import config_digest
 
 #: Simulation kinds :func:`simulate` can execute.
 KINDS = ("collection", "accuracy", "synthetic")
 
-#: ``collection`` parameters that size the testbed (everything else is a
-#: run/estimator/config parameter).
-_SCALE_PARAMS = ("profile", "n_nodes", "duration_s", "warmup_s", "topology_seed")
-
-#: ``collection`` parameters forwarded to :class:`SimConfig` verbatim.
-_SIMCONFIG_PARAMS = ("white_bit", "white_bit_threshold", "medium", "faults", "mobility")
-
-#: ``collection`` run identity parameters.
-_RUN_PARAMS = ("protocol", "seed", "tx_power_dbm")
+#: ``collection`` parameters that pick the testbed; every other name is a
+#: ``SimConfig`` field or an estimator constant.
+_TESTBED_PARAMS = ("profile", "n_nodes", "topology_seed")
 
 #: ``accuracy`` scenario parameters (see ``objectives.scenario_from_params``).
 _ACCURACY_PARAMS = (
@@ -142,9 +141,18 @@ class SimulationResult:
     #: Wall/CPU/RSS deltas attached by the runner workers — inherently
     #: nondeterministic, excluded from equality and from summaries.
     resources: Optional[Dict[str, float]] = field(default=None, compare=False)
+    #: The full ``collection`` run (per-node delivery, tree samples, engine
+    #: profile, metrics) the figure renderers read; ``None`` for the other
+    #: kinds.  Deterministic, but kept out of summaries.
+    run: Optional[CollectionResult] = None
+
+    @property
+    def profile(self) -> Optional[Dict[str, object]]:
+        """The run's engine profile, which the runner folds into its stats."""
+        return None if self.run is None else self.run.profile
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Deterministic strict-JSON view (``resources`` deliberately absent)."""
+        """Deterministic strict-JSON view (``resources`` and ``run`` absent)."""
         return json_sanitize(
             {
                 "kind": self.kind,
@@ -158,6 +166,7 @@ class SimulationResult:
 def simulate(spec: SimulationSpec) -> SimulationResult:
     """Execute one spec.  Top-level and picklable: the pool worker entry."""
     params = spec.param_dict()
+    run = None
     if spec.kind == "synthetic":
         summary: Dict[str, Any] = _simulate_synthetic(params)
         events = 0
@@ -165,13 +174,16 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         summary = _simulate_accuracy(params)
         events = int(summary.pop("_events_run", 0))
     else:
-        summary, events = _simulate_collection(params)
+        run = _simulate_collection(params)
+        summary = {name: getattr(run, name) for name in _COLLECTION_SUMMARY}
+        events = run.events_run
     return SimulationResult(
         kind=spec.kind,
         digest=spec.digest(),
         params=json_sanitize(params),
         summary=json_sanitize(summary),
         events_run=events,
+        run=run,
     )
 
 
@@ -240,7 +252,22 @@ def _simulate_accuracy(params: Dict[str, Any]) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # collection
 # ---------------------------------------------------------------------------
-def _simulate_collection(params: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
+#: ``CollectionResult`` fields a ``collection`` summary reports.
+_COLLECTION_SUMMARY = (
+    "cost", "delivery_ratio", "avg_tree_depth", "mean_packet_hops", "disconnected_fraction",
+    "offered", "unique_delivered", "duplicates_at_root", "total_data_tx", "beacons_sent",
+    "events_run",
+)
+
+
+def _integral(name: str, value: Any) -> int:
+    """``value`` as an int, refusing a fraction rather than truncating it."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"collection parameter {name} must be an integer, got {value!r}")
+
+
+def _simulate_collection(params: Dict[str, Any]) -> CollectionResult:
     # Local imports keep the closed-form kinds import-light (the property
     # tests churn through thousands of synthetic specs).
     from repro.estimators.objectives import (
@@ -248,54 +275,41 @@ def _simulate_collection(params: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
         split_estimator_params,
     )
     from repro.experiments.common import ExperimentScale, run_one
+    from repro.sim.network import SimConfig
+    from repro.topology.testbeds import PROFILES
 
     est_params, rest = split_estimator_params(params)
-    known = _SCALE_PARAMS + _RUN_PARAMS + _SIMCONFIG_PARAMS
-    unknown = sorted(k for k in rest if k not in known)
+    # Every SimConfig field by its own name, except the estimator: that is
+    # set only through flat constants on top of the protocol's preset.
+    config_fields = {f.name for f in dataclasses.fields(SimConfig)} - {"estimator_config"}
+    unknown = sorted(k for k in rest if k not in config_fields and k not in _TESTBED_PARAMS)
     if unknown:
         raise ValueError(
-            f"unknown collection parameter(s) {unknown}; known: {sorted(known)} "
-            "plus EstimatorConfig field names"
+            f"unknown collection parameter(s) {unknown}; known: "
+            f"{sorted(config_fields.union(_TESTBED_PARAMS))} plus EstimatorConfig field names"
         )
+    profile = rest.get("profile", "mirage")
+    if profile not in PROFILES:
+        raise ValueError(f"unknown collection profile {profile!r}; choose from {sorted(PROFILES)}")
     n_nodes = rest.get("n_nodes")
+    if n_nodes is not None:
+        n_nodes = _integral("n_nodes", n_nodes)
+        if n_nodes < 2:
+            raise ValueError(f"collection parameter n_nodes must be at least 2, got {n_nodes}")
+    config = {k: v for k, v in rest.items() if k in config_fields and v is not None}
+    seed = _integral("seed", config.pop("seed", 1))
     scale = ExperimentScale(
-        profile_name=str(rest.get("profile", "mirage")),
-        n_nodes=None if n_nodes is None else int(n_nodes),
-        duration_s=float(rest.get("duration_s", 420.0)),
-        warmup_s=float(rest.get("warmup_s", 120.0)),
-        topology_seed=int(rest.get("topology_seed", 11)),
-        seeds=(int(rest.get("seed", 1)),),
+        profile_name=profile,
+        n_nodes=n_nodes,
+        duration_s=float(config.pop("duration_s", 420.0)),
+        warmup_s=float(config.pop("warmup_s", 120.0)),
+        topology_seed=_integral("topology_seed", rest.get("topology_seed", 11)),
+        seeds=(seed,),
     )
-    overrides: Dict[str, Any] = {}
-    for name in _SIMCONFIG_PARAMS:
-        if rest.get(name) is not None:
-            overrides[name] = rest[name]
-    protocol = str(rest.get("protocol", "4b"))
+    protocol = str(config.pop("protocol", "4b"))
     if est_params:
-        overrides["estimator_config"] = estimator_config_from_params(
-            est_params, preset=protocol
-        )
-    result = run_one(
-        scale,
-        protocol,
-        int(rest.get("seed", 1)),
-        float(rest.get("tx_power_dbm", 0.0)),
-        **overrides,
-    )
-    summary = {
-        "cost": result.cost,
-        "delivery_ratio": result.delivery_ratio,
-        "avg_tree_depth": result.avg_tree_depth,
-        "mean_packet_hops": result.mean_packet_hops,
-        "disconnected_fraction": result.disconnected_fraction,
-        "offered": result.offered,
-        "unique_delivered": result.unique_delivered,
-        "duplicates_at_root": result.duplicates_at_root,
-        "total_data_tx": result.total_data_tx,
-        "beacons_sent": result.beacons_sent,
-        "events_run": result.events_run,
-    }
-    return summary, result.events_run
+        config["estimator_config"] = estimator_config_from_params(est_params, preset=protocol)
+    return run_one(scale, protocol, seed, float(config.pop("tx_power_dbm", 0.0)), **config)
 
 
 #: Names of deterministic summary keys per kind — what sweep files may name
@@ -303,13 +317,5 @@ def _simulate_collection(params: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
 OBJECTIVE_KEYS = {
     "synthetic": ("objective",),
     "accuracy": ("mre", "availability", "detection_delay_s", "beacon_tx", "data_tx"),
-    "collection": (
-        "cost",
-        "delivery_ratio",
-        "avg_tree_depth",
-        "mean_packet_hops",
-        "disconnected_fraction",
-        "total_data_tx",
-        "beacons_sent",
-    ),
+    "collection": _COLLECTION_SUMMARY,
 }

@@ -30,17 +30,17 @@ from repro.estimators.accuracy import (
 )
 from repro.estimators.presets import PRESETS
 
-#: EstimatorConfig fields a campaign point may set.  ``table_size`` may be
-#: ``None`` (unconstrained table); integer fields are coerced from JSON
-#: numbers so ``{"ku": 5.0}`` in a spec file means ``ku=5``.
-TUNABLE_INT_FIELDS = ("ku", "kb", "table_size", "reboot_gap", "immature_evict_expected")
-TUNABLE_FLOAT_FIELDS = (
-    "alpha_outer",
-    "alpha_beacon",
-    "max_etx_sample",
-    "evict_etx_threshold",
-)
-TUNABLE_FIELDS = TUNABLE_INT_FIELDS + TUNABLE_FLOAT_FIELDS
+#: EstimatorConfig fields a campaign point may set, with their types.
+#: ``table_size`` may be ``None`` (unconstrained table); numeric fields are
+#: coerced from JSON numbers so ``{"ku": 5.0}`` in a spec file means
+#: ``ku=5``.  The boolean and string fields are the ablation switches and
+#: take a value of their own type only.
+TUNABLE_FIELDS: Dict[str, type] = {
+    **dict.fromkeys(("ku", "kb", "table_size", "reboot_gap", "immature_evict_expected"), int),
+    **dict.fromkeys(("alpha_outer", "alpha_beacon", "max_etx_sample", "evict_etx_threshold"), float),
+    **dict.fromkeys(("honor_pin_bit", "require_white_bit"), bool),
+    "compare_evict": str,
+}
 
 
 def split_estimator_params(params: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -71,12 +71,17 @@ def estimator_config_from_params(
             raise ValueError(
                 f"unknown estimator parameter {name!r}; tunable: {sorted(TUNABLE_FIELDS)}"
             )
+        kind = TUNABLE_FIELDS[name]
         if value is None and name == "table_size":
             overrides[name] = None
-        elif name in TUNABLE_INT_FIELDS:
-            overrides[name] = int(value)
+        elif kind in (int, float):
+            overrides[name] = kind(value)
+        elif isinstance(value, kind):
+            overrides[name] = value
         else:
-            overrides[name] = float(value)
+            raise ValueError(
+                f"estimator parameter {name!r} must be a {kind.__name__}, got {value!r}"
+            )
     return dataclasses.replace(base, **overrides)
 
 

@@ -23,7 +23,6 @@ from repro.experiments.common import (
     AveragedResult,
     ExperimentScale,
     improvement,
-    run_averaged,
     run_one,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "AveragedResult",
     "ExperimentScale",
     "improvement",
-    "run_averaged",
     "run_one",
 ]

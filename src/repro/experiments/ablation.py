@@ -16,12 +16,10 @@ Each ablation perturbs one knob of the full 4B configuration:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 from repro.analysis.render import table
-from repro.estimators.presets import four_bit
 from repro.experiments.common import (
     AveragedResult,
     Cell,
@@ -34,17 +32,17 @@ from repro.runner import ExperimentRunner
 BASELINE = "4b (full)"
 
 
-def variants() -> Dict[str, object]:
-    base = four_bit()
+def variants() -> Dict[str, Dict[str, Any]]:
+    """Variant name → estimator constants set on top of the ``4b`` preset."""
     return {
-        BASELINE: base,
-        "no-pin": dataclasses.replace(base, honor_pin_bit=False),
-        "evict-worst": dataclasses.replace(base, compare_evict="worst"),
-        "no-white": dataclasses.replace(base, require_white_bit=False),
-        "ku=1": dataclasses.replace(base, ku=1),
-        "ku=25": dataclasses.replace(base, ku=25),
-        "kb=10": dataclasses.replace(base, kb=10),
-        "alpha=0.9": dataclasses.replace(base, alpha_outer=0.9),
+        BASELINE: {},
+        "no-pin": {"honor_pin_bit": False},
+        "evict-worst": {"compare_evict": "worst"},
+        "no-white": {"require_white_bit": False},
+        "ku=1": {"ku": 1},
+        "ku=25": {"ku": 25},
+        "kb=10": {"kb": 10},
+        "alpha=0.9": {"alpha_outer": 0.9},
     }
 
 
@@ -76,13 +74,9 @@ class AblationResult:
 
 
 def run(scale: ExperimentScale = FULL_SCALE, runner: "ExperimentRunner" = None) -> AblationResult:
-    names = list(variants())
-    cells = [
-        Cell.make("4b", label=name, estimator_config=config)
-        for name, config in variants().items()
-    ]
+    cells = [Cell.make("4b", label=name, **constants) for name, constants in variants().items()]
     averaged = run_cells(scale, cells, runner)
-    return AblationResult(results=dict(zip(names, averaged)))
+    return AblationResult(results={cell.label: r for cell, r in zip(cells, averaged)})
 
 
 if __name__ == "__main__":

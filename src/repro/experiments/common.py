@@ -6,12 +6,14 @@ multiple seeds) and reduced scale from ``benchmarks/`` (smaller network,
 shorter runs — the benchmark suite must regenerate every figure in minutes,
 not hours).
 
-Execution goes through :mod:`repro.runner`: each (cell × seed) becomes a
-:class:`RunSpec` — a frozen, canonically hashable description of one run —
-and a batch of specs fans out across a process pool with on-disk result
-caching.  The default runner is serial and uncached (identical to the old
-in-line loops); set ``REPRO_WORKERS``/``REPRO_CACHE`` or pass ``runner=``
-to parallelize.
+Execution goes through :mod:`repro.runner`: :func:`run_cells` turns each
+(cell × seed) into a ``collection``
+:class:`~repro.campaign.spec.SimulationSpec` — plain data, canonically
+hashable, the same description a campaign runs — and fans the batch out
+through :func:`~repro.campaign.spec.simulate` across a process pool with
+on-disk result caching.  The default runner is serial and uncached
+(identical to the old in-line loops); set ``REPRO_WORKERS``/``REPRO_CACHE``
+or pass ``runner=`` to parallelize.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.spec import SimulationSpec, simulate
 from repro.metrics.collection_stats import CollectionResult, json_sanitize
 from repro.obs.profile import merge_profiles
 from repro.runner import ExperimentRunner, Task, default_runner
@@ -82,82 +85,6 @@ def run_one(
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """One fully specified simulator run — the unit of fan-out and caching.
-
-    Deliberately *not* built on :class:`ExperimentScale` directly: the
-    scale's ``seeds`` tuple describes a whole sweep, and baking it into the
-    spec would give the same (protocol, seed) run a different cache key for
-    every seed set it appears in.
-    """
-
-    profile_name: str
-    n_nodes: Optional[int]
-    duration_s: float
-    warmup_s: float
-    topology_seed: int
-    protocol: str
-    seed: int
-    tx_power_dbm: float = 0.0
-    #: Extra ``SimConfig`` fields as sorted (name, value) pairs; values must
-    #: be canonically hashable (plain data or frozen dataclasses).
-    overrides: Tuple[Tuple[str, Any], ...] = ()
-
-    @classmethod
-    def build(
-        cls,
-        scale: ExperimentScale,
-        protocol: str,
-        seed: int,
-        tx_power_dbm: float = 0.0,
-        **config_overrides,
-    ) -> "RunSpec":
-        return cls(
-            profile_name=scale.profile_name,
-            n_nodes=scale.n_nodes,
-            duration_s=scale.duration_s,
-            warmup_s=scale.warmup_s,
-            topology_seed=scale.topology_seed,
-            protocol=protocol,
-            seed=seed,
-            tx_power_dbm=tx_power_dbm,
-            overrides=tuple(sorted(config_overrides.items())),
-        )
-
-    def scale(self) -> ExperimentScale:
-        return ExperimentScale(
-            profile_name=self.profile_name,
-            n_nodes=self.n_nodes,
-            duration_s=self.duration_s,
-            warmup_s=self.warmup_s,
-            seeds=(self.seed,),
-            topology_seed=self.topology_seed,
-        )
-
-    def describe(self) -> str:
-        extra = f" {dict(self.overrides)}" if self.overrides else ""
-        return (
-            f"{self.protocol} seed={self.seed} @{self.tx_power_dbm:+.0f}dBm "
-            f"{self.profile_name}/{self.n_nodes or 'full'}{extra}"
-        )
-
-
-def execute_spec(spec: RunSpec) -> CollectionResult:
-    """Top-level (picklable) entry point the runner's workers call."""
-    return run_one(
-        spec.scale(), spec.protocol, spec.seed, spec.tx_power_dbm, **dict(spec.overrides)
-    )
-
-
-def run_specs(
-    specs: Sequence[RunSpec], runner: Optional[ExperimentRunner] = None
-) -> List[CollectionResult]:
-    """Execute a batch of specs through the runner, in order."""
-    runner = runner or default_runner()
-    return runner.run([Task(execute_spec, spec, label=spec.describe()) for spec in specs])
-
-
-@dataclass(frozen=True)
 class Cell:
     """One experiment-grid cell: a configuration averaged over seeds."""
 
@@ -177,13 +104,16 @@ class Cell:
             overrides=tuple(sorted(config_overrides.items())),
         )
 
-    def specs(self, scale: ExperimentScale) -> List[RunSpec]:
-        return [
-            RunSpec.build(
-                scale, self.protocol, seed, self.tx_power_dbm, **dict(self.overrides)
-            )
-            for seed in scale.seeds
-        ]
+    def spec(self, scale: ExperimentScale, seed: int) -> SimulationSpec:
+        """The ``collection`` spec of this cell's run at ``seed``.  A cell
+        override of a scale parameter (the headline's ``profile``) wins."""
+        params: Dict[str, Any] = dict(
+            profile=scale.profile_name, n_nodes=scale.n_nodes, duration_s=scale.duration_s,
+            warmup_s=scale.warmup_s, topology_seed=scale.topology_seed,
+            protocol=self.protocol, seed=seed, tx_power_dbm=self.tx_power_dbm,
+        )
+        params.update(self.overrides)
+        return SimulationSpec.from_params("collection", params)
 
 
 @dataclass
@@ -224,22 +154,6 @@ class AveragedResult:
         )
 
 
-def average_runs(protocol: str, label: str, runs: Sequence[CollectionResult]) -> AveragedResult:
-    """Fold per-seed results into one :class:`AveragedResult`."""
-    runs = list(runs)
-    pooled = [v for r in runs for v in r.delivery_values() if not math.isnan(v)]
-    return AveragedResult(
-        protocol=protocol,
-        label=label or protocol,
-        cost=mean(r.cost for r in runs),
-        avg_tree_depth=mean(r.avg_tree_depth for r in runs),
-        delivery_ratio=mean(r.delivery_ratio for r in runs),
-        pooled_node_delivery=pooled,
-        runs=runs,
-        profile=merge_profiles([r.profile for r in runs]),
-    )
-
-
 def run_cells(
     scale: ExperimentScale,
     cells: Sequence[Cell],
@@ -251,27 +165,30 @@ def run_cells(
     keep every worker busy; per-cell serial loops would leave the pool idle
     between cells.
     """
-    specs = [spec for cell in cells for spec in cell.specs(scale)]
-    results = run_specs(specs, runner)
+    specs = [cell.spec(scale, seed) for cell in cells for seed in scale.seeds]
+    runner = runner or default_runner()
+    results = runner.run([Task(simulate, spec, label=spec.describe()) for spec in specs])
+    for result in results:
+        # The worker measured the whole simulate call; the run carries it.
+        result.run.resources = result.resources
     averaged = []
     n = len(scale.seeds)
     for i, cell in enumerate(cells):
-        runs = results[i * n : (i + 1) * n]
-        averaged.append(average_runs(cell.protocol, cell.label, runs))
+        runs = [result.run for result in results[i * n : (i + 1) * n]]
+        pooled = [v for r in runs for v in r.delivery_values() if not math.isnan(v)]
+        averaged.append(
+            AveragedResult(
+                protocol=cell.protocol,
+                label=cell.label,
+                cost=mean(r.cost for r in runs),
+                avg_tree_depth=mean(r.avg_tree_depth for r in runs),
+                delivery_ratio=mean(r.delivery_ratio for r in runs),
+                pooled_node_delivery=pooled,
+                runs=runs,
+                profile=merge_profiles([r.profile for r in runs]),
+            )
+        )
     return averaged
-
-
-def run_averaged(
-    scale: ExperimentScale,
-    protocol: str,
-    tx_power_dbm: float = 0.0,
-    label: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-    **config_overrides,
-) -> AveragedResult:
-    """Run ``protocol`` across the scale's seeds and average the metrics."""
-    cell = Cell.make(protocol, label or protocol, tx_power_dbm, **config_overrides)
-    return run_cells(scale, [cell], runner)[0]
 
 
 def improvement(baseline: float, contender: float) -> float:

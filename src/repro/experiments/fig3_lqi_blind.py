@@ -15,20 +15,27 @@ whose ack bit notices the loss at data rate.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import dataclasses
 
 from repro.analysis.render import table, timeseries
+from repro.link.frame import BROADCAST
 from repro.metrics.collection_stats import json_sanitize
-from repro.metrics.timeseries import BroadcastLog, RxProbe, TxProbe, windowed_prr
+from repro.metrics.timeseries import windowed_prr
 from repro.phy.noise import WindowedInterferer
 from repro.runner import ExperimentRunner, Task, default_runner
 from repro.sim.network import CollectionNetwork, SimConfig
+from repro.sim.probe import Monitor
 from repro.topology.generators import Topology
 from repro.workloads.collection import WorkloadConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.link.frame import Frame
+    from repro.sim.packets import RxInfo, TxResult
 
 #: Node ids in the scenario topology.
 ROOT, C, P = 0, 1, 2
@@ -53,6 +60,58 @@ def scenario_topology() -> Topology:
         6: (11.0, 8.0),
     }
     return Topology(name="fig3-chain", positions=positions, sink=ROOT)
+
+
+class LinkMonitor(Monitor):
+    """The monitored link ``sender`` → ``receiver``, read off the probe path.
+
+    Records, in event order:
+
+    * ``tx_times`` — every non-ack frame ``sender`` puts on the air (the
+      ground-truth PRR denominator);
+    * ``rx_times`` / ``lqi_samples`` — every non-ack frame ``receiver``
+      decodes from ``sender`` addressed to it or broadcast;
+    * ``unacked_times`` — ``sender``'s unicast attempts that reached the air
+      and drew no ack (the bottom panel of Figure 3, cumulated).
+    """
+
+    def __init__(self, sender: int, receiver: int) -> None:
+        self.sender = sender
+        self.receiver = receiver
+        self.tx_times: List[float] = []
+        self.rx_times: List[float] = []
+        self.lqi_samples: List[Tuple[float, int]] = []
+        self.unacked_times: List[float] = []
+        self._engine = None
+
+    def attached(self, network: "CollectionNetwork") -> None:
+        self._engine = network.engine
+
+    def transmission_start(self, sender: int, frame: "Frame") -> None:
+        if sender == self.sender and not frame.is_ack:
+            self.tx_times.append(self._engine.now)
+
+    def rx(self, node: int, frame: "Frame", info: "RxInfo") -> None:
+        if (
+            node == self.receiver
+            and frame.src == self.sender
+            and frame.dst in (node, BROADCAST)
+        ):
+            self.rx_times.append(info.timestamp)
+            self.lqi_samples.append((info.timestamp, info.lqi))
+
+    def tx(self, node: int, frame: "Frame", result: "TxResult") -> None:
+        if node == self.sender and result.sent and not result.ack_bit:
+            self.unacked_times.append(result.timestamp)
+
+    def mean_lqi_in(self, t0: float, t1: float) -> Optional[float]:
+        values = [lqi for t, lqi in self.lqi_samples if t0 <= t < t1]
+        if not values:
+            return None
+        return sum(values) / len(values)
+
+    def cumulative_unacked(self, times: List[float]) -> List[int]:
+        return [bisect.bisect_right(self.unacked_times, t) for t in times]
 
 
 @dataclass(frozen=True)
@@ -171,12 +230,8 @@ def execute(settings: Fig3Settings) -> Fig3Result:
         ),
     )
 
-    # Instrument the P→C link.
-    p_mac = net.nodes[P].mac
-    c_mac = net.nodes[C].mac
-    p_log = BroadcastLog(p_mac)
-    rx_probe = RxProbe(c_mac, sender=P)
-    tx_probe = TxProbe(p_mac)
+    link = LinkMonitor(sender=P, receiver=C)
+    net.attach(link)
 
     # One interferer near C, active during the window.
     interferer_id = 90_000
@@ -194,14 +249,14 @@ def execute(settings: Fig3Settings) -> Fig3Result:
 
     result = net.run()
 
-    prr = windowed_prr(p_log.tx_times, rx_probe.rx_times, settings.prr_window_s, settings.duration_s)
+    prr = windowed_prr(link.tx_times, link.rx_times, settings.prr_window_s, settings.duration_s)
     lqi: List[Tuple[float, Optional[float]]] = []
     t = 0.0
     while t < settings.duration_s:
-        lqi.append((t + settings.prr_window_s / 2, rx_probe.mean_lqi_in(t, t + settings.prr_window_s)))
+        lqi.append((t + settings.prr_window_s / 2, link.mean_lqi_in(t, t + settings.prr_window_s)))
         t += settings.prr_window_s
     sample_times = [t for t, _ in prr]
-    unacked = list(zip(sample_times, map(float, tx_probe.cumulative_unacked(sample_times))))
+    unacked = list(zip(sample_times, map(float, link.cumulative_unacked(sample_times))))
 
     return Fig3Result(
         settings=settings,

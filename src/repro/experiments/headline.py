@@ -11,19 +11,18 @@ channel, the more the four bits matter.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 
 from repro.analysis.render import table
 from repro.experiments.common import (
     AveragedResult,
+    Cell,
     ExperimentScale,
     FULL_SCALE,
-    RunSpec,
-    average_runs,
     improvement,
-    run_specs,
+    run_cells,
 )
 from repro.runner import ExperimentRunner
 
@@ -91,21 +90,14 @@ def run(scale: ExperimentScale = FULL_SCALE, runner: "ExperimentRunner" = None) 
     # Both testbeds go out as one batch so a parallel runner sees the whole
     # 2 × 2 × seeds grid at once.
     grid = [
-        (testbed, proto, label)
+        (testbed, Cell.make(proto, label, profile=testbed))
         for testbed in ("mirage", "tutornet")
         for proto, label in (("4b", "4B"), ("mhlqi", "MultiHopLQI"))
     ]
-    specs = [
-        RunSpec.build(replace(scale, profile_name=testbed), proto, seed)
-        for testbed, proto, _ in grid
-        for seed in scale.seeds
-    ]
-    flat = run_specs(specs, runner)
+    averaged = run_cells(scale, [cell for _, cell in grid], runner)
     results: Dict[str, Dict[str, AveragedResult]] = {}
-    n = len(scale.seeds)
-    for i, (testbed, proto, label) in enumerate(grid):
-        runs = flat[i * n : (i + 1) * n]
-        results.setdefault(testbed, {})[proto] = average_runs(proto, label, runs)
+    for (testbed, cell), result in zip(grid, averaged):
+        results.setdefault(testbed, {})[cell.protocol] = result
     return HeadlineResult(results=results)
 
 

@@ -1,8 +1,9 @@
 """Typed fault events and the :class:`FaultSchedule` scenario spec.
 
 Every event is a frozen dataclass, so a whole schedule is hashable,
-picklable (it travels to runner worker processes inside ``RunSpec``
-overrides) and canonically digestible through
+picklable (it travels to runner worker processes as the ``faults``
+parameter of a ``collection`` :class:`~repro.campaign.spec.SimulationSpec`)
+and canonically digestible through
 :func:`repro.runner.hashing.config_digest` — two runs share a cache entry
 only if their fault scenarios are value-identical.
 

@@ -1,13 +1,10 @@
-"""Metrics: collection statistics and per-link time-series probes."""
+"""Metrics: collection statistics and windowed link PRR."""
 
 from repro.metrics.collection_stats import CollectionResult, compute_result
-from repro.metrics.timeseries import BroadcastLog, RxProbe, TxProbe, windowed_prr
+from repro.metrics.timeseries import windowed_prr
 
 __all__ = [
-    "BroadcastLog",
     "CollectionResult",
-    "RxProbe",
-    "TxProbe",
     "compute_result",
     "windowed_prr",
 ]

@@ -13,10 +13,13 @@ cacheable.  This package provides:
   with chunked submission, per-run timeouts, crash isolation, and
   progress/throughput reporting.
 
-Run a standalone sweep with ``python -m repro.runner --help``; the figure
-modules in :mod:`repro.experiments` accept a ``runner=`` argument and
-otherwise build one from the environment (``REPRO_WORKERS``,
-``REPRO_CACHE``, ``REPRO_CACHE_DIR``).
+Run a standalone sweep with ``python -m repro.runner --help``.  The sweep
+CLI and the figure modules in :mod:`repro.experiments` submit ``collection``
+specs (:class:`~repro.campaign.spec.SimulationSpec`) to
+:func:`~repro.campaign.spec.simulate` through
+:func:`~repro.experiments.common.run_cells`; the figure modules accept a
+``runner=`` argument and otherwise build one from the environment
+(``REPRO_WORKERS``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``).
 """
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, cache_dir_from_env

@@ -68,6 +68,12 @@ ADAPTIVE = SweepSpec.from_json_dict(
     }
 )
 
+# The real simulator under the same contract: 3 protocols x 2 seeds on an
+# 8-node Mirage, 120 s each (the CI campaign-smoke job runs the same file).
+COLLECTION = load_campaign_file(
+    Path(__file__).resolve().parents[2] / "examples" / "collection_smoke.json"
+)
+
 OPTIMIZE = OptimizerSpec.from_json_dict(
     {
         "campaign": "resume-tune",
@@ -183,6 +189,11 @@ def test_adaptive_sweep_resumes_byte_identical(adaptive_reference, tmp_path):
 
 def test_optimizer_resumes_byte_identical(optimize_reference, tmp_path):
     _kill_then_resume(OPTIMIZE, tmp_path, 13, optimize_reference, 24)
+
+
+def test_collection_grid_resumes_byte_identical(tmp_path_factory, tmp_path):
+    reference = _reference_bytes(COLLECTION, tmp_path_factory, "collection-ref")
+    _kill_then_resume(COLLECTION, tmp_path, 4, reference, 6)
 
 
 def test_rerun_of_completed_campaign_is_all_cache_hits(tmp_path):

@@ -38,6 +38,25 @@ def test_freeze_value_normalizes_json_shapes():
     assert via_list.digest() == via_tuple.digest()
 
 
+def test_collection_rejects_bad_scale_parameters():
+    # Each is refused before any simulation, naming the parameter: a
+    # fraction is never truncated into a different run than the spec records.
+    cases = [
+        ({"seed": 1.7}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"n_nodes": 2.5}, "n_nodes"),
+        ({"n_nodes": -3}, "n_nodes"),
+        ({"n_nodes": 1}, "n_nodes"),
+        ({"topology_seed": 0.5}, "topology_seed"),
+        ({"topology_seed": True}, "topology_seed"),
+        ({"profile": "atlantis"}, "profile"),
+    ]
+    for params, name in cases:
+        spec = SimulationSpec.make("collection", duration_s=60.0, warmup_s=10.0, **params)
+        with pytest.raises(ValueError, match=name):
+            simulate(spec)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown simulation kind"):
         SimulationSpec.make("quantum")

@@ -59,6 +59,8 @@ class PerfectMedium:
         self._busy_nodes = set()
         self.rx_info_factory = rx_info_factory or (lambda: make_rx_info())
         self.log: List[Tuple[float, int, Frame]] = []
+        #: Observation hook, called like the real mediums' (transmission_start).
+        self.probe = None
 
     def attach(self, participant, receiver: bool = True) -> None:
         self._participants[participant.node_id] = participant
@@ -87,6 +89,8 @@ class PerfectMedium:
     def start_transmission(self, sender_id: int, frame: Frame) -> float:
         sender = self._participants[sender_id]
         duration = sender.radio.params.airtime(frame.length_bytes)
+        if self.probe is not None:
+            self.probe.transmission_start(sender_id, frame)
         self.log.append((self.engine.now, sender_id, frame))
         self.engine.schedule(duration, self._deliver, sender_id, frame)
         return duration

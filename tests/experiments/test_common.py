@@ -8,9 +8,10 @@ import pytest
 from repro.experiments.common import (
     BENCH_SCALE,
     FULL_SCALE,
+    Cell,
     ExperimentScale,
     improvement,
-    run_averaged,
+    run_cells,
     run_one,
 )
 
@@ -55,8 +56,8 @@ def test_run_one_reproducible():
     assert a.cost == b.cost
 
 
-def test_run_averaged_pools_seeds():
-    averaged = run_averaged(MICRO, "4b")
+def test_run_cells_pools_seeds():
+    [averaged] = run_cells(MICRO, [Cell.make("4b")])
     assert len(averaged.runs) == 2
     assert averaged.label == "4b"
     per_seed = [r.cost for r in averaged.runs]
@@ -65,8 +66,8 @@ def test_run_averaged_pools_seeds():
     assert len(averaged.pooled_node_delivery) == 2 * 11
 
 
-def test_run_averaged_custom_label():
-    averaged = run_averaged(MICRO, "4b", label="Four-Bit")
+def test_run_cells_custom_label():
+    [averaged] = run_cells(MICRO, [Cell.make("4b", label="Four-Bit")])
     assert "Four-Bit" in averaged.summary_row()
 
 

@@ -6,9 +6,11 @@ the benchmark suite and EXPERIMENTS.md.
 """
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.campaign.spec import SimulationSpec, simulate
 from repro.experiments.common import ExperimentScale
 
 MICRO = ExperimentScale(n_nodes=12, duration_s=180.0, warmup_s=60.0, seeds=(1,))
@@ -57,3 +59,36 @@ def test_fig3_micro():
     result = run(Fig3Settings(duration_s=300.0, burst_window=(100.0, 200.0)))
     assert result.prr_series and result.lqi_series and result.unacked_series
     assert "Figure 3" in result.render()
+
+
+class _Captured(Exception):
+    pass
+
+
+class _SpecRecorder:
+    """Runner stand-in: records a figure's batch of tasks, then stops it."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def run(self, tasks):
+        self.tasks.extend(tasks)
+        raise _Captured()
+
+
+def test_figure_specs_round_trip_through_json():
+    from repro.experiments import ablation, fig2_trees, fig6_design_space, fig7_power_sweep, headline
+
+    recorder = _SpecRecorder()
+    for module in (fig2_trees, fig6_design_space, fig7_power_sweep, headline, ablation):
+        with pytest.raises(_Captured):
+            module.run(MICRO, runner=recorder)
+    assert len(recorder.tasks) == 3 + 5 + 2 * len(fig7_power_sweep.POWERS_DBM) + 4 + 8
+    for task in recorder.tasks:
+        spec = task.arg
+        assert task.fn is simulate and spec.kind == "collection"
+        # Plain data: strict JSON and back gives the same spec and digest.
+        doc = json.loads(json.dumps(spec.to_json_dict(), allow_nan=False))
+        back = SimulationSpec.from_json_dict(doc)
+        assert back == spec
+        assert back.digest() == spec.digest()

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.experiments.common import ExperimentScale, RunSpec, run_specs
+from repro.campaign.spec import simulate
+from repro.experiments.common import Cell, ExperimentScale
 from repro.runner import (
     ExperimentRunner,
     ResultCache,
@@ -146,24 +147,31 @@ def test_timeout_kills_run_not_sweep():
 # Serial vs parallel equivalence on real simulator runs (the ISSUE's
 # correctness bar: parallel output must be numerically identical).
 # ----------------------------------------------------------------------
+def _runs(specs, runner):
+    """The full ``CollectionResult`` of each spec, run through ``runner``."""
+    return [r.run for r in runner.run([Task(simulate, spec) for spec in specs])]
+
+
 def test_simulation_serial_parallel_equivalence():
     specs = [
-        RunSpec.build(MICRO, proto, seed)
+        Cell.make(proto).spec(MICRO, seed)
         for proto in ("4b", "mhlqi")
         for seed in MICRO.seeds
     ]
-    serial = run_specs(specs, ExperimentRunner(workers=1))
-    parallel = run_specs(specs, ExperimentRunner(workers=2))
+    serial = _runs(specs, ExperimentRunner(workers=1))
+    parallel = _runs(specs, ExperimentRunner(workers=2))
+    assert None not in serial
     assert serial == parallel  # dataclass equality: every field, every float
 
 
 def test_simulation_cache_returns_identical_result(tmp_path):
-    spec = RunSpec.build(MICRO, "4b", 1)
+    spec = Cell.make("4b").spec(MICRO, 1)
     cache = ResultCache(tmp_path)
-    fresh = run_specs([spec], ExperimentRunner(cache=cache))[0]
+    fresh = _runs([spec], ExperimentRunner(cache=cache))[0]
     cached_runner = ExperimentRunner(cache=cache)
-    cached = run_specs([spec], cached_runner)[0]
+    cached = _runs([spec], cached_runner)[0]
     assert cached_runner.stats.cache_hits == 1
+    assert fresh is not None
     assert cached == fresh
 
 
@@ -180,10 +188,9 @@ def test_fast_medium_serial_parallel_equivalence_with_faults():
     # The vectorized backend must stay a pure function of the seed across
     # process boundaries, fault injection included: a worker process and
     # the parent must produce numerically identical runs.
-    specs = [
-        RunSpec.build(MICRO, "4b", seed, medium="fast", faults="flaky_burst")
-        for seed in MICRO.seeds
-    ]
-    serial = run_specs(specs, ExperimentRunner(workers=1))
-    parallel = run_specs(specs, ExperimentRunner(workers=2))
+    cell = Cell.make("4b", medium="fast", faults="flaky_burst")
+    specs = [cell.spec(MICRO, seed) for seed in MICRO.seeds]
+    serial = _runs(specs, ExperimentRunner(workers=1))
+    parallel = _runs(specs, ExperimentRunner(workers=2))
+    assert None not in serial
     assert serial == parallel
