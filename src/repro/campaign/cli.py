@@ -15,7 +15,21 @@ Examples::
     # closed-loop estimator tuning (mode: "optimize" spec)
     python -m repro.campaign tune examples/tune_estimator.json
 
-Exit codes: 0 success, 1 usage/spec error, 3 interrupted (resumable).
+    # the CI sweep: a protocol x power x seed collection grid on 2 workers,
+    # its summary JSON piped on stdout, the report on stderr
+    python -m repro.campaign run examples/smoke_sweep.json --workers 2 --out -
+
+A ``collection`` spec's ``faults`` and ``mobility`` take a preset name, a
+JSON file or an inline object (examples/chaos_reboot_storm.json).  Points
+that set ``profile_events`` add a ``[profile]`` table to the report.  Base
+params ``telemetry_period_s`` and ``telemetry_path`` stream each run's
+telemetry, and ``--telemetry`` adds the sweep and campaign records (see
+examples/live_telemetry.json); a point served from the cache never runs,
+so it streams no run records.  To drop every cached result, delete the
+cache directory.
+
+Exit codes: 0 success, 1 usage/spec error, 3 interrupted (resumable),
+4 some point failed (the summary is still written and lists its error).
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ from repro.campaign.queue import (
 from repro.runner.cache import ResultCache, cache_dir_from_env
 
 EXIT_INTERRUPTED = 3
+EXIT_FAILED = 4
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +90,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 
 def _build_campaign(args: argparse.Namespace) -> Campaign:
     spec = load_campaign_file(args.spec)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache.default()
     telemetry = None
     if getattr(args, "telemetry", None):
         from repro.obs.stream import JsonlStreamSink
@@ -84,7 +98,7 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
     return Campaign(
         spec,
         state_root=args.state_dir,
-        cache=cache,
+        cache=ResultCache(args.cache_dir),
         workers=getattr(args, "workers", 1),
         timeout_s=getattr(args, "timeout", None),
         telemetry=telemetry,
@@ -133,8 +147,8 @@ def _cmd_run(args: argparse.Namespace, require_optimizer: bool = False) -> int:
         else:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             Path(args.out).write_text(text)
+    stats = campaign.last_stats
     if not args.quiet:
-        stats = campaign.last_stats
         line = (
             f"[campaign] {campaign.spec.name}: {stats.executed} executed, "
             f"{stats.cache_hits} cached, {stats.failures} failed; "
@@ -149,8 +163,12 @@ def _cmd_run(args: argparse.Namespace, require_optimizer: bool = False) -> int:
                 f"at {doc.get('best_params')} "
                 f"({doc.get('valid_evaluations')}/{doc.get('evaluations')} valid)"
             )
+        for failure in campaign.runner.totals.failures:
+            line += f"\n[campaign] failed {failure.label}: {failure.error}"
         print(line, file=sys.stderr)
-    return 0
+        if campaign.runner.totals.profile:
+            print(campaign.runner.totals.profile_report(), file=sys.stderr)
+    return EXIT_FAILED if stats.failures else 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:

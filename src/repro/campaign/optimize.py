@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.spec import KINDS, SimulationResult, SimulationSpec, freeze_value
+from repro.campaign.spec import KINDS, SimulationResult, SimulationSpec, freeze_params
 from repro.campaign.sweep import RangeSpec, shrink_ranges
 from repro.runner.hashing import config_digest
 from repro.sim.rng import derive_seed
@@ -109,9 +109,7 @@ class OptimizerSpec:
         return cls(
             name=str(data.get("campaign", "tune")),
             kind=str(data["kind"]),
-            base=tuple(sorted(
-                (str(k), freeze_value(v)) for k, v in dict(data.get("base", {})).items()
-            )),
+            base=freeze_params(str(data["kind"]), dict(data.get("base", {}))),
             ranges=tuple(
                 RangeSpec.from_json_dict(str(name), spec)
                 for name, spec in dict(data.get("ranges", {})).items()

@@ -48,7 +48,8 @@ from repro.campaign.optimize import (
     run_optimizer,
 )
 from repro.campaign.spec import SimulationResult, SimulationSpec, simulate
-from repro.campaign.sweep import RangeSpec, SweepSpec, read_spec_data
+from repro.campaign.sweep import RangeSpec, SweepSpec, read_spec_data, shrink_ranges
+from repro.metrics.collection_stats import json_sanitize
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.runner import ExperimentRunner, Task
 
@@ -238,7 +239,7 @@ class Campaign:
         )
         self.state_dir = root / self.digest
         if cache is None or cache is True:
-            cache = ResultCache.default()
+            cache = ResultCache()
         if not isinstance(cache, ResultCache):
             raise TypeError(
                 "a campaign requires a ResultCache (it is the resume mechanism); "
@@ -251,6 +252,9 @@ class Campaign:
         self.progress = progress
         self.stop_after = stop_after
         self._sink: Optional[_CampaignSink] = None
+        #: The runner of the most recent ``run()`` session; its ``totals``
+        #: carry the merged engine profile of profiled points.
+        self.runner: Optional[ExperimentRunner] = None
         #: :class:`CampaignSessionStats` for the most recent ``run()``
         #: session (the property tests assert exactly-once semantics on
         #: these counters).
@@ -277,7 +281,7 @@ class Campaign:
             self._sink.request_stop()
 
     def _write_spec(self) -> None:
-        doc = self.spec.to_json_dict()
+        doc = json_sanitize(self.spec.to_json_dict())
         doc["digest"] = self.digest
         _atomic_write_text(self.spec_path, _dump_deterministic(doc))
 
@@ -315,7 +319,7 @@ class Campaign:
         """
         sink = _CampaignSink(self.telemetry, stop_after=self.stop_after)
         self._sink = sink
-        runner = self._make_runner(sink)
+        runner = self.runner = self._make_runner(sink)
         self._write_spec()
         mode = getattr(self.spec, "mode", "optimize")
         sink.emit_campaign(
@@ -359,9 +363,6 @@ class Campaign:
         results = runner.run(tasks)
         return list(zip(points, results))
 
-    def _failure_lookup(self, runner: ExperimentRunner) -> Dict[str, str]:
-        return {f.digest: f.error for f in runner.totals.failures + runner.stats.failures}
-
     def _run_sweep(self, runner: ExperimentRunner, sink: _CampaignSink) -> Dict[str, Any]:
         spec = self.spec
         assert isinstance(spec, SweepSpec)
@@ -386,7 +387,7 @@ class Campaign:
                 self._checkpoint_round(sink, round_i, all_pairs)
                 ranked = _rank(pairs, spec.objective, spec.minimize)
                 survivors = [p.param_dict() for _s, _d, p, _r in ranked[: spec.top_k]]
-                ranges = spec.refine_ranges(ranges, survivors)
+                ranges = shrink_ranges(ranges, survivors, spec.shrink)
         return self._sweep_summary(runner, all_pairs)
 
     def _checkpoint_round(
@@ -418,7 +419,7 @@ class Campaign:
     ) -> Dict[str, Any]:
         spec = self.spec
         assert isinstance(spec, SweepSpec)
-        failures = self._failure_lookup(runner)
+        failures = {f.digest: f.error for f in runner.totals.failures}
         points = []
         for point, result in pairs:
             if result is not None:
@@ -455,8 +456,6 @@ class Campaign:
                 }
             else:
                 doc["best"] = None
-        from repro.metrics.collection_stats import json_sanitize
-
         return json_sanitize(doc)
 
     def _run_optimizer(self, runner: ExperimentRunner, sink: _CampaignSink) -> Dict[str, Any]:
@@ -549,12 +548,11 @@ class Campaign:
                 break  # later rounds are not yet determined
             ranked = _rank(hits, spec.objective, spec.minimize)
             survivors = [p.param_dict() for _s, _d, p, _r in ranked[: spec.top_k]]
-            ranges = spec.refine_ranges(ranges, survivors)
+            ranges = shrink_ranges(ranges, survivors, spec.shrink)
         return cached, enumerable
 
     def _walk_cached_optimizer(self, spec: OptimizerSpec) -> Tuple[int, int]:
         from repro.campaign.optimize import _propose
-        from repro.campaign.sweep import shrink_ranges
 
         ranges: Tuple[RangeSpec, ...] = spec.ranges
         cached = 0

@@ -7,13 +7,16 @@ entry point the runner's workers call; it dispatches on ``spec.kind``:
 
 ``collection``
     A full :class:`~repro.sim.network.CollectionNetwork` run built through
-    the experiment harness — every figure's grid and the runner CLI's
-    sweeps run as this kind.  Parameters name the testbed (``profile``,
-    ``n_nodes``, ``topology_seed``), any :class:`~repro.sim.network.SimConfig`
-    field by its own name (``protocol``, ``seed``, ``duration_s``,
-    ``tx_power_dbm``, ``white_bit``, ``medium``, ``faults``, ...), and
-    estimator constants on top of the protocol's preset (``ku``, ``kb``,
-    ``alpha_outer``, ``honor_pin_bit``, ``compare_evict``, ...).
+    the experiment harness — every figure's grid and every collection
+    campaign file run as this kind.  Parameters name the testbed
+    (``profile``, ``n_nodes``, ``topology_seed``), any
+    :class:`~repro.sim.network.SimConfig` field by its own name
+    (``protocol``, ``seed``, ``duration_s``, ``tx_power_dbm``,
+    ``white_bit``, ``medium``, ``faults``, ...), and estimator constants on
+    top of the protocol's preset (``ku``, ``kb``, ``alpha_outer``,
+    ``honor_pin_bit``, ``compare_evict``, ...).  ``faults`` and
+    ``mobility`` take a preset name, a JSON file or an inline object; a
+    file is read when the spec is built, so its digest follows the content.
 ``accuracy``
     A scripted single-link estimator-accuracy run
     (:mod:`repro.estimators.accuracy`) scored against ground-truth ETX —
@@ -35,8 +38,10 @@ summaries include neither.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.metrics.collection_stats import CollectionResult, json_sanitize
@@ -72,13 +77,56 @@ def freeze_value(value: Any) -> Any:
     Lists become tuples (recursively) so a spec loaded from JSON equals —
     and digests identically to — the same spec built in Python.  Dicts
     become sorted ``(key, value)`` tuples for the same reason: the frozen
-    dataclass stays hashable and the encoding order-independent.
+    dataclass stays hashable and the encoding order-independent.  A finite
+    float with an integral value becomes its int, so ``seed=2.0`` and
+    ``seed=2`` are one run with one cache entry.
     """
     if isinstance(value, (list, tuple)):
         return tuple(freeze_value(v) for v in value)
     if isinstance(value, dict):
         return tuple(sorted((str(k), freeze_value(v)) for k, v in value.items()))
+    if type(value) is float and math.isfinite(value) and value.is_integer():
+        return int(value)
     return value
+
+
+def _scenario(name: str, value: Any) -> Any:
+    """A ``faults``/``mobility`` value: a preset name stays a name; a JSON
+    file or an inline object becomes its typed config, so the digest
+    covers the scenario's content rather than the path it was read from."""
+    if name == "faults":
+        from repro.faults.presets import PRESET_NAMES as presets
+        from repro.faults.schedule import FaultSchedule as config_type
+    else:
+        from repro.sim.mobility import MOBILITY_PRESETS as presets
+        from repro.sim.mobility import MobilityConfig as config_type
+    if value is None or isinstance(value, config_type) or (
+        isinstance(value, str) and value in presets
+    ):
+        return value
+    if isinstance(value, str):
+        if not Path(value).is_file():
+            raise ValueError(f"{name} {value!r}: not a preset {sorted(presets)} and no such file")
+        value = json.loads(Path(value).read_text())
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a preset name, a JSON file or an object, got {value!r}")
+    try:
+        return config_type.from_json_dict(value)
+    except TypeError as exc:  # an unknown field in an event row
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def freeze_param(kind: str, name: str, value: Any) -> Any:
+    """One parameter value in canonical form (see :func:`freeze_value`);
+    a ``collection`` spec's ``faults`` and ``mobility`` are resolved here."""
+    if kind == "collection" and name in ("faults", "mobility"):
+        return _scenario(name, value)
+    return freeze_value(value)
+
+
+def freeze_params(kind: str, params: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
+    """``params`` as sorted, canonical ``(name, value)`` pairs."""
+    return tuple(sorted((str(k), freeze_param(kind, str(k), v)) for k, v in params.items()))
 
 
 @dataclass(frozen=True)
@@ -86,8 +134,9 @@ class SimulationSpec:
     """One fully specified simulation — the unit of caching and fan-out."""
 
     kind: str
-    #: Sorted ``(name, value)`` pairs; values are plain data (canonically
-    #: hashable), so the spec digests stably across processes.
+    #: Sorted ``(name, value)`` pairs; values are plain data or frozen
+    #: scenario configs (canonically hashable), so the spec digests stably
+    #: across processes.
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -100,8 +149,7 @@ class SimulationSpec:
 
     @classmethod
     def from_params(cls, kind: str, params: Dict[str, Any]) -> "SimulationSpec":
-        frozen = tuple(sorted((str(k), freeze_value(v)) for k, v in params.items()))
-        return cls(kind=kind, params=frozen)
+        return cls(kind=kind, params=freeze_params(kind, params))
 
     def param_dict(self) -> Dict[str, Any]:
         return dict(self.params)

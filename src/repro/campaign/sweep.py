@@ -40,7 +40,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.spec import KINDS, SimulationSpec, freeze_value
+from repro.campaign.spec import KINDS, SimulationSpec, freeze_param, freeze_params
 from repro.runner.hashing import config_digest
 from repro.sim.rng import derive_seed
 
@@ -196,21 +196,6 @@ class SweepSpec:
             points.append(SimulationSpec.from_params(self.kind, dict(base, **assignment)))
         return points
 
-    def refine_ranges(
-        self,
-        ranges: Sequence[RangeSpec],
-        survivors: Sequence[Dict[str, Any]],
-    ) -> Tuple[RangeSpec, ...]:
-        """Ranges for the next adaptive round, shrunk around ``survivors``.
-
-        Each dimension re-centers on the survivors' mean (geometric mean
-        for log-scaled ranges) with the width multiplied by ``shrink``,
-        clamped inside the original bounds.  With no survivors (every
-        point's objective was NaN/inf) the ranges pass through unchanged —
-        the next round re-samples the same space at fresh seeds.
-        """
-        return shrink_ranges(ranges, survivors, self.shrink)
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -247,17 +232,16 @@ class SweepSpec:
         unknown = sorted(k for k in data if k not in known)
         if unknown:
             raise ValueError(f"unknown sweep spec key(s) {unknown}; known: {sorted(known)}")
+        kind = str(data["kind"])
         axes_data = data.get("axes", {})
         ranges_data = data.get("ranges", {})
         return cls(
             name=str(data.get("campaign", "campaign")),
-            kind=str(data["kind"]),
+            kind=kind,
             mode=str(data.get("mode", "grid")),
-            base=tuple(sorted(
-                (str(k), freeze_value(v)) for k, v in dict(data.get("base", {})).items()
-            )),
+            base=freeze_params(kind, dict(data.get("base", {}))),
             axes=tuple(
-                (str(name), tuple(freeze_value(v) for v in values))
+                (str(name), tuple(freeze_param(kind, str(name), v) for v in values))
                 for name, values in axes_data.items()
             ),
             ranges=tuple(

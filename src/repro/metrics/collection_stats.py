@@ -22,13 +22,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def json_sanitize(value):
-    """Recursively replace non-finite floats with ``None`` (JSON ``null``)."""
+    """Recursively replace non-finite floats with ``None`` (JSON ``null``),
+    and objects with a ``to_json_dict`` (a fault schedule, a mobility
+    config) with that dict."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: json_sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [json_sanitize(v) for v in value]
+    if hasattr(value, "to_json_dict"):
+        return json_sanitize(value.to_json_dict())
     return value
 
 

@@ -9,10 +9,10 @@ atomically (temp file + ``os.replace``) so a killed sweep never leaves a
 truncated entry behind.  The default root is ``.repro-cache`` in the
 working directory, overridable with ``REPRO_CACHE_DIR``.  Digests carry
 :func:`repro.runner.hashing.schema_fingerprint`, so a config or payload
-schema change misses every older entry by itself.  To invalidate by hand:
-delete the directory (``python -m repro.runner --clear-cache`` does this),
-or bump :data:`repro.runner.hashing.CACHE_SCHEMA_VERSION` after simulator
-changes that alter results without changing the schema.
+schema change misses every older entry by itself.  To invalidate by hand,
+delete the directory, or bump
+:data:`repro.runner.hashing.CACHE_SCHEMA_VERSION` after simulator changes
+that alter results without changing the schema.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class ResultCache:
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else cache_dir_from_env()
-
-    @classmethod
-    def default(cls) -> "ResultCache":
-        return cls(cache_dir_from_env())
 
     def path_for(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.pkl"
@@ -91,19 +87,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns the number removed."""
-        removed = 0
-        if not self.root.exists():
-            return 0
-        for path in self.root.glob("*/*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
     def __len__(self) -> int:
         if not self.root.exists():

@@ -35,8 +35,10 @@ from typing import Any, Dict, Iterator, List, Tuple, Union
 #: Bump only for behaviour changes the schema fingerprint cannot see (a
 #: simulator fix, a preset constant): schema changes re-key every digest by
 #: themselves.  2: estimator reboot detection resets the PRR history;
-#: 3-6: schema growth, bumped by hand before the fingerprint existed.
-CACHE_SCHEMA_VERSION = 6
+#: 3-6: schema growth, bumped by hand before the fingerprint existed;
+#: 7: spec values canonical (an integral float is its int, and a scenario
+#: file is digested by content).
+CACHE_SCHEMA_VERSION = 7
 
 #: Dataclasses whose field schema a cached result depends on: the config
 #: every run digest hashes, the campaign spec, and the two cached payloads.

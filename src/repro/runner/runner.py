@@ -135,11 +135,13 @@ class RunnerStats:
     executed: int = 0
     cache_hits: int = 0
     failures: List[RunFailure] = field(default_factory=list)
-    #: Simulator events executed by the runs (from ``CollectionResult.events_run``).
+    #: Simulator events of the runs, executed or served from the cache
+    #: (from ``SimulationResult.events_run``).
     events_run: int = 0
     wall_s: float = 0.0
     #: Merged engine profile across runs that carried one
-    #: (``SimConfig(profile_events=True)``); see ``repro.obs.profile``.
+    #: (``SimConfig(profile_events=True)``), cache hits included; see
+    #: ``repro.obs.profile``.
     profile: Optional[Dict[str, object]] = None
     #: Aggregated run resources (``repro.obs.resources`` keys): CPU and
     #: wall seconds add across runs, ``max_rss_kb`` takes the max.
@@ -254,7 +256,7 @@ class ExperimentRunner:
     ) -> None:
         self.workers = int(workers) if workers else 1
         if cache is True:
-            cache = ResultCache.default()
+            cache = ResultCache()
         elif cache is False:
             cache = None
         # Explicit identity checks: an *empty* ResultCache is falsy (len 0)
@@ -313,6 +315,10 @@ class ExperimentRunner:
                 if hit is not MISS:
                     outcomes[digest] = hit
                     stats.cache_hits += 1
+                    # A hit reports the work it stands for, as an executed
+                    # run does: a warm sweep profiles like a cold one.
+                    stats.events_run += int(getattr(hit, "events_run", 0) or 0)
+                    stats.absorb_profile(getattr(hit, "profile", None))
                     self._emit_telemetry(
                         "run-result", label=task.describe(), digest=digest,
                         status="cached",
@@ -478,5 +484,5 @@ def default_runner() -> ExperimentRunner:
     """
     workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
     cache_flag = os.environ.get("REPRO_CACHE", "")
-    cache = ResultCache.default() if cache_flag not in ("", "0", "off", "false") else None
+    cache = ResultCache() if cache_flag not in ("", "0", "off", "false") else None
     return ExperimentRunner(workers=workers, cache=cache)

@@ -188,3 +188,123 @@ def test_bad_spec_file_is_a_usage_error(tmp_path):
     proc = _cli(["run", str(bad)], tmp_path)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# The sweep CLI's output contract, in process: stdout, the report, exit
+# codes.  Collection points at this size take well under a second.
+# ----------------------------------------------------------------------
+def _collection_spec(**base) -> dict:
+    return {
+        "campaign": "cli-collection",
+        "kind": "collection",
+        "mode": "grid",
+        "base": dict(
+            {"profile": "mirage", "n_nodes": 8, "duration_s": 150.0, "warmup_s": 60.0,
+             "protocol": "4b"},
+            **base,
+        ),
+        "axes": {"seed": [1]},
+    }
+
+
+def _main(args, tmp_path: Path) -> int:
+    from repro.campaign.cli import main
+
+    return main([
+        *args, "--state-dir", str(tmp_path / "state"), "--cache-dir", str(tmp_path / "cache"),
+    ])
+
+
+def test_out_dash_writes_only_the_summary_json(tmp_path, capsys):
+    spec = _write_spec(tmp_path, _collection_spec())
+    assert _main(["run", str(spec), "--out", "-"], tmp_path) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == _summary_path(tmp_path).read_bytes()
+    assert json.loads(captured.out)["n_points"] == 1
+    assert "1 executed, 0 cached, 0 failed" in captured.err
+
+
+def test_report_goes_to_stderr(tmp_path, capsys):
+    spec = _write_spec(tmp_path, GRID_SPEC)
+    assert _main(["run", str(spec)], tmp_path) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[campaign] cli-grid: 12 executed" in captured.err
+
+
+def test_out_file_keeps_stdout_clean(tmp_path, capsys):
+    spec = _write_spec(tmp_path, GRID_SPEC)
+    out = tmp_path / "out" / "summary.json"
+    assert _main(["run", str(spec), "--out", str(out)], tmp_path) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert out.read_bytes() == _summary_path(tmp_path).read_bytes()
+
+
+def test_quiet_silences_the_report(tmp_path, capsys):
+    spec = _write_spec(tmp_path, _collection_spec(profile_events=True))
+    out = tmp_path / "out" / "summary.json"
+    assert _main(["run", str(spec), "--quiet", "--out", str(out)], tmp_path) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+    assert out.read_bytes() == _summary_path(tmp_path).read_bytes()
+
+
+def test_profile_events_prints_the_profile_table_cold_and_warm(tmp_path, capsys):
+    spec = _write_spec(tmp_path, _collection_spec(profile_events=True))
+    tables = []
+    for _pass in ("cold", "warm"):
+        assert _main(["run", str(spec)], tmp_path) == 0
+        err = capsys.readouterr().err
+        (table,) = [line for line in err.splitlines() if line.startswith("[profile]")]
+        assert "events over 1 run(s)" in table
+        tables.append(table.split(",")[0])
+    # The warm pass serves the point from the cache and still reports it.
+    assert "0 executed, 1 cached" in err
+    assert tables[0] == tables[1]
+
+
+def test_no_profile_table_without_profile_events(tmp_path, capsys):
+    spec = _write_spec(tmp_path, _collection_spec())
+    assert _main(["run", str(spec)], tmp_path) == 0
+    assert "[profile]" not in capsys.readouterr().err
+
+
+def test_mobility_preset_and_inline_object_run_on_fast_medium(tmp_path, capsys):
+    inline = {
+        "speed_min_mps": 1.0, "speed_max_mps": 2.0, "pause_mean_s": 5.0,
+        "update_period_s": 2.0, "fraction_mobile": 0.5,
+    }
+    spec_doc = _collection_spec(medium="fast")
+    spec_doc["axes"]["mobility"] = ["pedestrian", inline]
+    spec = _write_spec(tmp_path, spec_doc)
+    assert _main(["run", str(spec), "--out", "-"], tmp_path) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n_failed"] == 0
+    assert [p["params"]["mobility"] for p in doc["points"]] == ["pedestrian", inline]
+    assert all(p["summary"]["offered"] > 0 for p in doc["points"])
+
+
+def test_failed_point_writes_summary_and_exits_nonzero(tmp_path, capsys):
+    from repro.campaign.cli import EXIT_FAILED
+
+    spec_doc = _collection_spec()
+    spec_doc["axes"]["protocol"] = ["4b", "no-such-protocol"]
+    spec = _write_spec(tmp_path, spec_doc)
+    assert _main(["run", str(spec)], tmp_path) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert "1 executed, 0 cached, 1 failed" in err
+    assert "[campaign] failed" in err and "no-such-protocol" in err
+    doc = json.loads(_summary_path(tmp_path).read_text())
+    assert doc["n_failed"] == 1
+    assert [("error" in p) for p in doc["points"]] == [False, True]
+
+
+def test_empty_axis_is_a_spec_error(tmp_path, capsys):
+    spec_doc = _collection_spec()
+    spec_doc["axes"]["seed"] = []
+    spec = _write_spec(tmp_path, spec_doc)
+    assert _main(["run", str(spec)], tmp_path) == 1
+    assert "has no values" in capsys.readouterr().err
+    assert not (tmp_path / "state").exists()

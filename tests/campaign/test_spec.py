@@ -1,5 +1,6 @@
 """SimulationSpec contract: canonical identity, round-trips, dispatch."""
 
+import json
 import math
 
 import pytest
@@ -134,3 +135,69 @@ def test_result_equality_ignores_resources():
     b = simulate(SimulationSpec.make("synthetic", x0=1.0))
     b.resources = {"wall_s": math.pi}
     assert a == b
+
+
+def test_integral_float_and_int_are_one_run():
+    for name, as_int, as_float in (("seed", 2, 2.0), ("duration_s", 150, 150.0)):
+        a = SimulationSpec.make("collection", **{name: as_int})
+        b = SimulationSpec.make("collection", **{name: as_float})
+        assert a == b and a.digest() == b.digest(), name
+    # Fractions, bools and non-finite floats keep their own identity.
+    assert freeze_value(2.5) == 2.5
+    assert freeze_value(True) is True
+    assert math.isnan(freeze_value(math.nan))
+    assert freeze_value(-math.inf) == -math.inf
+    assert freeze_value([1.0, {"k": 3.0}]) == (1, (("k", 3),))
+    # A collection smoke point summarizes byte-identically either way.
+    base = {"profile": "mirage", "n_nodes": 8, "warmup_s": 60}
+    spelled_int = simulate(SimulationSpec.make("collection", seed=2, duration_s=150, **base))
+    spelled_float = simulate(
+        SimulationSpec.make("collection", seed=2.0, duration_s=150.0, **base)
+    )
+    assert json.dumps(spelled_int.to_json_dict()) == json.dumps(spelled_float.to_json_dict())
+
+
+def test_scenario_files_are_digested_by_content(tmp_path, capsys):
+    from repro.campaign.cli import main
+    from repro.campaign.sweep import SweepSpec
+    from repro.faults.schedule import FaultSchedule, NodeCrash
+
+    faults = tmp_path / "faults.json"
+    mobility = tmp_path / "mobility.json"
+    doc = {
+        "campaign": "scenario-files", "kind": "collection", "mode": "grid",
+        "base": {"faults": str(faults), "mobility": str(mobility)}, "axes": {"seed": [1]},
+    }
+
+    def load_point():
+        (point,) = SweepSpec.from_json_dict(doc).grid_points()
+        return point
+
+    FaultSchedule((NodeCrash(at_s=60.0, node=3),)).to_json_file(faults)
+    mobility.write_text(json.dumps({"speed_min_mps": 1.0, "speed_max_mps": 2.0}))
+    first = load_point()
+    assert first.param_dict()["faults"] == FaultSchedule((NodeCrash(at_s=60.0, node=3),))
+    # The same paths with new content are a new run, not a stale cache hit.
+    FaultSchedule((NodeCrash(at_s=90.0, node=3),)).to_json_file(faults)
+    after_faults = load_point()
+    assert after_faults.digest() != first.digest()
+    mobility.write_text(json.dumps({"speed_min_mps": 1.0, "speed_max_mps": 3.0}))
+    assert load_point().digest() != after_faults.digest()
+    # An inline object is the same scenario as the file that holds it.
+    doc["base"]["mobility"] = json.loads(mobility.read_text())
+    doc["base"]["faults"] = json.loads(faults.read_text())
+    assert load_point() == SimulationSpec.make(
+        "collection", faults=str(faults), mobility=str(mobility), seed=1
+    )
+
+    # An unknown preset or a missing file fails the spec at load time.
+    for key, value in (("faults", "no_such_preset"), ("mobility", str(tmp_path / "gone.json"))):
+        bad = dict(doc, base={key: value})
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps(bad))
+        state = tmp_path / f"state-{key}"
+        code = main(["run", str(path), "--state-dir", str(state),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 1
+        assert "not a preset" in capsys.readouterr().err
+        assert not state.exists()

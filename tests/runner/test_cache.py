@@ -1,4 +1,4 @@
-"""On-disk result cache: round-trip, corruption, clearing."""
+"""On-disk result cache: round-trip, corruption, atomic writes."""
 
 import pickle
 
@@ -39,16 +39,6 @@ def test_put_is_atomic_no_temp_litter(tmp_path):
     cache.put("01" + "0" * 30, list(range(100)))
     leftovers = [p for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".pkl"]
     assert leftovers == []
-
-
-def test_clear_removes_everything(tmp_path):
-    cache = ResultCache(tmp_path)
-    for i in range(5):
-        cache.put(f"{i:02d}" + "0" * 30, i)
-    assert len(cache) == 5
-    assert cache.clear() == 5
-    assert len(cache) == 0
-    assert cache.get("00" + "0" * 30) is MISS
 
 
 def test_empty_cache_is_still_a_cache(tmp_path):

@@ -175,6 +175,20 @@ def test_simulation_cache_returns_identical_result(tmp_path):
     assert cached == fresh
 
 
+def test_cache_hits_fold_profile_and_events(tmp_path):
+    specs = [Cell.make("4b", profile_events=True).spec(MICRO, seed) for seed in MICRO.seeds]
+    cache = ResultCache(tmp_path)
+    cold = ExperimentRunner(cache=cache)
+    warm = ExperimentRunner(cache=cache)
+    _runs(specs, cold)
+    _runs(specs, warm)
+    assert warm.stats.cache_hits == len(specs) and warm.stats.executed == 0
+    assert cold.stats.profile["events"] > 0
+    assert warm.stats.profile["events"] == cold.stats.profile["events"]
+    assert warm.stats.profile["runs"] == cold.stats.profile["runs"] == len(specs)
+    assert warm.stats.events_run == cold.stats.events_run > 0
+
+
 def test_totals_accumulate_across_batches():
     runner = ExperimentRunner()
     runner.run(_tasks(_square, [1, 2]))
