@@ -19,8 +19,8 @@ Examples::
     # its summary JSON piped on stdout, the report on stderr
     python -m repro.campaign run examples/smoke_sweep.json --workers 2 --out -
 
-A ``collection`` spec's ``faults`` and ``mobility`` take a preset name, a
-JSON file or an inline object (examples/chaos_reboot_storm.json).  Points
+A ``collection`` spec's ``faults`` and ``mobility`` take a preset name
+(examples/chaos_reboot_storm.json), a JSON file or an inline object.  Points
 that set ``profile_events`` add a ``[profile]`` table to the report.  Base
 params ``telemetry_period_s`` and ``telemetry_path`` stream each run's
 telemetry, and ``--telemetry`` adds the sweep and campaign records (see

@@ -406,7 +406,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser(
         "tail", help="print (and optionally follow/validate) a telemetry stream"
     )
-    p.add_argument("stream", help="JSONL stream file (from --live-telemetry)")
+    p.add_argument(
+        "stream", help="JSONL stream file (a run's telemetry_path, or campaign --telemetry)"
+    )
     p.add_argument(
         "-f", "--follow", action="store_true",
         help="keep reading as the file grows (Ctrl-C to stop)",
