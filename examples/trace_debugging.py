@@ -2,10 +2,11 @@
 """Observe a run from the inside: structured event tracing.
 
 Instruments every node of a small 4B network, runs five minutes of
-collection, and prints parent changes, a transmission ledger for the
-busiest node, a cross-layer metrics excerpt, and one node's estimator
-table snapshot — the workflow for debugging a misbehaving deployment.
-The full trace is exported to JSONL for the offline analysis CLI.
+collection, exports the trace to JSONL, and prints parent changes, a
+transmission ledger for the busiest node, one node's estimator table
+snapshot and a cross-layer metrics excerpt — the workflow for debugging
+a misbehaving deployment.  The listings come from the offline analysis
+CLI, which reads the exported file.
 
 Usage:
     python examples/trace_debugging.py
@@ -16,7 +17,8 @@ from collections import Counter
 
 from repro import CollectionNetwork, MIRAGE, SimConfig, scaled_profile
 from repro.obs import network_metrics
-from repro.sim.trace import instrument_network
+from repro.obs.cli import main as obs_cli
+from repro.sim.trace import instrument_network, select
 
 
 def main() -> None:
@@ -26,18 +28,20 @@ def main() -> None:
     network = CollectionNetwork(topology, config, profile=profile)
     tracer = instrument_network(network, etx_sample_s=60.0)
     result = network.run()
+    path = "results/trace.jsonl"
+    count = tracer.to_jsonl(path)
 
     print(result.summary_row())
     print()
     print("--- parent changes (route dynamics) ---")
-    print(tracer.render(kind="parent-change", limit=30))
+    obs_cli(["timeline", path, "--kind", "parent-change", "--limit", "30"])
     print()
 
-    by_node = Counter(r.node for r in tracer.filter(kind="tx"))
-    busiest, tx_count = by_node.most_common(1)[0]
-    unacked = sum(1 for r in tracer.filter(kind="tx", node=busiest) if r.get("ack") == 0)
+    sent = select(tracer.records, kind="tx")
+    busiest, tx_count = Counter(r["node"] for r in sent).most_common(1)[0]
+    unacked = sum(1 for r in sent if r["node"] == busiest and r["ack"] == 0)
     print(f"--- busiest transmitter: node {busiest} ({tx_count} unicasts, {unacked} unacked) ---")
-    print(tracer.render(kind="tx", node=busiest, limit=10))
+    obs_cli(["timeline", path, "--kind", "tx", "--node", str(busiest), "--limit", "10"])
     print()
 
     print(f"--- estimator table of node {busiest} ---")
@@ -48,14 +52,13 @@ def main() -> None:
         print(f"  nbr {row['addr']:>3}  {pin}  etx={etx}  prr_in={prr_in}")
     print()
 
-    # Every layer's counters, folded into one network-wide registry.
-    registry = network_metrics(network, per_node=False)
+    # Every layer's counters, summed over the nodes into network totals.
     print("--- cross-layer metrics (estimator excerpt) ---")
-    print(registry.render(prefix="est.estimator"))
+    for key, value in network_metrics(network, per_node=False).items():
+        if key.startswith("est.estimator"):
+            print(f"{key} = {value}")
     print()
 
-    path = "results/trace.jsonl"
-    count = tracer.to_jsonl(path)
     print(f"wrote {count} records to {path} — analyze offline with:")
     print(f"  python -m repro.obs summary {path}")
     print(f"  python -m repro.obs flaps {path}")

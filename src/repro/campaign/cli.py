@@ -92,9 +92,9 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
     spec = load_campaign_file(args.spec)
     telemetry = None
     if getattr(args, "telemetry", None):
-        from repro.obs.stream import JsonlStreamSink
+        from repro.obs.stream import RecordLog
 
-        telemetry = JsonlStreamSink(args.telemetry)
+        telemetry = RecordLog(args.telemetry)
     return Campaign(
         spec,
         state_root=args.state_dir,
@@ -109,6 +109,14 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
 
 def _cmd_run(args: argparse.Namespace, require_optimizer: bool = False) -> int:
     campaign = _build_campaign(args)
+    try:
+        return _run_campaign(campaign, args, require_optimizer)
+    finally:
+        if campaign.telemetry is not None:
+            campaign.telemetry.close()
+
+
+def _run_campaign(campaign: Campaign, args: argparse.Namespace, require_optimizer: bool) -> int:
     if require_optimizer and not isinstance(campaign.spec, OptimizerSpec):
         print(
             f"error: {args.spec} is a {getattr(campaign.spec, 'mode', '?')} sweep; "

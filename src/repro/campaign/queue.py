@@ -138,9 +138,6 @@ class _CampaignSink:
         self._seq += 1
         self.inner.emit(record)
 
-    def close(self) -> None:  # the wrapped sink outlives the campaign
-        pass
-
 
 def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -209,7 +206,8 @@ class Campaign:
     workers / timeout_s / progress:
         Forwarded to the :class:`ExperimentRunner`.
     telemetry:
-        Optional sink; receives the runner's sweep records plus
+        Optional :class:`~repro.obs.stream.RecordLog` (or anything with
+        ``emit``); receives the runner's sweep records plus
         campaign-scoped ``campaign-start`` / ``campaign-round`` /
         ``campaign-end`` records.
     stop_after:

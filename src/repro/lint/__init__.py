@@ -10,8 +10,6 @@ tests can only spot-check:
   through the four-bit contract in :mod:`repro.core.interfaces`.
 * **Units** — dBm (log domain) and mW (linear domain) never mix in one
   arithmetic expression.
-* **Stats/obs bridge** — every layer stats dataclass bridges all of its
-  counters into the :mod:`repro.obs` metrics registry.
 
 A second, whole-program tier (:mod:`repro.lint.project`) checks contracts
 no single file shows: RNG-stream provenance (R001), fast/exact backend

@@ -166,9 +166,9 @@ def compute_result(network: "CollectionNetwork") -> CollectionResult:
     profiler = getattr(network.engine, "profiler", None)
     metrics_snapshot = None
     if getattr(network.config, "collect_metrics", False):
-        from repro.obs.bridge import network_metrics
+        from repro.obs.metrics import network_metrics
 
-        metrics_snapshot = network_metrics(network).snapshot()
+        metrics_snapshot = network_metrics(network)
 
     return CollectionResult(
         protocol=network.config.protocol,

@@ -26,11 +26,7 @@ from collections import Counter as TallyCounter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.render import table, timeseries
-from repro.sim.trace import NETWORK_NODE, Tracer
-
-
-def _load(paths: List[str]) -> Tracer:
-    return Tracer.from_jsonl(*paths)
+from repro.sim.trace import NETWORK_NODE, RESERVED_KEYS, load_trace, select
 
 
 def _hist(values: List[float], bins: int = 10, width: int = 40) -> str:
@@ -57,21 +53,20 @@ def _hist(values: List[float], bins: int = 10, width: int = 40) -> str:
 # summary
 # ---------------------------------------------------------------------------
 def cmd_summary(args: argparse.Namespace) -> int:
-    tracer = _load(args.trace)
-    records = list(tracer.records)
-    events = [r for r in records if r.kind != "stats"]
-    nodes = sorted({r.node for r in records if r.node != NETWORK_NODE})
+    records, dropped, filtered = load_trace(*args.trace)
+    events = [r for r in records if r["kind"] != "stats"]
+    nodes = sorted({r["node"] for r in records if r["node"] != NETWORK_NODE})
     print(f"{len(records)} records from {len(args.trace)} file(s), {len(nodes)} nodes")
     if records:
-        t0 = min(r.time for r in records)
-        t1 = max(r.time for r in records)
+        t0 = min(r["t"] for r in records)
+        t1 = max(r["t"] for r in records)
         print(f"span: {t0:.3f}s .. {t1:.3f}s")
-    if tracer.dropped:
-        print(f"WARNING: {tracer.dropped} records were dropped at capacity")
-    if tracer.filtered:
-        print(f"note: {tracer.filtered} records were excluded by a kind filter")
+    if dropped:
+        print(f"WARNING: {dropped} records were dropped at capacity")
+    if filtered:
+        print(f"note: {filtered} records were excluded by a kind filter")
 
-    kinds = TallyCounter(r.kind for r in events)
+    kinds = TallyCounter(r["kind"] for r in events)
     if kinds:
         print()
         print(table(
@@ -83,15 +78,15 @@ def cmd_summary(args: argparse.Namespace) -> int:
     # Per-layer counter totals from the end-of-run `stats` records.  These
     # match the in-process stats dataclasses exactly (they are emitted from
     # them), so the four-bit event counts here are authoritative.
-    stats_recs = [r for r in records if r.kind == "stats"]
+    stats_recs = select(records, kind="stats")
     by_layer: Dict[str, TallyCounter] = {}
     layer_nodes: Dict[str, int] = {}
     for r in stats_recs:
         layer = str(r.get("layer", "?"))
         tally = by_layer.setdefault(layer, TallyCounter())
         layer_nodes[layer] = layer_nodes.get(layer, 0) + 1
-        for key, value in r.fields.items():
-            if key == "layer" or not isinstance(value, (int, float)):
+        for key, value in r.items():
+            if key in RESERVED_KEYS or key == "layer" or not isinstance(value, (int, float)):
                 continue
             tally[key] += value
     if by_layer:
@@ -114,8 +109,9 @@ def cmd_summary(args: argparse.Namespace) -> int:
 # timeline
 # ---------------------------------------------------------------------------
 def cmd_timeline(args: argparse.Namespace) -> int:
-    tracer = _load(args.trace)
-    rows = tracer.filter(
+    records, _, _ = load_trace(*args.trace)
+    rows = select(
+        records,
         kind=args.kind,
         node=args.node,
         t0=args.t0 if args.t0 is not None else float("-inf"),
@@ -123,7 +119,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     )
     total = len(rows)
     for r in rows[: args.limit]:
-        print(f"{r.time:10.3f}s  node {r.node:<4} {r.kind:<14} {r.detail}")
+        detail = " ".join(f"{k}={v}" for k, v in r.items() if k not in RESERVED_KEYS)
+        print(f"{r['t']:10.3f}s  node {r['node']:<4} {r['kind']:<14} {detail}")
     if total > args.limit:
         print(f"... {total - args.limit} more (raise --limit)")
     if not rows:
@@ -135,14 +132,14 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 # flaps
 # ---------------------------------------------------------------------------
 def cmd_flaps(args: argparse.Namespace) -> int:
-    tracer = _load(args.trace)
-    changes = tracer.filter(kind="parent-change")
+    records, _, _ = load_trace(*args.trace)
+    changes = select(records, kind="parent-change")
     if not changes:
         print("(no parent-change records)")
         return 0
     per_node: Dict[int, List] = {}
     for r in changes:
-        per_node.setdefault(r.node, []).append(r)
+        per_node.setdefault(r["node"], []).append(r)
     rows = []
     for node in sorted(per_node, key=lambda n: -len(per_node[n])):
         recs = per_node[node]
@@ -151,8 +148,8 @@ def cmd_flaps(args: argparse.Namespace) -> int:
         rows.append([
             node,
             len(recs),
-            f"{recs[0].time:.1f}s",
-            f"{last.time:.1f}s",
+            f"{recs[0]['t']:.1f}s",
+            f"{last['t']:.1f}s",
             final if final != -1 else "(none)",
         ])
     print(table(
@@ -167,8 +164,8 @@ def cmd_flaps(args: argparse.Namespace) -> int:
 # convergence
 # ---------------------------------------------------------------------------
 def cmd_convergence(args: argparse.Namespace) -> int:
-    tracer = _load(args.trace)
-    samples = tracer.filter(kind="etx", node=args.node)
+    records, _, _ = load_trace(*args.trace)
+    samples = select(records, kind="etx", node=args.node)
     samples = [r for r in samples if r.get("est") is not None and r.get("true") is not None]
     if not samples:
         print("(no usable `etx` records — instrument with etx_sample_s=...)")
@@ -176,23 +173,23 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
     if args.node is not None:
         series: Dict[str, List[Tuple[float, Optional[float]]]] = {
-            "estimated": [(r.time, float(r.get("est"))) for r in samples],
-            "true": [(r.time, float(r.get("true"))) for r in samples],
+            "estimated": [(r["t"], float(r["est"])) for r in samples],
+            "true": [(r["t"], float(r["true"])) for r in samples],
         }
         print(timeseries(series, title=f"node {args.node}: parent-link ETX",
                          ylabel="ETX"))
         print()
 
     # Per-node final sample vs ground truth.
-    final: Dict[int, object] = {}
+    final: Dict[int, Dict[str, Any]] = {}
     for r in samples:
-        final[r.node] = r
+        final[r["node"]] = r
     rows = []
     errors = []
     for node in sorted(final):
         r = final[node]
-        est = float(r.get("est"))
-        truth = float(r.get("true"))
+        est = float(r["est"])
+        truth = float(r["true"])
         err = est - truth
         errors.append(err)
         rows.append([node, r.get("neighbor"), f"{est:.2f}", f"{truth:.2f}", f"{err:+.2f}"])
@@ -203,7 +200,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     ))
     print()
     print("estimation error (est − true) across all samples:")
-    all_errors = [float(r.get("est")) - float(r.get("true")) for r in samples]
+    all_errors = [float(r["est"]) - float(r["true"]) for r in samples]
     # A near-dead link has a huge (but finite) true ETX; clip the histogram
     # to the 2nd–98th percentile so one outlier doesn't flatten every bin.
     ranked = sorted(all_errors)
@@ -229,8 +226,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 def cmd_journey(args: argparse.Namespace) -> int:
     from repro.obs.journey import build_journeys, summarize_journeys
 
-    tracer = _load(args.trace)
-    journeys = build_journeys(tracer.records)
+    records, dropped, _ = load_trace(*args.trace)
+    journeys = build_journeys(records)
     if args.origin is not None:
         journeys = {k: j for k, j in journeys.items() if j.origin == args.origin}
     if args.seq is not None:
@@ -267,8 +264,8 @@ def cmd_journey(args: argparse.Namespace) -> int:
               f"over {len(summary.latencies_s)} packet(s)")
     if summary.hop_counts:
         print(f"mean delivered hop count: {summary.mean_hops:.2f}")
-    if tracer.dropped:
-        print(f"WARNING: {tracer.dropped} trace records were dropped at "
+    if dropped:
+        print(f"WARNING: {dropped} trace records were dropped at "
               f"capacity; journeys may be incomplete")
     return 0
 

@@ -186,12 +186,11 @@ class PacketJourney:
         return "\n".join(lines)
 
 
-def build_journeys(records: Iterable[Any]) -> Dict[PacketKey, PacketJourney]:
+def build_journeys(records: Iterable[Dict[str, Any]]) -> Dict[PacketKey, PacketJourney]:
     """Correlate trace records into one :class:`PacketJourney` per packet.
 
-    ``records`` may be :class:`~repro.sim.trace.TraceRecord` objects or
-    plain dicts with the same keys.  Records are consumed in order (traces
-    are chronological by construction); partial traces — kind filters,
+    ``records`` are trace record dicts, consumed in order (traces are
+    chronological by construction); partial traces — kind filters,
     capacity drops, protocols without ``pkt-*`` hooks — degrade to partial
     journeys rather than errors.
     """
@@ -204,39 +203,32 @@ def build_journeys(records: Iterable[Any]) -> Dict[PacketKey, PacketJourney]:
         return journey
 
     for record in records:
-        if isinstance(record, dict):
-            kind = record.get("kind")
-            t = float(record.get("t", 0.0))
-            node = int(record.get("node", -1))
-            fields_get = record.get
-        else:
-            kind = record.kind
-            t = record.time
-            node = record.node
-            fields_get = record.get
+        kind = record.get("kind")
+        t = float(record.get("t", 0.0))
+        node = int(record.get("node", -1))
         if kind == "pkt-orig":
-            journey = get((node, int(fields_get("seq", -1))))
+            journey = get((node, int(record.get("seq", -1))))
             journey.t_origin = t if journey.t_origin is None else journey.t_origin
             span = journey.span(node)
             span.touch(t)
             if not span.outcome:
                 span.outcome = "origin"
         elif kind == "pkt-tx":
-            journey = get((int(fields_get("origin", -1)), int(fields_get("seq", -1))))
+            journey = get((int(record.get("origin", -1)), int(record.get("seq", -1))))
             span = journey.span(node)
             span.touch(t)
             span.attempts += 1
-            if fields_get("acked"):
+            if record.get("acked"):
                 span.acked += 1
-            to = fields_get("to")
+            to = record.get("to")
             if to is not None:
                 span.next_hop = int(to)
         elif kind == "pkt-rx":
-            journey = get((int(fields_get("origin", -1)), int(fields_get("seq", -1))))
+            journey = get((int(record.get("origin", -1)), int(record.get("seq", -1))))
             span = journey.span(node)
             span.touch(t)
-            outcome = str(fields_get("outcome", ""))
-            src = fields_get("src")
+            outcome = str(record.get("outcome", ""))
+            src = record.get("src")
             if src is not None:
                 sender = journey.span(int(src))
                 sender.touch(t)  # the hop was live until its frame arrived
@@ -256,10 +248,10 @@ def build_journeys(records: Iterable[Any]) -> Dict[PacketKey, PacketJourney]:
                 journey.drop_reason = outcome
                 journey.drop_node = node
         elif kind == "drop":
-            journey = get((int(fields_get("origin", -1)), int(fields_get("seq", -1))))
+            journey = get((int(record.get("origin", -1)), int(record.get("seq", -1))))
             span = journey.span(node)
             span.touch(t)
-            reason = str(fields_get("reason", "drop"))
+            reason = str(record.get("reason", "drop"))
             if not journey.delivered:
                 journey.dropped = True
                 journey.drop_reason = reason
@@ -268,11 +260,11 @@ def build_journeys(records: Iterable[Any]) -> Dict[PacketKey, PacketJourney]:
                 span.outcome = "drop-retries"
         elif kind == "deliver":
             # Emitted with node=origin at delivery time; protocol-agnostic.
-            journey = get((node, int(fields_get("seq", -1))))
+            journey = get((node, int(record.get("seq", -1))))
             journey.delivered = True
             if journey.t_delivered is None:
                 journey.t_delivered = t
-            hops = fields_get("hops")
+            hops = record.get("hops")
             if hops is not None:
                 journey.delivered_hops = int(hops)
     return journeys

@@ -23,12 +23,6 @@ from typing import Dict, List, Optional, Tuple
 class EngineProfiler:
     """Per-event-kind wall-time and queue-depth accounting."""
 
-    #: Per-event latency samples kept before decimation kicks in.  At the
-    #: cap every other retained sample is dropped and the keep-stride
-    #: doubles, so memory stays bounded while the sample remains spread
-    #: deterministically across the whole run.
-    LATENCY_SAMPLE_CAP = 65536
-
     __slots__ = (
         "event_counts",
         "event_wall_s",
@@ -36,9 +30,6 @@ class EngineProfiler:
         "kernel_wall_s",
         "queue_samples",
         "queue_sample_every",
-        "latency_samples",
-        "_lat_stride",
-        "_lat_skip",
         "_since_sample",
         "_wall_start",
         "wall_s",
@@ -57,10 +48,6 @@ class EngineProfiler:
         #: (simulated time, live queue depth) samples.
         self.queue_samples: List[Tuple[float, int]] = []
         self.queue_sample_every = max(1, queue_sample_every)
-        #: Per-event wall-time samples (seconds), decimated past the cap.
-        self.latency_samples: List[float] = []
-        self._lat_stride = 1
-        self._lat_skip = 0
         self._since_sample = 0
         self._wall_start: Optional[float] = None
         self.wall_s = 0.0
@@ -77,14 +64,6 @@ class EngineProfiler:
         self.events += 1
         self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
         self.event_wall_s[kind] = self.event_wall_s.get(kind, 0.0) + wall_s
-        self._lat_skip += 1
-        if self._lat_skip >= self._lat_stride:
-            self._lat_skip = 0
-            samples = self.latency_samples
-            samples.append(wall_s)
-            if len(samples) >= self.LATENCY_SAMPLE_CAP:
-                del samples[::2]
-                self._lat_stride *= 2
         self._since_sample += 1
         if self._since_sample >= self.queue_sample_every:
             self._since_sample = 0
@@ -103,23 +82,6 @@ class EngineProfiler:
     # ------------------------------------------------------------------
     def events_per_s(self) -> float:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    def latency_percentiles(self, quantiles: Tuple[float, ...] = (0.5, 0.95)) -> Dict[str, float]:
-        """Per-event wall-time percentiles in seconds (``{"p50": ..., ...}``).
-
-        Computed by the nearest-rank method over the (possibly decimated)
-        latency sample; empty dict when no events were recorded.
-        """
-        samples = sorted(self.latency_samples)
-        if not samples:
-            return {}
-        out: Dict[str, float] = {}
-        last = len(samples) - 1
-        for q in quantiles:
-            idx = min(last, max(0, int(round(q * last))))
-            label = f"p{q * 100:g}"
-            out[label] = samples[idx]
-        return out
 
     def by_kind(self) -> List[Tuple[str, int, float]]:
         """(kind, count, wall seconds) rows, most expensive first."""
@@ -147,7 +109,6 @@ class EngineProfiler:
                 "max": max(depths) if depths else 0,
                 "mean": sum(depths) / len(depths) if depths else 0.0,
             },
-            "event_latency_s": self.latency_percentiles(),
             "kernels": {
                 name: {
                     "count": self.kernel_counts[name],
@@ -160,35 +121,6 @@ class EngineProfiler:
                 )
             },
         }
-
-    def render(self, limit: int = 12) -> str:
-        """Terminal-friendly profile table."""
-        rows = self.by_kind()
-        lines = [
-            f"{self.events} events in {self.wall_s:.2f}s wall "
-            f"({self.events_per_s() / 1000:.0f}k events/s)"
-        ]
-        for kind, count, wall in rows[:limit]:
-            share = wall / self.wall_s * 100 if self.wall_s > 0 else 0.0
-            lines.append(f"  {kind:<40} {count:>9} ev  {wall:7.3f}s  {share:5.1f}%")
-        if len(rows) > limit:
-            lines.append(f"  … and {len(rows) - limit} more kinds")
-        depths = [d for _, d in self.queue_samples]
-        if depths:
-            lines.append(
-                f"  queue depth: mean {sum(depths) / len(depths):.0f}, max {max(depths)}"
-            )
-        if self.kernel_counts:
-            lines.append("  kernels:")
-            for name in sorted(
-                self.kernel_counts,
-                key=lambda k: self.kernel_wall_s.get(k, 0.0),
-                reverse=True,
-            )[:limit]:
-                count = self.kernel_counts[name]
-                wall = self.kernel_wall_s.get(name, 0.0)
-                lines.append(f"    {name:<38} {count:>9} it  {wall:7.3f}s")
-        return "\n".join(lines)
 
 
 def merge_profiles(profiles: List[Optional[Dict[str, object]]]) -> Optional[Dict[str, object]]:

@@ -2,9 +2,9 @@
 
 A run's *simulated* behavior is deterministic, but where the wall clock
 and memory went is not — and that is exactly what capacity planning for
-the sweep backbone needs.  :func:`measure_run` wraps one unit of work
-(inside a runner worker process, or around a whole network run) and returns
-the deltas from ``resource.getrusage``:
+the sweep backbone needs.  A :class:`ResourceProbe` brackets one unit of
+work (inside a runner worker process, or around a whole network run) and
+returns the deltas from ``resource.getrusage``:
 
 * ``wall_s`` — elapsed real time (``perf_counter`` delta);
 * ``cpu_user_s`` / ``cpu_sys_s`` / ``cpu_s`` — process CPU time deltas;
@@ -30,10 +30,6 @@ try:  # pragma: no cover - import guard exercised only off-POSIX
     import resource as _resource
 except ImportError:  # pragma: no cover
     _resource = None  # type: ignore[assignment]
-
-#: Keys every resources dict carries (values are floats; kB for RSS).
-RESOURCE_FIELDS = ("wall_s", "cpu_user_s", "cpu_sys_s", "cpu_s", "max_rss_kb")
-
 
 def _rusage() -> Optional[Tuple[float, float, float]]:
     """(user CPU s, system CPU s, max RSS kB) for this process, or None."""
@@ -81,13 +77,6 @@ class ResourceProbe:
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
-
-
-def measure_run(fn: Any, *args: Any, **kwargs: Any) -> Tuple[Any, Dict[str, float]]:
-    """Run ``fn(*args, **kwargs)`` under a probe; return (result, resources)."""
-    probe = ResourceProbe()
-    value = fn(*args, **kwargs)
-    return value, probe.stop()
 
 
 def attach_resources(result: Any, resources: Dict[str, float]) -> bool:
@@ -144,10 +133,8 @@ def format_resources(resources: Optional[Dict[str, float]]) -> str:
 
 
 __all__ = [
-    "RESOURCE_FIELDS",
     "ResourceProbe",
     "attach_resources",
     "format_resources",
-    "measure_run",
     "merge_resources",
 ]

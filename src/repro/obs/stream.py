@@ -1,16 +1,18 @@
-"""Live telemetry streaming — incremental metrics snapshots during a run.
+"""The record log, and live telemetry: metrics snapshots during a run.
 
-Everything else in :mod:`repro.obs` reports *after* a run; this module is
-the streaming substrate the sim-as-a-service roadmap item sits on.  A
-:class:`TelemetrySampler` rides the simulation's own event loop: every
-``period_s`` simulated seconds it rebuilds the cross-layer metrics
-registry (:func:`repro.obs.bridge.network_metrics`), diffs the flat
-snapshot against the previously emitted state, and pushes one typed JSONL
-record to a :class:`TelemetrySink`.  The sampler consumes no randomness
-and schedules nothing on the frame path, so — exactly like trace
-instrumentation — a sampled run is bit-identical to an unsampled one
-apart from the extra (pure-observer) engine events; with telemetry off the
-machinery is never constructed and costs nothing.
+:class:`RecordLog` is the one place records go: the trace of
+:mod:`repro.sim.trace`, the telemetry stream below, and the runner's and
+campaign's sweep records all write strict-JSON lines through it, or keep
+a bounded list in memory.
+
+A :class:`TelemetrySampler` rides the simulation's own event loop: every
+``period_s`` simulated seconds it rebuilds the flat metrics dict
+(:func:`repro.obs.metrics.network_metrics`), diffs it against the
+previously emitted state, and emits one typed record to a log.  The
+sampler consumes no randomness and schedules nothing on the frame path,
+so — exactly like trace instrumentation — a sampled run is bit-identical
+to an unsampled one apart from the extra (pure-observer) engine events;
+with telemetry off the machinery is never constructed and costs nothing.
 
 Stream record schema (one JSON object per line; DESIGN.md §10):
 
@@ -42,20 +44,19 @@ Stream record schema (one JSON object per line; DESIGN.md §10):
 simulated seconds for run-scoped records and ``null`` for sweep- and
 campaign-scoped ones (they live in wall time).  Because ``updates`` carries deltas keyed
 by full flat metric keys, :func:`fold_snapshots` reconstructs the exact
-end-of-run registry snapshot by replaying records in order — counters in
-the folded state match :meth:`MetricsRegistry.snapshot` at run end
-key-for-key (the acceptance contract, tested in ``tests/obs``).
+end-of-run metrics by replaying records in order — the folded state
+equals :func:`~repro.obs.metrics.network_metrics` at run end key-for-key
+(the acceptance contract, tested in ``tests/obs``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    IO,
     TYPE_CHECKING,
     Any,
     Deque,
@@ -67,7 +68,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.metrics import parse_flat_key
+from repro.obs.metrics import network_metrics
 from repro.sim.probe import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -168,7 +169,7 @@ def fold_snapshots(records: Iterable[Dict[str, Any]]) -> Dict[str, float]:
     """Replay ``snapshot`` records into the cumulative flat metrics state.
 
     Later updates win key-by-key, so the fold of a complete stream equals
-    the end-of-run :meth:`MetricsRegistry.snapshot` exactly.
+    the end-of-run :func:`~repro.obs.metrics.network_metrics` exactly.
     """
     state: Dict[str, float] = {}
     for record in records:
@@ -187,149 +188,81 @@ def read_stream(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# Sinks
+# The record log
 # ---------------------------------------------------------------------------
-class TelemetrySink:
-    """What the sampler writes to: ``emit`` one record, ``close`` at end.
+class RecordLog:
+    """Where trace and stream records go: a JSONL file or a bounded list.
 
-    Structural base class — any object with these two methods works; the
-    bundled implementations cover the common shapes (file JSONL for
-    tailing, bounded ring for in-process consumers, Prometheus text
-    exposition for scrape-style monitoring).
+    With a ``path``, each record is appended to the file as one strict-JSON
+    line (:func:`encode_record`) and flushed at once, so ``python -m
+    repro.obs tail --follow`` sees it live; nothing is kept in memory.  The
+    file is opened for appending so several runs — runner worker
+    *processes* included — can share one stream: each record is one
+    ``write()`` of one ``\\n``-terminated line, and the ``run`` envelope
+    field demultiplexes interleaved runs.
+
+    Without a path, records are kept in :attr:`records`.  ``limit`` bounds
+    how many (``None``: unbounded), and ``keep`` says which survive the
+    bound: ``"head"`` keeps the *first* ``limit`` (boot and convergence
+    analysis), ``"tail"`` the *last* ``limit`` as a ring (debugging — the
+    interesting records are usually the most recent).  ``dropped`` counts
+    the records the bound lost.
     """
 
-    def emit(self, record: Dict[str, Any]) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - interface
-        pass
-
-
-@dataclass
-class StreamStats:
-    """Counters for one telemetry stream (sampler + sink together)."""
-
-    records_emitted: int = 0
-    snapshot_records: int = 0
-    keys_emitted: int = 0
-    bytes_written: int = 0
-
-    METRICS_PREFIX = "obs.stream"
-
-
-class JsonlStreamSink(TelemetrySink):
-    """Append stream records to a JSONL file, flushed per record.
-
-    ``append=True`` (the default) opens in append mode so several runs —
-    including runner worker *processes* — can share one stream file: each
-    record is written with a single ``write()`` of one ``\\n``-terminated
-    line, which POSIX appends atomically enough for line-oriented readers,
-    and the ``run`` envelope field demultiplexes interleaved runs.  Every
-    record is flushed immediately so ``python -m repro.obs tail --follow``
-    sees it live.
-    """
-
-    def __init__(self, path: Union[str, Path], append: bool = True) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.stats = StreamStats()
-        self._fh = open(self.path, "a" if append else "w")
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        line = encode_record(record) + "\n"
-        self._fh.write(line)
-        self._fh.flush()
-        self.stats.records_emitted += 1
-        self.stats.bytes_written += len(line)
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlStreamSink":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-class RingStreamSink(TelemetrySink):
-    """Bounded in-memory ring of the most recent records.
-
-    For in-process consumers (a service endpoint, tests): memory stays
-    bounded at ``capacity`` records; ``dropped`` counts overwritten ones.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+    def __init__(
+        self,
+        path: Optional[Union[str, Path]] = None,
+        limit: Optional[int] = None,
+        keep: str = "head",
+    ) -> None:
+        if keep not in ("head", "tail"):
+            raise ValueError(f"keep must be 'head' or 'tail', not {keep!r}")
+        self.limit = limit
+        self.keep = keep
+        self.records: Union[List[Dict[str, Any]], Deque[Dict[str, Any]]] = (
+            deque(maxlen=limit) if keep == "tail" else []
+        )
+        #: Records lost to the bound (head: refused; tail: overwritten).
         self.dropped = 0
-        self.stats = StreamStats()
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(record)
-        self.stats.records_emitted += 1
+        self._fh: Optional[IO[str]] = None
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(path, "a")
 
     @property
-    def records(self) -> List[Dict[str, Any]]:
-        return list(self._ring)
-
-    def close(self) -> None:
-        pass
-
-
-def _prom_escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-class PrometheusTextSink(TelemetrySink):
-    """Fold snapshots into Prometheus text exposition format.
-
-    Keeps the latest cumulative state (the same fold as
-    :func:`fold_snapshots`); :meth:`render` returns the text exposition
-    and, when a ``path`` is given, each sample atomically replaces the
-    file so a node-exporter-style textfile collector never reads a torn
-    write.  Metric names map ``layer.component.event`` → ``layer_component_event``.
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
-        self.path = Path(path) if path is not None else None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._state: Dict[str, float] = {}
-        self.stats = StreamStats()
+    def closed(self) -> bool:
+        """True once a file-backed log has been closed."""
+        return self._fh is not None and self._fh.closed
 
     def emit(self, record: Dict[str, Any]) -> None:
-        self.stats.records_emitted += 1
-        if record.get("rec") != "snapshot":
+        if self._fh is not None:
+            self._fh.write(encode_record(record) + "\n")
+            self._fh.flush()
             return
-        self._state.update(record.get("updates", {}))
-        self.stats.snapshot_records += 1
-        if self.path is not None:
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            tmp.write_text(self.render())
-            os.replace(tmp, self.path)
+        if self.limit is not None and len(self.records) >= self.limit:
+            self.dropped += 1
+            if self.keep == "head":
+                return
+        self.records.append(record)
 
-    def render(self) -> str:
-        lines = []
-        for key in sorted(self._state):
-            name, labels = parse_flat_key(key)
-            prom_name = name.replace(".", "_")
-            if labels:
-                inner = ",".join(
-                    f'{k}="{_prom_escape(v)}"' for k, v in sorted(labels.items())
-                )
-                prom_name = f"{prom_name}{{{inner}}}"
-            value = self._state[key]
-            lines.append(f"{prom_name} {value:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
+    def export(self, path: Union[str, Path], **meta: Any) -> int:
+        """Replace ``path`` with the kept records plus one closing ``_meta``
+        record (kept and dropped counts, ``meta``, the ``keep`` policy).
+        Returns the number of records written."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        footer = {"kind": "_meta", "records": len(self.records), "dropped": self.dropped}
+        footer.update(meta)
+        footer["keep"] = self.keep
+        with open(path, "w") as fh:
+            for record in self.records:
+                fh.write(encode_record(record) + "\n")
+            fh.write(encode_record(footer) + "\n")
+        return len(self.records)
 
     def close(self) -> None:
-        pass
+        if self._fh is not None and not self._fh.closed:
+            self._fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -340,29 +273,29 @@ class TelemetrySampler(Monitor):
 
     Built by :class:`~repro.sim.network.CollectionNetwork` when
     ``SimConfig.telemetry_period_s`` is set (or attached manually via
-    :meth:`install`).  Each fire rebuilds the registry from the live
+    :meth:`install`).  Each fire rebuilds the metrics from the live
     network, emits the changed keys, and reschedules itself; the final
     sample plus the ``run-end`` record come from the monitor's
     :meth:`run_end` event, so the stream always closes with the exact
-    end-of-run state.
+    end-of-run state.  ``log`` is a :class:`RecordLog` or anything else
+    with ``emit``/``close``.
     """
 
     def __init__(
         self,
         network: "CollectionNetwork",
-        sink: TelemetrySink,
+        log: Any,
         period_s: float,
         per_node: bool = False,
         run_id: Optional[str] = None,
     ) -> None:
-        if period_s <= 0.0:
+        if not period_s > 0.0:
             raise ValueError(f"telemetry period must be positive, got {period_s}")
         self.network = network
-        self.sink = sink
+        self.log = log
         self.period_s = period_s
         self.per_node = per_node
         self.run_id = run_id
-        self.stats = StreamStats()
         self._last: Dict[str, float] = {}
         self._seq = 0
         self._installed = False
@@ -375,21 +308,13 @@ class TelemetrySampler(Monitor):
             record["run"] = self.run_id
         record.update(fields)
         self._seq += 1
-        self.stats.records_emitted += 1
-        self.sink.emit(record)
-
-    def _snapshot_now(self) -> Dict[str, float]:
-        from repro.obs.bridge import network_metrics
-
-        return network_metrics(self.network, per_node=self.per_node).snapshot()
+        self.log.emit(record)
 
     def _emit_snapshot(self) -> None:
-        snap = self._snapshot_now()
+        snap = network_metrics(self.network, per_node=self.per_node)
         last = self._last
-        first = not self.stats.snapshot_records
+        first = not last
         updates = {k: v for k, v in snap.items() if first or last.get(k) != v}
-        self.stats.snapshot_records += 1
-        self.stats.keys_emitted += len(updates)
         self._emit(
             "snapshot", self.network.engine.now, full=first, updates=updates
         )
@@ -441,18 +366,14 @@ class TelemetrySampler(Monitor):
         )
 
     def close(self) -> None:
-        self.sink.close()
+        self.log.close()
 
 
 __all__ = [
     "CAMPAIGN_KINDS",
-    "JsonlStreamSink",
-    "PrometheusTextSink",
-    "RingStreamSink",
+    "RecordLog",
     "STREAM_KINDS",
-    "StreamStats",
     "TelemetrySampler",
-    "TelemetrySink",
     "encode_record",
     "fold_snapshots",
     "read_stream",

@@ -238,10 +238,11 @@ class ExperimentRunner:
         Raise :class:`RunnerError` after the sweep if any run failed;
         with ``strict=False`` failed slots come back as ``None``.
     telemetry:
-        Optional :class:`~repro.obs.stream.TelemetrySink`: the runner
-        emits sweep-scoped stream records (``sweep-start`` / one
-        ``run-result`` per task / ``sweep-end``) so a tail can follow
-        sweep progress live.  The sink is *not* closed by the runner.
+        Optional :class:`~repro.obs.stream.RecordLog` (or anything with
+        an ``emit(record)`` method): the runner emits sweep-scoped stream
+        records (``sweep-start`` / one ``run-result`` per task /
+        ``sweep-end``) so a tail can follow sweep progress live.  The log
+        is *not* closed by the runner; its owner closes it.
     """
 
     def __init__(

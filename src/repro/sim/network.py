@@ -113,7 +113,8 @@ class SimConfig:
     #: machinery is never constructed, so plain runs pay nothing).
     telemetry_period_s: Optional[float] = None
     #: Stream destination: a JSONL file path, or ``None`` for a bounded
-    #: in-memory ring (``network.telemetry.sink.records``).
+    #: in-memory ring of the last 1024 records
+    #: (``network.telemetry.log.records``).
     telemetry_path: Optional[str] = None
     #: Include per-node label breakdowns in streamed snapshots (bigger
     #: records; the default streams network-level aggregates only).
@@ -145,7 +146,7 @@ class SimConfig:
                     f"LQI white-bit threshold must be in [0, 127], "
                     f"got {self.white_bit_threshold!r}"
                 )
-        if self.telemetry_period_s is not None and self.telemetry_period_s <= 0:
+        if self.telemetry_period_s is not None and not self.telemetry_period_s > 0:
             raise ValueError(
                 f"telemetry_period_s must be positive: {self.telemetry_period_s!r}"
             )
@@ -421,18 +422,17 @@ class CollectionNetwork:
     def _build_telemetry(self) -> None:
         # Local imports: telemetry is opt-in observability layered on top of
         # the simulator; untelemetered runs never touch the streaming code.
-        from repro.obs.stream import JsonlStreamSink, RingStreamSink, TelemetrySampler
+        from repro.obs.stream import RecordLog, TelemetrySampler
 
         config = self.config
         assert config.telemetry_period_s is not None
-        sink: Any
         if config.telemetry_path is not None:
-            sink = JsonlStreamSink(config.telemetry_path)
+            log = RecordLog(config.telemetry_path)
         else:
-            sink = RingStreamSink()
+            log = RecordLog(limit=1024, keep="tail")
         self.telemetry = TelemetrySampler(
             self,
-            sink,
+            log,
             config.telemetry_period_s,
             per_node=config.telemetry_per_node,
             run_id=f"{config.protocol}-seed{config.seed}",
@@ -531,11 +531,15 @@ class CollectionNetwork:
             from repro.obs.resources import ResourceProbe
 
             resources = ResourceProbe()
-        self.engine.run_until(self.config.duration_s)
-        if resources is not None:
-            self.run_resources = resources.stop()
-        if self.probe is not None:
-            self.probe.run_end(self)
-        if self.telemetry is not None:
-            self.telemetry.close()
+        try:
+            self.engine.run_until(self.config.duration_s)
+            if resources is not None:
+                self.run_resources = resources.stop()
+            if self.probe is not None:
+                self.probe.run_end(self)
+        finally:
+            # A run that raises (an invariant violation, a timeout) must not
+            # leave its stream file open in a long-lived worker.
+            if self.telemetry is not None:
+                self.telemetry.close()
         return compute_result(self)

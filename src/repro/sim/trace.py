@@ -1,6 +1,6 @@
 """Structured event tracing for simulations.
 
-A :class:`Tracer` collects typed, timestamped records from any layer.  It
+A :class:`Tracer` turns probe events into typed, timestamped records.  It
 is a :class:`~repro.sim.probe.Monitor`: :func:`instrument_network` attaches
 it to a built :class:`~repro.sim.network.CollectionNetwork` through the
 network's one attach point, and every layer reports to it through the
@@ -8,20 +8,19 @@ explicit probe calls it makes at its decision points.  With no monitor
 attached each of those calls is a single ``probe is None`` test, so
 tracing costs nothing unless requested.
 
-Typical use, debugging a misbehaving run::
+Records are plain dicts — exactly what is written to disk — and go to a
+:class:`~repro.obs.stream.RecordLog`: kept in memory under a bound by
+default, or appended to a JSONL file as they happen.  Typical use,
+debugging a misbehaving run::
 
     net = CollectionNetwork(topo, config, profile=profile)
     tracer = instrument_network(net, kinds={"parent-change", "drop"})
     net.run()
-    print(tracer.render(limit=50))
-    parent_flaps = tracer.count(kind="parent-change", node=17)
+    parent_flaps = len(select(tracer.records, kind="parent-change", node=17))
+    tracer.to_jsonl("trace.jsonl")
 
-Traces export to JSONL (one JSON object per line) and round-trip through
-:meth:`Tracer.to_jsonl` / :meth:`Tracer.from_jsonl`; long runs can stream
-records straight to disk instead through a
-:class:`~repro.obs.stream.JsonlStreamSink` (``Tracer(sink=...)``).  Both
-paths write lines with :func:`~repro.obs.stream.encode_record`.  The
-offline analysis CLI (``python -m repro.obs``) answers
+:func:`load_trace` reads exported files back.  The offline analysis CLI
+(``python -m repro.obs``) answers
 summary/timeline/flap/convergence/journey questions over the exported file.
 
 Trace schema
@@ -75,15 +74,12 @@ whose ``node`` is the affected mote.
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.obs.metrics import numeric_fields
-from repro.obs.stream import JsonlStreamSink, encode_record
+from repro.obs.stream import RecordLog, read_stream
 from repro.sim.probe import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,38 +94,7 @@ RESERVED_KEYS = ("t", "kind", "node")
 #: ``node`` value for network-scoped records (medium/engine stats).
 NETWORK_NODE = -1
 
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced event: reserved envelope plus typed key/value fields."""
-
-    time: float
-    kind: str
-    node: int
-    fields: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def detail(self) -> str:
-        """Legacy flat rendering of the fields (``k=v`` pairs)."""
-        if set(self.fields) == {"detail"}:
-            return str(self.fields["detail"])
-        return " ".join(f"{k}={v}" for k, v in self.fields.items())
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"t": self.time, "kind": self.kind, "node": self.node}
-        out.update(self.fields)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceRecord":
-        fields = {k: v for k, v in data.items() if k not in RESERVED_KEYS}
-        return cls(
-            time=float(data["t"]), kind=str(data["kind"]), node=int(data["node"]),
-            fields=fields,
-        )
+Record = Dict[str, Any]
 
 
 def _node_field(node: Optional[int]) -> int:
@@ -137,76 +102,81 @@ def _node_field(node: Optional[int]) -> int:
     return node if node is not None else -1
 
 
+def select(
+    records: Iterable[Record],
+    kind: Optional[str] = None,
+    node: Optional[int] = None,
+    t0: float = float("-inf"),
+    t1: float = float("inf"),
+) -> List[Record]:
+    """The records of ``kind`` at ``node`` within ``[t0, t1]`` (``None``:
+    any), in order."""
+    return [
+        r
+        for r in records
+        if (kind is None or r["kind"] == kind)
+        and (node is None or r["node"] == node)
+        and t0 <= r["t"] <= t1
+    ]
+
+
+def load_trace(*paths: Union[str, Path]) -> Tuple[List[Record], int, int]:
+    """Read exported traces back, in order: ``(records, dropped,
+    filtered)``, the two counts summed over the files' ``_meta`` footers.
+    Lines whose ``kind`` starts with ``_`` are tracer metadata, not events."""
+    records: List[Record] = []
+    dropped = filtered = 0
+    for path in paths:
+        for record in read_stream(path):
+            kind = record.get("kind", "")
+            if isinstance(kind, str) and kind.startswith("_"):
+                if kind == "_meta":
+                    dropped += int(record.get("dropped", 0))
+                    filtered += int(record.get("filtered", 0))
+                continue
+            records.append(record)
+    return records, dropped, filtered
+
+
 class Tracer(Monitor):
-    """Bounded in-memory event log with filtering and JSONL export.
+    """Monitor that turns each probe event into one record of the module's
+    schema, stamped with the network's simulated time, and emits it to
+    ``log`` (default: the first 100,000 records, in memory).
 
-    ``keep`` selects what the memory bound protects: ``"head"`` keeps the
-    *first* ``max_records`` events (the historical behaviour — good for
-    boot/convergence analysis), ``"tail"`` keeps the *last* ``max_records``
-    as a ring buffer (good for debugging — the interesting events are
-    usually the most recent ones).  ``max_records=None`` is unbounded;
-    ``max_records=0`` with a ``sink`` streams to disk keeping nothing in
-    memory.
-
-    Drop accounting is split so summaries stay trustworthy: ``dropped``
-    counts only records lost to the capacity bound; ``filtered`` counts
-    records excluded by the ``kinds`` whitelist (deliberate, not lost).
-
-    Attached to a network (:func:`instrument_network`), the tracer turns
-    each :class:`~repro.sim.probe.Monitor` event into one record of the
-    module's schema, stamped with the network's simulated time.
+    ``kinds`` whitelists record kinds; ``filtered`` counts the records it
+    excluded (deliberately, not lost — the log's ``dropped`` counts those
+    lost to its bound).
     """
 
-    def __init__(
-        self,
-        max_records: Optional[int] = 100_000,
-        kinds: Optional[Set[str]] = None,
-        keep: str = "head",
-        sink: Optional[JsonlStreamSink] = None,
-    ) -> None:
-        if keep not in ("head", "tail"):
-            raise ValueError(f"keep must be 'head' or 'tail', not {keep!r}")
-        self.max_records = max_records
+    def __init__(self, log: Optional[RecordLog] = None, kinds: Optional[Set[str]] = None) -> None:
+        self.log = log if log is not None else RecordLog(limit=100_000)
         self.kinds = kinds
-        self.keep = keep
-        self.sink = sink
-        if keep == "tail" and max_records:
-            self.records: Union[List[TraceRecord], deque] = deque(maxlen=max_records)
-        else:
-            self.records = []
-        #: Records lost to the capacity bound (head mode: rejected at the
-        #: end; tail mode: overwritten at the front).
-        self.dropped = 0
         #: Records excluded by the ``kinds`` whitelist (not lost — excluded).
         self.filtered = 0
         #: Clock of the network this tracer is attached to.
         self._engine: Optional["Engine"] = None
 
-    def emit(self, time: float, kind: str, node: int, detail: str = "", **fields: Any) -> None:
-        """Record one event.  ``fields`` are typed key/values; the legacy
-        ``detail`` string (if given) is stored as a ``detail`` field."""
+    @property
+    def records(self) -> Union[List[Record], Deque[Record]]:
+        """The records the log kept in memory, in order."""
+        return self.log.records
+
+    def emit(self, time: float, kind: str, node: int, **fields: Any) -> None:
+        """Record one event with typed key/value ``fields``."""
         if self.kinds is not None and kind not in self.kinds:
             self.filtered += 1
             return
-        if detail:
-            fields = dict(fields, detail=detail)
         for key in RESERVED_KEYS:
             if key in fields:
                 raise ValueError(f"field name {key!r} is reserved")
-        record = TraceRecord(time, kind, node, fields)
-        if self.sink is not None:
-            self.sink.emit(record.to_dict())
-        if self.max_records == 0:
-            return
-        if isinstance(self.records, deque):
-            if self.max_records and len(self.records) >= self.max_records:
-                self.dropped += 1
-            self.records.append(record)
-        else:
-            if self.max_records is not None and len(self.records) >= self.max_records:
-                self.dropped += 1
-                return
-            self.records.append(record)
+        record: Record = {"t": time, "kind": kind, "node": node}
+        record.update(fields)
+        self.log.emit(record)
+
+    def to_jsonl(self, path: Union[str, Path]) -> int:
+        """Write the kept records (plus a ``_meta`` footer) to ``path``.
+        Returns the number of records written."""
+        return self.log.export(path, filtered=self.filtered)
 
     # ------------------------------------------------------------------
     # Monitor events → records (the module's schema table)
@@ -306,87 +276,6 @@ class Tracer(Monitor):
             events_run=engine.events_run, pending=engine.pending,
         )
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def filter(
-        self,
-        kind: Optional[str] = None,
-        node: Optional[int] = None,
-        t0: float = float("-inf"),
-        t1: float = float("inf"),
-    ) -> List[TraceRecord]:
-        return [
-            r
-            for r in self.records
-            if (kind is None or r.kind == kind)
-            and (node is None or r.node == node)
-            and t0 <= r.time <= t1
-        ]
-
-    def count(self, **kwargs: Any) -> int:
-        return len(self.filter(**kwargs))
-
-    def render(self, limit: int = 100, **filter_kwargs: Any) -> str:
-        rows = self.filter(**filter_kwargs)[:limit]
-        lines = [f"{r.time:10.3f}s  node {r.node:<4} {r.kind:<14} {r.detail}" for r in rows]
-        if self.dropped:
-            lines.append(f"... ({self.dropped} records dropped at capacity)")
-        if self.filtered:
-            lines.append(f"... ({self.filtered} records excluded by kind filter)")
-        return "\n".join(lines) if lines else "(no records)"
-
-    # ------------------------------------------------------------------
-    # JSONL round trip
-    # ------------------------------------------------------------------
-    def _meta(self) -> Dict[str, Any]:
-        return {
-            "kind": "_meta",
-            "records": len(self.records),
-            "dropped": self.dropped,
-            "filtered": self.filtered,
-            "keep": self.keep,
-        }
-
-    def to_jsonl(self, path: Union[str, Path]) -> int:
-        """Write the in-memory records (plus a ``_meta`` footer) to ``path``.
-        Returns the number of records written."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            for record in self.records:
-                fh.write(encode_record(record.to_dict()) + "\n")
-            fh.write(encode_record(self._meta()) + "\n")
-        return len(self.records)
-
-    def close(self) -> None:
-        """Write the ``_meta`` footer to the streaming sink and close it."""
-        if self.sink is not None:
-            self.sink.emit(self._meta())
-            self.sink.close()
-            self.sink = None
-
-    @classmethod
-    def from_jsonl(cls, *paths: Union[str, Path]) -> "Tracer":
-        """Load a tracer back from one or more JSONL files (in order).
-        Restores drop/filter accounting from the ``_meta`` footers."""
-        tracer = cls(max_records=None)
-        for path in paths:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    data = json.loads(line)
-                    kind = data.get("kind", "")
-                    if isinstance(kind, str) and kind.startswith("_"):
-                        if kind == "_meta":
-                            tracer.dropped += int(data.get("dropped", 0))
-                            tracer.filtered += int(data.get("filtered", 0))
-                        continue
-                    tracer.records.append(TraceRecord.from_dict(data))
-        return tracer
-
 
 # ---------------------------------------------------------------------------
 # Network instrumentation
@@ -396,19 +285,21 @@ def instrument_network(
     kinds: Optional[Set[str]] = None,
     max_records: Optional[int] = 100_000,
     keep: str = "head",
-    sink: Optional[JsonlStreamSink] = None,
     etx_sample_s: Optional[float] = None,
 ) -> Tracer:
     """Attach a :class:`Tracer` to every layer of a built network.
 
-    See the module docstring for the full record schema.  ``etx_sample_s``
+    See the module docstring for the full record schema.  The records are
+    kept in memory: ``max_records`` bounds them (``None``: unbounded) and
+    ``keep`` picks which survive the bound (see
+    :class:`~repro.obs.stream.RecordLog`).  ``etx_sample_s``
     additionally samples each node's parent-link ETX estimate against the
     channel's ground truth at that period (off by default — it adds engine
     events, though it never changes results).  The tracer only observes:
     it consumes no randomness and schedules nothing on the frame path, so
     a traced run is bit-identical to an untraced one.
     """
-    tracer = Tracer(max_records=max_records, kinds=kinds, keep=keep, sink=sink)
+    tracer = Tracer(RecordLog(limit=max_records, keep=keep), kinds=kinds)
     network.attach(tracer)
     if etx_sample_s is not None:
         _schedule_etx_sampling(tracer, network, etx_sample_s)

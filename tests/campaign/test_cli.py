@@ -225,6 +225,26 @@ def test_out_dash_writes_only_the_summary_json(tmp_path, capsys):
     assert "1 executed, 0 cached, 0 failed" in captured.err
 
 
+def test_telemetry_log_is_closed_after_run_and_interruption(tmp_path, monkeypatch):
+    from repro.obs.stream import RecordLog, read_stream
+
+    opened = []
+    original_init = RecordLog.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(RecordLog, "__init__", recording_init)
+    spec = _write_spec(tmp_path, GRID_SPEC)
+    stream = tmp_path / "live.jsonl"
+    assert _main(["run", str(spec), "--telemetry", str(stream), "--stop-after", "2"], tmp_path) == 3
+    assert _main(["resume", str(spec), "--telemetry", str(stream)], tmp_path) == 0
+    assert len(opened) == 2 and all(log.closed for log in opened)
+    kinds = [r["rec"] for r in read_stream(stream)]
+    assert kinds.count("campaign-end") == 2
+
+
 def test_report_goes_to_stderr(tmp_path, capsys):
     spec = _write_spec(tmp_path, GRID_SPEC)
     assert _main(["run", str(spec)], tmp_path) == 0

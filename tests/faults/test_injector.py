@@ -148,9 +148,9 @@ def test_fault_events_reach_the_trace():
     tracer = instrument_network(net)
     net.run()
     seen = [
-        (rec.time, rec.kind, rec.node)
+        (rec["t"], rec["kind"], rec["node"])
         for rec in tracer.records
-        if rec.kind in ("crash", "reboot", "blackout", "blackout-end")
+        if rec["kind"] in ("crash", "reboot", "blackout", "blackout-end")
     ]
     assert seen == [
         (90.0, "crash", VICTIM),
@@ -204,11 +204,12 @@ def test_crash_record_is_followed_by_the_parent_loss():
     parent = {}
     losses = 0
     for i, record in enumerate(records):
-        if record.kind == "parent-change":
-            parent[record.node] = record.get("new")
-        elif record.kind == "crash" and parent.get(record.node, -1) != -1:
+        node = record["node"]
+        if record["kind"] == "parent-change":
+            parent[node] = record["new"]
+        elif record["kind"] == "crash" and parent.get(node, -1) != -1:
             after = records[i + 1]
-            assert (after.kind, after.node, after.time) == ("parent-change", record.node, record.time)
-            assert after.get("old") == parent[record.node] and after.get("new") == -1
+            assert (after["kind"], after["node"], after["t"]) == ("parent-change", node, record["t"])
+            assert after["old"] == parent[node] and after["new"] == -1
             losses += 1
     assert losses > 0

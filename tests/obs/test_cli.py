@@ -7,7 +7,7 @@ import pytest
 from repro.obs.cli import main
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
-from repro.sim.trace import instrument_network
+from repro.sim.trace import instrument_network, select
 from repro.topology.generators import grid
 from repro.workloads.collection import WorkloadConfig
 
@@ -66,7 +66,7 @@ def test_timeline_filters(exported_trace, capsys):
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if "parent-change" in l]
     assert 0 < len(lines) <= 5
-    node = tracer.filter(kind="parent-change")[0].node
+    node = select(tracer.records, kind="parent-change")[0]["node"]
     main(["timeline", path, "--node", str(node), "--kind", "parent-change"])
     out = capsys.readouterr().out
     assert f"node {node}" in out
@@ -76,7 +76,7 @@ def test_flaps_counts_match_trace(exported_trace, capsys):
     path, _, tracer = exported_trace
     assert main(["flaps", path]) == 0
     out = capsys.readouterr().out
-    total = tracer.count(kind="parent-change")
+    total = len(select(tracer.records, kind="parent-change"))
     assert f"({total} total" in out
 
 
@@ -90,7 +90,7 @@ def test_convergence_reports_error(exported_trace, capsys):
 
 def test_convergence_single_node_timeseries(exported_trace, capsys):
     path, _, tracer = exported_trace
-    node = tracer.filter(kind="etx")[0].node
+    node = select(tracer.records, kind="etx")[0]["node"]
     assert main(["convergence", path, "--node", str(node)]) == 0
     out = capsys.readouterr().out
     assert "estimated" in out and "true" in out
@@ -103,7 +103,7 @@ def test_journey_renders_span_trees(exported_trace, capsys):
     assert "packet (" in out
     assert "link attempts:" in out  # aggregate footer
     # Filtering by origin narrows the listing to that node's packets.
-    origin = tracer.filter(kind="pkt-orig")[0].node
+    origin = select(tracer.records, kind="pkt-orig")[0]["node"]
     assert main(["journey", path, "--origin", str(origin), "--limit", "2"]) == 0
     out = capsys.readouterr().out
     assert f"packet ({origin}," in out
@@ -117,16 +117,16 @@ def test_journey_state_filter(exported_trace, capsys):
 
 
 def test_tail_validates_stream(tmp_path, capsys):
-    from repro.obs.stream import JsonlStreamSink
+    from repro.obs.stream import RecordLog
 
     path = tmp_path / "live.jsonl"
-    sink = JsonlStreamSink(path)
-    sink.emit({"rec": "sweep-start", "seq": 0, "t": None, "total": 1})
-    sink.emit({"rec": "run-result", "seq": 1, "t": None, "label": "x",
-               "status": "ok"})
-    sink.emit({"rec": "sweep-end", "seq": 2, "t": None, "executed": 1,
-               "cache_hits": 0, "failures": 0})
-    sink.close()
+    log = RecordLog(path)
+    log.emit({"rec": "sweep-start", "seq": 0, "t": None, "total": 1})
+    log.emit({"rec": "run-result", "seq": 1, "t": None, "label": "x",
+              "status": "ok"})
+    log.emit({"rec": "sweep-end", "seq": 2, "t": None, "executed": 1,
+              "cache_hits": 0, "failures": 0})
+    log.close()
     assert main(["tail", str(path), "--check"]) == 0
     out = capsys.readouterr().out
     assert "sweep-start" in out and "all records valid" in out
@@ -149,3 +149,20 @@ def test_cli_handles_empty_sections(tmp_path, capsys):
     assert "no parent-change" in capsys.readouterr().out
     main(["convergence", str(path)])
     assert "no usable" in capsys.readouterr().out
+
+
+def test_trace_debugging_example_feeds_the_cli(tmp_path, monkeypatch, capsys):
+    """The example runs end to end and its export is readable by the CLI."""
+    import runpy
+    from pathlib import Path
+
+    example = Path(__file__).resolve().parents[2] / "examples" / "trace_debugging.py"
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(example))["main"]()
+    out = capsys.readouterr().out
+    assert "--- cross-layer metrics (estimator excerpt) ---" in out
+    assert "est.estimator.rejected_no_white = " in out
+    trace = str(tmp_path / "results" / "trace.jsonl")
+    assert main(["summary", trace]) == 0
+    assert main(["flaps", trace]) == 0
+    assert "parent changes (" in capsys.readouterr().out

@@ -3,7 +3,7 @@
 from repro.obs.journey import build_journeys, summarize_journeys
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
-from repro.sim.trace import instrument_network
+from repro.sim.trace import instrument_network, load_trace, select
 from repro.topology.generators import grid
 
 
@@ -97,7 +97,7 @@ def test_broken_chain_yields_empty_path():
 # ---------------------------------------------------------------------------
 def test_every_delivered_packet_has_complete_span_chain():
     net, tracer, result = _traced_run()
-    assert tracer.dropped == 0  # unbounded trace: nothing decimated
+    assert tracer.log.dropped == 0  # unbounded trace: nothing decimated
     journeys = build_journeys(tracer.records)
     delivered = [j for j in journeys.values() if j.delivered]
     assert len(delivered) == result.unique_delivered
@@ -114,13 +114,15 @@ def test_every_delivered_packet_has_complete_span_chain():
     assert summary.total_retries <= summary.total_attempts
 
 
-def test_journeys_survive_trace_dicts_round_trip():
+def test_journeys_survive_trace_dicts_round_trip(tmp_path):
     net, tracer, result = _traced_run()
-    from_objects = build_journeys(tracer.records)
-    from_dicts = build_journeys([r.to_dict() for r in tracer.records])
-    assert set(from_objects) == set(from_dicts)
-    for key, journey in from_objects.items():
-        other = from_dicts[key]
+    path = tmp_path / "trace.jsonl"
+    tracer.to_jsonl(path)
+    in_memory = build_journeys(tracer.records)
+    from_file = build_journeys(load_trace(path)[0])
+    assert set(in_memory) == set(from_file)
+    for key, journey in in_memory.items():
+        other = from_file[key]
         assert journey.state == other.state
         assert journey.path() == other.path()
         assert journey.total_attempts == other.total_attempts
@@ -132,7 +134,7 @@ def test_mhlqi_packets_get_complete_journeys():
     net, tracer, result = _traced_run(protocol="mhlqi")
     switches = sum(node.protocol.stats.parent_switches for node in net.nodes.values())
     assert switches > 0
-    acquired = [r for r in tracer.filter(kind="parent-change") if r.get("new") != -1]
+    acquired = [r for r in select(tracer.records, kind="parent-change") if r["new"] != -1]
     assert len(acquired) == switches
     journeys = build_journeys(tracer.records)
     delivered = [j for j in journeys.values() if j.delivered]

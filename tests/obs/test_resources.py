@@ -1,14 +1,15 @@
 """Run resource accounting: probes, aggregation, and runner integration."""
 
 from repro.obs.resources import (
-    RESOURCE_FIELDS,
     ResourceProbe,
     attach_resources,
     format_resources,
-    measure_run,
     merge_resources,
 )
 from repro.runner import ExperimentRunner, Task
+
+#: Keys every resources dict carries (values are floats; kB for RSS).
+RESOURCE_FIELDS = {"wall_s", "cpu_user_s", "cpu_sys_s", "cpu_s", "max_rss_kb"}
 
 
 def _burn(n):
@@ -19,16 +20,10 @@ def test_probe_reports_every_field():
     with ResourceProbe() as probe:
         _burn(50_000)
     resources = probe.result
-    assert set(resources) == set(RESOURCE_FIELDS)
+    assert set(resources) == RESOURCE_FIELDS
     assert resources["wall_s"] > 0.0
     assert resources["cpu_s"] == resources["cpu_user_s"] + resources["cpu_sys_s"]
     assert resources["max_rss_kb"] > 0.0  # Linux: kB high-water mark
-
-
-def test_measure_run_returns_value_and_resources():
-    value, resources = measure_run(_burn, 10_000)
-    assert value == _burn(10_000)
-    assert resources["wall_s"] > 0.0
 
 
 def test_attach_resources_is_duck_typed():
@@ -100,7 +95,7 @@ def test_sim_results_carry_worker_resources():
     cells = run_cells(scale, [Cell.make("4b")], ExperimentRunner())
     run = cells[0].runs[0]
     assert run.resources is not None
-    assert set(run.resources) == set(RESOURCE_FIELDS)
+    assert set(run.resources) == RESOURCE_FIELDS
     assert run.resources["cpu_s"] > 0.0
     payload = run.to_json_dict()
     assert payload["resources"]["cpu_s"] == run.resources["cpu_s"]

@@ -1,14 +1,14 @@
-"""Live telemetry streaming: record schema, sinks, and the sim-time sampler."""
+"""Live telemetry streaming: record schema, the record log, and the
+sim-time sampler."""
 
 import json
 
 import pytest
 
-from repro.obs.bridge import network_metrics
+from repro.faults.invariants import InvariantChecker, InvariantViolation
+from repro.obs.metrics import network_metrics
 from repro.obs.stream import (
-    JsonlStreamSink,
-    PrometheusTextSink,
-    RingStreamSink,
+    RecordLog,
     TelemetrySampler,
     encode_record,
     fold_snapshots,
@@ -84,58 +84,58 @@ def test_fold_snapshots_later_updates_win():
 
 
 # ---------------------------------------------------------------------------
-# Sinks
+# The record log
 # ---------------------------------------------------------------------------
 def test_jsonl_sink_round_trips(tmp_path):
     path = tmp_path / "sub" / "stream.jsonl"  # parent dir is created
-    sink = JsonlStreamSink(path)
+    log = RecordLog(path)
     records = [
         {"rec": "sweep-start", "seq": 0, "t": None, "total": 1},
         {"rec": "sweep-end", "seq": 1, "t": None, "executed": 1,
          "cache_hits": 0, "failures": 0},
     ]
     for record in records:
-        sink.emit(record)
-    sink.close()
+        log.emit(record)
+    # Flushed per record: readable before the log is closed.
     assert list(read_stream(path)) == records
-    assert sink.stats.records_emitted == 2
-    assert sink.stats.bytes_written == path.stat().st_size
+    assert len(log.records) == 0  # a file-backed log keeps nothing in memory
+    log.close()
+    assert log.closed
 
 
 def test_jsonl_sink_appends_across_opens(tmp_path):
     path = tmp_path / "stream.jsonl"
     for seq in range(2):
-        sink = JsonlStreamSink(path)
-        sink.emit({"rec": "sweep-start", "seq": seq, "t": None, "total": 1})
-        sink.close()
+        log = RecordLog(path)
+        log.emit({"rec": "sweep-start", "seq": seq, "t": None, "total": 1})
+        log.close()
     assert len(list(read_stream(path))) == 2
 
 
 def test_ring_sink_bounds_memory():
-    sink = RingStreamSink(capacity=3)
+    log = RecordLog(limit=3, keep="tail")
     for seq in range(5):
-        sink.emit({"rec": "sweep-start", "seq": seq, "t": None, "total": 1})
-    assert [r["seq"] for r in sink.records] == [2, 3, 4]
-    assert sink.dropped == 2
-    with pytest.raises(ValueError):
-        RingStreamSink(capacity=0)
+        log.emit({"rec": "sweep-start", "seq": seq, "t": None, "total": 1})
+    assert [r["seq"] for r in log.records] == [2, 3, 4]
+    assert log.dropped == 2
+    head = RecordLog(limit=3)
+    for seq in range(5):
+        head.emit({"rec": "sweep-start", "seq": seq, "t": None, "total": 1})
+    assert [r["seq"] for r in head.records] == [0, 1, 2]
+    assert head.dropped == 2
 
 
-def test_prometheus_sink_folds_and_escapes(tmp_path):
-    from repro.obs.metrics import _flat_key
-
-    path = tmp_path / "metrics.prom"
-    sink = PrometheusTextSink(path)
-    sink.emit({"rec": "run-start", "seq": 0, "t": 0.0})  # ignored: not a snapshot
-    tagged = _flat_key("sim.run.tag", [("label", 'a"b\\c')])
-    sink.emit({"rec": "snapshot", "seq": 1, "t": 30.0, "full": True,
-               "updates": {"link.mac.tx_unicast{node=7}": 3, tagged: 1}})
-    sink.emit({"rec": "snapshot", "seq": 2, "t": 60.0, "full": False,
-               "updates": {"link.mac.tx_unicast{node=7}": 9}})
-    text = path.read_text()
-    assert text == sink.render()
-    assert 'link_mac_tx_unicast{node="7"} 9' in text  # latest value wins
-    assert '\\"b\\\\c' in text  # quote and backslash escaped
+def test_export_replaces_the_file_and_ends_with_meta(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("stale\n")
+    log = RecordLog(limit=2)
+    for i in range(3):
+        log.emit({"t": float(i), "kind": "boot", "node": i})
+    assert log.export(path, filtered=5) == 2
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["node"] for r in lines[:-1]] == [0, 1]
+    assert lines[-1] == {"kind": "_meta", "records": 2, "dropped": 1,
+                         "filtered": 5, "keep": "head"}
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +144,11 @@ def test_prometheus_sink_folds_and_escapes(tmp_path):
 def test_sampler_stream_folds_to_exact_end_state():
     net = _network(telemetry_period_s=30.0)
     assert isinstance(net.telemetry, TelemetrySampler)
-    sink = net.telemetry.sink
-    assert isinstance(sink, RingStreamSink)  # no path → in-memory ring
+    log = net.telemetry.log
+    assert log.keep == "tail" and log.limit == 1024  # no path → in-memory ring
     net.run()
 
-    records = sink.records
+    records = list(log.records)
     kinds = [r["rec"] for r in records]
     assert kinds[0] == "run-start" and kinds[-1] == "run-end"
     snapshots = [r for r in records if r["rec"] == "snapshot"]
@@ -159,9 +159,9 @@ def test_sampler_stream_folds_to_exact_end_state():
     for record in records:
         assert validate_record(record) == [], record
 
-    # The acceptance contract: the fold equals the end-of-run registry
-    # snapshot key-for-key (sampler default is per_node=False).
-    assert fold_snapshots(records) == network_metrics(net, per_node=False).snapshot()
+    # The acceptance contract: the fold equals the end-of-run metrics
+    # key-for-key (sampler default is per_node=False).
+    assert fold_snapshots(records) == network_metrics(net, per_node=False)
 
     end = records[-1]
     assert end["events_run"] == net.engine.events_run
@@ -172,9 +172,9 @@ def test_sampler_stream_folds_to_exact_end_state():
 def test_sampler_per_node_mode_folds_exactly():
     net = _network(telemetry_period_s=50.0, telemetry_per_node=True)
     net.run()
-    records = net.telemetry.sink.records
+    records = net.telemetry.log.records
     folded = fold_snapshots(records)
-    assert folded == network_metrics(net, per_node=True).snapshot()
+    assert folded == network_metrics(net, per_node=True)
     assert any("{" in key for key in folded)  # per-node labels survived
 
 
@@ -183,9 +183,25 @@ def test_sampler_streams_to_jsonl_path(tmp_path):
     net = _network(telemetry_period_s=30.0, telemetry_path=str(path))
     net.run()
     records = list(read_stream(path))
-    assert fold_snapshots(records) == network_metrics(net, per_node=False).snapshot()
+    assert fold_snapshots(records) == network_metrics(net, per_node=False)
     assert all(validate_record(r) == [] for r in records)
     assert records[0]["run"] == "4b-seed2"
+    assert net.telemetry.log.closed
+
+
+def test_run_that_raises_closes_its_stream(tmp_path, monkeypatch):
+    def violate(self, final=False):
+        raise InvariantViolation("forced")
+
+    monkeypatch.setattr(InvariantChecker, "check_now", violate)
+    path = tmp_path / "live.jsonl"
+    net = _network(telemetry_period_s=30.0, telemetry_path=str(path),
+                   check_invariants=True)
+    with pytest.raises(InvariantViolation):
+        net.run()
+    assert net.telemetry.log.closed
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records and records[0]["rec"] == "run-start"
 
 
 def test_telemetry_is_pure_observer():
@@ -199,9 +215,13 @@ def test_telemetry_is_pure_observer():
 
 
 def test_telemetry_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
-                  telemetry_period_s=0.0)
+    for period in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
+                      telemetry_period_s=period)
+    # A period longer than the run is legal (it just never samples early).
+    SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
+              telemetry_period_s=float("inf"))
     with pytest.raises(ValueError):
         SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
                   telemetry_path="x.jsonl")  # path requires a period
@@ -215,20 +235,20 @@ def _double(x):
 
 
 def test_runner_emits_sweep_scoped_records(tmp_path):
-    sink = RingStreamSink(capacity=64)
+    log = RecordLog(limit=64, keep="tail")
     cache = ResultCache(tmp_path)
     tasks = [Task(_double, n, label=f"double({n})") for n in (1, 2)]
 
-    runner = ExperimentRunner(cache=cache, telemetry=sink)
+    runner = ExperimentRunner(cache=cache, telemetry=log)
     runner.run(tasks)
-    kinds = [r["rec"] for r in sink.records]
+    kinds = [r["rec"] for r in log.records]
     assert kinds == ["sweep-start", "run-result", "run-result", "sweep-end"]
-    assert all(validate_record(r) == [] for r in sink.records)
-    assert {r["status"] for r in sink.records if r["rec"] == "run-result"} == {"ok"}
-    end = sink.records[-1]
+    assert all(validate_record(r) == [] for r in log.records)
+    assert {r["status"] for r in log.records if r["rec"] == "run-result"} == {"ok"}
+    end = log.records[-1]
     assert end["executed"] == 2 and end["cache_hits"] == 0 and end["failures"] == 0
 
-    rerun = ExperimentRunner(cache=cache, telemetry=RingStreamSink(capacity=64))
+    rerun = ExperimentRunner(cache=cache, telemetry=RecordLog(limit=64, keep="tail"))
     rerun.run(tasks)
     statuses = [r["status"] for r in rerun.telemetry.records
                 if r["rec"] == "run-result"]
@@ -240,10 +260,10 @@ def _explode(x):
 
 
 def test_runner_emits_failed_run_results():
-    sink = RingStreamSink(capacity=16)
-    runner = ExperimentRunner(strict=False, telemetry=sink)
+    log = RecordLog(limit=16, keep="tail")
+    runner = ExperimentRunner(strict=False, telemetry=log)
     runner.run([Task(_explode, 1, label="explode(1)")])
-    failed = [r for r in sink.records if r["rec"] == "run-result"]
+    failed = [r for r in log.records if r["rec"] == "run-result"]
     assert failed and failed[0]["status"] == "failed"
     assert "boom" in failed[0]["error"]
-    assert sink.records[-1]["failures"] == 1
+    assert log.records[-1]["failures"] == 1

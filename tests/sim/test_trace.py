@@ -4,18 +4,26 @@ import json
 
 import pytest
 
-from repro.obs.stream import JsonlStreamSink
+from repro.obs.cli import main as obs_cli
+from repro.obs.stream import RecordLog
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
 from repro.sim.trace import (
     NETWORK_NODE,
     Tracer,
-    TraceRecord,
     instrument_network,
+    load_trace,
+    select,
     true_link_etx,
 )
 from repro.topology.generators import grid
 from repro.workloads.collection import WorkloadConfig
+
+
+def _meta(tracer, tmp_path):
+    path = tmp_path / "meta.jsonl"
+    tracer.to_jsonl(path)
+    return json.loads(path.read_text().splitlines()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -23,109 +31,113 @@ from repro.workloads.collection import WorkloadConfig
 # ---------------------------------------------------------------------------
 def test_emit_and_filter():
     tracer = Tracer()
-    tracer.emit(1.0, "tx", 3, "to 1 ack=1")
-    tracer.emit(2.0, "tx", 4, "to 1 ack=0")
-    tracer.emit(3.0, "boot", 3, "")
-    assert tracer.count(kind="tx") == 2
-    assert tracer.count(node=3) == 2
-    assert tracer.count(kind="tx", node=3) == 1
-    assert tracer.count(t0=1.5) == 2
+    tracer.emit(1.0, "tx", 3, dest=1, ack=1)
+    tracer.emit(2.0, "tx", 4, dest=1, ack=0)
+    tracer.emit(3.0, "boot", 3)
+    assert len(select(tracer.records, kind="tx")) == 2
+    assert len(select(tracer.records, node=3)) == 2
+    assert len(select(tracer.records, kind="tx", node=3)) == 1
+    assert len(select(tracer.records, t0=1.5)) == 2
+    assert len(select(tracer.records, t1=1.5)) == 1
 
 
 def test_kind_whitelist():
     tracer = Tracer(kinds={"boot"})
-    tracer.emit(1.0, "tx", 3, "")
-    tracer.emit(2.0, "boot", 3, "")
-    assert tracer.count() == 1
+    tracer.emit(1.0, "tx", 3)
+    tracer.emit(2.0, "boot", 3)
+    assert len(tracer.records) == 1
+    assert tracer.filtered == 1
 
 
-def test_capacity_bound():
-    tracer = Tracer(max_records=2)
+def test_capacity_bound(tmp_path):
+    tracer = Tracer(RecordLog(limit=2))
     for i in range(5):
-        tracer.emit(float(i), "tx", 0, "")
+        tracer.emit(float(i), "tx", 0)
     assert len(tracer.records) == 2
-    assert tracer.dropped == 3
-    assert "dropped" in tracer.render()
+    assert tracer.log.dropped == 3
+    assert _meta(tracer, tmp_path)["dropped"] == 3
 
 
-def test_filtered_and_dropped_counted_separately():
-    tracer = Tracer(max_records=2, kinds={"tx"})
+def test_filtered_and_dropped_counted_separately(tmp_path):
+    tracer = Tracer(RecordLog(limit=2), kinds={"tx"})
     for i in range(5):
         tracer.emit(float(i), "tx", 0)
     for i in range(4):
         tracer.emit(float(i), "boot", 0)
-    assert tracer.dropped == 3  # capacity losses only
+    assert tracer.log.dropped == 3  # capacity losses only
     assert tracer.filtered == 4  # whitelist exclusions only
-    out = tracer.render()
-    assert "dropped" in out and "excluded" in out
+    meta = _meta(tracer, tmp_path)
+    assert meta["dropped"] == 3 and meta["filtered"] == 4
 
 
 def test_tail_mode_keeps_most_recent():
-    tracer = Tracer(max_records=3, keep="tail")
+    tracer = Tracer(RecordLog(limit=3, keep="tail"))
     for i in range(10):
         tracer.emit(float(i), "tx", 0, seq=i)
-    assert [r.get("seq") for r in tracer.records] == [7, 8, 9]
-    assert tracer.dropped == 7
+    assert [r["seq"] for r in tracer.records] == [7, 8, 9]
+    assert tracer.log.dropped == 7
 
 
 def test_keep_validation():
     with pytest.raises(ValueError):
-        Tracer(keep="middle")
+        RecordLog(keep="middle")
 
 
 def test_typed_fields_and_reserved_names():
     tracer = Tracer()
     tracer.emit(1.0, "tx", 3, dest=1, ack=1, backoffs=2)
-    record = tracer.records[0]
-    assert record.get("dest") == 1
-    assert record.get("ack") == 1
-    assert "dest=1" in record.detail
+    assert tracer.records[0] == {"t": 1.0, "kind": "tx", "node": 3,
+                                 "dest": 1, "ack": 1, "backoffs": 2}
     with pytest.raises(ValueError):
         tracer.emit(1.0, "tx", 3, t=5.0)  # 't' is a reserved envelope key
 
 
 def test_jsonl_round_trip(tmp_path):
-    tracer = Tracer(max_records=3)
+    tracer = Tracer(RecordLog(limit=3))
     tracer.emit(1.0, "tx", 3, dest=1, ack=0)
     tracer.emit(2.0, "rx", 4, src=3, snr=7.5, white=1)
     for i in range(5):
         tracer.emit(3.0, "boot", i)
     path = tmp_path / "trace.jsonl"
     assert tracer.to_jsonl(path) == 3
-    back = Tracer.from_jsonl(path)
-    assert [r.to_dict() for r in back.records] == [r.to_dict() for r in tracer.records]
-    assert back.dropped == tracer.dropped == 4
+    records, dropped, filtered = load_trace(path)
+    assert records == list(tracer.records)
+    assert dropped == tracer.log.dropped == 4
+    assert filtered == 0
     # The file is valid JSONL with a _meta footer.
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[-1]["kind"] == "_meta"
     assert lines[-1]["dropped"] == 4
+    # Footers of several files add up.
+    assert load_trace(path, path)[1] == 8
 
 
 def test_streaming_sink_keeps_nothing_in_memory(tmp_path):
     path = tmp_path / "stream.jsonl"
-    sink = JsonlStreamSink(path, append=False)
-    tracer = Tracer(max_records=0, sink=sink)
+    tracer = Tracer(RecordLog(path))
     for i in range(10):
         tracer.emit(float(i), "tx", 0, seq=i)
-    tracer.close()
+    tracer.log.close()
     assert len(tracer.records) == 0
-    assert tracer.dropped == 0
-    back = Tracer.from_jsonl(path)
-    assert len(back.records) == 10
-    assert [r.get("seq") for r in back.records] == list(range(10))
+    assert tracer.log.dropped == 0
+    records, _, _ = load_trace(path)
+    assert [r["seq"] for r in records] == list(range(10))
 
 
-def test_render_format():
+def test_render_format(tmp_path, capsys):
     tracer = Tracer()
-    tracer.emit(1.5, "parent-change", 7, "None -> 0")
-    out = tracer.render()
-    assert "node 7" in out
-    assert "parent-change" in out
-    assert "None -> 0" in out
+    tracer.emit(1.5, "parent-change", 7, old=-1, new=0)
+    path = tmp_path / "trace.jsonl"
+    tracer.to_jsonl(path)
+    assert obs_cli(["timeline", str(path)]) == 0
+    assert capsys.readouterr().out == "     1.500s  node 7    parent-change  old=-1 new=0\n"
 
 
-def test_render_empty():
-    assert Tracer().render() == "(no records)"
+def test_render_empty(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    Tracer().to_jsonl(path)
+    assert obs_cli(["timeline", str(path)]) == 0
+    assert capsys.readouterr().out == "(no matching records)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +161,12 @@ def traced_run():
 
 def test_instrumentation_captures_boots(traced_run):
     net, tracer, _ = traced_run
-    assert tracer.count(kind="boot") == len(net.nodes)
+    assert len(select(tracer.records, kind="boot")) == len(net.nodes)
 
 
 def test_instrumentation_captures_parent_changes(traced_run):
     _, tracer, _ = traced_run
-    changes = tracer.filter(kind="parent-change")
+    changes = select(tracer.records, kind="parent-change")
     assert changes, "at least the initial parent acquisitions must appear"
     for r in changes:
         assert isinstance(r.get("old"), int) and isinstance(r.get("new"), int)
@@ -163,18 +175,19 @@ def test_instrumentation_captures_parent_changes(traced_run):
 
 def test_instrumentation_captures_deliveries(traced_run):
     _, tracer, result = traced_run
-    assert tracer.count(kind="deliver") == result.unique_delivered + result.duplicates_at_root
+    delivered = select(tracer.records, kind="deliver")
+    assert len(delivered) == result.unique_delivered + result.duplicates_at_root
 
 
 def test_instrumentation_tx_matches_mac_counters(traced_run):
     net, tracer, _ = traced_run
     mac_total = sum(n.mac.stats.tx_unicast for n in net.nodes.values())
-    assert tracer.count(kind="tx") == mac_total
+    assert len(select(tracer.records, kind="tx")) == mac_total
 
 
 def test_instrumentation_captures_phy_receptions(traced_run):
     _, tracer, _ = traced_run
-    rx = tracer.filter(kind="rx")
+    rx = select(tracer.records, kind="rx")
     assert rx
     for r in rx[:50]:
         assert isinstance(r.get("src"), int)
@@ -186,7 +199,8 @@ def test_stats_records_match_in_process_counters(traced_run):
     """The acceptance criterion: end-of-run `stats` records reproduce the
     live stats dataclasses exactly, four-bit counters included."""
     net, tracer, _ = traced_run
-    est_recs = [r for r in tracer.filter(kind="stats") if r.get("layer") == "est.estimator"]
+    stats = select(tracer.records, kind="stats")
+    est_recs = [r for r in stats if r["layer"] == "est.estimator"]
     assert len(est_recs) == len(net.nodes)
     import dataclasses
     from repro.core.estimator import EstimatorStats
@@ -199,26 +213,25 @@ def test_stats_records_match_in_process_counters(traced_run):
             if n.estimator is not None
         )
         assert trace_total == live_total, field.name
-    mac_recs = [r for r in tracer.filter(kind="stats") if r.get("layer") == "link.mac"]
+    mac_recs = [r for r in stats if r["layer"] == "link.mac"]
     assert sum(r.get("tx_unicast", 0) for r in mac_recs) == sum(
         n.mac.stats.tx_unicast for n in net.nodes.values()
     )
     medium_recs = [
-        r for r in tracer.filter(kind="stats", node=NETWORK_NODE)
-        if r.get("layer") == "phy.medium"
+        r for r in select(stats, node=NETWORK_NODE) if r["layer"] == "phy.medium"
     ]
     assert len(medium_recs) == 1
-    assert medium_recs[0].get("transmissions") == net.medium.transmissions
+    assert medium_recs[0]["transmissions"] == net.medium.transmissions
 
 
 def test_stats_records_survive_jsonl_round_trip(traced_run, tmp_path):
     net, tracer, _ = traced_run
     path = tmp_path / "run.jsonl"
     tracer.to_jsonl(path)
-    back = Tracer.from_jsonl(path)
-    orig = [r for r in tracer.filter(kind="stats") if r.get("layer") == "est.estimator"]
-    loaded = [r for r in back.filter(kind="stats") if r.get("layer") == "est.estimator"]
-    assert [r.to_dict() for r in loaded] == [r.to_dict() for r in orig]
+    back, _, _ = load_trace(path)
+    orig = [r for r in select(tracer.records, kind="stats") if r["layer"] == "est.estimator"]
+    loaded = [r for r in select(back, kind="stats") if r["layer"] == "est.estimator"]
+    assert loaded == orig
 
 
 def test_true_link_etx_ground_truth(traced_run):
@@ -237,7 +250,7 @@ def test_etx_sampling_emits_records():
     net = CollectionNetwork(topo, config)
     tracer = instrument_network(net, etx_sample_s=60.0)
     net.run()
-    samples = tracer.filter(kind="etx")
+    samples = select(tracer.records, kind="etx")
     assert samples
     for r in samples:
         assert isinstance(r.get("neighbor"), int)
@@ -280,4 +293,4 @@ def test_instrumentation_does_not_change_results():
             assert plain.unique_delivered == traced.unique_delivered, case
             assert plain_counters == traced_counters, case
             assert plain_counters["deliveries"] > plain_counters["mac.frames_delivered_up"], case
-            assert tracer.count(kind="rx") > 0, case
+            assert select(tracer.records, kind="rx"), case
