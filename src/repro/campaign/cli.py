@@ -1,4 +1,4 @@
-"""Campaign CLI: run, resume, inspect, and tune from declarative spec files.
+"""Campaign CLI: run, resume and inspect declarative campaign files.
 
 Examples::
 
@@ -12,21 +12,24 @@ Examples::
     # where is it?  (points cached vs planned, rounds done, summary state)
     python -m repro.campaign status examples/ablation_kukb.json
 
-    # closed-loop estimator tuning (mode: "optimize" spec)
-    python -m repro.campaign tune examples/tune_estimator.json
+    # closed-loop estimator tuning: a mode "optimize" file runs the same way
+    python -m repro.campaign run examples/tune_estimator.json
 
     # the CI sweep: a protocol x power x seed collection grid on 2 workers,
     # its summary JSON piped on stdout, the report on stderr
     python -m repro.campaign run examples/smoke_sweep.json --workers 2 --out -
 
-A ``collection`` spec's ``faults`` and ``mobility`` take a preset name
-(examples/chaos_reboot_storm.json), a JSON file or an inline object.  Points
-that set ``profile_events`` add a ``[profile]`` table to the report.  Base
-params ``telemetry_period_s`` and ``telemetry_path`` stream each run's
-telemetry, and ``--telemetry`` adds the sweep and campaign records (see
-examples/live_telemetry.json); a point served from the cache never runs,
-so it streams no run records.  To drop every cached result, delete the
-cache directory.
+A campaign file's ``mode`` is ``grid``, ``random`` or ``optimize``; every
+mode writes one summary shape (the points, plus the ``best`` point when the
+file names an ``objective``), and ``optimize`` adds its per-round
+``history``.  A ``collection`` spec's ``faults`` and ``mobility`` take a
+preset name (examples/chaos_reboot_storm.json), a JSON file or an inline
+object.  Points that set ``profile_events`` add a ``[profile]`` table to
+the report.  Base params ``telemetry_period_s`` and ``telemetry_path``
+stream each run's telemetry, and ``--telemetry`` adds the sweep and
+campaign records (see examples/live_telemetry.json); a point served from
+the cache never runs, so it streams no run records.  To drop every cached
+result, delete the cache directory.
 
 Exit codes: 0 success, 1 usage/spec error, 3 interrupted (resumable),
 4 some point failed (the summary is still written and lists its error).
@@ -40,7 +43,6 @@ import signal
 import sys
 from pathlib import Path
 
-from repro.campaign.optimize import OptimizerSpec
 from repro.campaign.queue import (
     DEFAULT_STATE_ROOT,
     Campaign,
@@ -107,24 +109,16 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
     )
 
 
-def _cmd_run(args: argparse.Namespace, require_optimizer: bool = False) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     campaign = _build_campaign(args)
     try:
-        return _run_campaign(campaign, args, require_optimizer)
+        return _run_campaign(campaign, args)
     finally:
         if campaign.telemetry is not None:
             campaign.telemetry.close()
 
 
-def _run_campaign(campaign: Campaign, args: argparse.Namespace, require_optimizer: bool) -> int:
-    if require_optimizer and not isinstance(campaign.spec, OptimizerSpec):
-        print(
-            f"error: {args.spec} is a {getattr(campaign.spec, 'mode', '?')} sweep; "
-            "'tune' needs a spec with mode: \"optimize\" (use 'run' instead)",
-            file=sys.stderr,
-        )
-        return 1
-
+def _run_campaign(campaign: Campaign, args: argparse.Namespace) -> int:
     def _on_signal(signum, frame):  # pragma: no cover - exercised via subprocess
         campaign.request_stop()
 
@@ -162,15 +156,9 @@ def _run_campaign(campaign: Campaign, args: argparse.Namespace, require_optimize
             f"{stats.cache_hits} cached, {stats.failures} failed; "
             f"summary: {campaign.summary_path}"
         )
-        if isinstance(doc, dict) and doc.get("best") not in (None, {}):
-            best = doc["best"]
-            line += f"\n[campaign] best {doc.get('objective')}: {best.get('score')} at {best.get('params')}"
-        elif isinstance(doc, dict) and doc.get("best_params") is not None:
-            line += (
-                f"\n[campaign] best {doc.get('objective')}: {doc.get('best_score')} "
-                f"at {doc.get('best_params')} "
-                f"({doc.get('valid_evaluations')}/{doc.get('evaluations')} valid)"
-            )
+        best = doc.get("best")
+        if best:
+            line += f"\n[campaign] best {doc['objective']}: {best['score']} at {best['params']}"
         for failure in campaign.runner.totals.failures:
             line += f"\n[campaign] failed {failure.label}: {failure.error}"
         print(line, file=sys.stderr)
@@ -199,8 +187,6 @@ def main(argv=None) -> int:
     _add_run_args(run_p)
     resume_p = sub.add_parser("resume", help="alias of run: cached points are never re-executed")
     _add_run_args(resume_p)
-    tune_p = sub.add_parser("tune", help="run a closed-loop optimizer spec (mode: optimize)")
-    _add_run_args(tune_p)
     status_p = sub.add_parser("status", help="report cached/planned progress without executing")
     _add_common(status_p)
 
@@ -208,8 +194,6 @@ def main(argv=None) -> int:
     try:
         if args.command in ("run", "resume"):
             return _cmd_run(args)
-        if args.command == "tune":
-            return _cmd_run(args, require_optimizer=True)
         return _cmd_status(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """The persistent campaign queue: exactly-once runs, resumable from disk.
 
-A :class:`Campaign` turns a declarative spec (:class:`SweepSpec` or
-:class:`OptimizerSpec`) into :class:`~repro.runner.runner.Task`\\ s over
-:func:`repro.campaign.spec.simulate` and drives them through the
+A :class:`Campaign` drives a declarative :class:`SweepSpec`'s search loop
+(:func:`repro.campaign.sweep.search`), running each round's points as
+:class:`~repro.runner.runner.Task`\\ s over
+:func:`repro.campaign.spec.simulate` through the
 :class:`~repro.runner.runner.ExperimentRunner` process pool.  Durability
 is *not* a bespoke journal — it is the canonical-digest result cache:
 
@@ -16,9 +17,10 @@ is *not* a bespoke journal — it is the canonical-digest result cache:
   re-executions — the exactly-once property the kill/resume property
   tests pin down), and only the genuinely unfinished tail executes.
 
-Adaptive sweeps and the optimizer stay resumable because each round is a
-pure function of the previous rounds' *results*, which the cache holds:
-the refinement trajectory re-derives identically on resume.
+Optimize campaigns stay resumable because each round is a pure function
+of the previous rounds' *results*, which the cache holds: the refinement
+trajectory re-derives identically on resume, and ``status`` replays the
+same loop on cache hits alone.
 
 On-disk state lives under ``<state-root>/<spec-digest>/``:
 
@@ -41,14 +43,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.optimize import (
-    OptimizerOutcome,
-    OptimizerSpec,
-    objective_score,
-    run_optimizer,
-)
 from repro.campaign.spec import SimulationResult, SimulationSpec, simulate
-from repro.campaign.sweep import RangeSpec, SweepSpec, read_spec_data, shrink_ranges
+from repro.campaign.sweep import SweepSpec, rank, read_spec_data, run_search, search
 from repro.metrics.collection_stats import json_sanitize
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.runner import ExperimentRunner, Task
@@ -159,33 +155,9 @@ def _dump_deterministic(doc: Dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def load_campaign_file(path: Union[str, Path]) -> Union[SweepSpec, OptimizerSpec]:
-    """Load a campaign spec file (JSON, or TOML on Python >= 3.11).
-
-    ``mode: "optimize"`` selects the closed-loop tuner; every other mode is
-    a sweep (``grid`` / ``random`` / ``adaptive``).
-    """
-    data = read_spec_data(path)
-    if str(data.get("mode", "grid")) == "optimize":
-        return OptimizerSpec.from_json_dict(data)
-    return SweepSpec.from_json_dict(data)
-
-
-def _rank(
-    results: Sequence[Tuple[SimulationSpec, Optional[SimulationResult]]],
-    objective: str,
-    minimize: bool,
-) -> List[Tuple[float, str, SimulationSpec, SimulationResult]]:
-    """Valid results best-first, digest-tiebroken (deterministic order)."""
-    sign = 1.0 if minimize else -1.0
-    ranked = []
-    for point, result in results:
-        score = objective_score(result, objective)
-        if score is None or result is None:
-            continue
-        ranked.append((sign * score, point.digest(), point, result))
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    return ranked
+def load_campaign_file(path: Union[str, Path]) -> SweepSpec:
+    """Load a campaign spec file (JSON, or TOML on Python >= 3.11)."""
+    return SweepSpec.from_json_dict(read_spec_data(path))
 
 
 class Campaign:
@@ -194,7 +166,7 @@ class Campaign:
     Parameters
     ----------
     spec:
-        A :class:`SweepSpec` or :class:`OptimizerSpec`.
+        The :class:`SweepSpec` to run.
     state_root:
         Root under which this campaign's state directory
         (``<root>/<digest>``) lives; default ``REPRO_CAMPAIGN_DIR`` or
@@ -219,7 +191,7 @@ class Campaign:
 
     def __init__(
         self,
-        spec: Union[SweepSpec, OptimizerSpec],
+        spec: SweepSpec,
         state_root: Union[str, Path, None] = None,
         cache: Any = None,
         workers: int = 1,
@@ -288,7 +260,7 @@ class Campaign:
             "schema": 1,
             "campaign": self.spec.name,
             "digest": self.digest,
-            "mode": getattr(self.spec, "mode", "optimize"),
+            "mode": self.spec.mode,
             "kind": self.spec.kind,
         }
         doc.update(fields)
@@ -319,19 +291,15 @@ class Campaign:
         self._sink = sink
         runner = self.runner = self._make_runner(sink)
         self._write_spec()
-        mode = getattr(self.spec, "mode", "optimize")
         sink.emit_campaign(
             "campaign-start",
             campaign=self.spec.name,
             digest=self.digest,
-            mode=mode,
-            planned=None if isinstance(self.spec, OptimizerSpec) else self.spec.total_points(),
+            mode=self.spec.mode,
+            planned=self.spec.total_points(),
         )
         try:
-            if isinstance(self.spec, OptimizerSpec):
-                doc = self._run_optimizer(runner, sink)
-            else:
-                doc = self._run_sweep(runner, sink)
+            doc = self._run_search(runner, sink)
         except CampaignInterrupted as exc:
             self._write_manifest(interrupted=True, executed_this_session=exc.completed)
             sink.emit_campaign(
@@ -354,69 +322,43 @@ class Campaign:
         )
         return doc
 
-    def _execute_points(
-        self, runner: ExperimentRunner, points: Sequence[SimulationSpec]
-    ) -> List[Tuple[SimulationSpec, Optional[SimulationResult]]]:
-        tasks = [Task(fn=simulate, arg=p, label=p.describe()) for p in points]
-        results = runner.run(tasks)
-        return list(zip(points, results))
+    def _run_search(self, runner: ExperimentRunner, sink: _CampaignSink) -> Dict[str, Any]:
+        """Drive the search loop through the runner, checkpointing each round."""
+        pairs: List[Tuple[SimulationSpec, Optional[SimulationResult]]] = []
+        rounds = 0
 
-    def _run_sweep(self, runner: ExperimentRunner, sink: _CampaignSink) -> Dict[str, Any]:
-        spec = self.spec
-        assert isinstance(spec, SweepSpec)
-        all_pairs: List[Tuple[SimulationSpec, Optional[SimulationResult]]] = []
-        if spec.mode == "grid":
-            rounds_points: List[List[SimulationSpec]] = [spec.grid_points()]
-        elif spec.mode == "random":
-            rounds_points = [spec.sample_points(0)]
-        else:  # adaptive: later rounds derive from earlier results
-            rounds_points = []
-        if spec.mode in ("grid", "random"):
-            for round_i, points in enumerate(rounds_points):
-                pairs = self._execute_points(runner, points)
-                all_pairs.extend(pairs)
-                self._checkpoint_round(sink, round_i, all_pairs)
-        else:
-            ranges: Tuple[RangeSpec, ...] = spec.ranges
-            for round_i in range(spec.rounds):
-                points = spec.sample_points(round_i, ranges)
-                pairs = self._execute_points(runner, points)
-                all_pairs.extend(pairs)
-                self._checkpoint_round(sink, round_i, all_pairs)
-                ranked = _rank(pairs, spec.objective, spec.minimize)
-                survivors = [p.param_dict() for _s, _d, p, _r in ranked[: spec.top_k]]
-                ranges = shrink_ranges(ranges, survivors, spec.shrink)
-        return self._sweep_summary(runner, all_pairs)
+        def evaluate(points: Sequence[SimulationSpec]) -> List[Optional[SimulationResult]]:
+            nonlocal rounds
+            results = runner.run([Task(fn=simulate, arg=p, label=p.describe()) for p in points])
+            pairs.extend(zip(points, results))
+            done = sum(1 for _p, r in pairs if r is not None)
+            rounds += 1
+            self._write_manifest(
+                interrupted=False,
+                rounds_done=rounds,
+                points_enumerated=len(pairs),
+                points_completed=done,
+            )
+            sink.emit_campaign(
+                "campaign-round",
+                campaign=self.spec.name,
+                digest=self.digest,
+                round=rounds - 1,
+                completed=done,
+                enumerated=len(pairs),
+            )
+            return results
 
-    def _checkpoint_round(
-        self,
-        sink: _CampaignSink,
-        round_i: int,
-        all_pairs: Sequence[Tuple[SimulationSpec, Optional[SimulationResult]]],
-    ) -> None:
-        done = sum(1 for _p, r in all_pairs if r is not None)
-        self._write_manifest(
-            interrupted=False,
-            rounds_done=round_i + 1,
-            points_enumerated=len(all_pairs),
-            points_completed=done,
-        )
-        sink.emit_campaign(
-            "campaign-round",
-            campaign=self.spec.name,
-            digest=self.digest,
-            round=round_i,
-            completed=done,
-            enumerated=len(all_pairs),
-        )
+        history = run_search(self.spec, evaluate)
+        return self._summary(runner, pairs, history)
 
-    def _sweep_summary(
+    def _summary(
         self,
         runner: ExperimentRunner,
         pairs: Sequence[Tuple[SimulationSpec, Optional[SimulationResult]]],
+        history: List[Dict[str, Any]],
     ) -> Dict[str, Any]:
         spec = self.spec
-        assert isinstance(spec, SweepSpec)
         failures = {f.digest: f.error for f in runner.totals.failures}
         points = []
         for point, result in pairs:
@@ -442,7 +384,7 @@ class Campaign:
             "points": points,
         }
         if spec.objective:
-            ranked = _rank(pairs, spec.objective, spec.minimize)
+            ranked = rank(pairs, spec.objective, spec.minimize)
             doc["objective"] = spec.objective
             doc["minimize"] = spec.minimize
             if ranked:
@@ -454,35 +396,9 @@ class Campaign:
                 }
             else:
                 doc["best"] = None
+        if spec.mode == "optimize":
+            doc["history"] = history
         return json_sanitize(doc)
-
-    def _run_optimizer(self, runner: ExperimentRunner, sink: _CampaignSink) -> Dict[str, Any]:
-        spec = self.spec
-        assert isinstance(spec, OptimizerSpec)
-
-        def evaluate(points: Sequence[SimulationSpec]) -> List[Optional[SimulationResult]]:
-            return [r for _p, r in self._execute_points(runner, points)]
-
-        rounds_seen = [0]
-
-        def on_round(record: Dict[str, Any]) -> None:
-            rounds_seen[0] += 1
-            self._write_manifest(
-                interrupted=False,
-                rounds_done=rounds_seen[0],
-                points_completed=None,
-            )
-            sink.emit_campaign(
-                "campaign-round",
-                campaign=spec.name,
-                digest=self.digest,
-                round=record["round"],
-                completed=record["valid"],
-                enumerated=record["evaluated"],
-            )
-
-        outcome: OptimizerOutcome = run_optimizer(spec, evaluate, on_round=on_round)
-        return outcome.to_json_dict()
 
     # ------------------------------------------------------------------
     # Status
@@ -490,89 +406,41 @@ class Campaign:
     def status(self) -> Dict[str, Any]:
         """Progress report from disk + cache, without executing anything.
 
-        For grid/random sweeps every point is enumerable up front, so the
-        report counts exactly how many are already cached.  For adaptive
-        sweeps and the optimizer, rounds are walked as far as the cache can
-        re-derive them (a fully cached round determines the next round's
-        ranges), so the count reflects true resumable progress.
+        Replays the search loop on cache hits alone, stopping at the first
+        round with a miss: a fully cached round determines the next one, so
+        the count is exactly the campaign's resumable progress.
         """
         spec = self.spec
-        mode = getattr(spec, "mode", "optimize")
         manifest = None
         if self.manifest_path.exists():
             manifest = json.loads(self.manifest_path.read_text())
-        cached, enumerable = self._cached_progress()
+        cached = enumerable = 0
+        loop = search(spec)
+        points = next(loop)
+        while True:
+            results = [self.cache.get(_task_digest(p)) for p in points]
+            hits = sum(1 for r in results if r is not MISS)
+            cached += hits
+            enumerable += len(points)
+            if hits < len(points):
+                break
+            try:
+                points = loop.send(results)
+            except StopIteration:
+                break
         return {
             "campaign": spec.name,
             "digest": self.digest,
             "kind": spec.kind,
-            "mode": mode,
+            "mode": spec.mode,
             "state_dir": str(self.state_dir),
-            "planned_points": (
-                None if isinstance(spec, OptimizerSpec) else spec.total_points()
-            ),
+            "planned_points": spec.total_points(),
             "enumerable_points": enumerable,
             "cached_points": cached,
             "summary_written": self.summary_path.exists(),
             "interrupted": bool(manifest.get("interrupted")) if manifest else False,
             "rounds_done": manifest.get("rounds_done") if manifest else None,
         }
-
-    def _cached_progress(self) -> Tuple[int, int]:
-        """(cached, enumerable) point counts derivable without execution."""
-        spec = self.spec
-        if isinstance(spec, OptimizerSpec):
-            return self._walk_cached_optimizer(spec)
-        if spec.mode == "grid":
-            points = spec.grid_points()
-        elif spec.mode == "random":
-            points = spec.sample_points(0)
-        else:
-            return self._walk_cached_adaptive(spec)
-        cached = sum(1 for p in points if self.cache.get(_task_digest(p)) is not MISS)
-        return cached, len(points)
-
-    def _walk_cached_adaptive(self, spec: SweepSpec) -> Tuple[int, int]:
-        ranges: Tuple[RangeSpec, ...] = spec.ranges
-        cached = 0
-        enumerable = 0
-        for round_i in range(spec.rounds):
-            points = spec.sample_points(round_i, ranges)
-            enumerable += len(points)
-            pairs = [(p, self.cache.get(_task_digest(p))) for p in points]
-            hits = [(p, r) for p, r in pairs if r is not MISS]
-            cached += len(hits)
-            if len(hits) < len(points):
-                break  # later rounds are not yet determined
-            ranked = _rank(hits, spec.objective, spec.minimize)
-            survivors = [p.param_dict() for _s, _d, p, _r in ranked[: spec.top_k]]
-            ranges = shrink_ranges(ranges, survivors, spec.shrink)
-        return cached, enumerable
-
-    def _walk_cached_optimizer(self, spec: OptimizerSpec) -> Tuple[int, int]:
-        from repro.campaign.optimize import _propose
-
-        ranges: Tuple[RangeSpec, ...] = spec.ranges
-        cached = 0
-        enumerable = 0
-        evaluated = 0
-        round_i = 0
-        while evaluated < spec.budget:
-            count = min(spec.batch, spec.budget - evaluated)
-            points = _propose(spec, ranges, round_i, count)
-            evaluated += len(points)
-            enumerable += len(points)
-            pairs = [(p, self.cache.get(_task_digest(p))) for p in points]
-            hits = [(p, r) for p, r in pairs if r is not MISS]
-            cached += len(hits)
-            if len(hits) < len(points):
-                break
-            ranked = _rank(hits, spec.objective, spec.minimize)
-            survivors = [p.param_dict() for _s, _d, p, _r in ranked[: spec.top_k]]
-            if survivors:
-                ranges = shrink_ranges(ranges, survivors, spec.shrink)
-            round_i += 1
-        return cached, enumerable
 
 
 def _task_digest(point: SimulationSpec) -> str:

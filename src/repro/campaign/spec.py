@@ -176,7 +176,7 @@ class SimulationResult:
 
     ``summary`` is the deliverable: deterministic, strict-JSON-safe
     metrics keyed by name.  ``objectives`` read straight out of it — the
-    optimizer scores ``summary[spec.objective]``.
+    campaign scores ``summary[spec.objective]``.
     """
 
     kind: str
@@ -243,8 +243,8 @@ def _simulate_synthetic(params: Dict[str, Any]) -> Dict[str, Any]:
 
     Coordinates are every parameter whose name starts with ``x``; the
     objective is the squared distance to ``optimum`` (default 0.0, one
-    shared target per coordinate).  ``mode`` selects failure surfaces the
-    optimizer must degrade gracefully on:
+    shared target per coordinate).  ``mode`` selects failure surfaces an
+    optimize campaign must degrade gracefully on:
 
     * ``"quadratic"`` (default) — the convex bowl;
     * ``"nan"`` / ``"inf"`` — the objective is never finite;

@@ -6,12 +6,12 @@ module is the bridge: it folds such a point into an
 :class:`~repro.core.estimator.EstimatorConfig` (on top of a named preset)
 and scores it on the offline accuracy harness
 (:mod:`repro.estimators.accuracy`), returning the deterministic summary
-dict the optimizer minimizes.
+dict an optimize campaign minimizes.
 
 The accuracy/cost trade-off the paper negotiates by hand becomes two
 summary keys: ``mre`` (mean relative ETX error against ground truth — the
 accuracy objective) and ``beacon_tx``/``data_tx`` (transmissions consumed —
-the cost objective); a sweep or optimizer spec names either, or combines
+the cost objective); a campaign file names either, or combines
 them with a secondary-objective weight.
 """
 

@@ -48,12 +48,11 @@ DETERMINISTIC_PACKAGES = (
     "repro.metrics",
     "repro.faults",
     # The campaign's deterministic core: specs, enumeration and the
-    # optimizer must be pure functions of (spec, seed) for resume to
+    # search loop must be pure functions of (spec, seed) for resume to
     # replay identically.  Orchestration (queue/cli) lives in wall time
     # and stays out of scope.
     "repro.campaign.spec",
     "repro.campaign.sweep",
-    "repro.campaign.optimize",
 )
 
 #: Wall-clock-measuring harness code, exempt by design.

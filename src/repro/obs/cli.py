@@ -301,10 +301,11 @@ def cmd_tail(args: argparse.Namespace) -> int:
     kinds: TallyCounter = TallyCounter()
     snapshots: List[Dict[str, Any]] = []
     invalid = 0
+    failed = 0
     printed = 0
 
     def handle(line: str) -> None:
-        nonlocal invalid, printed
+        nonlocal invalid, failed, printed
         line = line.strip()
         if not line:
             return
@@ -318,6 +319,9 @@ def cmd_tail(args: argparse.Namespace) -> int:
             for error in validate_record(record):
                 invalid += 1
                 print(f"INVALID: {error}", file=sys.stderr)
+            if record.get("rec") == "run-end" and "error" in record:
+                failed += 1
+                print(f"FAILED run {record.get('run', '?')}: {record['error']}", file=sys.stderr)
         kinds[str(record.get("rec"))] += 1
         if record.get("rec") == "snapshot":
             snapshots.append(record)
@@ -346,6 +350,9 @@ def cmd_tail(args: argparse.Namespace) -> int:
     if args.check:
         if invalid:
             print(f"{invalid} invalid record(s)", file=sys.stderr)
+        if failed:
+            print(f"{failed} failed run(s)", file=sys.stderr)
+        if invalid or failed:
             return 1
         print("all records valid")
     return 0

@@ -26,7 +26,9 @@ Stream record schema (one JSON object per line; DESIGN.md §10):
                 value changed since the previous snapshot record
 ``run-end``     ``events_run, metrics`` (distinct keys streamed) and,
                 when captured, ``resources`` (wall/CPU/max-RSS — the one
-                deliberately wall-clock-dependent field group)
+                deliberately wall-clock-dependent field group); a run
+                that raised closes with ``error`` (the exception) instead
+                of a final snapshot
 ``sweep-start``  ``total`` — emitted by the *runner* around a sweep
 ``run-result``  ``label, digest, status (ok|cached|failed), events_run``
                 plus optional ``resources`` per completed run
@@ -35,7 +37,7 @@ Stream record schema (one JSON object per line; DESIGN.md §10):
 ``campaign-start``  ``campaign, digest, mode, planned`` — emitted by the
                 *campaign queue* before its first sweep round
 ``campaign-round``  ``campaign, digest, round, completed, enumerated`` —
-                one per completed sweep/optimizer round (checkpoint)
+                one per completed search round (checkpoint)
 ``campaign-end``  ``campaign, digest, status (completed|interrupted),
                 executed`` — how the campaign session ended
 ==============  ============================================================
@@ -157,6 +159,8 @@ def validate_record(record: Any) -> List[str]:
             f"run-result: status must be one of {_RUN_RESULT_STATUSES}, "
             f"got {record.get('status')!r}"
         )
+    if kind == "run-end" and not isinstance(record.get("error", ""), str):
+        errors.append(f"run-end: error must be a string, got {record.get('error')!r}")
     if kind == "campaign-end" and record.get("status") not in _CAMPAIGN_END_STATUSES:
         errors.append(
             f"campaign-end: status must be one of {_CAMPAIGN_END_STATUSES}, "
@@ -348,13 +352,18 @@ class TelemetrySampler(Monitor):
         if engine.now + self.period_s <= self.network.config.duration_s:
             engine.schedule(self.period_s, self._sample)
 
-    def run_end(self, network: "CollectionNetwork") -> None:
+    def run_end(self, network: "CollectionNetwork", error: Optional[str] = None) -> None:
+        """Close the stream: a final snapshot and ``run-end``, or — for a
+        run that raised — ``run-end`` carrying ``error``."""
         if self._finished:
             return
         self._finished = True
-        self._emit_snapshot()
-        resources = getattr(network, "run_resources", None)
         extra: Dict[str, Any] = {}
+        if error is None:
+            self._emit_snapshot()
+        else:
+            extra["error"] = error
+        resources = getattr(network, "run_resources", None)
         if resources is not None:
             extra["resources"] = dict(resources)
         self._emit(

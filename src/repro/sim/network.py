@@ -537,6 +537,12 @@ class CollectionNetwork:
                 self.run_resources = resources.stop()
             if self.probe is not None:
                 self.probe.run_end(self)
+        except BaseException as exc:
+            # Close the stream with the failure, so it cannot be read as a
+            # run still in progress.
+            if self.telemetry is not None:
+                self.telemetry.run_end(self, error=f"{type(exc).__name__}: {exc}")
+            raise
         finally:
             # A run that raises (an invariant violation, a timeout) must not
             # leave its stream file open in a long-lived worker.

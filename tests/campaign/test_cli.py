@@ -1,4 +1,4 @@
-"""CLI contract: run/status/resume/tune subcommands, SIGTERM resumability."""
+"""CLI contract: run/status/resume subcommands, SIGTERM resumability."""
 
 import json
 import os
@@ -152,14 +152,7 @@ def test_status_reports_progress_without_executing(tmp_path):
     assert after["interrupted"] is True
 
 
-def test_tune_rejects_non_optimizer_spec(tmp_path):
-    spec = _write_spec(tmp_path, GRID_SPEC)
-    proc = _cli(["tune", str(spec)], tmp_path)
-    assert proc.returncode == 1
-    assert "mode: \"optimize\"" in proc.stderr
-
-
-def test_tune_runs_optimizer_spec(tmp_path):
+def test_run_drives_an_optimize_spec(tmp_path):
     spec = _write_spec(
         tmp_path,
         {
@@ -174,12 +167,14 @@ def test_tune_runs_optimizer_spec(tmp_path):
             "seed": 3,
         },
     )
-    proc = _cli(["tune", str(spec)], tmp_path)
+    proc = _cli(["run", str(spec)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert "12 executed, 0 cached, 0 failed" in proc.stderr
     assert "best objective" in proc.stderr
     doc = json.loads(_summary_path(tmp_path).read_text())
-    assert doc["evaluations"] == 12
-    assert abs(doc["best_params"]["x0"] - 0.25) < 1.0
+    assert doc["mode"] == "optimize" and doc["n_points"] == 12
+    assert [h["evaluated"] for h in doc["history"]] == [4, 4, 4]
+    assert abs(doc["best"]["params"]["x0"] - 0.25) < 1.0
 
 
 def test_bad_spec_file_is_a_usage_error(tmp_path):
@@ -327,4 +322,34 @@ def test_empty_axis_is_a_spec_error(tmp_path, capsys):
     spec = _write_spec(tmp_path, spec_doc)
     assert _main(["run", str(spec)], tmp_path) == 1
     assert "has no values" in capsys.readouterr().err
+    assert not (tmp_path / "state").exists()
+
+
+def test_malformed_campaign_files_are_spec_errors_naming_the_key(tmp_path, capsys):
+    tune = {
+        "campaign": "bad", "kind": "synthetic", "mode": "optimize",
+        "ranges": {"x0": {"lo": -1.0, "hi": 1.0}}, "objective": "objective",
+    }
+    sample = dict(tune, mode="random", samples=4)
+    no_kind = {k: v for k, v in tune.items() if k != "kind"}
+    cases = [
+        (no_kind, "'kind'"),
+        (dict(tune, ranges={"x0": {"hi": 1.0}}), "'lo'"),
+        (dict(tune, ranges={"x0": {"lo": -1.0}}), "'hi'"),
+        (dict(tune, minimize="false"), "'minimize'"),
+        (dict(sample, samples=2.7), "'samples'"),
+        (dict(tune, seed=1.9), "'seed'"),
+        (dict(tune, budget=10.5), "'budget'"),
+        (dict(tune, batch=2.5), "'batch'"),
+        (dict(tune, top_k=1.5), "'top_k'"),
+        (dict(tune, ranges={"k": {"lo": 0.2, "hi": 0.8, "type": "int"}}), "'k'"),
+        (dict(tune, ranges=[]), "'ranges'"),
+        (dict(tune, base=5), "'base'"),
+        ({"campaign": "bad", "kind": "synthetic", "axes": {"x0": 1.0}}, "'x0'"),
+    ]
+    for i, (doc, key) in enumerate(cases):
+        spec = _write_spec(tmp_path, doc, name=f"bad{i}.json")
+        assert _main(["run", str(spec)], tmp_path) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, (doc, err)
     assert not (tmp_path / "state").exists()

@@ -1,13 +1,9 @@
-"""Closed-loop optimizer: convergence, budgets, failure surfaces."""
+"""Optimize mode of the search loop: convergence, budgets, failure surfaces."""
 
 import pytest
 
-from repro.campaign.optimize import (
-    OptimizerSpec,
-    objective_score,
-    run_optimizer,
-)
 from repro.campaign.spec import SimulationSpec, simulate
+from repro.campaign.sweep import SweepSpec, objective_score, rank, run_search
 
 
 def _evaluate(points):
@@ -29,64 +25,82 @@ def _spec(**overrides):
         "seed": 11,
     }
     data.update(overrides)
-    return OptimizerSpec.from_json_dict(data)
+    return SweepSpec.from_json_dict(data)
+
+
+def _tune(spec, evaluate=_evaluate):
+    """Run the loop; returns (history, evaluated pairs, best ranked pair or None)."""
+    pairs = []
+
+    def recording(points):
+        results = evaluate(points)
+        pairs.extend(zip(points, results))
+        return results
+
+    history = run_search(spec, recording)
+    ranked = rank(pairs, spec.objective, spec.minimize)
+    return history, pairs, (ranked[0] if ranked else None)
+
+
+def _best(best):
+    """(params, score) of a ranked entry."""
+    _signed, _digest, point, result = best
+    return point.param_dict(), result.summary["objective"]
 
 
 def test_converges_on_convex_objective_within_budget():
-    outcome = run_optimizer(_spec(), _evaluate)
-    assert outcome.best_params is not None
-    assert outcome.best_score is not None and outcome.best_score < 0.5
-    assert abs(outcome.best_params["x0"] - 1.5) < 1.0
-    assert abs(outcome.best_params["x1"] - 1.5) < 1.0
-    assert outcome.evaluations == 64 and outcome.budget_exhausted
+    history, pairs, best = _tune(_spec())
+    params, score = _best(best)
+    assert score < 0.5 and history[-1]["best_score"] == score
+    assert abs(params["x0"] - 1.5) < 1.0
+    assert abs(params["x1"] - 1.5) < 1.0
+    assert len(pairs) == sum(h["evaluated"] for h in history) == 64
     # Refinement visibly contracted the search box.
-    first, last = outcome.history[0], outcome.history[-1]
+    first, last = history[0], history[-1]
     width = lambda r: r["x0"][1] - r["x0"][0]  # noqa: E731
     assert width(last["ranges"]) < width(first["ranges"])
 
 
 def test_budget_is_a_hard_ceiling_with_truncated_last_batch():
-    outcome = run_optimizer(_spec(budget=10, batch=4), _evaluate)
-    assert outcome.evaluations == 10
-    assert [h["evaluated"] for h in outcome.history] == [4, 4, 2]
-    assert outcome.budget_exhausted
+    history, pairs, _best_entry = _tune(_spec(budget=10, batch=4))
+    assert len(pairs) == 10
+    assert [h["evaluated"] for h in history] == [4, 4, 2]
 
 
 def test_all_nan_objective_degrades_gracefully():
-    outcome = run_optimizer(_spec(base={"mode": "nan"}), _evaluate)
-    assert outcome.best_params is None and outcome.best_score is None
-    assert outcome.valid_evaluations == 0
-    assert outcome.evaluations == 64  # still spent the budget looking
+    history, pairs, best = _tune(_spec(base={"mode": "nan"}))
+    assert best is None and history[-1]["best_score"] is None
+    assert sum(h["valid"] for h in history) == 0
+    assert len(pairs) == 64  # still spent the budget looking
     # Ranges never shrank: every round re-samples the full box.
-    assert outcome.history[-1]["ranges"] == outcome.history[0]["ranges"]
+    assert history[-1]["ranges"] == history[0]["ranges"]
 
 
 def test_all_inf_objective_degrades_gracefully():
-    outcome = run_optimizer(_spec(base={"mode": "inf"}, budget=16), _evaluate)
-    assert outcome.best_params is None
-    assert outcome.valid_evaluations == 0
+    history, _pairs, best = _tune(_spec(base={"mode": "inf"}, budget=16))
+    assert best is None
+    assert sum(h["valid"] for h in history) == 0
 
 
 def test_partially_invalid_surface_still_converges():
-    # NaN below 0: half the box is poisoned, the optimizer must route
+    # NaN below 0: half the box is poisoned, the search must route
     # around it and still find the bowl at optimum=1.5.
     spec = _spec(base={"optimum": 1.5, "mode": "nan_below", "threshold": 0.0})
-    outcome = run_optimizer(spec, _evaluate)
-    assert outcome.best_params is not None
-    assert outcome.valid_evaluations < outcome.evaluations
+    history, pairs, best = _tune(spec)
+    params, score = _best(best)
+    assert sum(h["valid"] for h in history) < len(pairs)
     # The shrinking box can trap one coordinate slightly off-optimum when
     # half the surface is invalid; what matters is a finite, sane score.
-    assert outcome.best_score < 10.0
-    assert outcome.best_params["x0"] >= 0.0
-    assert outcome.best_params["x1"] >= 0.0
+    assert score < 10.0
+    assert params["x0"] >= 0.0
+    assert params["x1"] >= 0.0
 
 
 def test_maximize_mode():
     # Maximizing the quadratic pushes toward the corners, away from optimum.
-    spec = _spec(minimize=False, budget=32)
-    outcome = run_optimizer(spec, _evaluate)
-    assert outcome.best_params is not None
-    assert outcome.best_score > 50.0
+    history, _pairs, best = _tune(_spec(minimize=False, budget=32))
+    _params, score = _best(best)
+    assert score > 50.0 and history[-1]["best_score"] == score
 
 
 def test_failed_runs_count_against_budget_but_never_score():
@@ -96,21 +110,22 @@ def test_failed_runs_count_against_budget_but_never_score():
         calls.append(len(points))
         return [None for _ in points]
 
-    outcome = run_optimizer(_spec(budget=8, batch=4), flaky)
-    assert outcome.evaluations == 8
-    assert outcome.valid_evaluations == 0
-    assert outcome.best_params is None
+    history, _pairs, best = _tune(_spec(budget=8, batch=4), flaky)
+    assert calls == [4, 4]
+    assert sum(h["valid"] for h in history) == 0
+    assert best is None
 
 
 def test_evaluator_length_mismatch_is_an_error():
     with pytest.raises(ValueError, match="evaluator returned"):
-        run_optimizer(_spec(budget=4, batch=4), lambda points: [])
+        run_search(_spec(budget=4, batch=4), lambda points: [])
 
 
 def test_trajectory_is_deterministic():
-    a = run_optimizer(_spec(), _evaluate)
-    b = run_optimizer(_spec(), _evaluate)
-    assert a.to_json_dict() == b.to_json_dict()
+    a_history, a_pairs, _a = _tune(_spec())
+    b_history, b_pairs, _b = _tune(_spec())
+    assert a_history == b_history
+    assert [p.digest() for p, _r in a_pairs] == [p.digest() for p, _r in b_pairs]
 
 
 def test_objective_score_invalid_shapes():
@@ -124,19 +139,21 @@ def test_objective_score_invalid_shapes():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="at least one range"):
-        OptimizerSpec.from_json_dict(
-            {"campaign": "x", "kind": "synthetic", "mode": "optimize"}
+        SweepSpec.from_json_dict(
+            {"campaign": "x", "kind": "synthetic", "mode": "optimize", "objective": "objective"}
         )
-    with pytest.raises(ValueError, match="expected 'optimize'"):
-        OptimizerSpec.from_json_dict(
-            {"campaign": "x", "kind": "synthetic", "mode": "grid",
+    with pytest.raises(ValueError, match="needs an objective"):
+        SweepSpec.from_json_dict(
+            {"campaign": "x", "kind": "synthetic", "mode": "optimize",
              "ranges": {"x0": {"lo": 0, "hi": 1}}}
         )
     with pytest.raises(ValueError, match="0 < shrink < 1"):
         _spec(shrink=1.5)
+    with pytest.raises(ValueError, match="budget > 0"):
+        _spec(budget=0)
 
 
 def test_round_trip():
     spec = _spec()
-    back = OptimizerSpec.from_json_dict(spec.to_json_dict())
+    back = SweepSpec.from_json_dict(spec.to_json_dict())
     assert back == spec and back.digest() == spec.digest()

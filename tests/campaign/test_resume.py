@@ -25,7 +25,6 @@ from repro.campaign.queue import (
     load_campaign_file,
 )
 from repro.campaign.sweep import SweepSpec
-from repro.campaign.optimize import OptimizerSpec
 from repro.runner.cache import ResultCache
 
 try:
@@ -54,27 +53,13 @@ GRID = SweepSpec.from_json_dict(
 )
 N_POINTS = 27
 
-ADAPTIVE = SweepSpec.from_json_dict(
-    {
-        "campaign": "resume-adaptive",
-        "kind": "synthetic",
-        "mode": "adaptive",
-        "base": {"optimum": 0.3},
-        "ranges": {"x0": {"lo": -4.0, "hi": 4.0}, "x1": {"lo": -4.0, "hi": 4.0}},
-        "samples": 6,
-        "rounds": 3,
-        "seed": 9,
-        "objective": "objective",
-    }
-)
-
 # The real simulator under the same contract: 3 protocols x 2 seeds on an
 # 8-node Mirage, 120 s each (the CI campaign-smoke job runs the same file).
 COLLECTION = load_campaign_file(
     Path(__file__).resolve().parents[2] / "examples" / "collection_smoke.json"
 )
 
-OPTIMIZE = OptimizerSpec.from_json_dict(
+OPTIMIZE = SweepSpec.from_json_dict(
     {
         "campaign": "resume-tune",
         "kind": "synthetic",
@@ -85,6 +70,22 @@ OPTIMIZE = OptimizerSpec.from_json_dict(
         "budget": 24,
         "batch": 6,
         "seed": 5,
+    }
+)
+
+# Two ranges, three full rounds of 6: the shape the retired adaptive mode
+# ran (budget = rounds x samples, batch = samples).
+OPTIMIZE_2D = SweepSpec.from_json_dict(
+    {
+        "campaign": "resume-tune-2d",
+        "kind": "synthetic",
+        "mode": "optimize",
+        "base": {"optimum": 0.3},
+        "ranges": {"x0": {"lo": -4.0, "hi": 4.0}, "x1": {"lo": -4.0, "hi": 4.0}},
+        "budget": 18,
+        "batch": 6,
+        "seed": 9,
+        "objective": "objective",
     }
 )
 
@@ -109,16 +110,6 @@ def _reference_bytes(spec, tmp_path_factory, name: str) -> bytes:
 @pytest.fixture(scope="module")
 def grid_reference(tmp_path_factory) -> bytes:
     return _reference_bytes(GRID, tmp_path_factory, "grid-ref")
-
-
-@pytest.fixture(scope="module")
-def adaptive_reference(tmp_path_factory) -> bytes:
-    return _reference_bytes(ADAPTIVE, tmp_path_factory, "adaptive-ref")
-
-
-@pytest.fixture(scope="module")
-def optimize_reference(tmp_path_factory) -> bytes:
-    return _reference_bytes(OPTIMIZE, tmp_path_factory, "optimize-ref")
 
 
 def _kill_then_resume(spec, root: Path, k: int, reference: bytes, total: int) -> None:
@@ -181,14 +172,12 @@ def test_serial_pool_and_resumed_twice_are_byte_identical(
     assert final.summary_path.read_bytes() == grid_reference
 
 
-def test_adaptive_sweep_resumes_byte_identical(adaptive_reference, tmp_path):
-    # Interrupt mid-round-2: the refinement trajectory must re-derive
-    # identically from cached round-1 results on resume.
-    _kill_then_resume(ADAPTIVE, tmp_path, 8, adaptive_reference, 18)
-
-
-def test_optimizer_resumes_byte_identical(optimize_reference, tmp_path):
-    _kill_then_resume(OPTIMIZE, tmp_path, 13, optimize_reference, 24)
+def test_optimizer_resumes_byte_identical(tmp_path_factory, tmp_path):
+    # Each interruption lands mid-round: the refinement trajectory must
+    # re-derive identically from the cached earlier rounds on resume.
+    for spec, k in ((OPTIMIZE, 13), (OPTIMIZE_2D, 8)):
+        reference = _reference_bytes(spec, tmp_path_factory, f"{spec.name}-ref")
+        _kill_then_resume(spec, tmp_path / spec.name, k, reference, spec.budget)
 
 
 def test_collection_grid_resumes_byte_identical(tmp_path_factory, tmp_path):
@@ -226,6 +215,28 @@ def test_status_reports_resumable_progress(tmp_path):
     assert status["cached_points"] == N_POINTS
     assert status["summary_written"] is True
     assert status["interrupted"] is False
+
+
+def test_status_replays_optimize_rounds_from_the_cache(tmp_path):
+    # Stops land mid-round 0, on the round-0/1 boundary and mid-round 2;
+    # status re-derives later rounds from cached earlier ones.
+    cached = 0
+    for stop in (3, 3, 8):
+        with pytest.raises(CampaignInterrupted):
+            _campaign(OPTIMIZE, tmp_path, stop_after=stop).run()
+        cached += stop
+        status = _campaign(OPTIMIZE, tmp_path).status()
+        assert status["cached_points"] == cached
+        assert status["planned_points"] == OPTIMIZE.budget
+        assert status["interrupted"] is True and status["summary_written"] is False
+
+    finished = _campaign(OPTIMIZE, tmp_path)
+    doc = finished.run()
+    status = finished.status()
+    assert status["cached_points"] == status["enumerable_points"] == OPTIMIZE.budget
+    assert status["summary_written"] is True
+    assert [h["evaluated"] for h in doc["history"]] == [6, 6, 6, 6]
+    assert doc["n_points"] == OPTIMIZE.budget and doc["best"] is not None
 
 
 def test_request_stop_interrupts_like_a_signal(tmp_path):

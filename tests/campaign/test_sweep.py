@@ -7,7 +7,6 @@ import pytest
 
 from repro.campaign.sweep import RangeSpec, SweepSpec, read_spec_data, shrink_ranges
 from repro.campaign.queue import load_campaign_file
-from repro.campaign.optimize import OptimizerSpec
 
 
 GRID = {
@@ -111,10 +110,12 @@ def test_spec_validation_errors():
             {"campaign": "x", "kind": "synthetic", "mode": "random",
              "ranges": {"x0": {"lo": 0, "hi": 1}}}
         )
-    with pytest.raises(ValueError, match="needs an objective"):
+    # The retired adaptive mode names its replacement and the conversion.
+    with pytest.raises(ValueError, match=r"'optimize'.*budget = rounds × samples.*batch = samples"):
         SweepSpec.from_json_dict(
             {"campaign": "x", "kind": "synthetic", "mode": "adaptive",
-             "ranges": {"x0": {"lo": 0, "hi": 1}}, "samples": 4}
+             "ranges": {"x0": {"lo": 0, "hi": 1}}, "samples": 4, "rounds": 3,
+             "objective": "objective"}
         )
     with pytest.raises(ValueError, match="unknown sweep spec key"):
         SweepSpec.from_json_dict(dict(GRID, turbo=True))
@@ -130,7 +131,9 @@ def test_load_campaign_file_dispatches_on_mode(tmp_path):
         {"campaign": "t", "kind": "synthetic", "mode": "optimize",
          "ranges": {"x0": {"lo": -1, "hi": 1}}, "objective": "objective"}
     ))
-    assert isinstance(load_campaign_file(tune_file), OptimizerSpec)
+    tune = load_campaign_file(tune_file)
+    assert isinstance(tune, SweepSpec) and tune.mode == "optimize"
+    assert tune.total_points() == tune.budget == 64
 
 
 def test_load_campaign_file_rejects_bad_json(tmp_path):

@@ -1,9 +1,9 @@
 """R001 fixture: the campaign sampling pattern.
 
-Sweep draws and optimizer proposals each get their own derive_seed stream,
-keyed literal-first (``"campaign"``) and disambiguated by a second literal
-(``"draw"`` vs ``"optimize"``) plus the round/point indices — mirroring
-``repro.campaign.sweep`` / ``repro.campaign.optimize``.
+Random-mode draws and optimize-mode proposals each get their own
+derive_seed stream, keyed literal-first (``"campaign"``) and disambiguated
+by a second component (``"draw"`` vs ``"optimize"``) plus the round/point
+indices — mirroring ``repro.campaign.sweep``.
 """
 
 from random import Random

@@ -204,6 +204,39 @@ def test_run_that_raises_closes_its_stream(tmp_path, monkeypatch):
     assert records and records[0]["rec"] == "run-start"
 
 
+def test_run_that_raises_ends_its_stream_with_an_error(tmp_path, monkeypatch, capsys):
+    from repro.obs.cli import main
+
+    original = InvariantChecker.check_now
+
+    def violate_late(self, final=False):
+        if self.network.engine.now > 70.0:
+            raise InvariantViolation("forced after t=70 s")
+        original(self, final)
+
+    monkeypatch.setattr(InvariantChecker, "check_now", violate_late)
+    path = tmp_path / "live.jsonl"
+    net = _network(telemetry_period_s=30.0, telemetry_path=str(path),
+                   check_invariants=True)
+    with pytest.raises(InvariantViolation):
+        net.run()
+    records = list(read_stream(path))
+    assert [r["rec"] for r in records][-2:] == ["snapshot", "run-end"]
+    end = records[-1]
+    assert end["error"] == "InvariantViolation: forced after t=70 s"
+    assert 70.0 < end["t"] < 150.0 and validate_record(end) == []
+    # The checker reports the failed run instead of calling the stream valid.
+    assert main(["tail", str(path), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED run 4b-seed2: InvariantViolation" in err and "1 failed run(s)" in err
+
+
+def test_successful_run_end_carries_no_error(tmp_path):
+    net = _network(telemetry_period_s=30.0)
+    net.run()
+    assert "error" not in net.telemetry.log.records[-1]
+
+
 def test_telemetry_is_pure_observer():
     plain = _network().run()
     sampled = _network(telemetry_period_s=30.0).run()
