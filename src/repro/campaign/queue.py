@@ -298,10 +298,14 @@ class Campaign:
             mode=self.spec.mode,
             planned=self.spec.total_points(),
         )
+        # The last round checkpoint; every manifest of the session keeps it.
+        checkpoint = {"rounds_done": 0, "points_enumerated": 0, "points_completed": 0}
         try:
-            doc = self._run_search(runner, sink)
+            doc = self._run_search(runner, sink, checkpoint)
         except CampaignInterrupted as exc:
-            self._write_manifest(interrupted=True, executed_this_session=exc.completed)
+            self._write_manifest(
+                interrupted=True, executed_this_session=exc.completed, **checkpoint
+            )
             sink.emit_campaign(
                 "campaign-end", campaign=self.spec.name, digest=self.digest,
                 status="interrupted", executed=exc.completed,
@@ -315,30 +319,32 @@ class Campaign:
             )
             self._sink = None
         _atomic_write_text(self.summary_path, _dump_deterministic(doc))
-        self._write_manifest(interrupted=False, completed=True)
+        self._write_manifest(interrupted=False, completed=True, **checkpoint)
         sink.emit_campaign(
             "campaign-end", campaign=self.spec.name, digest=self.digest,
             status="completed", executed=sink.ok_count,
         )
         return doc
 
-    def _run_search(self, runner: ExperimentRunner, sink: _CampaignSink) -> Dict[str, Any]:
-        """Drive the search loop through the runner, checkpointing each round."""
+    def _run_search(
+        self, runner: ExperimentRunner, sink: _CampaignSink, checkpoint: Dict[str, int]
+    ) -> Dict[str, Any]:
+        """Drive the search loop through the runner, checkpointing each round.
+
+        ``checkpoint`` is updated in place after each round, so the
+        caller's final manifest carries the last one.
+        """
         pairs: List[Tuple[SimulationSpec, Optional[SimulationResult]]] = []
-        rounds = 0
 
         def evaluate(points: Sequence[SimulationSpec]) -> List[Optional[SimulationResult]]:
-            nonlocal rounds
             results = runner.run([Task(fn=simulate, arg=p, label=p.describe()) for p in points])
             pairs.extend(zip(points, results))
             done = sum(1 for _p, r in pairs if r is not None)
-            rounds += 1
-            self._write_manifest(
-                interrupted=False,
-                rounds_done=rounds,
-                points_enumerated=len(pairs),
-                points_completed=done,
+            rounds = checkpoint["rounds_done"] + 1
+            checkpoint.update(
+                rounds_done=rounds, points_enumerated=len(pairs), points_completed=done
             )
+            self._write_manifest(interrupted=False, **checkpoint)
             sink.emit_campaign(
                 "campaign-round",
                 campaign=self.spec.name,

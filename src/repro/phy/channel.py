@@ -36,6 +36,9 @@ from repro.sim.rng import RngManager
 
 Position = Tuple[float, float]
 
+#: Pairs per batched shadowing draw in :meth:`ChannelModel.prefill_mean_gains`.
+_PREFILL_CHUNK = 32768
+
 #: Sentinel distinguishing "not yet decided" from "decided: not bimodal".
 _MISSING = object()
 
@@ -88,6 +91,15 @@ class _GilbertState:
         self.stream = stream
 
 
+def _index_key(by_node: Dict[int, Dict[Tuple[int, int], None]], key: Tuple[int, int]) -> None:
+    """Record cached pair ``key`` under both of its nodes."""
+    for node in key:
+        index = by_node.get(node)
+        if index is None:
+            index = by_node[node] = {}
+        index[key] = None
+
+
 class ChannelModel:
     """Per-pair channel gains over a set of node positions.
 
@@ -131,8 +143,11 @@ class ChannelModel:
         #: node → cached mean-gain pair keys touching it, so a position
         #: update invalidates O(k) entries instead of scanning the cache.
         #: (An inner dict, not a set: iteration order must stay
-        #: deterministic, and re-registration must not duplicate.)
-        self._mean_keys_by_node: Dict[int, Dict[Tuple[int, int], None]] = {}
+        #: deterministic, and re-registration must not duplicate.)  Only
+        #: ``update_position`` reads it, so it is built by one scan of
+        #: ``_mean_gain`` on the first move and kept current from then on;
+        #: a static network never holds it.
+        self._mean_keys_by_node: Optional[Dict[int, Dict[Tuple[int, int], None]]] = None
         #: dt → (exp(−dt/τ), innovation sigma); both are pure functions of
         #: dt, so memoizing them is result-neutral.
         self._decay: Dict[float, Tuple[float, float]] = {}
@@ -159,7 +174,12 @@ class ChannelModel:
         if node_id not in self.positions:
             raise ValueError(f"unknown node id {node_id}")
         self.positions[node_id] = pos
-        keys = self._mean_keys_by_node.get(node_id)
+        by_node = self._mean_keys_by_node
+        if by_node is None:
+            by_node = self._mean_keys_by_node = {}
+            for key in self._mean_gain:
+                _index_key(by_node, key)
+        keys = by_node.get(node_id)
         if keys:
             mean_gain = self._mean_gain
             for key in keys:
@@ -262,15 +282,8 @@ class ChannelModel:
         if mean is None:
             mean = -self.pathloss.loss_db(self.distance(a, b)) + self._static_shadowing_db(a, b)
             self._mean_gain[key] = mean
-            by_node = self._mean_keys_by_node
-            index = by_node.get(key[0])
-            if index is None:
-                index = by_node[key[0]] = {}
-            index[key] = None
-            index = by_node.get(key[1])
-            if index is None:
-                index = by_node[key[1]] = {}
-            index[key] = None
+            if self._mean_keys_by_node is not None:
+                _index_key(self._mean_keys_by_node, key)
         return mean
 
     def mean_gain_db(self, a: int, b: int) -> float:
@@ -280,14 +293,17 @@ class ChannelModel:
     def mean_gain_many(self, a: int, rids: Sequence[int]) -> List[float]:
         """Batched :meth:`mean_gain_db`: gains from ``a`` to each of ``rids``.
 
-        The mobility hot path re-derives a whole neighborhood's mean gains
-        every time a sender's batch rebuilds (after a tick, every
-        neighbor's cached gain is stale); inlining the per-pair cache
-        probe/fill here pays the call overhead once per batch instead of
-        three frames per pair.  The formula is kept term-for-term
-        identical to the scalar path (:meth:`PathLossModel.loss_db` /
-        :meth:`_static_shadowing_db`), so batched and scalar queries agree
-        bitwise and fill the same caches in the same order.
+        The fast medium's lazy batch rebuilds and interference vectors
+        call this after set-up.  Under mobility a whole neighborhood's mean
+        gains re-derive every time a sender's batch rebuilds (after a
+        tick, every neighbor's cached gain is stale); inlining the per-pair
+        cache probe/fill here pays the call overhead once per batch
+        instead of three frames per pair.  The formula is kept
+        term-for-term identical to the scalar path
+        (:meth:`PathLossModel.loss_db` / :meth:`_static_shadowing_db`), so
+        batched and scalar queries agree bitwise and fill the same caches
+        in the same order.  Set-up itself fills every in-reach pair with
+        :meth:`prefill_mean_gains`, so there this only reads the cache.
         """
         mean_gain = self._mean_gain
         positions = self.positions
@@ -300,9 +316,6 @@ class ChannelModel:
         sigma = self.shadowing_sigma_db
         rng = self._rng
         ax, ay = positions[a]
-        index_a = by_node.get(a)
-        if index_a is None:
-            index_a = by_node[a] = {}
         out: List[float] = []
         for b in rids:
             key = (a, b) if a <= b else (b, a)
@@ -318,13 +331,57 @@ class ChannelModel:
                     shadow = shadowing[key] = stream.gauss(0.0, sigma)
                 mean = -(pl_d0 + ten_n * math.log10(d / d0)) + shadow
                 mean_gain[key] = mean
-                index_a[key] = None
-                index_b = by_node.get(b)
-                if index_b is None:
-                    index_b = by_node[b] = {}
-                index_b[key] = None
+                if by_node is not None:
+                    _index_key(by_node, key)
             out.append(mean)
         return out
+
+    def prefill_mean_gains(self, keys: Sequence[Tuple[int, int]]) -> None:
+        """Cache the mean gain of every unordered pair in ``keys`` at once.
+
+        The fast medium's set-up: ``keys`` holds each in-reach pair once,
+        as ``(a, b)`` with ``a < b``, and each tuple becomes the one key
+        the pair has in ``_shadowing`` and ``_mean_gain``.  The static
+        shadowing of pairs not yet drawn comes from batched draws,
+        :func:`repro.phy.vector.seeded_gauss` over
+        :meth:`RngManager.once_seeds`, which reproduce
+        ``once("shadow", a, b).gauss(0, σ)`` bit for bit; each mean gain
+        uses :meth:`mean_gain_many`'s scalar formula.  The caches then
+        hold exactly what per-pair queries would have put there, in
+        another insertion order, which nothing reads.  Pairs already
+        cached are left as they are.  Keys go through in chunks of
+        ``_PREFILL_CHUNK``, so the transient arrays and lists of a draw
+        stay bounded.
+        """
+        # Imported here: numpy is a fast-medium dependency, and an exact
+        # run must not load it (set-up time and memory of small runs).
+        from repro.phy.vector import seeded_gauss
+
+        mean_gain = self._mean_gain
+        shadowing = self._shadowing
+        positions = self.positions
+        pathloss = self.pathloss
+        pl_d0 = pathloss.pl_d0_db
+        ten_n = 10.0 * pathloss.exponent
+        d0 = pathloss.d0_m
+        sigma = self.shadowing_sigma_db
+        by_node = self._mean_keys_by_node
+        for lo in range(0, len(keys), _PREFILL_CHUNK):
+            fresh = [key for key in keys[lo : lo + _PREFILL_CHUNK] if key not in mean_gain]
+            undrawn = [key for key in fresh if key not in shadowing]
+            if undrawn:
+                seeds = self._rng.once_seeds("shadow", undrawn)
+                shadowing.update(zip(undrawn, seeded_gauss(seeds, sigma)))
+            for key in fresh:
+                a, b = key
+                ax, ay = positions[a]
+                bx, by = positions[b]
+                d = math.hypot(ax - bx, ay - by)
+                if d < d0:
+                    d = d0
+                mean_gain[key] = -(pl_d0 + ten_n * math.log10(d / d0)) + shadowing[key]
+                if by_node is not None:
+                    _index_key(by_node, key)
 
     def gain_db(self, a: int, b: int, t: float) -> float:
         """Instantaneous channel gain (symmetric) at simulated time ``t``."""

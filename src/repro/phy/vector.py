@@ -41,7 +41,7 @@ are bit-identical to the straightforward expressions they replace
 from __future__ import annotations
 
 import math
-from typing import Any, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -236,6 +236,125 @@ def mean_field_extra_db(
     return ou_extra, bimodal_extra
 
 
+#: MT19937 (CPython's ``random.Random``): state size and twist offset, and
+#: below, the constant state ``init_genrand(19650218)`` leaves for every
+#: ``init_by_array`` to start from.
+_MT_N = 624
+_MT_M = 397
+
+
+def _mt_init_table() -> Any:
+    mt = [19650218]
+    for i in range(1, _MT_N):
+        prev = mt[-1]
+        mt.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    return np.array(mt, dtype=np.uint32)
+
+
+_MT_INIT = _mt_init_table()
+_TWOPI = 2.0 * math.pi
+
+
+def seeded_gauss(seeds: Any, sigma: float) -> List[float]:
+    """``random.Random(seed).gauss(0.0, sigma)`` for every seed, bit for bit.
+
+    ``seeds`` is a buffer of little-endian 64-bit seeds — a uint64 array,
+    or the bytearray :meth:`repro.sim.rng.RngManager.once_seeds` writes.
+    One array pass replaces a Mersenne Twister reseed per seed
+    (:func:`_mt_first_uniforms`); the Box–Muller step then uses
+    ``math.cos``/``sqrt``/``log`` per seed, as ``random.gauss`` does,
+    because numpy's transcendentals may differ in the last bit.  The pass
+    holds about 17 uint32 arrays of the seeds' length: callers bound it
+    by passing seeds in chunks.
+    """
+    u1, u2 = _mt_first_uniforms(np.frombuffer(seeds, dtype="<u8"))
+    cos, sqrt, log = math.cos, math.sqrt, math.log
+    return [
+        0.0 + cos(a * _TWOPI) * sqrt(-2.0 * log(1.0 - b)) * sigma
+        for a, b in zip(u1.tolist(), u2.tolist())
+    ]
+
+
+def _mt_first_uniforms(seeds: Any) -> Tuple[Any, Any]:
+    """The first two ``random()`` values of ``random.Random(seed)`` per seed.
+
+    1. CPython seeds with ``init_by_array(key)``, ``key`` the seed's 32-bit
+       words, low first (one word below 2³², else two).  Both of its loops
+       are serial over the 624 state words but independent across seeds,
+       so each step is one uint32 array operation over all seeds.  Loop 1
+       adds ``key[j] + j`` with ``j`` cycling through the key, which for
+       either length alternates between two per-seed arrays, so one pass
+       serves both key lengths.  Loop 2 starts from loop 1's last word, so
+       loop 1 runs once to its end and then again in lockstep with loop 2:
+       memory stays O(seeds), not 624 words per seed.
+    2. The first four tempered outputs come from the twist of state words
+       0–4 and 397–400 alone, and ``res53`` is exact in float64.
+    """
+    n = seeds.size
+    u32 = np.uint32
+    low = seeds.astype(u32)
+    high = (seeds >> np.uint64(32)).astype(u32)
+    # Loop 1's addend on odd steps: key[0] + 0 again for a one-word key,
+    # key[1] + 1 (mod 2³²) for a two-word key.  Even steps add key[0].
+    adds = (low, np.where(high == 0, low, high + u32(1)))
+    tmp = np.empty(n, u32)
+    mult1 = u32(1664525)
+    mult2 = u32(1566083941)
+
+    def mix(prev: Any, old: Any, mult: Any, out: Any) -> Any:
+        """``out = old ^ ((prev ^ (prev >> 30)) * mult)`` modulo 2³²."""
+        np.right_shift(prev, 30, out=tmp)
+        np.bitwise_xor(tmp, prev, out=tmp)
+        np.multiply(tmp, mult, out=tmp)
+        return np.bitwise_xor(tmp, old, out=out)
+
+    # Loop 1, first word: its predecessor is the constant table's word 0.
+    w0 = int(_MT_INIT[0])
+    first = low + u32(((w0 ^ (w0 >> 30)) * 1664525 ^ int(_MT_INIT[1])) & 0xFFFFFFFF)
+    # Loop 1 to its end: words 2..623, then the wrap rewrites word 1.
+    loop1 = (np.empty(n, u32), np.empty(n, u32))
+    prev = first
+    for i in range(2, _MT_N):
+        prev = mix(prev, _MT_INIT[i], mult1, loop1[i & 1])
+        prev += adds[(i - 1) & 1]
+    rewrapped = mix(prev, first, mult1, np.empty(n, u32))
+    rewrapped += adds[(_MT_N - 1) & 1]
+    # Loop 2 from word 2, with loop 1 re-run beside it for its old words.
+    loop2 = (np.empty(n, u32), np.empty(n, u32))
+    prev, prev2 = first, rewrapped
+    kept = {}
+    for i in range(2, _MT_N):
+        prev = mix(prev, _MT_INIT[i], mult1, loop1[i & 1])
+        prev += adds[(i - 1) & 1]
+        prev2 = mix(prev2, prev, mult2, loop2[i & 1])
+        prev2 -= u32(i)
+        if i <= 4 or _MT_M <= i <= _MT_M + 4:
+            kept[i] = prev2.copy()
+    # The wrap: word 0 takes word 623, then word 1 is rewritten last.
+    kept[1] = mix(prev2, rewrapped, mult2, rewrapped)
+    kept[1] -= u32(1)
+    # First four twisted and tempered outputs.  Word 0 is 0x80000000.
+    outputs = []
+    for k in range(4):
+        upper = u32(0x80000000) if k == 0 else kept[k] & u32(0x80000000)
+        y = kept[k + 1] & u32(0x7FFFFFFF)
+        y |= upper
+        v = (y & u32(1)) * u32(0x9908B0DF)
+        v ^= kept[k + _MT_M]
+        y >>= u32(1)
+        v ^= y
+        v ^= v >> u32(11)
+        v ^= (v << u32(7)) & u32(0x9D2C5680)
+        v ^= (v << u32(15)) & u32(0xEFC60000)
+        v ^= v >> u32(18)
+        outputs.append(v)
+
+    def res53(a: Any, b: Any) -> Any:
+        return ((a >> u32(5)) * 67108864.0 + (b >> u32(6))) * (1.0 / 9007199254740992.0)
+
+    return res53(outputs[0], outputs[1]), res53(outputs[2], outputs[3])
+
+
 def dbm_to_mw(dbm: Any) -> Any:
     """Vectorized dBm→mW (``10^(x/10)`` via ``exp`` — −inf maps to 0)."""
     return np.exp(np.asarray(dbm, dtype=np.float64) * _LN10_OVER_10)
@@ -249,6 +368,7 @@ __all__ = [
     "lqi_sample",
     "mean_field_extra_db",
     "dbm_to_mw",
+    "seeded_gauss",
     "PRR_TABLE_SNR_MIN_CENTI",
     "PRR_TABLE_SNR_MAX_CENTI",
 ]

@@ -44,6 +44,8 @@ bit-identical golden contract.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import repeat
 from time import perf_counter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -272,6 +274,14 @@ class FastRadioMedium(RadioMedium):
     def finalize(self) -> None:
         """Build the spatial index, SoA batches and shared channel state.
 
+        One pass over unordered pairs (DESIGN.md §9, "set-up"): one grid
+        query per sender gives its in-reach neighbors; each in-reach pair
+        ``(a, b)``, ``a < b``, is collected once, and one
+        :meth:`ChannelModel.prefill_mean_gains` call draws every pair's
+        static shadowing in a batch and caches its mean gain.  The
+        per-sender candidate rows are then built from the same neighbor
+        lists, and their ``mean_gain_many`` calls only read the cache.
+
         Idempotent like the exact path's ``finalize`` — a second call
         without an interleaving :meth:`attach` is a no-op, so the
         eagerly-drawn OU/Gilbert initial state is never re-drawn mid-run.
@@ -282,7 +292,7 @@ class FastRadioMedium(RadioMedium):
         positions = channel.positions
         self._radius_m = self._link_budget_radius_m()
         grid_ids = {nid: positions[nid] for nid in self._participants}
-        self._grid = SpatialGrid(grid_ids, self._radius_m)
+        grid = self._grid = SpatialGrid(grid_ids, self._radius_m)
         self._inter_cache = {}
         self._inter_cache_entries = 0
         self._inter_dirty = {}
@@ -307,11 +317,21 @@ class FastRadioMedium(RadioMedium):
         self._dense_y = np.asarray(
             [positions[rid][1] for rid in self._dense_ids], dtype=np.float64
         )
+        senders = sorted(self._participants)
+        near_by_sender = {sid: grid.neighbors(sid) for sid in senders}
+        pairs: List[Tuple[int, int]] = []
+        for sid, near in near_by_sender.items():
+            # ``near`` is sorted by id: the pairs where sid is the lower end.
+            pairs.extend(zip(repeat(sid), near[bisect_right(near, sid) :]))
+        channel.prefill_mean_gains(pairs)
+        del pairs
         # Slots are numbered in first-contact order here and their initial
         # OU / Gilbert state is drawn below in one vectorized call per array
         # (after finalize, _alloc_pair_slot draws per slot instead).
-        for sid in sorted(self._participants):
-            rows = self._neighborhood_rows(sid, self._participants[sid])
+        for sid in senders:
+            rows = self._neighborhood_rows(
+                sid, self._participants[sid], near_by_sender.pop(sid)
+            )
             pair_idx: List[int] = []
             for rid in rows.rid_list:
                 pair = self._pair_key(sid, rid)
@@ -378,22 +398,27 @@ class FastRadioMedium(RadioMedium):
             return batch
         return self._build_batch(sid)
 
-    def _neighborhood_rows(self, sid: int, sender: Any) -> _Rows:
+    def _neighborhood_rows(
+        self, sid: int, sender: Any, near: Optional[List[int]] = None
+    ) -> _Rows:
         """Candidate rows and carrier-reach set of ``sid`` from the live grid.
 
         Shared by :meth:`finalize` and :meth:`_build_batch`; O(k) in the
-        spatial neighborhood.  Neighbors come in dense-axis (attach) order,
-        so candidate lists keep the exact path's enumeration order.
+        spatial neighborhood.  ``near`` is ``sid``'s grid query when the
+        caller already ran it (it is reordered in place).  Neighbors come
+        in dense-axis (attach) order, so candidate lists keep the exact
+        path's enumeration order.
         """
         grid = self._grid
         assert grid is not None
         ptx = sender.radio.effective_tx_power_dbm
         order = self._dense_index
-        near = grid.neighbors(sid)
+        if near is None:
+            near = grid.neighbors(sid)
         near.sort(key=lambda rid: order.get(rid, len(order)))
         # One batched gain derivation for the whole neighborhood: under
         # mobility every neighbor's cached mean gain is stale after each
-        # tick, and at finalize this is every in-reach pair of the network.
+        # tick (at finalize every gain is already cached).
         near_gains = self.channel.mean_gain_many(sid, near)
         noise_cache = self._noise_cache
         rows = _Rows([], [], [], [], [], [], [], [])

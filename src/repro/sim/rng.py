@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 _KeyPart = Union[str, int]
 
@@ -85,18 +85,42 @@ class RngManager:
         returned object is a shared scratch generator: finish its draws
         before the next ``once`` call.
         """
+        h = self._prefix(name).copy()
+        h.update(_TWO_INTS.pack(b"i", a & _MASK64, b"\x00", b"i", b & _MASK64, b"\x00"))
+        scratch = self._scratch
+        # The public seed() also clears the cached Box-Muller spare.
+        scratch.seed(int.from_bytes(h.digest(), "little"))
+        return scratch
+
+    def once_seeds(self, name: str, pairs: Sequence[Tuple[int, int]]) -> bytearray:
+        """The seeds :meth:`once` gives its generator, for many pairs at once.
+
+        One little-endian 8-byte word per ``(a, b)`` in ``pairs``, in order:
+        word ``k`` is the seed of ``once(name, *pairs[k])``.  Written into a
+        single buffer, so a batched consumer (``repro.phy.vector.
+        seeded_gauss``) reads it as one uint64 array without a Python object
+        per seed.
+        """
+        copy = self._prefix(name).copy
+        pack = _TWO_INTS.pack
+        out = bytearray(8 * len(pairs))
+        at = 0
+        for a, b in pairs:
+            h = copy()
+            h.update(pack(b"i", a & _MASK64, b"\x00", b"i", b & _MASK64, b"\x00"))
+            out[at : at + 8] = h.digest()
+            at += 8
+        return out
+
+    def _prefix(self, name: str) -> "hashlib.blake2b":
+        """The blake2b state after the master seed and ``name``, cached."""
         prefix = self._prefixes.get(name)
         if prefix is None:
             prefix = hashlib.blake2b(digest_size=8)
             prefix.update(struct.pack("<Q", self.master_seed & _MASK64))
             prefix.update(b"s" + name.encode("utf-8") + b"\x00")
             self._prefixes[name] = prefix
-        h = prefix.copy()
-        h.update(_TWO_INTS.pack(b"i", a & _MASK64, b"\x00", b"i", b & _MASK64, b"\x00"))
-        scratch = self._scratch
-        # The public seed() also clears the cached Box-Muller spare.
-        scratch.seed(int.from_bytes(h.digest(), "little"))
-        return scratch
+        return prefix
 
     def fork(self, *key: _KeyPart) -> "RngManager":
         """Return a new manager whose master seed is derived from ``key``.

@@ -245,6 +245,24 @@ def test_status_replays_optimize_rounds_from_the_cache(tmp_path):
     assert doc["n_points"] == OPTIMIZE.budget and doc["best"] is not None
 
 
+def test_status_keeps_rounds_done_after_each_session(tmp_path):
+    # Stopped mid-round 2 (8 of 18 points, rounds of 6): the interrupted
+    # and the completed manifest keep the last round checkpoint.
+    with pytest.raises(CampaignInterrupted):
+        _campaign(OPTIMIZE_2D, tmp_path, stop_after=8).run()
+    status = _campaign(OPTIMIZE_2D, tmp_path).status()
+    assert status["interrupted"] is True
+    assert status["rounds_done"] == 1
+
+    resumed = _campaign(OPTIMIZE_2D, tmp_path)
+    resumed.run()
+    status = resumed.status()
+    assert status["summary_written"] is True
+    assert status["rounds_done"] == OPTIMIZE_2D.budget // OPTIMIZE_2D.batch == 3
+    manifest = json.loads(resumed.manifest_path.read_text())
+    assert manifest["points_enumerated"] == manifest["points_completed"] == 18
+
+
 def test_request_stop_interrupts_like_a_signal(tmp_path):
     campaign = _campaign(GRID, tmp_path)
 

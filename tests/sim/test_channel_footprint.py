@@ -5,22 +5,32 @@ Static shadowing, the OU initial value and bimodal membership are drawn
 once per pair through ``RngManager.once``; only the stateful per-pair
 streams (``"ou"``, ``"bimodal-dwell"``) are interned.  ``finalize()`` and
 ``_build_batch`` share one row builder, so a batch built at finalize must
-equal one rebuilt from scratch for the same sender.
+equal one rebuilt from scratch for the same sender.  ``finalize()`` draws
+every in-reach pair's shadowing in one batch, which must equal the scalar
+per-pair path bit for bit; an exact-medium run never loads numpy.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import CollectionNetwork, SimConfig, WorkloadConfig
+from repro.phy.channel import ChannelModel
+from repro.sim.rng import RngManager
 from repro.topology.generators import city_grid
 
 N_NODES = 200
 ONE_SHOT = {"shadow", "ou-init", "bimodal"}
 
 
-def city_network(medium: str) -> CollectionNetwork:
+def city_network(medium: str, n_nodes: int = N_NODES) -> CollectionNetwork:
     config = SimConfig(
         protocol="4b",
         seed=3,
@@ -29,7 +39,7 @@ def city_network(medium: str) -> CollectionNetwork:
         medium=medium,
         workload=WorkloadConfig(send_interval_s=10.0),
     )
-    return CollectionNetwork(city_grid(N_NODES, blocks=3, block_m=100), config)
+    return CollectionNetwork(city_grid(n_nodes, blocks=3, block_m=100), config)
 
 
 @pytest.mark.parametrize("medium", ["exact", "fast"])
@@ -79,3 +89,54 @@ def test_finalize_batches_equal_fresh_builds():
         assert medium._candidates[sid] == candidates
     # Rebuilding re-used every finalize-time slot: no fresh state drawn.
     assert medium._pair_slot == slots_before
+
+
+def test_finalize_prefills_every_in_reach_pair_bitwise():
+    net = city_network("fast", n_nodes=150)
+    channel, medium = net.channel, net.medium
+    positions = channel.positions
+    ids = sorted(medium._participants)
+    r2 = medium._radius_m * medium._radius_m
+
+    def in_reach(a, b):
+        (ax, ay), (bx, by) = positions[a], positions[b]
+        return (bx - ax) * (bx - ax) + (by - ay) * (by - ay) <= r2
+
+    pairs = {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if in_reach(a, b)}
+    assert len(pairs) > 150 * 20
+    assert set(channel._mean_gain) == set(channel._shadowing) == pairs
+    # The scalar path of a fresh channel: one once("shadow") draw per pair.
+    fresh = ChannelModel(
+        positions,
+        RngManager(channel._rng.master_seed),
+        pathloss=channel.pathloss,
+        shadowing_sigma_db=channel.shadowing_sigma_db,
+    )
+    for a, b in sorted(pairs):
+        assert channel._mean_gain[a, b].hex() == fresh.mean_gain_db(b, a).hex()
+        assert channel._shadowing[a, b].hex() == fresh._shadowing[a, b].hex()
+    # A static network never builds the mobility key index.
+    assert channel._mean_keys_by_node is None
+
+
+def test_exact_medium_run_never_imports_numpy():
+    code = textwrap.dedent(
+        """
+        import sys
+        from repro import CollectionNetwork, SimConfig, WorkloadConfig
+        from repro.topology.generators import city_grid
+
+        config = SimConfig(
+            protocol="4b", seed=1, duration_s=60.0, warmup_s=10.0, medium="exact",
+            workload=WorkloadConfig(send_interval_s=10.0),
+        )
+        CollectionNetwork(city_grid(12, blocks=2, block_m=60), config).run()
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout.strip()
+    assert out == "[]"
