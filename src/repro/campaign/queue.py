@@ -47,7 +47,7 @@ from repro.campaign.spec import SimulationResult, SimulationSpec, simulate
 from repro.campaign.sweep import SweepSpec, rank, read_spec_data, run_search, search
 from repro.metrics.collection_stats import json_sanitize
 from repro.runner.cache import MISS, ResultCache
-from repro.runner.runner import ExperimentRunner, Task
+from repro.runner.runner import ExperimentRunner, Task, check_run_limits
 
 #: Default root for campaign state directories (sibling of the default
 #: ``.repro-cache``); override per campaign or with ``REPRO_CAMPAIGN_DIR``.
@@ -176,7 +176,8 @@ class Campaign:
         for the default location).  A campaign *requires* a cache — it is
         the resume mechanism, not an optimization.
     workers / timeout_s / progress:
-        Forwarded to the :class:`ExperimentRunner`.
+        Forwarded to the :class:`ExperimentRunner`, and checked here so a
+        bad value fails before the campaign touches its state.
     telemetry:
         Optional :class:`~repro.obs.stream.RecordLog` (or anything with
         ``emit``); receives the runner's sweep records plus
@@ -186,7 +187,7 @@ class Campaign:
         Deterministic forced interruption: raise after this many runs have
         *executed* this session (the CI smoke job and the property tests
         use it; SIGTERM reaches the same code path via
-        :meth:`request_stop`).
+        :meth:`request_stop`).  Must be ``>= 1``.
     """
 
     def __init__(
@@ -200,6 +201,9 @@ class Campaign:
         progress: bool = False,
         stop_after: Optional[int] = None,
     ) -> None:
+        check_run_limits(workers, timeout_s)
+        if stop_after is not None and stop_after < 1:
+            raise ValueError(f"stop_after must be >= 1, got {stop_after!r}")
         self.spec = spec
         self.digest = spec.digest()
         root = Path(

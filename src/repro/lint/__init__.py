@@ -15,29 +15,24 @@ A second, whole-program tier (:mod:`repro.lint.project`) checks contracts
 no single file shows: RNG-stream provenance (R001), fast/exact backend
 parity (P001), and worker-state safety (W001).
 
-``python -m repro.lint`` checks these (plus Python hygiene) over the AST,
-with per-rule enable/disable, inline ``# lint: disable=...`` suppressions,
-and a committed baseline so legacy findings never block CI.
+``python -m repro.lint [PATHS]`` checks these (plus Python hygiene) over
+the AST with every rule, and fails on any finding not suppressed by an
+inline ``# lint: disable=...`` comment on its line.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.core import Finding, LintContext, ModuleInfo, Rule, lint_paths
-from repro.lint.fix import fix_unused_imports
 from repro.lint.project import (
     FileFacts,
-    IndexCache,
     ProjectIndex,
     ProjectRule,
     build_index,
     extract_facts,
 )
-from repro.lint.rules import RULES, default_rules, rules_by_name
+from repro.lint.rules import RULES, rules_by_name
 
 __all__ = [
-    "Baseline",
     "FileFacts",
     "Finding",
-    "IndexCache",
     "LintContext",
     "ModuleInfo",
     "ProjectIndex",
@@ -45,11 +40,7 @@ __all__ = [
     "RULES",
     "Rule",
     "build_index",
-    "default_rules",
     "extract_facts",
-    "fix_unused_imports",
     "lint_paths",
-    "load_baseline",
     "rules_by_name",
-    "write_baseline",
 ]

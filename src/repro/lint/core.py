@@ -4,7 +4,7 @@ A :class:`Rule` is a small object with an ``id`` (``D001``), a ``name``
 (``determinism``), and a ``check(module)`` method yielding
 :class:`Finding` objects.  The engine parses each file once into a
 :class:`ModuleInfo` (AST + dotted module name + source lines) and hands it
-to every enabled rule, then drops findings suppressed by an inline
+to every rule, then drops findings suppressed by an inline
 ``# lint: disable=<rule-name>`` comment on the offending line.
 """
 
@@ -14,7 +14,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Inline suppression: ``# lint: disable`` (all rules) or
 #: ``# lint: disable=determinism,unused-import`` on the flagged line.
@@ -32,28 +32,8 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Location-independent identity used for baseline matching.
-
-        Deliberately excludes the line/column so that unrelated edits moving
-        a baselined finding up or down the file do not un-baseline it.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.name}] {self.message}"
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "name": self.name,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
 
 
 @dataclass
@@ -142,17 +122,19 @@ def load_module(path: Path, repo_root: Optional[Path] = None) -> ModuleInfo:
     )
 
 
-def suppressed_rules(module: ModuleInfo, line: int) -> Optional[Set[str]]:
-    """Rule names disabled on ``line``; empty set means *all* rules."""
-    if not 1 <= line <= len(module.source_lines):
-        return None
-    m = _DISABLE_RE.search(module.source_lines[line - 1])
+def is_suppressed(module: ModuleInfo, finding: Finding) -> bool:
+    """Does an inline ``# lint: disable`` on the finding's line cover it?
+
+    A bare ``disable`` covers every rule; ``disable=a,b`` covers the rules
+    named by id or name.
+    """
+    if not 1 <= finding.line <= len(module.source_lines):
+        return False
+    m = _DISABLE_RE.search(module.source_lines[finding.line - 1])
     if m is None:
-        return None
-    spec = m.group("rules")
-    if spec is None:
-        return set()
-    return {part.strip() for part in spec.split(",") if part.strip()}
+        return False
+    disabled = {part.strip() for part in (m.group("rules") or "").split(",")} - {""}
+    return not disabled or finding.rule in disabled or finding.name in disabled
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -182,33 +164,34 @@ class LintContext:
     inline_suppressed: int = 0
     checked_files: int = 0
     errors: List[str] = field(default_factory=list)  #: unparsable files
-    #: Facts-cache accounting for the project pass (0/0 when it did not run).
-    index_cache_hits: int = 0
-    index_cache_misses: int = 0
+
+    def report(self, module: Optional[ModuleInfo], finding: Finding) -> None:
+        """Keep ``finding`` unless ``module`` suppresses it inline."""
+        if module is not None and is_suppressed(module, finding):
+            self.inline_suppressed += 1
+        else:
+            self.findings.append(finding)
 
 
 def lint_paths(
     paths: Sequence[Path],
     rules: Sequence[Rule],
     repo_root: Optional[Path] = None,
-    index_cache: Optional[Path] = None,
 ) -> LintContext:
     """Run ``rules`` over every Python file under ``paths``.
 
     File rules run per module; project rules (subclasses of
     :class:`repro.lint.project.ProjectRule`) run once afterwards against a
-    whole-program index built from the same parsed modules.  When
-    ``index_cache`` names a file, per-module facts are reused from it
-    keyed on content digest (see :class:`repro.lint.project.IndexCache`).
+    whole-program index built from the same parsed modules.  Both tiers
+    honour the same inline suppressions.
     """
     # Local import: project.py imports this module for the rule protocol.
-    from repro.lint.project import IndexCache, ProjectIndex, ProjectRule
+    from repro.lint.project import ProjectRule, build_index
 
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
 
     ctx = LintContext()
-    modules: List[ModuleInfo] = []
     by_path: Dict[str, ModuleInfo] = {}
     for path in iter_python_files(paths):
         try:
@@ -217,35 +200,16 @@ def lint_paths(
             ctx.errors.append(f"{path}: {exc}")
             continue
         ctx.checked_files += 1
-        if project_rules:
-            modules.append(module)
-            by_path[module.path] = module
+        by_path[module.path] = module
         for rule in file_rules:
             for finding in rule.check(module):
-                disabled = suppressed_rules(module, finding.line)
-                if disabled is not None and (not disabled or rule.name in disabled or rule.id in disabled):
-                    ctx.inline_suppressed += 1
-                    continue
-                ctx.findings.append(finding)
+                ctx.report(module, finding)
 
     if project_rules and not ctx.errors:
-        cache = IndexCache(index_cache)
-        facts = [cache.facts_for(m) for m in modules]
-        cache.save()
-        ctx.index_cache_hits = cache.stats.hits
-        ctx.index_cache_misses = cache.stats.misses
-        index = ProjectIndex.build(facts, repo_root)
+        index = build_index(list(by_path.values()), repo_root)
         for rule in project_rules:
             for finding in rule.check_project(index):
-                module_info = by_path.get(finding.path)
-                if module_info is not None:
-                    disabled = suppressed_rules(module_info, finding.line)
-                    if disabled is not None and (
-                        not disabled or rule.name in disabled or rule.id in disabled
-                    ):
-                        ctx.inline_suppressed += 1
-                        continue
-                ctx.findings.append(finding)
+                ctx.report(by_path.get(finding.path), finding)
 
     ctx.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return ctx

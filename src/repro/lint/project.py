@@ -12,35 +12,23 @@ The pass runs in three stages:
 1. **Extraction** — each parsed module is lowered into a :class:`FileFacts`
    record: imports, top-level assignments, class method/surface tables,
    module-level mutable containers, mutation sites, and RNG call sites.
-   Facts are plain JSON-able data.
 2. **Indexing** — :meth:`ProjectIndex.build` aggregates the facts: a module
    table, a resolved import graph, and a cross-module resolution of every
    mutation site to the ``(module, name)`` global it targets.
 3. **Rules** — :class:`ProjectRule` subclasses (registered alongside the
    file rules) implement ``check_project(index)`` and yield ordinary
-   :class:`~repro.lint.core.Finding` objects, so ``--select`` / ``--ignore``
-   / inline suppressions / the baseline all apply unchanged.
-
-Because extraction is per-file and pure, facts are cached keyed on a
-content digest (:class:`IndexCache`): a CI re-run over an unchanged tree
-deserializes every record instead of re-walking the ASTs.
+   :class:`~repro.lint.core.Finding` objects, so inline suppressions apply
+   unchanged.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.core import Finding, ModuleInfo, Rule, imported_names
-
-#: Bump when the extraction below changes shape: cached facts from older
-#: extractors are discarded wholesale (``from_json`` is ``cls(**data)``, so
-#: a record with a dropped key must never reach it).
-FACTS_VERSION = 3
 
 #: ``RngManager`` methods whose positional arguments are a stream key:
 #: ``once`` draws from the same keyspace as ``stream`` without interning.
@@ -60,16 +48,9 @@ MUTATOR_METHODS = {
 #: ``numpy.random`` bit-generator constructors (explicit seeding required).
 BITGEN_NAMES = {"PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
 
-#: Cap stored source snippets so facts (and the cache) stay small.
+#: Cap stored source snippets so facts stay small.
 _SNIPPET_LEN = 120
 _ASSIGN_LEN = 400
-
-
-def source_digest(module: ModuleInfo) -> str:
-    """Content digest keying the facts cache (pure function of the source)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update("\n".join(module.source_lines).encode("utf-8"))
-    return h.hexdigest()
 
 
 def _dotted(node: ast.expr) -> Optional[str]:
@@ -131,7 +112,7 @@ def _component(node: ast.expr) -> List[object]:
 
 @dataclass
 class FileFacts:
-    """Everything the project rules need from one module, JSON-able."""
+    """Everything the project rules need from one module."""
 
     path: str
     module: str
@@ -149,13 +130,6 @@ class FileFacts:
     classes: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: RNG call sites; see :func:`_extract_rng_sites` for the schema.
     rng_sites: List[Dict[str, object]] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "FileFacts":
-        return cls(**data)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
@@ -570,72 +544,8 @@ class ProjectRule(Rule):
         )
 
 
-# ----------------------------------------------------------------------
-# Facts cache
-# ----------------------------------------------------------------------
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-
-
-class IndexCache:
-    """Per-file facts cache keyed on source content digest.
-
-    The cache file is a single JSON document ``{path: {digest, facts}}``.
-    Any read problem (missing file, bad JSON, stale ``FACTS_VERSION``)
-    degrades to an empty cache; any write problem is ignored — the cache
-    is purely an accelerator and never changes results.
-    """
-
-    def __init__(self, path: Optional[Path]) -> None:
-        self.path = path
-        self.stats = CacheStats()
-        self._entries: Dict[str, Dict[str, object]] = {}
-        self._dirty = False
-        if path is not None and path.is_file():
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-                if data.get("version") == FACTS_VERSION:
-                    self._entries = dict(data.get("files", {}))
-            except (ValueError, OSError):
-                self._entries = {}
-
-    def facts_for(self, module: ModuleInfo) -> FileFacts:
-        digest = source_digest(module)
-        entry = self._entries.get(module.path)
-        if entry is not None and entry.get("digest") == digest:
-            try:
-                facts = FileFacts.from_json(dict(entry["facts"]))  # type: ignore[arg-type]
-                self.stats.hits += 1
-                return facts
-            except (KeyError, TypeError):
-                pass
-        facts = extract_facts(module)
-        self._entries[module.path] = {"digest": digest, "facts": facts.to_json()}
-        self._dirty = True
-        self.stats.misses += 1
-        return facts
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        payload = {"version": FACTS_VERSION, "files": self._entries}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        except OSError:  # pragma: no cover - cache is best-effort
-            pass
-
-
 def build_index(
-    modules: Sequence[ModuleInfo],
-    repo_root: Optional[Path] = None,
-    cache: Optional[IndexCache] = None,
+    modules: Sequence[ModuleInfo], repo_root: Optional[Path] = None
 ) -> ProjectIndex:
-    """Extract (or reuse cached) facts for every module and build the index."""
-    if cache is None:
-        cache = IndexCache(None)
-    facts = [cache.facts_for(m) for m in modules]
-    cache.save()
-    return ProjectIndex.build(facts, repo_root)
+    """Extract facts for every module and build the index."""
+    return ProjectIndex.build([extract_facts(m) for m in modules], repo_root)

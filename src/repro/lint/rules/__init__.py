@@ -2,12 +2,12 @@
 
 Two tiers share one registry: per-file AST rules (D/L/U/S/H) and
 whole-program project rules (R/P/W — see :mod:`repro.lint.project`).
-``--select`` / ``--ignore`` / inline suppressions treat them uniformly.
+Inline suppressions treat them uniformly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.lint.core import Rule
 from repro.lint.rules.backend_parity import BackendParityRule
@@ -37,8 +37,8 @@ def rules_by_name(rules: Optional[Sequence[Rule]] = None) -> Dict[str, Rule]:
 
     Raises ``ValueError`` on a duplicate id or name: with two registration
     sites (file rules and project rules) a silent last-wins table would
-    make half a collision unreachable from ``--select``/``--ignore`` and
-    from inline suppressions.
+    make half a collision unreachable by name and from inline
+    suppressions.
     """
     table: Dict[str, Rule] = {}
     for rule in rules if rules is not None else RULES:
@@ -54,22 +54,3 @@ def rules_by_name(rules: Optional[Sequence[Rule]] = None) -> Dict[str, Rule]:
             table[key] = rule
     return table
 
-
-def default_rules(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Rule]:
-    """The enabled rule set after ``--select`` / ``--ignore`` filtering.
-
-    Raises ``KeyError`` for an unknown rule id/name so typos fail loudly.
-    """
-    table = rules_by_name()
-
-    def resolve(keys: Iterable[str]) -> List[Rule]:
-        return [table[k] for k in keys]
-
-    enabled = resolve(select) if select else list(RULES)
-    if ignore:
-        dropped = {id(r) for r in resolve(ignore)}
-        enabled = [r for r in enabled if id(r) not in dropped]
-    return enabled

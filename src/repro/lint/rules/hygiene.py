@@ -16,7 +16,7 @@ Small, classic footguns that have each bitten simulation codebases:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Set
 
 from repro.lint.core import Finding, ModuleInfo, Rule
 
@@ -100,46 +100,28 @@ class UnusedImportRule(Rule):
     description = "every imported name is referenced (or re-exported via __all__/__init__)"
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node, alias in self.unused_bindings(module):
-            if isinstance(node, ast.Import):
-                yield self.finding(module, node, f"`import {alias.name}` is never used")
-            else:
-                source = node.module or "." * node.level  # type: ignore[union-attr]
-                yield self.finding(
-                    module, node, f"`from {source} import {alias.name}` is never used"
-                )
-
-    @classmethod
-    def unused_bindings(
-        cls, module: ModuleInfo
-    ) -> List[Tuple[ast.stmt, ast.alias]]:
-        """Every ``(import statement, alias)`` pair nothing references.
-
-        Shared by :meth:`check` and the ``--fix`` rewriter
-        (:mod:`repro.lint.fix`) so they can never disagree about what is
-        removable.
-        """
         if module.path.endswith("__init__.py") or module.module.endswith("__init__"):
-            return []  # re-export surface by convention
-        used = cls._used_names(module.tree)
-        exported = cls._dunder_all(module.tree)
-        out: List[Tuple[ast.stmt, ast.alias]] = []
+            return  # re-export surface by convention
+        used = self._used_names(module.tree)
+        exported = self._dunder_all(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used and bound not in exported:
-                        out.append((node, alias))
+                        yield self.finding(module, node, f"`import {alias.name}` is never used")
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "__future__":
                     continue
+                source = node.module or "." * node.level
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     bound = alias.asname or alias.name
                     if bound not in used and bound not in exported:
-                        out.append((node, alias))
-        return out
+                        yield self.finding(
+                            module, node, f"`from {source} import {alias.name}` is never used"
+                        )
 
     @classmethod
     def _used_names(cls, tree: ast.Module) -> Set[str]:

@@ -25,6 +25,7 @@ the equivalence test in ``tests/runner/`` pins down.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import sys
@@ -217,19 +218,29 @@ class RunnerStats:
         return "[runner] " + ", ".join(parts) + f", {self.wall_s:.1f}s wall"
 
 
+def check_run_limits(workers: Optional[int], timeout_s: Optional[float]) -> None:
+    """Reject a process count below 1 and a per-run timeout that is not a
+    finite number of seconds > 0 (``None`` means serial / no timeout)."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise ValueError(f"timeout_s must be a finite number > 0, got {timeout_s!r}")
+
+
 class ExperimentRunner:
     """Fan experiment tasks out across processes, memoizing results on disk.
 
     Parameters
     ----------
     workers:
-        Process count; ``None`` or ``<= 1`` runs serially in-process.
+        Process count (``>= 1``); ``None`` or ``1`` runs serially in-process.
     cache:
         A :class:`ResultCache`, ``True`` for the default location
         (``REPRO_CACHE_DIR`` or ``.repro-cache``), or ``None``/``False``
         to disable caching.
     timeout_s:
-        Per-run wall-clock budget, enforced in the worker via ``SIGALRM``.
+        Per-run wall-clock budget in seconds (finite, ``> 0``), enforced in
+        the worker via ``SIGALRM``; ``None`` for no budget.
     chunk_size:
         Maximum in-flight submissions (default ``workers × 4``).
     progress:
@@ -255,6 +266,7 @@ class ExperimentRunner:
         strict: bool = True,
         telemetry: Any = None,
     ) -> None:
+        check_run_limits(workers, timeout_s)
         self.workers = int(workers) if workers else 1
         if cache is True:
             cache = ResultCache()

@@ -325,6 +325,27 @@ def test_empty_axis_is_a_spec_error(tmp_path, capsys):
     assert not (tmp_path / "state").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--timeout", "-5", "timeout_s"),
+        ("--timeout", "nan", "timeout_s"),
+        ("--timeout", "inf", "timeout_s"),
+        ("--timeout", "0", "timeout_s"),
+        ("--stop-after", "0", "stop_after"),
+        ("--workers", "0", "workers"),
+    ],
+)
+def test_bad_run_limits_are_usage_errors_before_any_point(tmp_path, capsys, flag, value, name):
+    spec = _write_spec(tmp_path, GRID_SPEC)
+    assert _main(["run", str(spec), flag, value], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"error: {name} must be" in err
+    assert "executed" not in err
+    assert not (tmp_path / "state").exists()
+    assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+
+
 def test_malformed_campaign_files_are_spec_errors_naming_the_key(tmp_path, capsys):
     tune = {
         "campaign": "bad", "kind": "synthetic", "mode": "optimize",

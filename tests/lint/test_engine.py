@@ -1,20 +1,18 @@
-"""Engine mechanics: module naming, inline suppression, baseline multiset."""
+"""Engine mechanics: module naming, inline suppression."""
 
 from __future__ import annotations
 
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.lint import default_rules, lint_paths, load_baseline, write_baseline
+from repro.lint import lint_paths, rules_by_name
 from repro.lint.core import module_name_for
 
 
 def lint_file(tmp_path: Path, source: str, rule: str = "float-equality"):
     target = tmp_path / "snippet.py"
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_paths([target], default_rules([rule], None))
+    return lint_paths([target], [rules_by_name()[rule]])
 
 
 # ----------------------------------------------------------------------
@@ -48,59 +46,3 @@ def test_inline_disable_by_rule_id(tmp_path):
 def test_inline_disable_other_rule_does_not_suppress(tmp_path):
     ctx = lint_file(tmp_path, "def f(x):\n    return x == 0.3  # lint: disable=determinism\n")
     assert len(ctx.findings) == 1 and ctx.inline_suppressed == 0
-
-
-# ----------------------------------------------------------------------
-# baseline round-trip and multiset semantics
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    ctx = lint_file(tmp_path, "def f(x):\n    return x == 0.3\n")
-    baseline_path = tmp_path / "baseline.json"
-    assert write_baseline(baseline_path, ctx.findings) == 1
-    baseline = load_baseline(baseline_path)
-    new, baselined = baseline.partition(ctx.findings)
-    assert new == [] and len(baselined) == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    baseline = load_baseline(tmp_path / "nope.json")
-    assert baseline.size == 0
-
-
-def test_baseline_version_check(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"version": 99, "findings": []}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-
-
-def test_baseline_is_a_multiset(tmp_path):
-    # One occurrence baselined; adding an identical second violation (same
-    # rule + path + message, hence the same fingerprint) must still fail.
-    target = tmp_path / "snippet.py"
-    target.write_text("def f(x):\n    return x == 0.3\n", encoding="utf-8")
-    rules = default_rules(["float-equality"], None)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, lint_paths([target], rules).findings)
-
-    target.write_text(
-        "def f(x):\n    return x == 0.3\n\ndef g(x):\n    return x == 0.3\n",
-        encoding="utf-8",
-    )
-    new, baselined = load_baseline(baseline_path).partition(lint_paths([target], rules).findings)
-    assert len(baselined) == 1 and len(new) == 1
-    assert new[0].fingerprint == baselined[0].fingerprint
-
-
-def test_baseline_survives_line_moves(tmp_path):
-    # Fingerprints exclude line numbers: shifting the finding down the file
-    # must not un-baseline it.
-    target = tmp_path / "snippet.py"
-    target.write_text("def f(x):\n    return x == 0.3\n", encoding="utf-8")
-    rules = default_rules(["float-equality"], None)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, lint_paths([target], rules).findings)
-
-    target.write_text("# a comment\n\n\ndef f(x):\n    return x == 0.3\n", encoding="utf-8")
-    new, baselined = load_baseline(baseline_path).partition(lint_paths([target], rules).findings)
-    assert new == [] and len(baselined) == 1

@@ -1,30 +1,21 @@
-"""Project pass: facts extraction, index, cache, and the R/P/W rules."""
+"""Project pass: facts extraction, index, and the R/P/W rules."""
 
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    build_index,
-    default_rules,
-    extract_facts,
-    lint_paths,
-    load_baseline,
-    rules_by_name,
-    write_baseline,
-)
+from repro.lint import build_index, extract_facts, lint_paths, rules_by_name
 from repro.lint.core import Rule, iter_python_files, load_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_rule(rule: str, path: Path, repo_root=None):
-    ctx = lint_paths([path], default_rules([rule], None), repo_root)
+    ctx = lint_paths([path], [rules_by_name()[rule]], repo_root)
     assert not ctx.errors
     return ctx.findings
 
@@ -106,12 +97,6 @@ def test_extract_facts_sees_channel_one_shot_draws():
     ]
 
 
-def test_facts_round_trip_json():
-    facts = extract_facts(module_from("X = []\n\ndef f():\n    X.append(1)\n"))
-    clone = type(facts).from_json(json.loads(json.dumps(facts.to_json())))
-    assert clone == facts
-
-
 # ----------------------------------------------------------------------
 # index
 # ----------------------------------------------------------------------
@@ -127,53 +112,6 @@ def test_index_import_graph_and_cross_module_mutations():
     registry_sites = index.runtime_mutations[("repro.sim.medium", "REGISTRY")]
     assert [s["in_module"] for s in registry_sites] == ["repro.sim.network"]
     assert index.runtime_mutations[("repro.sim.network", "_CACHE")]
-
-
-# ----------------------------------------------------------------------
-# facts cache
-# ----------------------------------------------------------------------
-def test_index_cache_hits_and_graceful_corruption(tmp_path):
-    cache_file = tmp_path / "cache.json"
-    target = FIXTURES / "rng" / "good"
-    rules = default_rules(["rng-provenance"], None)
-
-    cold = lint_paths([target], rules, target, index_cache=cache_file)
-    assert cold.index_cache_hits == 0 and cold.index_cache_misses > 0
-    warm = lint_paths([target], rules, target, index_cache=cache_file)
-    assert warm.index_cache_misses == 0
-    assert warm.index_cache_hits == cold.index_cache_misses
-    assert warm.findings == cold.findings
-
-    cache_file.write_text("{not json", encoding="utf-8")
-    rebuilt = lint_paths([target], rules, target, index_cache=cache_file)
-    assert rebuilt.index_cache_hits == 0 and rebuilt.findings == cold.findings
-    # ... and the corrupt file was replaced with a usable one.
-    again = lint_paths([target], rules, target, index_cache=cache_file)
-    assert again.index_cache_misses == 0
-
-    # A version-2 file still carries the since-dropped schema keys, which
-    # FileFacts(**data) would reject: it is re-extracted, not loaded.
-    stale = json.loads(cache_file.read_text(encoding="utf-8"))
-    stale["version"] = 2
-    for entry in stale["files"].values():
-        entry["facts"].update(int_constants={"LIMIT": 7}, dataclasses={})
-    cache_file.write_text(json.dumps(stale), encoding="utf-8")
-    upgraded = lint_paths([target], rules, target, index_cache=cache_file)
-    assert upgraded.index_cache_hits == 0 and upgraded.findings == cold.findings
-    assert "int_constants" not in cache_file.read_text(encoding="utf-8")
-
-
-def test_index_cache_invalidates_on_edit(tmp_path):
-    src = tmp_path / "repro" / "sim"
-    src.mkdir(parents=True)
-    f = src / "streams.py"
-    f.write_text("X = 1\n", encoding="utf-8")
-    cache_file = tmp_path / "cache.json"
-    rules = default_rules(["rng-provenance"], None)
-    lint_paths([f], rules, tmp_path, index_cache=cache_file)
-    f.write_text("X = 2\n", encoding="utf-8")
-    edited = lint_paths([f], rules, tmp_path, index_cache=cache_file)
-    assert edited.index_cache_misses == 1
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +183,7 @@ def test_worker_state_bad_flags_same_and_cross_module():
 
 
 # ----------------------------------------------------------------------
-# registry + baseline integration
+# registry + inline suppression
 # ----------------------------------------------------------------------
 def test_rules_by_name_rejects_duplicates():
     class A(Rule):
@@ -274,21 +212,6 @@ def test_rules_by_name_rejects_duplicates():
         rules_by_name([D()])
 
 
-def test_project_findings_baseline_like_file_findings(tmp_path):
-    target = FIXTURES / "worker_state" / "bad"
-    rules = default_rules(["worker-state"], None)
-    ctx = lint_paths([target], rules, target)
-    assert len(ctx.findings) == 2
-    for finding in ctx.findings:
-        assert finding.fingerprint.startswith("W001::")
-
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, ctx.findings)
-    baseline = load_baseline(baseline_file)
-    new, baselined = baseline.partition(lint_paths([target], rules, target).findings)
-    assert new == [] and len(baselined) == 2
-
-
 def test_project_findings_respect_inline_suppression(tmp_path):
     src = tmp_path / "repro" / "sim"
     src.mkdir(parents=True)
@@ -297,5 +220,5 @@ def test_project_findings_respect_inline_suppression(tmp_path):
         "def build(cfg):\n    TABLE[1] = cfg\n",
         encoding="utf-8",
     )
-    ctx = lint_paths([tmp_path], default_rules(["worker-state"], None), tmp_path)
+    ctx = lint_paths([tmp_path], [rules_by_name()["worker-state"]], tmp_path)
     assert ctx.findings == [] and ctx.inline_suppressed == 1

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import RULES, default_rules, lint_paths
+from repro.lint import RULES, lint_paths, rules_by_name
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_rule(rule: str, *paths: Path):
-    ctx = lint_paths(list(paths), default_rules([rule], None))
+    ctx = lint_paths(list(paths), [rules_by_name()[rule]])
     assert not ctx.errors
     return ctx.findings
 
@@ -37,13 +37,13 @@ def test_registry_has_all_rules():
     }
 
 
-def test_default_rules_select_ignore():
-    assert [r.name for r in default_rules(["determinism"], None)] == ["determinism"]
-    assert [r.id for r in default_rules(["D001"], None)] == ["D001"]
-    remaining = {r.name for r in default_rules(None, ["unused-import"])}
-    assert "unused-import" not in remaining and "determinism" in remaining
+def test_rules_by_name_accepts_id_or_name():
+    table = rules_by_name()
+    assert table["determinism"] is table["D001"]
+    assert {table[r.name] for r in RULES} == {table[r.id] for r in RULES}
+    assert len(table) == 2 * len(RULES)
     with pytest.raises(KeyError):
-        default_rules(["no-such-rule"], None)
+        table["no-such-rule"]
 
 
 # ----------------------------------------------------------------------
@@ -163,5 +163,4 @@ def test_findings_carry_location():
         assert f.rule == "H002" and f.name == "float-equality"
         assert f.line > 0 and f.col > 0
         assert f.path.endswith("float_equality_bad.py")
-        assert f.fingerprint == f"{f.rule}::{f.path}::{f.message}"
         assert f"{f.path}:{f.line}:{f.col}:" in f.render()

@@ -143,6 +143,16 @@ def test_timeout_kills_run_not_sweep():
     assert "timed out" in runner.stats.failures[0].error
 
 
+def test_run_limits_checked_at_construction():
+    assert ExperimentRunner(timeout_s=0.2).timeout_s == 0.2
+    assert ExperimentRunner(workers=None).workers == 1
+    for kwargs in ({"timeout_s": 0}, {"timeout_s": -5.0}, {"timeout_s": float("nan")},
+                   {"timeout_s": float("inf")}, {"workers": 0}, {"workers": -2}):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ExperimentRunner(**kwargs)
+
+
 # ----------------------------------------------------------------------
 # Serial vs parallel equivalence on real simulator runs (the ISSUE's
 # correctness bar: parallel output must be numerically identical).
