@@ -28,6 +28,7 @@ stream's first draws without keeping a generator per pair alive.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -302,8 +303,8 @@ class ChannelModel:
         term-for-term identical to the scalar path
         (:meth:`PathLossModel.loss_db` / :meth:`_static_shadowing_db`), so
         batched and scalar queries agree bitwise and fill the same caches
-        in the same order.  Set-up itself fills every in-reach pair with
-        :meth:`prefill_mean_gains`, so there this only reads the cache.
+        in the same order.  Set-up itself derives every in-reach pair's gain
+        with :meth:`prefill_mean_gains`.
         """
         mean_gain = self._mean_gain
         positions = self.positions
@@ -336,7 +337,7 @@ class ChannelModel:
             out.append(mean)
         return out
 
-    def prefill_mean_gains(self, keys: Sequence[Tuple[int, int]]) -> None:
+    def prefill_mean_gains(self, keys: Sequence[Tuple[int, int]]) -> "array[float]":
         """Cache the mean gain of every unordered pair in ``keys`` at once.
 
         The fast medium's set-up: ``keys`` holds each in-reach pair once,
@@ -349,7 +350,10 @@ class ChannelModel:
         uses :meth:`mean_gain_many`'s scalar formula.  The caches then
         hold exactly what per-pair queries would have put there, in
         another insertion order, which nothing reads.  Pairs already
-        cached are left as they are.  Keys go through in chunks of
+        cached are left as they are.  Returns the mean gains aligned with
+        ``keys``, as a float64 ``array`` (one buffer, no object per gain),
+        so the caller indexes them by pair instead of probing the cache
+        again.  Keys go through in chunks of
         ``_PREFILL_CHUNK``, so the transient arrays and lists of a draw
         stay bounded.
         """
@@ -366,8 +370,10 @@ class ChannelModel:
         d0 = pathloss.d0_m
         sigma = self.shadowing_sigma_db
         by_node = self._mean_keys_by_node
+        out = array("d", bytes(8 * len(keys)))
         for lo in range(0, len(keys), _PREFILL_CHUNK):
-            fresh = [key for key in keys[lo : lo + _PREFILL_CHUNK] if key not in mean_gain]
+            chunk = keys[lo : lo + _PREFILL_CHUNK]
+            fresh = [key for key in chunk if key not in mean_gain]
             undrawn = [key for key in fresh if key not in shadowing]
             if undrawn:
                 seeds = self._rng.once_seeds("shadow", undrawn)
@@ -382,6 +388,8 @@ class ChannelModel:
                 mean_gain[key] = -(pl_d0 + ten_n * math.log10(d / d0)) + shadowing[key]
                 if by_node is not None:
                     _index_key(by_node, key)
+            out[lo : lo + len(chunk)] = array("d", map(mean_gain.__getitem__, chunk))
+        return out
 
     def gain_db(self, a: int, b: int, t: float) -> float:
         """Instantaneous channel gain (symmetric) at simulated time ``t``."""

@@ -94,6 +94,15 @@ PRR_TABLE_SNR_MIN_CENTI = -800
 PRR_TABLE_SNR_MAX_CENTI = 2500
 
 
+@lru_cache(maxsize=None)
+def _ber_grid(modulation: str) -> Tuple[float, ...]:
+    """The modulation's BER on the :func:`prr_grid` SNR grid, computed once."""
+    ber = BER_MODELS[modulation]
+    return tuple(
+        ber(q / 100.0) for q in range(PRR_TABLE_SNR_MIN_CENTI, PRR_TABLE_SNR_MAX_CENTI + 1)
+    )
+
+
 @lru_cache(maxsize=128)
 def prr_grid(modulation: str, length_bytes: int) -> Tuple[float, ...]:
     """:func:`prr` on the 0.01 dB grid for one (modulation, frame length).
@@ -102,12 +111,17 @@ def prr_grid(modulation: str, length_bytes: int) -> Tuple[float, ...]:
     is the one PRR table: :func:`prr_fast`, the exact medium's reception
     loop and :func:`repro.phy.vector.prr_table` all index it, so every
     backend returns bit-identical PRR for a given SNR.  A tuple, because
-    every caller shares it; a 12-node Mirage run uses at most 10 frame
-    lengths, and each table costs about 9 ms to build.
+    every caller shares it.  The BER grid is computed once per modulation
+    and each frame length only applies :func:`prr`'s last step to it, so
+    the many frame lengths of a run (up to 10 on a 12-node Mirage) cost
+    one BER sweep between them.
     """
+    if length_bytes <= 0:
+        raise ValueError(f"length_bytes must be positive: {length_bytes}")
+    bits = 8 * length_bytes
     return tuple(
-        prr(modulation, q / 100.0, length_bytes)
-        for q in range(PRR_TABLE_SNR_MIN_CENTI, PRR_TABLE_SNR_MAX_CENTI + 1)
+        1.0 if ber <= 0.0 else 0.0 if ber >= 1.0 else (1.0 - ber) ** bits
+        for ber in _ber_grid(modulation)
     )
 
 

@@ -41,7 +41,7 @@ are bit-identical to the straightforward expressions they replace
 from __future__ import annotations
 
 import math
-from typing import Any, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
@@ -59,20 +59,23 @@ def ou_advance(
     tau_s: float,
     sigma_db: float,
     freeze_s: float,
-    gen: Any,
+    normals: Callable[[int], Any],
 ) -> Any:
     """Advance the OU slots listed in ``slots`` to ``t_now``, in place.
 
     ``x`` / ``t_last`` are the global per-pair state arrays; ``slots`` an
-    integer array of slot indices (each at most once).  Queries closer than
-    ``freeze_s`` to the previous one see a frozen channel, matching the
-    exact path's ``_ou_freeze_s`` behavior.  Returns the post-advance
-    ``x[slots]`` values.
+    integer array of slot indices (each at most once); ``normals(n)``
+    returns ``n`` standard-normal draws.  Queries closer than ``freeze_s``
+    to the previous one see a frozen channel, matching the exact path's
+    ``_ou_freeze_s`` behavior.  Returns the post-advance ``x[slots]``
+    values, as a fresh array.
 
     Most calls mix frozen and moving slots; the all-moving case skips the
-    two mask gathers.  ``dt/(−τ)`` equals ``−dt/τ`` exactly (IEEE division
-    is sign-symmetric), and each in-place step is the same operation, in
-    the same operand order, as the textbook expression above.
+    two mask gathers and the final gather.  ``dt/(−τ)`` equals ``−dt/τ``
+    exactly (IEEE division is sign-symmetric), and each in-place step is
+    the same operation, in the same operand order, as the textbook
+    expression above.  ``1 − e^(−2dt/τ)`` needs no clamp at 0: a moving
+    slot has ``dt > freeze_s ≥ 0``, so ``e^(−dt/τ) ≤ 1``.
     """
     dt = t_last[slots]
     np.subtract(t_now, dt, out=dt)
@@ -90,16 +93,15 @@ def ou_advance(
     np.exp(decay, out=decay)
     innovation = decay * decay
     np.subtract(1.0, innovation, out=innovation)
-    np.maximum(innovation, 0.0, out=innovation)
     np.sqrt(innovation, out=innovation)
     innovation *= sigma_db
-    innovation *= gen.standard_normal(n_moving)
+    innovation *= normals(n_moving)
     moved = x[upd]
     moved *= decay
     moved += innovation
     x[upd] = moved
     t_last[upd] = t_now
-    return x[slots]
+    return moved if upd is slots else x[slots]
 
 
 def gilbert_advance(

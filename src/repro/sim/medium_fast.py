@@ -44,8 +44,6 @@ bit-identical golden contract.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import repeat
 from time import perf_counter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -86,6 +84,13 @@ _INTER_CACHE_MAX = 65536
 
 _MISSING = object()
 
+#: Senders per block of the set-up row builder: bounds the transient
+#: per-entry arrays of :meth:`FastRadioMedium.finalize`.
+_ROW_BLOCK = 32
+
+#: Draws per pre-drawn block of the per-transmission streams.
+_DRAW_BLOCK = 4096
+
 
 class _SenderBatch:
     """Per-sender structure-of-arrays candidate block."""
@@ -106,6 +111,7 @@ class _SenderBatch:
         "rid_dense",
         "cca_heard",
         "epoch",
+        "rid_pos",
     )
 
     def __init__(
@@ -144,20 +150,73 @@ class _SenderBatch:
         #: Structural epoch this batch was built at; stale when below the
         #: sender's entry in ``FastRadioMedium._sender_epoch``.
         self.epoch = epoch
+        #: Candidate id → position, built on the first unicast delivery.
+        self.rid_pos: Optional[Dict[int, int]] = None
+
+
+class _Nodes(NamedTuple):
+    """Per-node inputs of the row builder, by local node index."""
+
+    id_list: List[int]
+    ids: Any
+    #: Effective transmit power and CCA threshold, dBm.
+    ptx: Any
+    cca: Any
+    #: Noise floor in dBm; +inf for a node that does not receive, so it
+    #: never clears the candidate cutoff.
+    noise_floor: Any
+    noise_mw: Any
+    noise_db: Any
+    #: Dense-axis index; ``n_rank - 1`` for a node that does not receive.
+    rank: Any
+    n_rank: int
+    #: Index into ``mod_names`` (sorted) of each receiver's modulation.
+    mod: Any
+    mod_names: List[str]
+    #: The receiving participant, or None.
+    receivers: List[Any]
 
 
 class _Rows(NamedTuple):
-    """One sender's in-budget candidate rows, before lowering to arrays."""
+    """Directed entries in (sender, dense rank) order, by local node index."""
 
-    row: List[Tuple[int, float]]
-    rid_list: List[int]
-    receivers: List[Any]
-    gains: List[float]
-    noise_mw: List[float]
-    noise_db: List[float]
-    mods: List[str]
-    #: Node ids whose CCA hears the sender's carrier.
-    heard: List[int]
+    #: Candidate entries: sender, receiver, mean gain, pair index.
+    snd: Any
+    rcv: Any
+    gain: Any
+    pair: Any
+    #: Entries whose receiver hears the sender's carrier.
+    heard_snd: Any
+    heard_rcv: Any
+
+
+class _Prefetched:
+    """One Generator method's draws, served in order from pre-drawn blocks.
+
+    Successive ``draw(n1)``, ``draw(n2)`` calls of a numpy ``Generator``
+    return the leading slices of one ``draw(n1 + n2)``: each element takes
+    the next values of the bit stream.  Slicing a pre-drawn block therefore
+    serves exactly the values per-call draws would, without a Generator
+    call per transmission.  A served slice may be modified in place; it is
+    never served again.
+    """
+
+    __slots__ = ("_draw", "_buf", "_pos")
+
+    def __init__(self, draw: Any) -> None:
+        self._draw = draw
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def __call__(self, n: int) -> Any:
+        pos = self._pos
+        end = pos + n
+        buf = self._buf
+        if end > buf.size:
+            buf = self._buf = np.concatenate((buf[pos:], self._draw(max(_DRAW_BLOCK, n))))
+            pos, end = 0, n
+        self._pos = end
+        return buf[pos:end]
 
 
 class FastRadioMedium(RadioMedium):
@@ -220,9 +279,10 @@ class FastRadioMedium(RadioMedium):
         self._sender_epoch: Dict[int, int] = {}
         self._free_slots: List[int] = []
         self._slot_cap = 0
-        #: receiver id → (noise mW, noise dB), derived once per receiver —
-        #: noise floors never change after hardware variation is applied.
-        self._noise_cache: Dict[int, Tuple[float, float]] = {}
+        #: node id → its row-builder inputs (see :meth:`_nodes`), derived
+        #: once per attach: radio parameters never change after hardware
+        #: variation is applied.
+        self._node_info: Dict[int, Tuple[Any, ...]] = {}
         #: (modulation, frame bytes) → quantized PRR table.
         self._prr_tables: Dict[Tuple[str, int], Any] = {}
         self._grid: Optional[SpatialGrid] = None
@@ -240,6 +300,10 @@ class FastRadioMedium(RadioMedium):
         self._gen_fade = Generator(PCG64(derive_seed(master, "fast", "bimodal-dwell")))
         self._gen_rx = Generator(PCG64(derive_seed(master, "fast", "rx")))
         self._gen_lqi = Generator(PCG64(derive_seed(master, "fast", "lqi")))
+        # The three per-transmission draws, served from pre-drawn blocks.
+        self._ou_normals = _Prefetched(self._gen_ou.standard_normal)
+        self._rx_uniforms = _Prefetched(self._gen_rx.random)
+        self._lqi_normals = _Prefetched(self._gen_lqi.standard_normal)
 
     # ------------------------------------------------------------------
     # Setup
@@ -274,13 +338,14 @@ class FastRadioMedium(RadioMedium):
     def finalize(self) -> None:
         """Build the spatial index, SoA batches and shared channel state.
 
-        One pass over unordered pairs (DESIGN.md §9, "set-up"): one grid
-        query per sender gives its in-reach neighbors; each in-reach pair
-        ``(a, b)``, ``a < b``, is collected once, and one
+        One array pass over unordered pairs (DESIGN.md §9, "set-up"):
+        :meth:`SpatialGrid.pair_arrays` enumerates every in-reach pair
+        ``(a, b)``, ``a < b``, by a cell join, and one
         :meth:`ChannelModel.prefill_mean_gains` call draws every pair's
-        static shadowing in a batch and caches its mean gain.  The
-        per-sender candidate rows are then built from the same neighbor
-        lists, and their ``mean_gain_many`` calls only read the cache.
+        static shadowing in a batch and returns its mean gain.  Each pair
+        then gives its two directed entries to the row builder
+        (:meth:`_rows`), a block of ``_ROW_BLOCK`` senders at a time, so
+        the transient per-entry arrays stay bounded.
 
         Idempotent like the exact path's ``finalize`` — a second call
         without an interleaving :meth:`attach` is a no-op, so the
@@ -296,11 +361,11 @@ class FastRadioMedium(RadioMedium):
         self._inter_cache = {}
         self._inter_cache_entries = 0
         self._inter_dirty = {}
-        self._noise_cache = {}
-        self._pair_slot = {}
-        pair_slot = self._pair_slot
+        self._node_info = {}
+        # Unused by this backend (candidate_receivers reads the batches);
+        # kept empty for parity.
         self._candidates = {}
-        self._rx_rows = {}  # unused by this backend; kept empty for parity
+        self._rx_rows = {}
         self._soa = {}
         self._cca_heard = {}
         self._epoch = 0
@@ -317,29 +382,55 @@ class FastRadioMedium(RadioMedium):
         self._dense_y = np.asarray(
             [positions[rid][1] for rid in self._dense_ids], dtype=np.float64
         )
-        senders = sorted(self._participants)
-        near_by_sender = {sid: grid.neighbors(sid) for sid in senders}
-        pairs: List[Tuple[int, int]] = []
-        for sid, near in near_by_sender.items():
-            # ``near`` is sorted by id: the pairs where sid is the lower end.
-            pairs.extend(zip(repeat(sid), near[bisect_right(near, sid) :]))
-        channel.prefill_mean_gains(pairs)
-        del pairs
-        # Slots are numbered in first-contact order here and their initial
-        # OU / Gilbert state is drawn below in one vectorized call per array
-        # (after finalize, _alloc_pair_slot draws per slot instead).
-        for sid in senders:
-            rows = self._neighborhood_rows(
-                sid, self._participants[sid], near_by_sender.pop(sid)
+        # Every in-reach pair as the local indices of its ends into the
+        # sorted participant ids (the grid indexes exactly the
+        # participants).  A node's entries as sender are a run of pairs by
+        # ``lo`` and a run of ``by_hi``; ``lo_start``/``hi_start`` hold
+        # where each node's runs begin.
+        _, lo, hi = grid.pair_arrays()
+        nodes = self._nodes(sorted(self._participants))
+        n_nodes = len(nodes.id_list)
+        by_hi = np.argsort(hi, kind="stable")
+        lo_start, hi_start = [
+            np.concatenate(([0], np.cumsum(np.bincount(end, minlength=n_nodes)))).tolist()
+            for end in (lo, hi)
+        ]
+        # Key tuples hold the participants' own id objects (gathered from
+        # an object array, so no int is created per pair): the channel
+        # caches keep every key alive.
+        id_objects = np.array(nodes.id_list, dtype=object)
+        keys = list(zip(id_objects[lo].tolist(), id_objects[hi].tolist()))
+        gains = np.frombuffer(channel.prefill_mean_gains(keys), dtype=np.float64)
+        # Slots are numbered in first-contact order, over candidate entries
+        # in (sender, dense) order, and their initial OU / Gilbert state is
+        # drawn below in one vectorized call per array (after finalize,
+        # _alloc_pair_slot draws per slot instead).
+        self._pair_slot = {}
+        pair_slot = self._pair_slot
+        slot_of = np.full(len(keys), -1, dtype=np.int32)
+        for s0 in range(0, n_nodes, _ROW_BLOCK):
+            s1 = min(s0 + _ROW_BLOCK, n_nodes)
+            f0, f1 = lo_start[s0], lo_start[s1]
+            back = by_hi[hi_start[s0] : hi_start[s1]]
+            pair = np.concatenate((np.arange(f0, f1), back))
+            rows = self._rows(
+                nodes,
+                np.concatenate((lo[f0:f1], hi[back])),
+                np.concatenate((hi[f0:f1], lo[back])),
+                gains[pair],
+                pair,
             )
-            pair_idx: List[int] = []
-            for rid in rows.rid_list:
-                pair = self._pair_key(sid, rid)
-                slot = pair_slot.get(pair)
-                if slot is None:
-                    slot = pair_slot[pair] = len(pair_slot)
-                pair_idx.append(slot)
-            self._install_batch(sid, rows, pair_idx)
+            met = rows.pair
+            fresh, first = np.unique(met[slot_of[met] < 0], return_index=True)
+            fresh = fresh[np.argsort(first)]
+            n_slots = len(pair_slot)
+            slot_of[fresh] = np.arange(n_slots, n_slots + fresh.size)
+            # The channel caches' own key tuples, in slot order.
+            pair_slot.update(
+                zip(map(keys.__getitem__, fresh.tolist()), range(n_slots, n_slots + fresh.size))
+            )
+            self._install_rows(nodes, rows, slot_of[met].astype(np.int64), s0, s1)
+        del keys, gains, lo, hi, by_hi, slot_of
 
         # ---- shared per-pair channel state (one slot per unordered pair)
         n_pairs = len(pair_slot)
@@ -398,97 +489,160 @@ class FastRadioMedium(RadioMedium):
             return batch
         return self._build_batch(sid)
 
-    def _neighborhood_rows(
-        self, sid: int, sender: Any, near: Optional[List[int]] = None
-    ) -> _Rows:
-        """Candidate rows and carrier-reach set of ``sid`` from the live grid.
-
-        Shared by :meth:`finalize` and :meth:`_build_batch`; O(k) in the
-        spatial neighborhood.  ``near`` is ``sid``'s grid query when the
-        caller already ran it (it is reordered in place).  Neighbors come
-        in dense-axis (attach) order, so candidate lists keep the exact
-        path's enumeration order.
-        """
-        grid = self._grid
-        assert grid is not None
-        ptx = sender.radio.effective_tx_power_dbm
-        order = self._dense_index
-        if near is None:
-            near = grid.neighbors(sid)
-        near.sort(key=lambda rid: order.get(rid, len(order)))
-        # One batched gain derivation for the whole neighborhood: under
-        # mobility every neighbor's cached mean gain is stale after each
-        # tick (at finalize every gain is already cached).
-        near_gains = self.channel.mean_gain_many(sid, near)
-        noise_cache = self._noise_cache
-        rows = _Rows([], [], [], [], [], [], [], [])
-        for rid, gain in zip(near, near_gains):
-            receiver = self._receivers.get(rid)
-            if receiver is not None:
-                mean_snr = ptx + gain - receiver.radio.noise_floor_dbm
-                if mean_snr >= self.snr_cutoff_db:
-                    rows.row.append((rid, gain))
-                    rows.rid_list.append(rid)
-                    rows.receivers.append(receiver)
-                    rows.gains.append(gain)
-                    noise = noise_cache.get(rid)
-                    if noise is None:
-                        # Noise floors are fixed once hardware variation
-                        # has been applied (pre-finalize), so the derived
-                        # mW / dB pair is cacheable per receiver.
-                        n_mw = 10.0 ** (receiver.radio.noise_floor_dbm / 10.0)
-                        noise = noise_cache[rid] = (n_mw, 10.0 * math.log10(n_mw))
-                    rows.noise_mw.append(noise[0])
-                    rows.noise_db.append(noise[1])
-                    rows.mods.append(receiver.radio.params.modulation)
-            # Carrier sense reach: rid hears sid's carrier when the mean
-            # RSSI clears rid's CCA threshold (mean-field CCA — see the
-            # class docstring's equivalence contract).
-            listener = self._participants.get(rid)
-            if listener is not None:
-                if ptx + gain >= listener.radio.params.cca_threshold_dbm:
-                    rows.heard.append(rid)
-        return rows
-
-    def _install_batch(self, sid: int, rows: _Rows, pair_idx: List[int]) -> _SenderBatch:
-        """Lower ``rows`` into ``sid``'s SoA batch at the current epoch."""
-        mods = rows.mods
-        mod_uniform: Optional[str] = mods[0] if mods and len(set(mods)) == 1 else None
-        mod_names = sorted(set(mods))
-        mod_name_index = {name: i for i, name in enumerate(mod_names)}
-        order = self._dense_index
-        rid_list = rows.rid_list
-        batch = _SenderBatch(
-            rids=np.asarray(rid_list, dtype=np.int64),
-            rid_list=rid_list,
-            receivers=rows.receivers,
-            mean_gain=np.asarray(rows.gains, dtype=np.float64),
-            noise_mw=np.asarray(rows.noise_mw, dtype=np.float64),
-            noise_db=np.asarray(rows.noise_db, dtype=np.float64),
-            pair_idx=np.asarray(pair_idx, dtype=np.int64),
-            mod_uniform=mod_uniform,
-            mod_ids=np.fromiter(
-                (mod_name_index[m] for m in mods), dtype=np.int64, count=len(mods)
-            ),
+    def _nodes(self, id_list: List[int]) -> _Nodes:
+        """Row-builder inputs of the nodes ``id_list``, by list position."""
+        info = self._node_info
+        participants = self._participants
+        receivers = self._receivers
+        records = []
+        for nid in id_list:
+            record = info.get(nid)
+            if record is None:
+                radio = participants[nid].radio
+                receiver = receivers.get(nid)
+                noise: Tuple[float, float, float]
+                modulation: Optional[str]
+                if receiver is None:
+                    noise = (math.inf, 0.0, 0.0)
+                    modulation = None
+                else:
+                    n_mw = 10.0 ** (radio.noise_floor_dbm / 10.0)
+                    noise = (radio.noise_floor_dbm, n_mw, 10.0 * math.log10(n_mw))
+                    modulation = radio.params.modulation
+                record = info[nid] = (
+                    radio.effective_tx_power_dbm,
+                    radio.params.cca_threshold_dbm,
+                    *noise,
+                    modulation,
+                    receiver,
+                )
+            records.append(record)
+        columns: List[Tuple[Any, ...]] = list(zip(*records)) or [()] * 7
+        ptx, cca, floor, n_mw, n_db, mods, objs = columns
+        mod_names = sorted({m for m in mods if m is not None})
+        mod_index = {name: i for i, name in enumerate(mod_names)}
+        dense = self._dense_index
+        n_dense = len(dense)
+        return _Nodes(
+            id_list=id_list,
+            ids=np.array(id_list, dtype=np.int64),
+            ptx=np.array(ptx, dtype=np.float64),
+            cca=np.array(cca, dtype=np.float64),
+            noise_floor=np.array(floor, dtype=np.float64),
+            noise_mw=np.array(n_mw, dtype=np.float64),
+            noise_db=np.array(n_db, dtype=np.float64),
+            rank=np.array([dense.get(nid, n_dense) for nid in id_list], dtype=np.int64),
+            n_rank=n_dense + 1,
+            mod=np.array([mod_index.get(m, 0) for m in mods], dtype=np.int64),
             mod_names=mod_names,
-            rid_dense=np.fromiter(
-                (order[rid] for rid in rid_list), dtype=np.int64, count=len(rid_list)
-            ),
-            cca_heard=frozenset(rows.heard),
-            epoch=self._epoch,
+            receivers=list(objs),
         )
-        self._soa[sid] = batch
-        self._candidates[sid] = rows.row
-        self._cca_heard[sid] = batch.cca_heard
-        return batch
+
+    def _rows(self, nodes: _Nodes, snd: Any, rcv: Any, gain: Any, pair: Any) -> _Rows:
+        """The row builder: candidates and carrier reach of directed entries.
+
+        Entry ``i`` goes from local node ``snd[i]`` to ``rcv[i]`` over a
+        pair of mean gain ``gain[i]`` (``pair[i]`` names the pair, or
+        ``pair`` is None).  One stable argsort orders the entries by
+        sender, then by the receiver's dense rank, so candidate lists keep
+        the exact path's enumeration order.  A receiver is a candidate
+        when its mean SNR ``(ptx + g) − noise_floor`` clears the cutoff;
+        a node hears the sender's carrier when ``ptx + g`` clears its CCA
+        threshold (mean-field CCA — see the class docstring's equivalence
+        contract).  Both are the scalar tests' own float operations.
+        """
+        key = snd.astype(np.int64)
+        key *= nodes.n_rank
+        key += nodes.rank[rcv]
+        order = np.argsort(key, kind="stable")
+        snd = snd[order]
+        rcv = rcv[order]
+        gain = gain[order]
+        power = nodes.ptx[snd]
+        power += gain
+        heard = power >= nodes.cca[rcv]
+        power -= nodes.noise_floor[rcv]
+        cand = power >= self.snr_cutoff_db
+        return _Rows(
+            snd[cand],
+            rcv[cand],
+            gain[cand],
+            None if pair is None else pair[order][cand],
+            snd[heard],
+            rcv[heard],
+        )
+
+    def _install_rows(self, nodes: _Nodes, rows: _Rows, slots: Any, s0: int, s1: int) -> None:
+        """Lower ``rows`` into one SoA batch per local sender ``s0 ≤ s < s1``,
+        at the current epoch; ``slots`` holds each candidate's pair slot."""
+        cuts = np.searchsorted(rows.snd, np.arange(s0, s1 + 1)).tolist()
+        heard_cuts = np.searchsorted(rows.heard_snd, np.arange(s0, s1 + 1)).tolist()
+        rcv = rows.rcv
+        rcv_list = rcv.tolist()
+        rids = nodes.ids[rcv]
+        # The participants' own id objects, which candidate lists share.
+        node_id = nodes.id_list.__getitem__
+        rid_list = list(map(node_id, rcv_list))
+        gain = rows.gain
+        rid_dense = nodes.rank[rcv]
+        noise_mw = nodes.noise_mw[rcv]
+        noise_db = nodes.noise_db[rcv]
+        objs = nodes.receivers
+        receivers = list(map(objs.__getitem__, rcv_list))
+        heard = list(map(node_id, rows.heard_rcv.tolist()))
+        names = nodes.mod_names
+        mods = nodes.mod[rcv] if len(names) > 1 else None
+        for k, sid in enumerate(nodes.id_list[s0:s1]):
+            c0, c1 = cuts[k], cuts[k + 1]
+            n = c1 - c0
+            if mods is None:
+                mod_names = names if n else []
+                mod_ids = np.zeros(n, dtype=np.int64)
+            else:
+                used, mod_ids = np.unique(mods[c0:c1], return_inverse=True)
+                mod_names = [names[i] for i in used.tolist()]
+            batch = _SenderBatch(
+                rids=rids[c0:c1],
+                rid_list=rid_list[c0:c1],
+                receivers=receivers[c0:c1],
+                mean_gain=gain[c0:c1],
+                noise_mw=noise_mw[c0:c1],
+                noise_db=noise_db[c0:c1],
+                pair_idx=slots[c0:c1],
+                mod_uniform=mod_names[0] if len(mod_names) == 1 else None,
+                mod_ids=mod_ids,
+                mod_names=mod_names,
+                rid_dense=rid_dense[c0:c1],
+                cca_heard=frozenset(heard[heard_cuts[k] : heard_cuts[k + 1]]),
+                epoch=self._epoch,
+            )
+            self._soa[sid] = batch
+            self._cca_heard[sid] = batch.cca_heard
 
     def _build_batch(self, sid: int) -> Optional[_SenderBatch]:
-        """Rebuild one sender's SoA batch from the live grid — O(k)."""
-        sender = self._participants.get(sid)
-        if sender is None:
+        """Rebuild one sender's SoA batch from the live grid — O(k).
+
+        The row builder of :meth:`finalize`, over one sender and its grid
+        query; new pairs get their slot from :meth:`_alloc_pair_slot`.
+        """
+        if sid not in self._participants:
             return None
-        rows = self._neighborhood_rows(sid, sender)
-        rid_list = rows.rid_list
+        grid = self._grid
+        assert grid is not None
+        near = grid.neighbors(sid)
+        nodes = self._nodes([sid, *near])
+        k = len(near)
+        # One batched gain derivation for the whole neighborhood: under
+        # mobility every neighbor's cached mean gain is stale after each
+        # tick.
+        rows = self._rows(
+            nodes,
+            np.zeros(k, dtype=np.int64),
+            np.arange(1, k + 1),
+            np.asarray(self.channel.mean_gain_many(sid, near), dtype=np.float64),
+            None,
+        )
+        rid_list = list(map(nodes.id_list.__getitem__, rows.rcv.tolist()))
         # Structural-reuse fast path: under sub-cell mobility steps, a
         # rebuilt batch almost always has the same rows as the previous
         # one — only the mean gains moved.  Reusing the prior batch's
@@ -497,28 +651,30 @@ class FastRadioMedium(RadioMedium):
         # pair slots skips most of the allocation cost of a full rebuild.
         prev = self._soa.get(sid)
         if prev is not None and rid_list == prev.rid_list:
-            pair_slot_map = self._pair_slot
-            prev_idx = prev.pair_idx
-            reusable = True
-            for i, rid in enumerate(rid_list):
-                if rows.receivers[i] is not prev.receivers[i] or pair_slot_map.get(
-                    self._pair_key(sid, rid)
-                ) != prev_idx[i]:
-                    # A pair that left range and came back was re-slotted
-                    # (or a participant object was swapped): full rebuild.
-                    reusable = False
-                    break
-            if reusable:
-                prev.mean_gain = np.asarray(rows.gains, dtype=np.float64)
-                heard_f = frozenset(rows.heard)
-                if heard_f != prev.cca_heard:
-                    prev.cca_heard = heard_f
-                    self._cca_heard[sid] = heard_f
+            objs = nodes.receivers
+            pair_slot = self._pair_slot
+            pair_key = self._pair_key
+            # A pair that left range and came back was re-slotted (or a
+            # participant object was swapped): full rebuild.
+            if all(
+                objs[j] is old for j, old in zip(rows.rcv.tolist(), prev.receivers)
+            ) and all(
+                pair_slot.get(pair_key(sid, rid)) == slot
+                for rid, slot in zip(rid_list, prev.pair_idx.tolist())
+            ):
+                prev.mean_gain = rows.gain
+                heard = frozenset(map(nodes.id_list.__getitem__, rows.heard_rcv.tolist()))
+                if heard != prev.cca_heard:
+                    prev.cca_heard = heard
+                    self._cca_heard[sid] = heard
                 prev.epoch = self._epoch
-                self._candidates[sid] = rows.row
                 return prev
-        pair_idx = [self._alloc_pair_slot(self._pair_key(sid, rid)) for rid in rid_list]
-        return self._install_batch(sid, rows, pair_idx)
+        slots = np.array(
+            [self._alloc_pair_slot(self._pair_key(sid, rid)) for rid in rid_list],
+            dtype=np.int64,
+        )
+        self._install_rows(nodes, rows, slots, 0, 1)
+        return self._soa[sid]
 
     # ---- per-pair channel-state slots: lazy allocation + free list ----
     def _alloc_pair_slot(self, pair: Tuple[int, int]) -> int:
@@ -696,6 +852,7 @@ class FastRadioMedium(RadioMedium):
                 "structure incrementally and cannot place an unlocated node)"
             )
         self._participants[nid] = participant
+        self._node_info.pop(nid, None)
         if receiver:
             self._receivers[nid] = participant
             j = self._dense_index.get(nid)
@@ -740,12 +897,12 @@ class FastRadioMedium(RadioMedium):
             grid.remove(node_id)
         del self._participants[node_id]
         self._receivers.pop(node_id, None)
+        self._node_info.pop(node_id, None)
         j = self._dense_index.get(node_id)
         if j is not None:
             self._dense_x[j] = math.inf
             self._dense_y[j] = math.inf
         self._soa.pop(node_id, None)
-        self._candidates.pop(node_id, None)
         self._cca_heard.pop(node_id, None)
         affected = self._bump_neighborhood(node_id, [old_neighbors])
         self._sender_epoch.pop(node_id, None)
@@ -803,11 +960,14 @@ class FastRadioMedium(RadioMedium):
                     self._evict_pair(self._pair_key(node_id, a))
 
     def candidate_receivers(self, sender: int) -> List[Tuple[int, float]]:
-        """(receiver, mean gain dB) pairs reachable from ``sender``."""
+        """(receiver, mean gain dB) pairs reachable from ``sender``, in
+        candidate order: a fresh list read off the sender's batch."""
         if not self._finalized:
             self.finalize()
-        self._ensure_batch(sender)
-        return self._candidates.get(sender, [])
+        batch = self._ensure_batch(sender)
+        if batch is None:
+            return []
+        return list(zip(batch.rid_list, batch.mean_gain.tolist()))
 
     # ------------------------------------------------------------------
     # Carrier sense (spatially culled, mean-field)
@@ -960,7 +1120,7 @@ class FastRadioMedium(RadioMedium):
                 channel.temporal_tau_s,
                 channel.temporal_sigma_db,
                 channel._ou_freeze_s,
-                self._gen_ou,
+                self._ou_normals,
             )
         else:
             extra = np.zeros(idx.size)
@@ -1054,7 +1214,7 @@ class FastRadioMedium(RadioMedium):
                     prr[mask] = prr_lookup(
                         self._prr_table_for(name, frame_bytes), sinr[mask]
                     )
-        decoded = self._gen_rx.random(idx.size) < prr
+        decoded = self._rx_uniforms(idx.size) < prr
         if inter_mw is not None:
             # Undecoded frames whose interference outweighed the noise;
             # ``decoded < hot`` is ``~decoded & hot`` for booleans.
@@ -1075,7 +1235,7 @@ class FastRadioMedium(RadioMedium):
             lqi_model.midpoint_snr_db,
             lqi_model.slope_db,
             lqi_model.noise_sigma,
-            self._gen_lqi.standard_normal(dec.size),
+            self._lqi_normals(dec.size),
         )
         policy = self.white_bit_policy
         wb_threshold = policy.threshold if type(policy) is LqiWhiteBit else None
@@ -1093,7 +1253,37 @@ class FastRadioMedium(RadioMedium):
         # Addressed delivery (see ``MediumParticipant``): a decode at a node
         # the frame is not addressed to is counted, and reaches only the
         # probe's ``rx`` record.
+        self.deliveries += dec.size
+        self.white_bits_set += int(np.count_nonzero(white))
+        dst = frame.dst
+        to_all = dst == BROADCAST
+        probe = self.probe
+        overheard_rx = probe.rx if probe is not None and not frame.is_ack else None
         receivers = batch.receivers
+        if not to_all and overheard_rx is None:
+            # A unicast frame or ack nobody overhears: only the addressee's
+            # decode, if any, is delivered.
+            rid_pos = batch.rid_pos
+            if rid_pos is None:
+                rid_pos = batch.rid_pos = dict(zip(batch.rid_list, range(batch.n)))
+            pos = rid_pos.get(dst)
+            if pos is not None:
+                # ``idx`` is ascending, and so is ``dec`` within it.
+                j = pos if full else int(np.searchsorted(idx, pos))
+                if j < idx.size and (full or idx[j] == pos) and decoded[j]:
+                    k = int(np.searchsorted(dec, j))
+                    info = RxInfo.__new__(RxInfo)
+                    info.__dict__.update(
+                        timestamp=t,
+                        rssi_dbm=float(rssi[j]),
+                        snr_db=float(sinr[j]),
+                        lqi=int(lqi[k]),
+                        white_bit=bool(white[k]),
+                    )
+                    receivers[pos].on_frame_received(frame, info)
+            if prof is not None:
+                prof.record_kernel("medium_fast.deliver", perf_counter() - k0)
+            return
         rid_list = batch.rid_list
         rssi_list = rssi[dec].tolist()
         sinr_list = sinr_dec.tolist()
@@ -1101,18 +1291,9 @@ class FastRadioMedium(RadioMedium):
         white_list = white.tolist()
         pos_list = (dec if full else idx[dec]).tolist()
         rx_info_new = RxInfo.__new__
-        self.deliveries += dec.size
-        self.white_bits_set += white_list.count(True)
-        dst = frame.dst
-        to_all = dst == BROADCAST
-        probe = self.probe
-        overheard_rx = probe.rx if probe is not None and not frame.is_ack else None
         for k in range(len(pos_list)):
             pos = pos_list[k]
             rid = rid_list[pos]
-            addressed = to_all or rid == dst
-            if not addressed and overheard_rx is None:
-                continue
             info = rx_info_new(RxInfo)
             info.__dict__.update(
                 timestamp=t,
@@ -1121,12 +1302,11 @@ class FastRadioMedium(RadioMedium):
                 lqi=lqi_list[k],
                 white_bit=white_list[k],
             )
-            if addressed:
+            if to_all or rid == dst:
                 receivers[pos].on_frame_received(frame, info)
-            elif overheard_rx is not None:
+            else:
                 overheard_rx(rid, frame, info)
         if prof is not None:
             prof.record_kernel("medium_fast.deliver", perf_counter() - k0)
-
 
 __all__ = ["FastRadioMedium", "DEFAULT_SHADOW_MARGIN_SIGMAS"]

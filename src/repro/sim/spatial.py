@@ -24,7 +24,7 @@ mutation history cannot leak into results.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 Position = Tuple[float, float]
 
@@ -166,6 +166,85 @@ class SpatialGrid:
             for other in self.neighbors(nid):
                 if other > nid:
                     yield (nid, other)
+
+    def pair_arrays(self) -> Tuple[Any, Any, Any]:
+        """:meth:`pairs` as arrays, by a cell join: ``(ids, lo, hi)``.
+
+        ``ids`` holds the indexed node ids in ascending order (int64), and
+        pair ``k`` is ``(ids[lo[k]], ids[hi[k]])`` with ``lo[k] < hi[k]``
+        (int32), in the order of ``list(self.pairs())`` exactly.  Each
+        cell is joined with itself and with its four forward neighbours,
+        so every unordered pair of neighbouring cells is tested once, by
+        one array test ``dx*dx + dy*dy <= r2``: the query's own float
+        operations, whose squares do not depend on the sign of
+        ``dx``/``dy``.  A large cell is joined in row chunks, so each
+        distance matrix stays bounded.
+        """
+        # Imported here: only the fast medium enumerates pairs, and an
+        # exact run must not load numpy.
+        import numpy as np
+
+        cells = self._cells
+        positions = self._positions
+        members = [nid for bucket in cells.values() for nid in bucket]
+        by_id = np.array(sorted(members), dtype=np.int64)
+        n = by_id.size
+        # Each member's rank by id: a pair is the sort key ``lo * n + hi``
+        # of its ends' ranks, so one sort of the keys gives pairs() order.
+        rank = np.searchsorted(by_id, np.array(members, dtype=np.int64))
+        xy = np.array([positions[nid] for nid in members], dtype=np.float64).reshape(-1, 2)
+        xs, ys = xy[:, 0].copy(), xy[:, 1].copy()
+        spans: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        start = 0
+        for key, bucket in cells.items():
+            spans[key] = (start, start + len(bucket))
+            start += len(bucket)
+        r2 = self.radius_m * self.radius_m
+        found: List[Any] = []
+        for (cx, cy), (s0, s1) in spans.items():
+            for ox, oy in _FORWARD:
+                other = spans.get((cx + ox, cy + oy))
+                if other is None:
+                    continue
+                same = ox == 0 and oy == 0
+                rows = max(1, _JOIN_BLOCK // (other[1] - other[0]))
+                for r0 in range(s0, s1, rows):
+                    r1 = min(r0 + rows, s1)
+                    # Within one cell, row i only meets later columns.
+                    c0 = r0 if same else other[0]
+                    c1 = other[1]
+                    dx = np.subtract.outer(xs[r0:r1], xs[c0:c1])
+                    dy = np.subtract.outer(ys[r0:r1], ys[c0:c1])
+                    dx *= dx
+                    dy *= dy
+                    dx += dy
+                    hit = dx <= r2
+                    if same:
+                        hit = np.triu(hit, 1)
+                    i, j = np.nonzero(hit)
+                    if i.size:
+                        one = rank[r0 + i]
+                        two = rank[c0 + j]
+                        lo = np.minimum(one, two)
+                        lo *= n
+                        lo += np.maximum(one, two)
+                        found.append(lo)
+        keys = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+        del found
+        keys.sort()
+        lo = np.empty(keys.size, dtype=np.int32)
+        hi = np.empty(keys.size, dtype=np.int32)
+        np.floor_divide(keys, n, out=lo, casting="unsafe")
+        np.remainder(keys, n, out=hi, casting="unsafe")
+        return by_id, lo, hi
+
+
+#: The cell itself plus the four neighbours after it in (x, y) order: each
+#: unordered pair of neighbouring cells appears exactly once.
+_FORWARD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+#: Bound on the entries of one distance matrix in :meth:`SpatialGrid.pair_arrays`.
+_JOIN_BLOCK = 1 << 16
 
 
 __all__ = ["SpatialGrid"]

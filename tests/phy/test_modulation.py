@@ -5,9 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.modulation import (
+    BER_MODELS,
+    PRR_TABLE_SNR_MAX_CENTI,
+    PRR_TABLE_SNR_MIN_CENTI,
     oqpsk_dsss_ber,
+    prr,
     prr_from_snr,
     prr_from_snr_fast,
+    prr_grid,
     snr_for_prr,
 )
 
@@ -44,6 +49,24 @@ def test_longer_frames_are_harder():
 def test_prr_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         prr_from_snr(5.0, 0)
+
+
+@pytest.mark.parametrize("modulation", sorted(BER_MODELS))
+@pytest.mark.parametrize("length", [1, 17, 43, 133])
+def test_prr_grid_entries_equal_prr_exactly(modulation, length):
+    # The tables share one BER grid per modulation; each entry must still
+    # be prr() at its grid SNR, bit for bit.
+    table = prr_grid(modulation, length)
+    snrs = [q / 100.0 for q in range(PRR_TABLE_SNR_MIN_CENTI, PRR_TABLE_SNR_MAX_CENTI + 1)]
+    assert len(table) == len(snrs)
+    assert [x.hex() for x in table] == [prr(modulation, s, length).hex() for s in snrs]
+
+
+def test_prr_grid_rejects_bad_length_and_modulation():
+    with pytest.raises(ValueError):
+        prr_grid("oqpsk-dsss", 0)
+    with pytest.raises(KeyError):
+        prr_grid("no-such-modulation", 20)
 
 
 def test_transition_region_location():

@@ -60,5 +60,7 @@ def test_fast_ou_advance_matches_closed_form():
     slots = np.arange(PAIRS)
     columns = [x.copy()]
     for t in TIMES[1:]:
-        columns.append(ou_advance(x, t_last, slots, t, TAU_S, SIGMA_DB, 0.01 * TAU_S, gen))
+        columns.append(
+            ou_advance(x, t_last, slots, t, TAU_S, SIGMA_DB, 0.01 * TAU_S, gen.standard_normal)
+        )
     assert_ou_closed_form(np.column_stack(columns))

@@ -183,7 +183,7 @@ def test_ou_advance_freeze_keeps_state():
     x = np.asarray([1.0, -2.0])
     t_last = np.asarray([10.0, 10.0])
     gen = Generator(PCG64(1))
-    out = ou_advance(x, t_last, np.arange(2), 10.0005, 60.0, 1.5, 0.6, gen)
+    out = ou_advance(x, t_last, np.arange(2), 10.0005, 60.0, 1.5, 0.6, gen.standard_normal)
     assert out.tolist() == [1.0, -2.0]  # within freeze window: untouched
     assert t_last.tolist() == [10.0, 10.0]
 
@@ -193,7 +193,7 @@ def test_ou_advance_long_horizon_stationary_std():
     x = np.zeros(n)
     t_last = np.zeros(n)
     gen = Generator(PCG64(2))
-    out = ou_advance(x, t_last, np.arange(n), 1000.0, 60.0, 1.5, 0.01, gen)
+    out = ou_advance(x, t_last, np.arange(n), 1000.0, 60.0, 1.5, 0.01, gen.standard_normal)
     # dt >> tau: the state is a fresh N(0, sigma) draw.
     assert abs(float(np.std(out)) - 1.5) < 0.05
     assert abs(float(np.mean(out))) < 0.05
@@ -205,7 +205,7 @@ def test_ou_advance_short_step_decay():
     t_last = np.zeros(n)
     gen = Generator(PCG64(3))
     dt = 6.0
-    out = ou_advance(x, t_last, np.arange(n), dt, 60.0, 1.5, 0.01, gen)
+    out = ou_advance(x, t_last, np.arange(n), dt, 60.0, 1.5, 0.01, gen.standard_normal)
     assert abs(float(np.mean(out)) - 3.0 * math.exp(-dt / 60.0)) < 0.05
 
 
@@ -256,7 +256,8 @@ def test_ou_advance_matches_scalar_loop_bit_for_bit(n_pairs, data, frozen, seed)
 
     x_ref, t_ref = x.copy(), t_last.copy()
     expected = _ou_loop_reference(x_ref, t_ref, slots, t_now, 60.0, 1.5, freeze_s, normals)
-    out = ou_advance(x, t_last, slots, t_now, 60.0, 1.5, freeze_s, Generator(PCG64(seed)))
+    draw = Generator(PCG64(seed)).standard_normal
+    out = ou_advance(x, t_last, slots, t_now, 60.0, 1.5, freeze_s, draw)
     assert out.tolist() == expected
     assert x.tolist() == x_ref.tolist()
     assert t_last.tolist() == t_ref.tolist()

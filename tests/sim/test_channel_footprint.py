@@ -77,7 +77,7 @@ def test_finalize_batches_equal_fresh_builds():
     assert sum(medium._soa[sid].n for sid in senders) > N_NODES * 10
     for sid in senders:
         built = medium._soa.pop(sid)
-        candidates = medium._candidates[sid]
+        candidates = list(zip(built.rid_list, built.mean_gain.tolist()))
         fresh = medium._build_batch(sid)
         assert fresh is not built
         assert fresh.rid_list == built.rid_list
@@ -86,7 +86,7 @@ def test_finalize_batches_equal_fresh_builds():
             assert np.array_equal(getattr(fresh, name), getattr(built, name)), name
         assert fresh.mod_uniform == built.mod_uniform
         assert fresh.cca_heard == built.cca_heard
-        assert medium._candidates[sid] == candidates
+        assert medium.candidate_receivers(sid) == candidates
     # Rebuilding re-used every finalize-time slot: no fresh state drawn.
     assert medium._pair_slot == slots_before
 

@@ -8,14 +8,17 @@ that are exactly preserved (candidates, edge behaviors, determinism,
 fault overlay) and bound the parts that are statistical (per-link PRR).
 """
 
+from random import Random
+
 import pytest
+from numpy.random import PCG64, Generator
 
 from repro.link.frame import BROADCAST, Frame
 from repro.phy.channel import ChannelModel
 from repro.phy.radio import Radio
 from repro.sim.engine import Engine
 from repro.sim.medium import RadioMedium
-from repro.sim.medium_fast import FastRadioMedium
+from repro.sim.medium_fast import FastRadioMedium, _Prefetched
 from repro.sim.rng import RngManager
 
 GRID16 = {nid: (12.0 * (nid % 4), 12.0 * (nid // 4)) for nid in range(16)}
@@ -235,3 +238,55 @@ def test_faded_network_delivery_count_is_close():
     fast_total = total(FastRadioMedium)
     assert exact_total > 0
     assert abs(fast_total - exact_total) / exact_total < 0.10
+
+
+# ----------------------------------------------------------------------
+# Pre-drawn blocks serve exactly the per-call draws
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("method", ["standard_normal", "random"])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5])
+def test_prefetched_draws_equal_per_call_draws(method, seed):
+    sizes = Random(seed).choices([0, 1, 2, 57, 300, 4095, 4096, 9000], k=60)
+    direct = getattr(Generator(PCG64(seed)), method)
+    served = _Prefetched(getattr(Generator(PCG64(seed)), method))
+    for n in sizes:
+        assert served(n).tolist() == direct(n).tolist()
+
+
+# ----------------------------------------------------------------------
+# A unicast frame nobody overhears goes straight to its addressee
+# ----------------------------------------------------------------------
+class _OverhearingProbe:
+    def __init__(self):
+        self.overheard = 0
+
+    def transmission_start(self, sender, frame):
+        pass
+
+    def rx(self, rid, frame, info):
+        self.overheard += 1
+
+
+def test_unicast_without_probe_delivers_what_the_decode_loop_delivers():
+    # With a probe the medium walks every decode; without one it hands a
+    # unicast frame to its addressee alone.  Same seed, same draws: the
+    # addressee must receive the same frames with the same RxInfo.
+    runs = []
+    for probed in (False, True):
+        engine, medium, nodes = build(
+            GRID16, seed=9, shadowing_sigma_db=4.0, temporal_sigma_db=2.0
+        )
+        probe = medium.probe = _OverhearingProbe() if probed else None
+        for k in range(300):
+            src, dst = k % 16, (5 * k + 3) % 16
+            if src != dst:
+                medium.start_transmission(src, Frame(src=src, dst=dst, length_bytes=30))
+                engine.run()
+        runs.append(
+            {nid: [(f.src, vars(info)) for f, info in node.received] for nid, node in nodes.items()}
+        )
+        if probe is not None:
+            assert probe.overheard > 0
+    assert runs[0] == runs[1]
+    got = sum(len(v) for v in runs[0].values())
+    assert 50 < got < 285  # some frames lost, most delivered

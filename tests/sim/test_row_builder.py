@@ -1,0 +1,226 @@
+"""The fast medium's row builder against an independent per-pair reference.
+
+``FastRadioMedium.finalize`` builds every sender's candidate batch in one
+array pass (cell join, batched gains, array masks, first-contact slots),
+and ``_build_batch`` runs the same builder over one sender.  The
+reference below rebuilds the same rows the slow, obvious way, one pair at
+a time: a brute-force radius query, the receivers in dense-axis (attach)
+order, scalar gains from a fresh channel, the mean-SNR cutoff, the CCA
+threshold and slots numbered at first contact.  Every batch array, the
+carrier-reach sets and the slot map must equal it exactly.
+"""
+
+import math
+from random import Random
+
+import numpy as np
+import pytest
+
+from repro import CollectionNetwork, SimConfig
+from repro.phy.channel import ChannelModel
+from repro.phy.radio import CC1000, CC2420, Radio
+from repro.sim.engine import Engine
+from repro.sim.medium_fast import FastRadioMedium
+from repro.sim.rng import RngManager
+from repro.topology.generators import city_grid
+
+
+class Listener:
+    def __init__(self, node_id, radio):
+        self.node_id = node_id
+        self.radio = radio
+
+    def on_frame_received(self, frame, info):
+        pass
+
+
+def reference_rows(medium, dense_order):
+    """Per-sender rows of ``medium``'s live layout, one pair at a time.
+
+    ``dense_order`` is every receiver id in the order the medium first saw
+    it (attach order at finalize, later ids appended).  Returns ``{sid:
+    rows}`` plus the slot map a finalize numbers in first-contact order.
+    """
+    channel = medium.channel
+    fresh = ChannelModel(
+        channel.positions,
+        RngManager(channel._rng.master_seed),
+        pathloss=channel.pathloss,
+        shadowing_sigma_db=channel.shadowing_sigma_db,
+    )
+    positions = channel.positions
+    participants = medium._participants
+    receivers = medium._receivers
+    rank = {rid: i for i, rid in enumerate(dense_order)}
+    r2 = medium._radius_m * medium._radius_m
+    rows = {}
+    slots = {}
+    for sid in sorted(participants):
+        sx, sy = positions[sid]
+        near = []
+        for nid in participants:
+            dx, dy = positions[nid][0] - sx, positions[nid][1] - sy
+            if nid != sid and dx * dx + dy * dy <= r2:
+                near.append(nid)
+        near.sort(key=lambda nid: (rank.get(nid, len(rank)), nid))
+        ptx = participants[sid].radio.effective_tx_power_dbm
+        cand, heard = [], set()
+        for nid in near:
+            gain = fresh.mean_gain_db(sid, nid)
+            radio = participants[nid].radio
+            if ptx + gain >= radio.params.cca_threshold_dbm:
+                heard.add(nid)
+            if nid in receivers and ptx + gain - radio.noise_floor_dbm >= medium.snr_cutoff_db:
+                cand.append((nid, gain))
+                slots.setdefault((min(sid, nid), max(sid, nid)), len(slots))
+        rows[sid] = (cand, heard)
+    return rows, slots
+
+
+def assert_batch_matches(medium, dense_order, sid, cand, heard, batch=None):
+    batch = batch if batch is not None else medium._soa[sid]
+    rids = [rid for rid, _ in cand]
+    assert batch.rid_list == rids
+    assert batch.rids.tolist() == rids
+    assert all(a is medium._receivers[rid] for a, rid in zip(batch.receivers, rids))
+    assert [g.hex() for g in batch.mean_gain.tolist()] == [g.hex() for _, g in cand]
+    floors = [medium._receivers[rid].radio.noise_floor_dbm for rid in rids]
+    noise_mw = [10.0 ** (nf / 10.0) for nf in floors]
+    assert batch.noise_mw.tolist() == noise_mw
+    assert batch.noise_db.tolist() == [10.0 * math.log10(mw) for mw in noise_mw]
+    assert batch.rid_dense.tolist() == [dense_order.index(rid) for rid in rids]
+    mods = [medium._receivers[rid].radio.params.modulation for rid in rids]
+    names = sorted(set(mods))
+    assert batch.mod_names == names
+    assert batch.mod_uniform == (names[0] if len(names) == 1 else None)
+    assert batch.mod_ids.tolist() == [names.index(m) for m in mods]
+    assert batch.n == len(rids)
+    assert batch.pair_idx.tolist() == [
+        medium._pair_slot[(min(sid, rid), max(sid, rid))] for rid in rids
+    ]
+    assert batch.cca_heard == frozenset(heard)
+    assert medium._cca_heard[sid] == frozenset(heard)
+    assert medium.candidate_receivers(sid) == cand
+
+
+def assert_medium_matches(medium, dense_order):
+    rows, slots = reference_rows(medium, dense_order)
+    assert sorted(medium._soa) == sorted(rows)
+    for sid, (cand, heard) in rows.items():
+        assert_batch_matches(medium, dense_order, sid, cand, heard)
+    assert list(medium._pair_slot.items()) == list(slots.items())
+    return rows
+
+
+def assert_rebuilds_match(medium, dense_order):
+    """``_build_batch`` over every sender equals the reference rows, both
+    when it may reuse the sender's previous batch and from scratch."""
+    rows, _ = reference_rows(medium, dense_order)
+    for sid, (cand, heard) in rows.items():
+        assert_batch_matches(medium, dense_order, sid, cand, heard, medium._build_batch(sid))
+        medium._soa.pop(sid)
+        assert_batch_matches(medium, dense_order, sid, cand, heard, medium._build_batch(sid))
+    # Every current candidate pair holds a slot of its own.
+    used = {
+        (min(sid, rid), max(sid, rid)) for sid, (cand, _) in rows.items() for rid, _ in cand
+    }
+    assert used <= set(medium._pair_slot)
+    assert len(set(medium._pair_slot.values())) == len(medium._pair_slot)
+
+
+def manual_medium(positions, order, interference_only=(), seed=5):
+    """A fast medium over ``positions``, attached in ``order``, with
+    per-node hardware variation and a few CC1000 (``ncfsk``) radios."""
+    rng = RngManager(seed)
+    channel = ChannelModel(dict(positions), rng.fork("channel"), shadowing_sigma_db=4.0)
+    medium = FastRadioMedium(Engine(), channel, rng)
+    draw = Random(seed)
+    nodes = {}
+    for nid in order:
+        radio = Radio(node_id=nid, params=CC1000 if nid % 7 == 3 else CC2420)
+        radio.tx_power_offset_db = draw.gauss(0.0, 1.0)
+        radio.noise_floor_dbm += draw.gauss(0.0, 1.5)
+        nodes[nid] = Listener(nid, radio)
+        medium.attach(nodes[nid], receiver=nid not in interference_only)
+    medium.finalize()
+    return medium, nodes
+
+
+def scattered(n, seed, side=90.0):
+    draw = Random(seed)
+    return {nid: (draw.uniform(0.0, side), draw.uniform(0.0, side)) for nid in range(n)}
+
+
+def test_city_with_hardware_variation_matches_reference():
+    config = SimConfig(protocol="4b", seed=3, medium="fast")
+    net = CollectionNetwork(city_grid(150, blocks=3, block_m=100), config)
+    medium = net.medium
+    radios = [p.radio for p in medium._participants.values()]
+    # Hardware variation gives every node its own power and noise floor.
+    assert len({r.effective_tx_power_dbm for r in radios}) == len(radios)
+    assert len({r.noise_floor_dbm for r in radios}) == len(radios)
+    rows = assert_medium_matches(medium, list(medium._receivers))
+    assert sum(len(cand) for cand, _ in rows.values()) > 150 * 10
+    # The CCA threshold sits far above the candidate cutoff: few carriers
+    # are heard, but some are.
+    assert any(heard for _, heard in rows.values())
+
+
+def test_attach_order_not_id_order_matches_reference():
+    positions = scattered(60, seed=11, side=40.0)
+    order = list(positions)
+    Random(4).shuffle(order)
+    assert order != sorted(order)
+    medium, _ = manual_medium(positions, order)
+    assert medium._dense_ids == order
+    rows = assert_medium_matches(medium, order)
+    # Candidates come in attach order, which is not id order here.
+    assert any(
+        [rid for rid, _ in cand] != sorted(rid for rid, _ in cand) for cand, _ in rows.values()
+    )
+    # Both modulations appear, and some sender mixes them.
+    assert any(medium._soa[sid].mod_uniform is None for sid in rows)
+
+
+def test_interference_only_participant_matches_reference():
+    positions = scattered(40, seed=12, side=20.0)
+    jammers = {5, 22}
+    order = sorted(positions, reverse=True)
+    medium, _ = manual_medium(positions, order, interference_only=jammers)
+    rows = assert_medium_matches(medium, [nid for nid in order if nid not in jammers])
+    for sid, (cand, heard) in rows.items():
+        assert jammers.isdisjoint(rid for rid, _ in cand)
+    # A jammer sends (it has rows) and hears carriers, but never receives.
+    assert all(rows[j][0] for j in jammers)
+    assert any(jammers & heard for _, heard in rows.values())
+
+
+@pytest.mark.parametrize("interference_only", [(), (8,)])
+def test_rebuilds_after_churn_and_moves_match_reference(interference_only):
+    positions = scattered(50, seed=13, side=30.0)
+    order = list(positions)
+    Random(6).shuffle(order)
+    medium, nodes = manual_medium(positions, order, interference_only=interference_only)
+    dense = [nid for nid in order if nid not in interference_only]
+    assert_medium_matches(medium, dense)
+    # Crash and reboot one node (same id: same dense slot), move two.
+    medium.detach(17)
+    assert_rebuilds_match(medium, dense)
+    medium.attach(nodes[17])
+    medium.update_position(3, 2.0, 28.0)
+    medium.update_position(41, 15.0, 15.0)
+    assert_rebuilds_match(medium, dense)
+    # A brand-new node goes to the end of the dense axis.
+    medium.channel.add_position(99, (12.0, 12.0))
+    medium.attach(Listener(99, Radio(node_id=99)))
+    assert_rebuilds_match(medium, dense + [99])
+
+
+def test_finalize_slots_are_first_contact_numbered():
+    medium, _ = manual_medium(scattered(30, seed=14), list(range(30)))
+    slots = list(medium._pair_slot.values())
+    assert slots == list(range(len(slots)))
+    pair_idx = np.concatenate([medium._soa[sid].pair_idx for sid in sorted(medium._soa)])
+    # Each slot first appears in order along the (sender, dense) walk.
+    _, first = np.unique(pair_idx, return_index=True)
+    assert pair_idx[np.sort(first)].tolist() == slots

@@ -3,7 +3,10 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.spatial import SpatialGrid
 
@@ -170,3 +173,56 @@ def test_neighbors_two_points_rejects_cross_cell_pairs():
     index = SpatialGrid({0: (0.0, 0.0)}, 10.0)
     with pytest.raises(ValueError):
         index.neighbors_two_points(5.0, 5.0, 15.0, 5.0)
+
+
+# ----------------------------------------------------------------------
+# pair_arrays: the cell join equals pairs(), order included
+# ----------------------------------------------------------------------
+def joined_pairs(index):
+    ids, lo, hi = index.pair_arrays()
+    assert ids.tolist() == sorted(index._positions)
+    assert lo.dtype == hi.dtype == np.int32
+    return list(zip(ids[lo].tolist(), ids[hi].tolist()))
+
+
+def test_pair_arrays_empty_and_single_node():
+    assert joined_pairs(SpatialGrid({}, 5.0)) == []
+    assert joined_pairs(SpatialGrid({7: (1.0, 2.0)}, 5.0)) == []
+
+
+def test_pair_arrays_keep_pairs_at_exactly_the_radius():
+    # 3-4-5 offsets, axis offsets of exactly r, and points on cell edges.
+    positions = {
+        0: (0.0, 0.0), 1: (3.0, 4.0), 2: (-3.0, -4.0), 3: (5.0, 0.0),
+        4: (0.0, -5.0), 5: (10.0, 0.0), 6: (8.0, 4.0), 7: (5.0, 5.0001),
+    }
+    index = SpatialGrid(positions, 5.0)
+    pairs = joined_pairs(index)
+    assert pairs == list(index.pairs())
+    assert {(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (1, 6)} <= set(pairs)
+    assert (0, 7) not in pairs
+
+
+# Integer coordinates at r = 5 put many points on cell edges and many pairs
+# at exactly the radius (5-0 and 3-4-5 offsets); the floats fill in between.
+_COORD = st.one_of(
+    st.integers(-15, 15).map(float),
+    st.floats(-15.0, 15.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.dictionaries(st.integers(0, 10**6), st.tuples(_COORD, _COORD), max_size=60),
+    radius=st.sampled_from([5.0, 2.5, 0.7, 40.0]),
+    moves=st.lists(st.tuples(st.integers(0, 59), _COORD, _COORD), max_size=8),
+)
+def test_pair_arrays_equal_pairs(points, radius, moves):
+    index = SpatialGrid(points, radius)
+    assert joined_pairs(index) == list(index.pairs())
+    # Incremental maintenance: a moved grid joins like a fresh one.
+    ids = sorted(points)
+    for k, x, y in moves:
+        if ids:
+            index.move(ids[k % len(ids)], x, y)
+    assert joined_pairs(index) == list(index.pairs())
