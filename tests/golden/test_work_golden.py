@@ -9,7 +9,7 @@ up here, while wall-clock claims come from ``perfbench/`` only.
 
 The scenarios are the ones no other golden or perfbench workload covers:
 the medium under dense interference on both backends at 100 nodes, the
-1000-node city (static and mobile) on the fast backend, and the PRR,
+1000-node city on the fast backend, and the PRR,
 channel, reception and campaign-queue kernels.  Full-stack collection
 runs are pinned by the collection goldens next to this file.
 
@@ -21,7 +21,6 @@ Regenerate (only when an intentional behavior change is made) with:
 import json
 import os
 import tempfile
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Sequence, Tuple
@@ -39,7 +38,6 @@ from repro.runner.cache import ResultCache
 from repro.sim.engine import Engine
 from repro.sim.medium import RadioMedium
 from repro.sim.medium_fast import FastRadioMedium
-from repro.sim.mobility import MOBILITY_PRESETS, WaypointMobility
 from repro.sim.rng import RngManager
 from repro.topology.generators import Topology, city_grid, grid
 from tests.golden.golden_utils import _canon
@@ -181,7 +179,6 @@ def _broadcast_load(
     traffic_stream: str,
     rate_hz: float,
     duration_s: float,
-    mobility: bool = False,
 ) -> Tuple[Counters, RadioMedium]:
     engine = Engine()
     channel = ChannelModel(
@@ -213,21 +210,6 @@ def _broadcast_load(
         jam.start()
     medium.finalize()
 
-    driver = None
-    if mobility:
-        # Every non-sink node walks at pedestrian speed, so every
-        # transmission hits the incremental-maintenance path.
-        driver = WaypointMobility(
-            engine=engine,
-            medium=medium,
-            rng=rng,
-            node_ids=topo.node_ids(),
-            roots=(topo.sink,),
-            config=replace(MOBILITY_PRESETS["pedestrian"], update_period_s=2.0),
-            duration_s=duration_s,
-        )
-        driver.start()
-
     traffic = rng.stream(traffic_stream)
     sent = [0]
 
@@ -245,9 +227,6 @@ def _broadcast_load(
     engine.run_until(duration_s)
     counters: Counters = {"events": engine.events_run, "data_tx": sent[0]}
     counters.update(_medium_counters(medium))
-    if driver is not None:
-        counters["position_updates"] = driver.position_updates
-        counters["waypoints_drawn"] = driver.waypoints_drawn
     return counters, medium
 
 
@@ -262,20 +241,19 @@ def _grid100(backend: str) -> Counters:
     return counters
 
 
-def _city1000(mobility: bool) -> Counters:
+def _city1000() -> Counters:
     """A 1000-node Manhattan street grid over 2 km × 2 km on the fast
     backend, with 16 street-corner jammers."""
     topo = city_grid(1000, blocks=10, block_m=200.0, rng=RngManager(13).stream("t"))
     jam_positions = [(ix * 500.0 + 100.0, iy * 500.0 + 100.0) for ix in range(4) for iy in range(4)]
     counters, medium = _broadcast_load(
-        topo, RngManager(19), "fast", jam_positions, "city1000-traffic", 1.0, 2.0, mobility
+        topo, RngManager(19), "fast", jam_positions, "city1000-traffic", 1.0, 2.0
     )
-    if not mobility:
-        # The fast medium's per-transmission work: each sender's spatial
-        # neighborhood, where the exact backend scans every pair.
-        counters["candidate_rows"] = sum(
-            len(medium.candidate_receivers(nid)) for nid in topo.node_ids()
-        )
+    # The fast medium's per-transmission work: each sender's spatial
+    # neighborhood, where the exact backend scans every pair.
+    counters["candidate_rows"] = sum(
+        len(medium.candidate_receivers(nid)) for nid in topo.node_ids()
+    )
     return counters
 
 
@@ -286,8 +264,7 @@ SCENARIOS: Dict[str, Callable[[], Counters]] = {
     "micro_campaign": micro_campaign,
     "macro_grid100": lambda: _grid100("exact"),
     "macro_grid100_fast": lambda: _grid100("fast"),
-    "macro_grid1000": lambda: _city1000(mobility=False),
-    "macro_grid1000_mobile": lambda: _city1000(mobility=True),
+    "macro_grid1000": _city1000,
 }
 
 
@@ -319,14 +296,6 @@ def test_grid100_backends_ran_identical_workload():
     exact, fast = _run("macro_grid100"), _run("macro_grid100_fast")
     for key in ("events", "data_tx", "transmissions"):
         assert exact[key] == fast[key]
-
-
-def test_city_mobile_ran_static_traffic_with_motion():
-    # Mobility adds its own tick events, so only the traffic counters match.
-    static, mobile = _run("macro_grid1000"), _run("macro_grid1000_mobile")
-    for key in ("data_tx", "transmissions"):
-        assert mobile[key] == static[key]
-    assert mobile["position_updates"] > 0
 
 
 def test_city_candidate_rows_are_local():
