@@ -14,9 +14,9 @@ entry point the runner's workers call; it dispatches on ``spec.kind``:
     (``protocol``, ``seed``, ``duration_s``, ``tx_power_dbm``,
     ``white_bit``, ``medium``, ``faults``, ...), and estimator constants on
     top of the protocol's preset (``ku``, ``kb``, ``alpha_outer``,
-    ``honor_pin_bit``, ``compare_evict``, ...).  ``faults`` and
-    ``mobility`` take a preset name, a JSON file or an inline object; a
-    file is read when the spec is built, so its digest follows the content.
+    ``honor_pin_bit``, ``compare_evict``, ...).  ``faults`` takes a preset
+    name, a JSON file or an inline object; a file is read when the spec is
+    built, so its digest follows the content.
 ``accuracy``
     A scripted single-link estimator-accuracy run
     (:mod:`repro.estimators.accuracy`) scored against ground-truth ETX —
@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.metrics.collection_stats import CollectionResult, json_sanitize
 from repro.runner.hashing import config_digest
@@ -90,37 +90,34 @@ def freeze_value(value: Any) -> Any:
     return value
 
 
-def _scenario(name: str, value: Any) -> Any:
-    """A ``faults``/``mobility`` value: a preset name stays a name; a JSON
-    file or an inline object becomes its typed config, so the digest
-    covers the scenario's content rather than the path it was read from."""
-    if name == "faults":
-        from repro.faults.presets import PRESET_NAMES as presets
-        from repro.faults.schedule import FaultSchedule as config_type
-    else:
-        from repro.sim.mobility import MOBILITY_PRESETS as presets
-        from repro.sim.mobility import MobilityConfig as config_type
-    if value is None or isinstance(value, config_type) or (
+def _faults(value: Any) -> Any:
+    """A ``faults`` value: a preset name stays a name; a JSON file or an
+    inline object becomes its :class:`FaultSchedule`, so the digest covers
+    the scenario's content rather than the path it was read from."""
+    from repro.faults.presets import PRESET_NAMES as presets
+    from repro.faults.schedule import FaultSchedule
+
+    if value is None or isinstance(value, FaultSchedule) or (
         isinstance(value, str) and value in presets
     ):
         return value
     if isinstance(value, str):
         if not Path(value).is_file():
-            raise ValueError(f"{name} {value!r}: not a preset {sorted(presets)} and no such file")
+            raise ValueError(f"faults {value!r}: not a preset {sorted(presets)} and no such file")
         value = json.loads(Path(value).read_text())
     if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a preset name, a JSON file or an object, got {value!r}")
+        raise ValueError(f"faults must be a preset name, a JSON file or an object, got {value!r}")
     try:
-        return config_type.from_json_dict(value)
+        return FaultSchedule.from_json_dict(value)
     except TypeError as exc:  # an unknown field in an event row
-        raise ValueError(f"{name}: {exc}") from None
+        raise ValueError(f"faults: {exc}") from None
 
 
 def freeze_param(kind: str, name: str, value: Any) -> Any:
     """One parameter value in canonical form (see :func:`freeze_value`);
-    a ``collection`` spec's ``faults`` and ``mobility`` are resolved here."""
-    if kind == "collection" and name in ("faults", "mobility"):
-        return _scenario(name, value)
+    a ``collection`` spec's ``faults`` is resolved here."""
+    if kind == "collection" and name == "faults":
+        return _faults(value)
     return freeze_value(value)
 
 
@@ -315,6 +312,41 @@ def _integral(name: str, value: Any) -> int:
     raise ValueError(f"collection parameter {name} must be an integer, got {value!r}")
 
 
+def _config_fields() -> Set[str]:
+    """The ``SimConfig`` fields a ``collection`` parameter may name: all but
+    the estimator, which is set only through flat constants on top of the
+    protocol's preset."""
+    # Local import keeps the closed-form kinds import-light (the property
+    # tests churn through thousands of synthetic specs).
+    from repro.sim.network import SimConfig
+
+    return {f.name for f in dataclasses.fields(SimConfig)} - {"estimator_config"}
+
+
+def check_collection_params(names: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming every ``collection`` parameter no run
+    accepts.  A campaign file is checked with this when it loads, and
+    every run checks its own parameters again."""
+    from repro.estimators.objectives import TUNABLE_FIELDS
+
+    names = set(names)
+    if "mobility" in names:
+        raise ValueError(
+            "collection parameter 'mobility' was removed: the medium is static "
+            "after set-up, as the paper's testbeds are; drop the key"
+        )
+    config_fields = _config_fields()
+    unknown = sorted(
+        k for k in names
+        if k not in config_fields and k not in _TESTBED_PARAMS and k not in TUNABLE_FIELDS
+    )
+    if unknown:
+        raise ValueError(
+            f"unknown collection parameter(s) {unknown}; known: "
+            f"{sorted(config_fields.union(_TESTBED_PARAMS))} plus EstimatorConfig field names"
+        )
+
+
 def _simulate_collection(params: Dict[str, Any]) -> CollectionResult:
     # Local imports keep the closed-form kinds import-light (the property
     # tests churn through thousands of synthetic specs).
@@ -323,19 +355,11 @@ def _simulate_collection(params: Dict[str, Any]) -> CollectionResult:
         split_estimator_params,
     )
     from repro.experiments.common import ExperimentScale, run_one
-    from repro.sim.network import SimConfig
     from repro.topology.testbeds import PROFILES
 
+    check_collection_params(params)
     est_params, rest = split_estimator_params(params)
-    # Every SimConfig field by its own name, except the estimator: that is
-    # set only through flat constants on top of the protocol's preset.
-    config_fields = {f.name for f in dataclasses.fields(SimConfig)} - {"estimator_config"}
-    unknown = sorted(k for k in rest if k not in config_fields and k not in _TESTBED_PARAMS)
-    if unknown:
-        raise ValueError(
-            f"unknown collection parameter(s) {unknown}; known: "
-            f"{sorted(config_fields.union(_TESTBED_PARAMS))} plus EstimatorConfig field names"
-        )
+    config_fields = _config_fields()
     profile = rest.get("profile", "mirage")
     if profile not in PROFILES:
         raise ValueError(f"unknown collection profile {profile!r}; choose from {sorted(PROFILES)}")

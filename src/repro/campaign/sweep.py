@@ -53,6 +53,7 @@ from repro.campaign.spec import (
     KINDS,
     SimulationResult,
     SimulationSpec,
+    check_collection_params,
     freeze_param,
     freeze_params,
 )
@@ -315,22 +316,26 @@ class SweepSpec:
         if "kind" not in data:
             raise ValueError(f"campaign spec needs a 'kind'; choose from {KINDS}")
         kind = str(data["kind"])
+        base_data = _table(data, "base")
         axes_data = _table(data, "axes")
+        ranges_data = _table(data, "ranges")
         for name, values in axes_data.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"grid axis {name!r} must be a list of values, got {values!r}")
+        if kind == "collection":
+            check_collection_params([*base_data, *axes_data, *ranges_data])
         return cls(
             name=str(data.get("campaign", "campaign")),
             kind=kind,
             mode=str(data.get("mode", "grid")),
-            base=freeze_params(kind, _table(data, "base")),
+            base=freeze_params(kind, base_data),
             axes=tuple(
                 (str(name), tuple(freeze_param(kind, str(name), v) for v in values))
                 for name, values in axes_data.items()
             ),
             ranges=tuple(
                 RangeSpec.from_json_dict(str(name), spec)
-                for name, spec in _table(data, "ranges").items()
+                for name, spec in ranges_data.items()
             ),
             samples=_integer(data, "samples", 0),
             seed=_integer(data, "seed", 1),

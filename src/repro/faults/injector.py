@@ -11,6 +11,8 @@ Crash semantics (what a mote's RAM loss actually wipes):
 ================  =====================================================
 layer             on crash / on reboot
 ================  =====================================================
+medium            none: the node stays attached on both backends, and a
+                  frame already on the air still ends and is evaluated
 MAC               in-flight frame, timers dropped; radio off → on
 estimator         neighbor table, beacon seq, footer rotation wiped
 routing           route info, parent, trickle stopped → restarted at i_min
@@ -69,12 +71,6 @@ class FaultInjector:
         self.stats = FaultStats()
         #: Nodes currently down (crash seen, reboot not yet).
         self.crashed: Set[int] = set()
-        #: Nodes we detached from an incremental medium (fast backend):
-        #: re-attached on reboot.  The exact backend keeps crashed nodes
-        #: attached (detaching would force an O(N·k) rebuild per fault and
-        #: perturb its bit-identical stream), relying on the MAC shutdown
-        #: for dead-node silence.
-        self._detached: Set[int] = set()
         #: Observation hook (:mod:`repro.sim.probe`), set by the network;
         #: told of each fault as it lands.
         self.probe: Optional["Monitor"] = None
@@ -176,22 +172,12 @@ class FaultInjector:
         # routing layer's parent loss) are observed after it.
         self._emit("crash", node=node_id)
         self._wipe(node_id)
-        medium = self._network.medium
-        if medium.supports_incremental and node_id not in self._detached:
-            # Incremental backend (fast): route the crash through an O(k)
-            # medium detach so the dead node stops being a candidate /
-            # interference target without any rebuild (DESIGN.md §11).
-            medium.detach(node_id)
-            self._detached.add(node_id)
 
     def _reboot(self, node_id: int) -> None:
         node = self._network.nodes[node_id]
         self._wipe(node_id)
         node.crashed = False
         self.crashed.discard(node_id)
-        if node_id in self._detached:
-            self._detached.discard(node_id)
-            self._network.medium.attach(node.mac)
         node.mac.restart()
         node.protocol.fault_restart()
         # Restart traffic unless the drain window has begun (the global

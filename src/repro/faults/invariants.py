@@ -19,9 +19,7 @@ a periodic timer, and once at the end of the run:
    cancel anywhere in the MAC shows up immediately).
 4. **Loop-free routing at quiescence** — at the end of the run the parent
    graph contains no cycle (transient mid-run loops are legal; CTP's cost
-   gradient repairs them).  Skipped under mobility: a network still moving
-   at the final instant has no quiescent state, so an end-of-run snapshot
-   loop is exactly the legal transient kind (estimates lag motion).
+   gradient repairs them).
 
 All checks are read-only and consume no RNG, so enabling the checker never
 changes simulated behavior — only the engine's event count.
@@ -118,7 +116,7 @@ class InvariantChecker(Monitor):
         failures: List[str] = []
         self._check_pins(failures)
         self._check_etx(failures)
-        if final and getattr(self.network, "mobility", None) is None:
+        if final:
             self._check_loops(failures)
         if failures:
             self.violations.extend(failures)

@@ -1,6 +1,6 @@
 """P001: the fast medium stays behaviorally paired with the exact one.
 
-The ≥49× city-scale speedup (DESIGN.md §9, §11) is only trustworthy while
+The ≥49× city-scale speedup (DESIGN.md §9) is only trustworthy while
 :class:`~repro.sim.medium_fast.FastRadioMedium` keeps consuming the same
 contract surface as :class:`~repro.sim.medium.RadioMedium`.  Two kinds of
 silent divergence have nearly identical symptoms (distribution tests keep
@@ -42,6 +42,7 @@ FAST_CLASS = "repro.sim.medium_fast.FastRadioMedium"
 PARITY_INHERITED: Dict[str, str] = {
     "add_interferer": "interferer registration is shared bookkeeping on both backends",
     "advance_interferers": "lazy burst schedules fill the shared _active/_recent lists",
+    "attach": "an attach after finalize re-opens the medium on both backends, so the next use re-finalizes from scratch",
     "enable_faults": "fault overlay state (MediumFaultState) is backend-independent",
     "interferer_started": "interferer registration is shared bookkeeping on both backends",
     "is_transmitting": "half-duplex check reads the shared _tx_by_sender bookkeeping",
@@ -52,6 +53,7 @@ PARITY_INHERITED: Dict[str, str] = {
 #: Collaborator reads the fast backend intentionally replaces.
 PARITY_DIVERGENT_SURFACE: Dict[str, str] = {
     "channel.gain_db": "instantaneous gain is reimplemented by the repro.phy.vector kernels",
+    "channel.mean_gain_db": "mean gains come in batches from prefill_mean_gains and mean_gain_many, the scalar formula term for term",
 }
 
 

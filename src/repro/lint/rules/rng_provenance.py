@@ -1,6 +1,6 @@
 """R001: every RNG stream in the simulated stack traces to ``derive_seed``.
 
-The bit-reproducibility story (DESIGN.md §7, §12) rests on two properties
+The bit-reproducibility story (DESIGN.md §7, §11) rests on two properties
 no single file shows:
 
 * **Provenance** — every ``random.Random`` / numpy ``Generator`` lives on a

@@ -23,8 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def json_sanitize(value):
     """Recursively replace non-finite floats with ``None`` (JSON ``null``),
-    and objects with a ``to_json_dict`` (a fault schedule, a mobility
-    config) with that dict."""
+    and objects with a ``to_json_dict`` (a fault schedule) with that
+    dict."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):

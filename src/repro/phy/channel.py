@@ -92,15 +92,6 @@ class _GilbertState:
         self.stream = stream
 
 
-def _index_key(by_node: Dict[int, Dict[Tuple[int, int], None]], key: Tuple[int, int]) -> None:
-    """Record cached pair ``key`` under both of its nodes."""
-    for node in key:
-        index = by_node.get(node)
-        if index is None:
-            index = by_node[node] = {}
-        index[key] = None
-
-
 class ChannelModel:
     """Per-pair channel gains over a set of node positions.
 
@@ -141,14 +132,6 @@ class ChannelModel:
         self._gilbert: Dict[Tuple[int, int], Optional[_GilbertState]] = {}
         #: Cached time-invariant gain (path loss + shadowing) per pair.
         self._mean_gain: Dict[Tuple[int, int], float] = {}
-        #: node → cached mean-gain pair keys touching it, so a position
-        #: update invalidates O(k) entries instead of scanning the cache.
-        #: (An inner dict, not a set: iteration order must stay
-        #: deterministic, and re-registration must not duplicate.)  Only
-        #: ``update_position`` reads it, so it is built by one scan of
-        #: ``_mean_gain`` on the first move and kept current from then on;
-        #: a static network never holds it.
-        self._mean_keys_by_node: Optional[Dict[int, Dict[Tuple[int, int], None]]] = None
         #: dt → (exp(−dt/τ), innovation sigma); both are pure functions of
         #: dt, so memoizing them is result-neutral.
         self._decay: Dict[float, Tuple[float, float]] = {}
@@ -162,30 +145,6 @@ class ChannelModel:
         if node_id in self.positions:
             raise ValueError(f"duplicate node id {node_id}")
         self.positions[node_id] = pos
-
-    def update_position(self, node_id: int, pos: Position) -> None:
-        """Move a node, invalidating the cached mean gains of its pairs.
-
-        Only the distance-dependent part of the gain re-derives: static
-        shadowing and the OU/Gilbert fading state are keyed by *pair
-        identity*, not distance, so a moving node keeps its per-pair draws
-        (the mobility contract in DESIGN.md §11).  Cost is O(k) in the
-        number of pairs whose mean gain was ever cached against this node.
-        """
-        if node_id not in self.positions:
-            raise ValueError(f"unknown node id {node_id}")
-        self.positions[node_id] = pos
-        by_node = self._mean_keys_by_node
-        if by_node is None:
-            by_node = self._mean_keys_by_node = {}
-            for key in self._mean_gain:
-                _index_key(by_node, key)
-        keys = by_node.get(node_id)
-        if keys:
-            mean_gain = self._mean_gain
-            for key in keys:
-                mean_gain.pop(key, None)
-            keys.clear()
 
     def distance(self, a: int, b: int) -> float:
         (ax, ay), (bx, by) = self.positions[a], self.positions[b]
@@ -283,8 +242,6 @@ class ChannelModel:
         if mean is None:
             mean = -self.pathloss.loss_db(self.distance(a, b)) + self._static_shadowing_db(a, b)
             self._mean_gain[key] = mean
-            if self._mean_keys_by_node is not None:
-                _index_key(self._mean_keys_by_node, key)
         return mean
 
     def mean_gain_db(self, a: int, b: int) -> float:
@@ -294,13 +251,10 @@ class ChannelModel:
     def mean_gain_many(self, a: int, rids: Sequence[int]) -> List[float]:
         """Batched :meth:`mean_gain_db`: gains from ``a`` to each of ``rids``.
 
-        The fast medium's lazy batch rebuilds and interference vectors
-        call this after set-up.  Under mobility a whole neighborhood's mean
-        gains re-derive every time a sender's batch rebuilds (after a
-        tick, every neighbor's cached gain is stale); inlining the per-pair
-        cache probe/fill here pays the call overhead once per batch
-        instead of three frames per pair.  The formula is kept
-        term-for-term identical to the scalar path
+        The fast medium's interference vectors call this after set-up;
+        inlining the per-pair cache probe/fill here pays the call overhead
+        once per vector instead of three frames per pair.  The formula is
+        kept term-for-term identical to the scalar path
         (:meth:`PathLossModel.loss_db` / :meth:`_static_shadowing_db`), so
         batched and scalar queries agree bitwise and fill the same caches
         in the same order.  Set-up itself derives every in-reach pair's gain
@@ -309,7 +263,6 @@ class ChannelModel:
         mean_gain = self._mean_gain
         positions = self.positions
         shadowing = self._shadowing
-        by_node = self._mean_keys_by_node
         pathloss = self.pathloss
         pl_d0 = pathloss.pl_d0_db
         ten_n = 10.0 * pathloss.exponent
@@ -332,8 +285,6 @@ class ChannelModel:
                     shadow = shadowing[key] = stream.gauss(0.0, sigma)
                 mean = -(pl_d0 + ten_n * math.log10(d / d0)) + shadow
                 mean_gain[key] = mean
-                if by_node is not None:
-                    _index_key(by_node, key)
             out.append(mean)
         return out
 
@@ -369,7 +320,6 @@ class ChannelModel:
         ten_n = 10.0 * pathloss.exponent
         d0 = pathloss.d0_m
         sigma = self.shadowing_sigma_db
-        by_node = self._mean_keys_by_node
         out = array("d", bytes(8 * len(keys)))
         for lo in range(0, len(keys), _PREFILL_CHUNK):
             chunk = keys[lo : lo + _PREFILL_CHUNK]
@@ -386,8 +336,6 @@ class ChannelModel:
                 if d < d0:
                     d = d0
                 mean_gain[key] = -(pl_d0 + ten_n * math.log10(d / d0)) + shadowing[key]
-                if by_node is not None:
-                    _index_key(by_node, key)
             out[lo : lo + len(chunk)] = array("d", map(mean_gain.__getitem__, chunk))
         return out
 

@@ -42,16 +42,15 @@ CACHE_SCHEMA_VERSION = 7
 
 #: Dataclasses whose field schema a cached result depends on: the config
 #: every run digest hashes, the campaign spec, and the two cached payloads.
-#: ``FaultSchedule`` and ``MobilityConfig`` appear in ``SimConfig``'s
-#: annotations only as names imported under ``TYPE_CHECKING``, so the
-#: runtime walk cannot reach them from ``SimConfig`` and lists them here.
+#: ``FaultSchedule`` appears in ``SimConfig``'s annotations only as a name
+#: imported under ``TYPE_CHECKING``, so the runtime walk cannot reach it
+#: from ``SimConfig`` and lists it here.
 SCHEMA_ROOTS: Tuple[str, ...] = (
     "repro.sim.network.SimConfig",
     "repro.metrics.collection_stats.CollectionResult",
     "repro.campaign.spec.SimulationSpec",
     "repro.campaign.spec.SimulationResult",
     "repro.faults.schedule.FaultSchedule",
-    "repro.sim.mobility.MobilityConfig",
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -231,12 +231,6 @@ class _Transmission:
 class RadioMedium:
     """The shared channel all attached radios transmit into."""
 
-    #: Whether structural changes after :meth:`finalize` (attach / detach /
-    #: :meth:`update_position`) are patched incrementally.  This backend
-    #: rebuilds instead — O(N·k) per change, correct but slow; the fast
-    #: backend overrides with O(k) in-place patching (DESIGN.md §11).
-    supports_incremental = False
-
     def __init__(
         self,
         engine: Engine,
@@ -286,10 +280,22 @@ class RadioMedium:
     # ------------------------------------------------------------------
     def attach(self, participant: MediumParticipant, receiver: bool = True) -> None:
         """Register a participant.  ``receiver=False`` for interference-only
-        transmitters (they never decode frames)."""
+        transmitters (they never decode frames).
+
+        The medium is static after :meth:`finalize` (DESIGN.md §9): an
+        attach after it re-opens the medium, and the next use re-finalizes
+        from scratch.  Such a node needs its channel position registered
+        first (``channel.add_position``), so this raises ``RuntimeError``
+        for an unlocated one rather than fail at the next use.
+        """
         nid = participant.node_id
         if nid in self._participants:
             raise ValueError(f"node {nid} already attached")
+        if self._finalized and nid not in self.channel.positions:
+            raise RuntimeError(
+                f"attach after finalize: node {nid} has no channel position; "
+                "call channel.add_position first"
+            )
         self._participants[nid] = participant
         if receiver:
             self._receivers[nid] = participant
@@ -305,32 +311,6 @@ class RadioMedium:
     def interferer_started(self, source: BurstSource) -> None:
         """``source`` set its first ``next_burst``: read it from then on."""
         self._interferer_horizon = min(self._interferer_horizon, source.next_burst[0])
-
-    def detach(self, node_id: int) -> None:
-        """Remove a participant (a crashed node goes dark at the medium).
-
-        The node's channel position is kept: pair identity (shadowing,
-        fading state) survives a crash/reboot cycle, and an in-flight
-        transmission from the departing node still interferes.  This
-        backend marks the candidate structure for a lazy full rebuild;
-        the fast backend patches incrementally.
-        """
-        if node_id not in self._participants:
-            raise ValueError(f"detach: node {node_id} is not attached to the medium")
-        del self._participants[node_id]
-        self._receivers.pop(node_id, None)
-        self._finalized = False
-
-    def update_position(self, node_id: int, x: float, y: float) -> None:
-        """Move a node, re-deriving path loss from the new position.
-
-        Shadowing and fading state are pair-identity-keyed and survive the
-        move (DESIGN.md §11).  This backend invalidates the whole candidate
-        structure and rebuilds lazily — the O(N·k) reference semantics the
-        fast backend's O(k) incremental patching must match.
-        """
-        self.channel.update_position(node_id, (x, y))
-        self._finalized = False
 
     def enable_faults(self) -> MediumFaultState:
         """Install (or return the existing) fault overlay state."""
@@ -613,9 +593,7 @@ class RadioMedium:
         overlapping = self._overlapping(tx)
         t = tx.end
         sender_id = tx.sender
-        sender = self._participants.get(sender_id)
-        if sender is None:
-            return  # sender detached (crashed) mid-flight: the frame dies with it
+        sender = self._participants[sender_id]
         power_dbm = tx.power_dbm
         params: RadioParams = sender.radio.params
         frame_bytes = frame.length_bytes + params.phy_overhead_bytes

@@ -16,17 +16,11 @@ the same counters, the same fault overlay) but restructures the hot path:
   interference accumulation to nodes within the link budget's reach, so
   far-away nodes are never enumerated: candidate construction is O(N·k)
   in the number of in-range neighbors k, not O(N²).
-* **Incremental maintenance** (DESIGN.md §11).  After ``finalize()`` the
-  structure is patched in place instead of rebuilt: ``attach``/``detach``/
-  ``update_position`` re-bucket the moved node in the grid, bump a global
-  *epoch*, and mark the node plus its old and new neighbors stale.  A
-  sender's SoA batch carries the epoch it was built at and is lazily
-  rebuilt — O(k), one sender — the next time that sender transmits or
-  carrier-senses.  Per-pair channel-state slots are allocated on first
-  in-range contact and recycled through a free list when a pair drifts
-  out of range, so a 10k-node mobile run never allocates O(N²) slots.
-  Cached dense interference vectors are invalidated per affected
-  interferer only.  Everything stays O(k) per structural event.
+* **Static after set-up** (DESIGN.md §9).  ``finalize()`` is the one
+  place that builds batches and per-pair channel-state slots; nothing
+  patches them afterwards.  A crashed node stays attached (its MAC is
+  silent), and an ``attach`` after ``finalize()`` re-opens the medium, so
+  the next use re-finalizes from scratch, as on the exact backend.
 
 **Equivalence contract** (DESIGN.md §9): the fast backend is
 *distribution-equivalent* to the exact scalar path, not bit-identical.
@@ -78,8 +72,7 @@ from repro.sim.spatial import SpatialGrid
 #: its shadowing draw exceeds this many sigmas (P ≈ 3·10⁻⁵ at 4σ).
 DEFAULT_SHADOW_MARGIN_SIGMAS = 4.0
 
-#: Bound on the total number of cached dense interference vectors
-#: (entries across all per-interferer sub-dicts).
+#: Bound on the number of cached dense interference vectors.
 _INTER_CACHE_MAX = 65536
 
 _MISSING = object()
@@ -110,7 +103,6 @@ class _SenderBatch:
         "all_idx",
         "rid_dense",
         "cca_heard",
-        "epoch",
         "rid_pos",
     )
 
@@ -128,7 +120,6 @@ class _SenderBatch:
         mod_names: List[str],
         rid_dense: Any,
         cca_heard: frozenset,
-        epoch: int,
     ) -> None:
         self.rids = rids
         self.rid_list = rid_list
@@ -147,9 +138,6 @@ class _SenderBatch:
         self.rid_dense = rid_dense
         #: Node ids whose CCA hears this sender's carrier (mean-field).
         self.cca_heard = cca_heard
-        #: Structural epoch this batch was built at; stale when below the
-        #: sender's entry in ``FastRadioMedium._sender_epoch``.
-        self.epoch = epoch
         #: Candidate id → position, built on the first unicast delivery.
         self.rid_pos: Optional[Dict[int, int]] = None
 
@@ -222,8 +210,6 @@ class _Prefetched:
 class FastRadioMedium(RadioMedium):
     """Numpy-vectorized, spatially-culled medium backend (``medium="fast"``)."""
 
-    supports_incremental = True
-
     def __init__(
         self,
         engine: Engine,
@@ -246,46 +232,18 @@ class FastRadioMedium(RadioMedium):
         self._g_bimodal: Any = None
         self._g_faded: Any = None
         self._g_t: Any = None
-        #: sender id → frozenset of node ids whose CCA hears its carrier.
-        self._cca_heard: Dict[int, frozenset] = {}
         #: Dense receiver axis: every attached receiver id in attach order,
         #: plus its coordinates as parallel arrays (built by finalize).
-        #: A detached receiver keeps its dense slot with coordinates set to
-        #: +inf (so distance tests exclude it); a same-id reattach reuses
-        #: the slot, and a brand-new id appends to the axis.
         self._dense_ids: List[int] = []
         self._dense_index: Dict[int, int] = {}
         self._dense_x: Any = None
         self._dense_y: Any = None
-        #: interferer → {tx power → mean interference power in mW at every
-        #: dense receiver} (or None when none is in reach); built once per
-        #: interferer in O(N) and gathered per batch — see _dense_inter_mw.
-        #: Nested per interferer so a structural event involving one node
-        #: drops only that node's vectors in O(1).
-        self._inter_cache: Dict[int, Dict[float, Any]] = {}
-        self._inter_cache_entries = 0
-        #: Lazily-invalidated interference entries: {interferer: {receiver:
-        #: None}} marks receivers whose entry in the interferer's cached
-        #: vectors is stale (the receiver moved / attached / detached).
-        #: Patched on the next query — under continuous mobility most marks
-        #: are overwritten before the vector is ever read, so eager
-        #: patching would recompute gains that are never used.
-        self._inter_dirty: Dict[int, Dict[int, None]] = {}
-        #: Incremental-maintenance state (DESIGN.md §11): the global
-        #: structural epoch, the minimum epoch each sender's batch must
-        #: have been built at to be served, recycled pair slots, and the
-        #: current capacity of the per-pair state arrays.
-        self._epoch = 0
-        self._sender_epoch: Dict[int, int] = {}
-        self._free_slots: List[int] = []
-        self._slot_cap = 0
-        #: node id → its row-builder inputs (see :meth:`_nodes`), derived
-        #: once per attach: radio parameters never change after hardware
-        #: variation is applied.
-        self._node_info: Dict[int, Tuple[Any, ...]] = {}
+        #: (interferer, tx power) → mean interference power in mW at every
+        #: dense receiver (or None when none is in reach); built once per
+        #: key in O(N) and gathered per batch — see _dense_inter_mw.
+        self._inter_cache: Dict[Tuple[int, float], Any] = {}
         #: (modulation, frame bytes) → quantized PRR table.
         self._prr_tables: Dict[Tuple[str, int], Any] = {}
-        self._grid: Optional[SpatialGrid] = None
         self._radius_m = 0.0
         self._ou_mean_extra_db = 0.0
         self._bimodal_mean_extra_db = 0.0
@@ -356,21 +314,13 @@ class FastRadioMedium(RadioMedium):
         channel = self.channel
         positions = channel.positions
         self._radius_m = self._link_budget_radius_m()
-        grid_ids = {nid: positions[nid] for nid in self._participants}
-        grid = self._grid = SpatialGrid(grid_ids, self._radius_m)
+        grid = SpatialGrid({nid: positions[nid] for nid in self._participants}, self._radius_m)
         self._inter_cache = {}
-        self._inter_cache_entries = 0
-        self._inter_dirty = {}
-        self._node_info = {}
         # Unused by this backend (candidate_receivers reads the batches);
         # kept empty for parity.
         self._candidates = {}
         self._rx_rows = {}
         self._soa = {}
-        self._cca_heard = {}
-        self._epoch = 0
-        self._sender_epoch = {}
-        self._free_slots = []
 
         #: Receiver attach order — candidate lists keep the exact path's
         #: enumeration order so the two backends deliver in the same order.
@@ -403,8 +353,7 @@ class FastRadioMedium(RadioMedium):
         gains = np.frombuffer(channel.prefill_mean_gains(keys), dtype=np.float64)
         # Slots are numbered in first-contact order, over candidate entries
         # in (sender, dense) order, and their initial OU / Gilbert state is
-        # drawn below in one vectorized call per array (after finalize,
-        # _alloc_pair_slot draws per slot instead).
+        # drawn below in one vectorized call per array.
         self._pair_slot = {}
         pair_slot = self._pair_slot
         slot_of = np.full(len(keys), -1, dtype=np.int32)
@@ -434,7 +383,6 @@ class FastRadioMedium(RadioMedium):
 
         # ---- shared per-pair channel state (one slot per unordered pair)
         n_pairs = len(pair_slot)
-        self._slot_cap = n_pairs
         if channel.temporal_sigma_db > 0.0:
             self._ou_x = self._gen_ou_init.standard_normal(n_pairs) * channel.temporal_sigma_db
             self._ou_t = np.zeros(n_pairs)
@@ -468,55 +416,32 @@ class FastRadioMedium(RadioMedium):
             self._expected_bimodal_extra_db = 0.0
         self._finalized = True
 
-    # ------------------------------------------------------------------
-    # Incremental maintenance (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    # After finalize(), structural changes never trigger a full rebuild.
-    # Each mutator bumps the global epoch, records the bumped epoch for
-    # every sender whose candidate set could have changed (the changed
-    # node plus its old and new spatial neighbors — O(k) of them), and
-    # drops those nodes' cached dense interference vectors.  Batches are
-    # then rebuilt lazily, one sender at a time, by _ensure_batch.
-
-    @staticmethod
-    def _pair_key(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
-
-    def _ensure_batch(self, sid: int) -> Optional[_SenderBatch]:
-        """Return ``sid``'s batch, rebuilding it if structurally stale."""
-        batch = self._soa.get(sid)
-        if batch is not None and batch.epoch >= self._sender_epoch.get(sid, 0):
-            return batch
-        return self._build_batch(sid)
-
     def _nodes(self, id_list: List[int]) -> _Nodes:
         """Row-builder inputs of the nodes ``id_list``, by list position."""
-        info = self._node_info
         participants = self._participants
         receivers = self._receivers
         records = []
         for nid in id_list:
-            record = info.get(nid)
-            if record is None:
-                radio = participants[nid].radio
-                receiver = receivers.get(nid)
-                noise: Tuple[float, float, float]
-                modulation: Optional[str]
-                if receiver is None:
-                    noise = (math.inf, 0.0, 0.0)
-                    modulation = None
-                else:
-                    n_mw = 10.0 ** (radio.noise_floor_dbm / 10.0)
-                    noise = (radio.noise_floor_dbm, n_mw, 10.0 * math.log10(n_mw))
-                    modulation = radio.params.modulation
-                record = info[nid] = (
+            radio = participants[nid].radio
+            receiver = receivers.get(nid)
+            noise: Tuple[float, float, float]
+            modulation: Optional[str]
+            if receiver is None:
+                noise = (math.inf, 0.0, 0.0)
+                modulation = None
+            else:
+                n_mw = 10.0 ** (radio.noise_floor_dbm / 10.0)
+                noise = (radio.noise_floor_dbm, n_mw, 10.0 * math.log10(n_mw))
+                modulation = radio.params.modulation
+            records.append(
+                (
                     radio.effective_tx_power_dbm,
                     radio.params.cca_threshold_dbm,
                     *noise,
                     modulation,
                     receiver,
                 )
-            records.append(record)
+            )
         columns: List[Tuple[Any, ...]] = list(zip(*records)) or [()] * 7
         ptx, cca, floor, n_mw, n_db, mods, objs = columns
         mod_names = sorted({m for m in mods if m is not None})
@@ -541,10 +466,10 @@ class FastRadioMedium(RadioMedium):
     def _rows(self, nodes: _Nodes, snd: Any, rcv: Any, gain: Any, pair: Any) -> _Rows:
         """The row builder: candidates and carrier reach of directed entries.
 
-        Entry ``i`` goes from local node ``snd[i]`` to ``rcv[i]`` over a
-        pair of mean gain ``gain[i]`` (``pair[i]`` names the pair, or
-        ``pair`` is None).  One stable argsort orders the entries by
-        sender, then by the receiver's dense rank, so candidate lists keep
+        Entry ``i`` goes from local node ``snd[i]`` to ``rcv[i]`` over the
+        pair ``pair[i]`` of mean gain ``gain[i]``.  One stable argsort
+        orders the entries by sender, then by the receiver's dense rank, so
+        candidate lists keep
         the exact path's enumeration order.  A receiver is a candidate
         when its mean SNR ``(ptx + g) − noise_floor`` clears the cutoff;
         a node hears the sender's carrier when ``ptx + g`` clears its CCA
@@ -567,14 +492,14 @@ class FastRadioMedium(RadioMedium):
             snd[cand],
             rcv[cand],
             gain[cand],
-            None if pair is None else pair[order][cand],
+            pair[order][cand],
             snd[heard],
             rcv[heard],
         )
 
     def _install_rows(self, nodes: _Nodes, rows: _Rows, slots: Any, s0: int, s1: int) -> None:
-        """Lower ``rows`` into one SoA batch per local sender ``s0 ≤ s < s1``,
-        at the current epoch; ``slots`` holds each candidate's pair slot."""
+        """Lower ``rows`` into one SoA batch per local sender ``s0 ≤ s < s1``;
+        ``slots`` holds each candidate's pair slot."""
         cuts = np.searchsorted(rows.snd, np.arange(s0, s1 + 1)).tolist()
         heard_cuts = np.searchsorted(rows.heard_snd, np.arange(s0, s1 + 1)).tolist()
         rcv = rows.rcv
@@ -614,357 +539,15 @@ class FastRadioMedium(RadioMedium):
                 mod_names=mod_names,
                 rid_dense=rid_dense[c0:c1],
                 cca_heard=frozenset(heard[heard_cuts[k] : heard_cuts[k + 1]]),
-                epoch=self._epoch,
             )
             self._soa[sid] = batch
-            self._cca_heard[sid] = batch.cca_heard
-
-    def _build_batch(self, sid: int) -> Optional[_SenderBatch]:
-        """Rebuild one sender's SoA batch from the live grid — O(k).
-
-        The row builder of :meth:`finalize`, over one sender and its grid
-        query; new pairs get their slot from :meth:`_alloc_pair_slot`.
-        """
-        if sid not in self._participants:
-            return None
-        grid = self._grid
-        assert grid is not None
-        near = grid.neighbors(sid)
-        nodes = self._nodes([sid, *near])
-        k = len(near)
-        # One batched gain derivation for the whole neighborhood: under
-        # mobility every neighbor's cached mean gain is stale after each
-        # tick.
-        rows = self._rows(
-            nodes,
-            np.zeros(k, dtype=np.int64),
-            np.arange(1, k + 1),
-            np.asarray(self.channel.mean_gain_many(sid, near), dtype=np.float64),
-            None,
-        )
-        rid_list = list(map(nodes.id_list.__getitem__, rows.rcv.tolist()))
-        # Structural-reuse fast path: under sub-cell mobility steps, a
-        # rebuilt batch almost always has the same rows as the previous
-        # one — only the mean gains moved.  Reusing the prior batch's
-        # structural arrays (ids, noise, slots, modulations, dense gather
-        # index) after verifying row identity, receiver objects, and live
-        # pair slots skips most of the allocation cost of a full rebuild.
-        prev = self._soa.get(sid)
-        if prev is not None and rid_list == prev.rid_list:
-            objs = nodes.receivers
-            pair_slot = self._pair_slot
-            pair_key = self._pair_key
-            # A pair that left range and came back was re-slotted (or a
-            # participant object was swapped): full rebuild.
-            if all(
-                objs[j] is old for j, old in zip(rows.rcv.tolist(), prev.receivers)
-            ) and all(
-                pair_slot.get(pair_key(sid, rid)) == slot
-                for rid, slot in zip(rid_list, prev.pair_idx.tolist())
-            ):
-                prev.mean_gain = rows.gain
-                heard = frozenset(map(nodes.id_list.__getitem__, rows.heard_rcv.tolist()))
-                if heard != prev.cca_heard:
-                    prev.cca_heard = heard
-                    self._cca_heard[sid] = heard
-                prev.epoch = self._epoch
-                return prev
-        slots = np.array(
-            [self._alloc_pair_slot(self._pair_key(sid, rid)) for rid in rid_list],
-            dtype=np.int64,
-        )
-        self._install_rows(nodes, rows, slots, 0, 1)
-        return self._soa[sid]
-
-    # ---- per-pair channel-state slots: lazy allocation + free list ----
-    def _alloc_pair_slot(self, pair: Tuple[int, int]) -> int:
-        """Slot for ``pair``, allocating (and drawing initial state) on
-        first in-range contact.  Recycled slots come off the free list;
-        otherwise the state arrays grow geometrically."""
-        slot = self._pair_slot.get(pair)
-        if slot is not None:
-            return slot
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            # Invariant: len(_pair_slot) + len(_free_slots) == high-water
-            # slot count, so with no free slots the next fresh index is
-            # exactly len(_pair_slot).
-            slot = len(self._pair_slot)
-            if slot >= self._slot_cap:
-                self._grow_slots(slot + 1)
-        self._pair_slot[pair] = slot
-        self._init_slot(slot)
-        return slot
-
-    def _init_slot(self, slot: int) -> None:
-        """Draw fresh OU / Gilbert initial state for a newly allocated slot.
-
-        Same distributions as the finalize-time vectorized draws; a pair
-        re-entering range redraws (the fast backend does not remember
-        out-of-range pairs — see DESIGN.md §11 for the equivalence caveat).
-        """
-        channel = self.channel
-        now = self.engine.now
-        if self._ou_x is not None:
-            self._ou_x[slot] = (
-                self._gen_ou_init.standard_normal() * channel.temporal_sigma_db
-            )
-            self._ou_t[slot] = now
-        if self._g_bimodal is not None:
-            member = bool(self._gen_bimodal_init.random() < channel.bimodal_fraction)
-            pi_faded = channel.fade_dwell_s / (channel.fade_dwell_s + channel.good_dwell_s)
-            faded = bool(self._gen_bimodal_init.random() < pi_faded)
-            self._g_bimodal[slot] = member
-            self._g_faded[slot] = member and faded
-            self._g_t[slot] = now
-
-    def _evict_pair(self, pair: Tuple[int, int]) -> None:
-        """Release a pair's slot back to the free list (out of range)."""
-        slot = self._pair_slot.pop(pair, None)
-        if slot is not None:
-            self._free_slots.append(slot)
-
-    def _grow_slots(self, min_cap: int) -> None:
-        new_cap = max(min_cap, 2 * self._slot_cap, 64)
-
-        def grow(arr: Any) -> Any:
-            out = np.zeros(new_cap, dtype=arr.dtype)
-            out[: arr.shape[0]] = arr
-            return out
-
-        if self._ou_x is not None:
-            self._ou_x = grow(self._ou_x)
-            self._ou_t = grow(self._ou_t)
-        if self._g_bimodal is not None:
-            self._g_bimodal = grow(self._g_bimodal)
-            self._g_faded = grow(self._g_faded)
-            self._g_t = grow(self._g_t)
-        self._slot_cap = new_cap
-
-    def _drop_inter(self, oid: int) -> None:
-        """Invalidate the cached dense interference vectors from ``oid``."""
-        sub = self._inter_cache.pop(oid, None)
-        if sub:
-            self._inter_cache_entries -= len(sub)
-        self._inter_dirty.pop(oid, None)
-
-    def _mark_inter_dirty(self, oids: Dict[int, None], rid: int) -> None:
-        """Mark receiver ``rid``'s entry stale in each of ``oids``'s cached
-        interference vectors — O(1) per mark; patched at next query."""
-        inter_cache = self._inter_cache
-        dirty = self._inter_dirty
-        for a in oids:
-            if a in inter_cache:
-                d = dirty.get(a)
-                if d is None:
-                    d = dirty[a] = {}
-                d[rid] = None
-
-    def _patch_inter(self, oid: int, rid: int) -> None:
-        """Recompute receiver ``rid``'s entry in each cached interference
-        vector from ``oid``.
-
-        When a node moves (or attaches/detaches), a neighboring
-        interferer's vector changes at exactly one entry — the changed
-        receiver's.  Patching that entry in place is O(cached powers)
-        instead of dropping the whole vector and paying an O(k) rebuild
-        at the next overlap (the dominant cost of naive invalidation
-        under continuous mobility).  In-place mutation is safe: the hot
-        path only aliases these arrays within a single event.
-        """
-        by_oid = self._inter_cache.get(oid)
-        if not by_oid:
-            return
-        j = self._dense_index.get(rid)
-        if j is None:
-            return  # rid is not on the dense receiver axis: no entry to patch
-        opos = self.channel.positions.get(oid)
-        if opos is None:
-            self._drop_inter(oid)
-            return
-        dx = float(self._dense_x[j]) - opos[0]
-        dy = float(self._dense_y[j]) - opos[1]
-        in_range = (
-            rid != oid
-            and rid in self._receivers
-            and dx * dx + dy * dy <= self._radius_m * self._radius_m
-        )
-        if not in_range:
-            for dense in by_oid.values():
-                if dense is not None:
-                    dense[j] = 0.0
-            return
-        extra = self._ou_mean_extra_db
-        if self._g_bimodal is not None:
-            slot = self._pair_slot.get((oid, rid) if oid <= rid else (rid, oid))
-            if slot is None:
-                extra += self._expected_bimodal_extra_db
-            elif self._g_bimodal[slot]:
-                extra += self._bimodal_mean_extra_db
-        gain = self.channel.mean_gain_db(oid, rid) + extra
-        stale_nones = [p for p, dense in by_oid.items() if dense is None]
-        for p in stale_nones:
-            # The vector said "no receiver in reach", which just became
-            # false — drop it for a rebuild at next use.
-            del by_oid[p]
-            self._inter_cache_entries -= 1
-        for power_dbm, dense in by_oid.items():
-            dense[j] = 10.0 ** ((power_dbm + gain) / 10.0)
-
-    def _bump_neighborhood(
-        self, node_id: int, neighbor_lists: List[List[int]]
-    ) -> Dict[int, None]:
-        """Mark ``node_id`` and the union of ``neighbor_lists`` stale;
-        returns the deduplicated neighbor union (insertion-ordered)."""
-        self._epoch += 1
-        epoch = self._epoch
-        sender_epoch = self._sender_epoch
-        sender_epoch[node_id] = epoch
-        affected: Dict[int, None] = {}
-        for lst in neighbor_lists:
-            for a in lst:
-                affected[a] = None
-        for a in affected:
-            sender_epoch[a] = epoch
-        return affected
-
-    # ---- structural mutators ------------------------------------------
-    def attach(self, participant: Any, receiver: bool = True) -> None:
-        """Register a participant; after finalize, patch incrementally.
-
-        A post-finalize attach requires the node's channel position to be
-        registered first — without it the spatial index cannot place the
-        node and every existing batch would silently go stale, so this
-        raises ``RuntimeError`` instead of serving wrong results.
-        """
-        if not self._finalized:
-            super().attach(participant, receiver)
-            return
-        nid = participant.node_id
-        if nid in self._participants:
-            raise ValueError(f"node {nid} already attached")
-        pos = self.channel.positions.get(nid)
-        if pos is None:
-            raise RuntimeError(
-                f"attach after finalize: node {nid} has no channel position; "
-                "call channel.add_position first (the fast backend patches "
-                "structure incrementally and cannot place an unlocated node)"
-            )
-        self._participants[nid] = participant
-        self._node_info.pop(nid, None)
-        if receiver:
-            self._receivers[nid] = participant
-            j = self._dense_index.get(nid)
-            if j is None:
-                self._dense_index[nid] = len(self._dense_ids)
-                self._dense_ids.append(nid)
-                self._dense_x = np.append(self._dense_x, pos[0])
-                self._dense_y = np.append(self._dense_y, pos[1])
-                # The dense axis grew: every cached interference vector is
-                # now too short for it.  Drop them all (rare event).
-                self._inter_cache.clear()
-                self._inter_cache_entries = 0
-                self._inter_dirty.clear()
-            else:
-                # Same-id reattach (reboot): reuse the tombstoned slot.
-                self._dense_x[j] = pos[0]
-                self._dense_y[j] = pos[1]
-        grid = self._grid
-        assert grid is not None
-        grid.add(nid, pos)
-        affected = self._bump_neighborhood(nid, [grid.neighbors(nid)])
-        self._drop_inter(nid)
-        self._mark_inter_dirty(affected, nid)
-
-    def detach(self, node_id: int) -> None:
-        """Remove a participant; after finalize, patch incrementally.
-
-        The channel position is kept (pair identity survives a crash /
-        reboot cycle) but the dense receiver slot is tombstoned with +inf
-        coordinates so interference vectors exclude the dead node, and
-        the node's pair slots are released for reuse.
-        """
-        if not self._finalized:
-            super().detach(node_id)
-            return
-        if node_id not in self._participants:
-            raise ValueError(f"detach: node {node_id} is not attached to the medium")
-        grid = self._grid
-        assert grid is not None
-        old_neighbors = grid.neighbors(node_id) if node_id in grid else []
-        if node_id in grid:
-            grid.remove(node_id)
-        del self._participants[node_id]
-        self._receivers.pop(node_id, None)
-        self._node_info.pop(node_id, None)
-        j = self._dense_index.get(node_id)
-        if j is not None:
-            self._dense_x[j] = math.inf
-            self._dense_y[j] = math.inf
-        self._soa.pop(node_id, None)
-        self._cca_heard.pop(node_id, None)
-        affected = self._bump_neighborhood(node_id, [old_neighbors])
-        self._sender_epoch.pop(node_id, None)
-        self._drop_inter(node_id)
-        self._mark_inter_dirty(affected, node_id)
-        for a in affected:
-            self._evict_pair(self._pair_key(node_id, a))
-
-    def update_position(self, node_id: int, x: float, y: float) -> None:
-        """Move a node in O(k): re-bucket, re-derive means, mark stale.
-
-        Pair slots whose endpoints drifted out of spatial range are
-        evicted; everything else (shadowing, in-range OU/Gilbert state)
-        survives the move keyed by pair identity.
-        """
-        if not self._finalized:
-            super().update_position(node_id, x, y)
-            return
-        grid = self._grid
-        assert grid is not None
-        if node_id not in grid:
-            # A channel-only position (never attached): no batch depends
-            # on it, but its interference vectors re-derive.
-            self.channel.update_position(node_id, (x, y))
-            self._drop_inter(node_id)
-            return
-        if grid.same_cell(node_id, x, y):
-            # Mobility fast path: a sub-cell step means the same 3×3 block
-            # serves both the before and after neighbor filters — one scan
-            # instead of two (the node's own entry is excluded, so moving
-            # it first cannot perturb either list).
-            ox, oy = grid.position(node_id)
-            grid.move(node_id, x, y)
-            old_neighbors, new_neighbors = grid.neighbors_two_points(
-                ox, oy, x, y, exclude=node_id
-            )
-        else:
-            old_neighbors = grid.neighbors(node_id)
-            grid.move(node_id, x, y)
-            new_neighbors = grid.neighbors(node_id)
-        self.channel.update_position(node_id, (x, y))
-        j = self._dense_index.get(node_id)
-        if j is not None and node_id in self._receivers:
-            self._dense_x[j] = x
-            self._dense_y[j] = y
-        affected = self._bump_neighborhood(node_id, [old_neighbors, new_neighbors])
-        # The mover's own vectors change at every in-reach entry: a full
-        # (vectorized) rebuild at next use beats entry-wise patching.
-        self._drop_inter(node_id)
-        self._mark_inter_dirty(affected, node_id)
-        if old_neighbors:
-            still = dict.fromkeys(new_neighbors)
-            for a in old_neighbors:
-                if a not in still:
-                    self._evict_pair(self._pair_key(node_id, a))
 
     def candidate_receivers(self, sender: int) -> List[Tuple[int, float]]:
         """(receiver, mean gain dB) pairs reachable from ``sender``, in
         candidate order: a fresh list read off the sender's batch."""
         if not self._finalized:
             self.finalize()
-        batch = self._ensure_batch(sender)
+        batch = self._soa.get(sender)
         if batch is None:
             return []
         return list(zip(batch.rid_list, batch.mean_gain.tolist()))
@@ -988,8 +571,7 @@ class FastRadioMedium(RadioMedium):
         for tx in active:
             if tx.sender == node_id:
                 continue
-            batch = self._ensure_batch(tx.sender)
-            if batch is not None and node_id in batch.cca_heard:
+            if node_id in self._soa[tx.sender].cca_heard:
                 return False
         return True
 
@@ -1008,19 +590,12 @@ class FastRadioMedium(RadioMedium):
         ``rid_dense`` index.  Entries beyond the interferer's spatial reach
         — and the interferer's own receiver slot — are exactly 0; ``None``
         means every receiver is out of reach.  Gains include the mean-field
-        fading corrections (see DESIGN.md §9).  The cache nests per
-        interferer so structural events invalidate one node's vectors in
-        O(1) (see the incremental-maintenance section).
+        fading corrections (see DESIGN.md §9).
         """
-        dirty = self._inter_dirty.pop(oid, None)
-        if dirty and oid in self._inter_cache:
-            for rid in dirty:
-                self._patch_inter(oid, rid)
-        by_oid = self._inter_cache.get(oid)
-        if by_oid is not None:
-            cached = by_oid.get(power_dbm, _MISSING)
-            if cached is not _MISSING:
-                return cached
+        key = (oid, power_dbm)
+        cached = self._inter_cache.get(key, _MISSING)
+        if cached is not _MISSING:
+            return cached
         opos = self.channel.positions.get(oid)
         out: Any = None
         if opos is not None and self._dense_ids:
@@ -1049,11 +624,8 @@ class FastRadioMedium(RadioMedium):
                                 extra += self._bimodal_mean_extra_db
                         dense[j] = 10.0 ** ((power_dbm + gain + extra) / 10.0)
                     out = dense
-        if self._inter_cache_entries < _INTER_CACHE_MAX:
-            if by_oid is None:
-                by_oid = self._inter_cache[oid] = {}
-            by_oid[power_dbm] = out
-            self._inter_cache_entries += 1
+        if len(self._inter_cache) < _INTER_CACHE_MAX:
+            self._inter_cache[key] = out
         return out
 
     # ------------------------------------------------------------------
@@ -1072,10 +644,8 @@ class FastRadioMedium(RadioMedium):
         if not self._finalized:
             self.finalize()
         sender_id = tx.sender
-        if sender_id not in self._participants:
-            return  # sender detached (crashed) mid-flight: the frame dies with it
-        batch = self._ensure_batch(sender_id)
-        if batch is None or batch.n == 0:
+        batch = self._soa[sender_id]
+        if batch.n == 0:
             return  # zero-candidate sender: nothing in link-budget reach
         overlapping = self._overlapping(tx)
         t = tx.end

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.invariants import InvariantChecker
     from repro.faults.schedule import FaultSchedule
     from repro.obs.stream import TelemetrySampler
-    from repro.sim.mobility import MobilityConfig, WaypointMobility
 
 #: Protocols the harness knows how to build.  The CTP variants and "geo"
 #: share the estimator engine (with different presets); "mhlqi" is its own
@@ -103,11 +102,6 @@ class SimConfig:
     #: contract) or "fast" (:class:`~repro.sim.medium_fast.FastRadioMedium`,
     #: vectorized + spatially culled, distribution-equivalent; DESIGN.md §9).
     medium: str = "exact"
-    #: Mobility: a preset name ("pedestrian"/"vehicular"), a path to a
-    #: JSON config file, or a :class:`~repro.sim.mobility.MobilityConfig`.
-    #: ``None`` = static network (no mobility machinery is constructed,
-    #: and runs stay bit-identical to pre-mobility builds).
-    mobility: Optional[Union[str, "MobilityConfig"]] = None
     #: Live telemetry (DESIGN.md §10): emit an incremental metrics snapshot
     #: every this many simulated seconds.  ``None`` = off (the streaming
     #: machinery is never constructed, so plain runs pay nothing).
@@ -159,14 +153,6 @@ class SimConfig:
                 raise ValueError(
                     f"faults must be a preset name, JSON path or FaultSchedule: "
                     f"{self.faults!r}"
-                )
-        if self.mobility is not None and not isinstance(self.mobility, str):
-            from repro.sim.mobility import MobilityConfig
-
-            if not isinstance(self.mobility, MobilityConfig):
-                raise ValueError(
-                    f"mobility must be a preset name, JSON path or MobilityConfig: "
-                    f"{self.mobility!r}"
                 )
 
 
@@ -244,12 +230,6 @@ class CollectionNetwork:
         self.medium.finalize()
         self._schedule_boot()
         self._schedule_tree_sampling()
-        #: Waypoint-mobility driver (``None`` for static runs — built after
-        #: boot scheduling so mobility-off runs schedule nothing new and
-        #: stay bit-identical).
-        self.mobility: Optional["WaypointMobility"] = None
-        if config.mobility is not None:
-            self._build_mobility()
         if self.fault_injector is not None:
             self.fault_injector.arm()
         if config.check_invariants:
@@ -401,23 +381,6 @@ class CollectionNetwork:
             rng=self.rng,
         )
         self.fault_injector = FaultInjector(self, schedule)
-
-    def _build_mobility(self) -> None:
-        # Local imports: mobility is opt-in dynamics; static runs never
-        # construct (or pay for) any of it.
-        from repro.sim.mobility import WaypointMobility, resolve_mobility
-
-        assert self.config.mobility is not None
-        self.mobility = WaypointMobility(
-            engine=self.engine,
-            medium=self.medium,
-            rng=self.rng,
-            node_ids=self.topology.node_ids(),
-            roots=self.roots,
-            config=resolve_mobility(self.config.mobility),
-            duration_s=self.config.duration_s,
-        )
-        self.mobility.start()
 
     def _build_telemetry(self) -> None:
         # Local imports: telemetry is opt-in observability layered on top of

@@ -7,18 +7,14 @@ a uniform grid whose cell size equals the query radius, so a radius query
 touches at most the 3×3 block of cells around the origin: O(N·k) total
 candidate construction for k nodes within link-budget range.
 
-The index is incrementally maintainable: :meth:`add`, :meth:`remove` and
-:meth:`move` re-bucket a single node in O(1), so mobility (waypoint steps)
-and membership churn (crash/reboot) never force a rebuild.  A moved grid
-answers every query identically to a freshly built one over the same
-positions.
+The index is built once, at the medium's set-up, over the positions of
+every participant; the medium is static after that (DESIGN.md §9).
 
 The index is deliberately dumb and deterministic: query results are sorted
 by node id, ties cannot occur, and nothing here draws randomness, so two
 builds over the same positions are identical (the determinism contract in
 DESIGN.md §2 extends to candidate enumeration order).  Bucket *contents*
-are insertion-ordered, but every query sorts its output, so incremental
-mutation history cannot leak into results.
+are insertion-ordered, but every query sorts its output.
 """
 
 from __future__ import annotations
@@ -30,64 +26,21 @@ Position = Tuple[float, float]
 
 
 class SpatialGrid:
-    """Fixed-radius neighbor queries over mutable 2-D positions."""
+    """Fixed-radius neighbor queries over fixed 2-D positions."""
 
     def __init__(self, positions: Mapping[int, Position], radius_m: float) -> None:
         if radius_m <= 0.0:
             raise ValueError(f"radius must be positive: {radius_m}")
         self.radius_m = radius_m
-        self._inv = 1.0 / radius_m
         self._positions: Dict[int, Position] = dict(positions)
         self._cells: Dict[Tuple[int, int], List[int]] = {}
-        inv = self._inv
+        inv = 1.0 / radius_m
         for nid, (x, y) in self._positions.items():
             key = (math.floor(x * inv), math.floor(y * inv))
             self._cells.setdefault(key, []).append(nid)
 
     def __len__(self) -> int:
         return len(self._positions)
-
-    def __contains__(self, nid: int) -> bool:
-        return nid in self._positions
-
-    def position(self, nid: int) -> Position:
-        return self._positions[nid]
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    def _cell_key(self, x: float, y: float) -> Tuple[int, int]:
-        return (math.floor(x * self._inv), math.floor(y * self._inv))
-
-    def add(self, nid: int, pos: Position) -> None:
-        """Insert a node in O(1).  Raises on a duplicate id."""
-        if nid in self._positions:
-            raise ValueError(f"node {nid} already indexed")
-        self._positions[nid] = pos
-        self._cells.setdefault(self._cell_key(pos[0], pos[1]), []).append(nid)
-
-    def remove(self, nid: int) -> None:
-        """Remove a node in O(bucket).  Raises on an unknown id."""
-        x, y = self._positions.pop(nid)
-        key = self._cell_key(x, y)
-        bucket = self._cells[key]
-        bucket.remove(nid)
-        if not bucket:
-            del self._cells[key]
-
-    def move(self, nid: int, x: float, y: float) -> None:
-        """Update a node's position, re-bucketing only on a cell change."""
-        old_x, old_y = self._positions[nid]
-        self._positions[nid] = (x, y)
-        old_key = self._cell_key(old_x, old_y)
-        new_key = self._cell_key(x, y)
-        if new_key == old_key:
-            return
-        bucket = self._cells[old_key]
-        bucket.remove(nid)
-        if not bucket:
-            del self._cells[old_key]
-        self._cells.setdefault(new_key, []).append(nid)
 
     def neighbors(self, nid: int, exclude_self: bool = True) -> List[int]:
         """Node ids within ``radius_m`` of ``nid``, sorted ascending."""
@@ -116,49 +69,6 @@ class SpatialGrid:
                         out.append(other)
         out.sort()
         return out
-
-    def same_cell(self, nid: int, x: float, y: float) -> bool:
-        """True when moving ``nid`` to ``(x, y)`` keeps it in its current cell."""
-        ox, oy = self._positions[nid]
-        return self._cell_key(ox, oy) == self._cell_key(x, y)
-
-    def neighbors_two_points(
-        self, x0: float, y0: float, x1: float, y1: float, exclude: object = None
-    ) -> Tuple[List[int], List[int]]:
-        """Neighbor lists of two same-cell points in one bucket scan.
-
-        A mobility step is far smaller than a cell, so the before/after
-        positions of a move usually share a cell — and then the same 3×3
-        block covers the query radius of both.  One pass over the buckets
-        with two distance filters costs roughly half of two separate
-        ``neighbors_of_point`` calls while returning identical lists.
-        """
-        cx, cy = self._cell_key(x0, y0)
-        if (cx, cy) != self._cell_key(x1, y1):
-            raise ValueError("neighbors_two_points requires points in the same cell")
-        r2 = self.radius_m * self.radius_m
-        out0: List[int] = []
-        out1: List[int] = []
-        cells = self._cells
-        positions = self._positions
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                bucket = cells.get((gx, gy))
-                if bucket is None:
-                    continue
-                for other in bucket:
-                    if other == exclude:
-                        continue
-                    ox, oy = positions[other]
-                    dx, dy = ox - x0, oy - y0
-                    if dx * dx + dy * dy <= r2:
-                        out0.append(other)
-                    dx, dy = ox - x1, oy - y1
-                    if dx * dx + dy * dy <= r2:
-                        out1.append(other)
-        out0.sort()
-        out1.sort()
-        return out0, out1
 
     def pairs(self) -> Iterable[Tuple[int, int]]:
         """All unordered in-range pairs ``(a, b)`` with ``a < b`` (sorted)."""

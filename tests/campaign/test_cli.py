@@ -286,21 +286,6 @@ def test_no_profile_table_without_profile_events(tmp_path, capsys):
     assert "[profile]" not in capsys.readouterr().err
 
 
-def test_mobility_preset_and_inline_object_run_on_fast_medium(tmp_path, capsys):
-    inline = {
-        "speed_min_mps": 1.0, "speed_max_mps": 2.0, "pause_mean_s": 5.0,
-        "update_period_s": 2.0, "fraction_mobile": 0.5,
-    }
-    spec_doc = _collection_spec(medium="fast")
-    spec_doc["axes"]["mobility"] = ["pedestrian", inline]
-    spec = _write_spec(tmp_path, spec_doc)
-    assert _main(["run", str(spec), "--out", "-"], tmp_path) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["n_failed"] == 0
-    assert [p["params"]["mobility"] for p in doc["points"]] == ["pedestrian", inline]
-    assert all(p["summary"]["offered"] > 0 for p in doc["points"])
-
-
 def test_failed_point_writes_summary_and_exits_nonzero(tmp_path, capsys):
     from repro.campaign.cli import EXIT_FAILED
 
@@ -353,6 +338,11 @@ def test_malformed_campaign_files_are_spec_errors_naming_the_key(tmp_path, capsy
     }
     sample = dict(tune, mode="random", samples=4)
     no_kind = {k: v for k, v in tune.items() if k != "kind"}
+    coll = _collection_spec()
+    coll_random = {
+        "campaign": "bad", "kind": "collection", "mode": "random", "samples": 2,
+        "ranges": {"alpha_outr": {"lo": 0.1, "hi": 0.9}},
+    }
     cases = [
         (no_kind, "'kind'"),
         (dict(tune, ranges={"x0": {"hi": 1.0}}), "'lo'"),
@@ -367,6 +357,11 @@ def test_malformed_campaign_files_are_spec_errors_naming_the_key(tmp_path, capsy
         (dict(tune, ranges=[]), "'ranges'"),
         (dict(tune, base=5), "'base'"),
         ({"campaign": "bad", "kind": "synthetic", "axes": {"x0": 1.0}}, "'x0'"),
+        # Collection parameter names are checked at load, before any point runs.
+        (dict(coll, base=dict(coll["base"], mobilty="pedestrian")), "'mobilty'"),
+        (dict(coll, axes={"seeed": [1, 2]}), "'seeed'"),
+        (coll_random, "'alpha_outr'"),
+        (dict(coll, base=dict(coll["base"], mobility="pedestrian")), "'mobility' was removed"),
     ]
     for i, (doc, key) in enumerate(cases):
         spec = _write_spec(tmp_path, doc, name=f"bad{i}.json")

@@ -163,10 +163,9 @@ def test_scenario_files_are_digested_by_content(tmp_path, capsys):
     from repro.faults.schedule import FaultSchedule, NodeCrash
 
     faults = tmp_path / "faults.json"
-    mobility = tmp_path / "mobility.json"
     doc = {
         "campaign": "scenario-files", "kind": "collection", "mode": "grid",
-        "base": {"faults": str(faults), "mobility": str(mobility)}, "axes": {"seed": [1]},
+        "base": {"faults": str(faults)}, "axes": {"seed": [1]},
     }
 
     def load_point():
@@ -174,28 +173,21 @@ def test_scenario_files_are_digested_by_content(tmp_path, capsys):
         return point
 
     FaultSchedule((NodeCrash(at_s=60.0, node=3),)).to_json_file(faults)
-    mobility.write_text(json.dumps({"speed_min_mps": 1.0, "speed_max_mps": 2.0}))
     first = load_point()
     assert first.param_dict()["faults"] == FaultSchedule((NodeCrash(at_s=60.0, node=3),))
-    # The same paths with new content are a new run, not a stale cache hit.
+    # The same path with new content is a new run, not a stale cache hit.
     FaultSchedule((NodeCrash(at_s=90.0, node=3),)).to_json_file(faults)
-    after_faults = load_point()
-    assert after_faults.digest() != first.digest()
-    mobility.write_text(json.dumps({"speed_min_mps": 1.0, "speed_max_mps": 3.0}))
-    assert load_point().digest() != after_faults.digest()
+    assert load_point().digest() != first.digest()
     # An inline object is the same scenario as the file that holds it.
-    doc["base"]["mobility"] = json.loads(mobility.read_text())
     doc["base"]["faults"] = json.loads(faults.read_text())
-    assert load_point() == SimulationSpec.make(
-        "collection", faults=str(faults), mobility=str(mobility), seed=1
-    )
+    assert load_point() == SimulationSpec.make("collection", faults=str(faults), seed=1)
 
     # An unknown preset or a missing file fails the spec at load time.
-    for key, value in (("faults", "no_such_preset"), ("mobility", str(tmp_path / "gone.json"))):
-        bad = dict(doc, base={key: value})
-        path = tmp_path / f"bad-{key}.json"
+    for name, value in (("preset", "no_such_preset"), ("file", str(tmp_path / "gone.json"))):
+        bad = dict(doc, base={"faults": value})
+        path = tmp_path / f"bad-{name}.json"
         path.write_text(json.dumps(bad))
-        state = tmp_path / f"state-{key}"
+        state = tmp_path / f"state-{name}"
         code = main(["run", str(path), "--state-dir", str(state),
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 1

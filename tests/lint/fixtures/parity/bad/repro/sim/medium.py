@@ -7,7 +7,7 @@ class RadioMedium:
         return self.channel.path_loss_db(node)
 
     def finalize(self):
-        return self.channel.gain_db + self.channel.temporal_sigma_db
+        return self.channel.gain_db + self.channel.mean_gain_db + self.channel.temporal_sigma_db
 
     def candidate_receivers(self, tx):
         return []

@@ -1,5 +1,6 @@
 """P001 fixture (bad): misses the ``candidate_receivers`` override and the
-``channel.temporal_sigma_db`` read (``channel.gain_db`` is allowlisted).
+``channel.temporal_sigma_db`` read (``channel.gain_db`` and
+``channel.mean_gain_db`` are allowlisted).
 
 Expected findings (2): one method-parity, one surface-parity.
 """
@@ -8,8 +9,5 @@ from repro.sim.medium import RadioMedium
 
 
 class FastRadioMedium(RadioMedium):
-    def attach(self, node):
-        return self.channel.path_loss_db(node)
-
     def finalize(self):
         return 0.0

@@ -5,11 +5,8 @@ class RadioMedium:
     def attach(self, node):
         return self.channel.path_loss_db(node)
 
-    def detach(self, node):
-        return None
-
     def finalize(self):
-        return self.channel.gain_db + self.white_bit_policy.threshold
+        return self.channel.gain_db + self.channel.mean_gain_db + self.white_bit_policy.threshold
 
     def channel_clear(self, node):
         return self.config.noise_floor_dbm

@@ -1,17 +1,11 @@
 """P001 fixture (good): overrides every public method except the
-allowlisted inherited three; consumes every surface except the
-allowlisted-divergent ``channel.gain_db``."""
+allowlisted inherited ones; consumes every surface except the
+allowlisted-divergent ``channel.gain_db`` and ``channel.mean_gain_db``."""
 
 from repro.sim.medium import RadioMedium
 
 
 class FastRadioMedium(RadioMedium):
-    def attach(self, node):
-        return self.channel.path_loss_db(node)
-
-    def detach(self, node):
-        return None
-
     def finalize(self):
         return self.white_bit_policy.threshold
 

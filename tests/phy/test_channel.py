@@ -209,23 +209,3 @@ def test_per_pair_draws_match_fresh_named_streams():
     assert 0 < members < len(pairs)  # both bimodal branches exercised
     # Only the stateful per-pair streams are interned.
     assert {key[0] for key in ch._rng._streams} == {"ou", "bimodal-dwell"}
-
-
-def test_mean_key_index_is_built_on_first_move():
-    ch = make_channel()
-    before = {key: ch.mean_gain_db(*key) for key in [(0, 1), (0, 2), (1, 2)]}
-    # Only update_position reads the node -> key index: none until a move.
-    assert ch._mean_keys_by_node is None
-    ch.update_position(1, (4.0, 3.0))
-    assert ch._mean_keys_by_node is not None
-    # Node 1's pairs re-derive from the new distance; (0, 2) stays cached.
-    assert set(ch._mean_gain) == {(0, 2)}
-    moved = ChannelModel(
-        {0: (0.0, 0.0), 1: (4.0, 3.0), 2: (0.0, 25.0)}, RngManager(5), shadowing_sigma_db=3.0
-    )
-    for key in [(0, 1), (1, 2)]:
-        assert ch.mean_gain_db(*key) == moved.mean_gain_db(*key) != before[key]
-    # From the first move on the index is kept eagerly: the re-derived
-    # pairs are indexed, so a second move of node 0 drops (0, 1) and (0, 2).
-    ch.update_position(0, (1.0, 1.0))
-    assert set(ch._mean_gain) == {(1, 2)}

@@ -194,7 +194,7 @@ def test_default_factory_is_named_not_repred(monkeypatch):
 def test_production_closure_reaches_type_checking_roots():
     events = ("NodeCrash", "NodeReboot", "LinkBlackout", "QualityShift", "InterferenceBurst")
     expected = {f"repro.faults.schedule.{name}" for name in ("FaultSchedule",) + events}
-    expected |= {"repro.sim.mobility.MobilityConfig", "repro.phy.radio.RadioParams"}
+    expected |= {"repro.phy.radio.RadioParams"}
     assert expected <= set(schema_closure())
 
 

@@ -1,11 +1,8 @@
-"""Per-pair channel draws keep no generator alive, and both fast-medium
-batch builders agree.
+"""Per-pair channel draws keep no generator alive.
 
 Static shadowing, the OU initial value and bimodal membership are drawn
 once per pair through ``RngManager.once``; only the stateful per-pair
-streams (``"ou"``, ``"bimodal-dwell"``) are interned.  ``finalize()`` and
-``_build_batch`` share one row builder, so a batch built at finalize must
-equal one rebuilt from scratch for the same sender.  ``finalize()`` draws
+streams (``"ou"``, ``"bimodal-dwell"``) are interned.  ``finalize()`` draws
 every in-reach pair's shadowing in one batch, which must equal the scalar
 per-pair path bit for bit; an exact-medium run never loads numpy.
 """
@@ -66,31 +63,6 @@ def test_one_shot_pair_draws_are_not_interned(medium):
         assert set(channel_keys) <= {"ou", "bimodal-dwell"}
 
 
-def test_finalize_batches_equal_fresh_builds():
-    net = city_network("fast")
-    medium = net.medium
-    pair_slot = medium._pair_slot
-    # finalize numbers slots sequentially, in first-contact order.
-    assert sorted(pair_slot.values()) == list(range(len(pair_slot)))
-    slots_before = dict(pair_slot)
-    senders = sorted(medium._participants)
-    assert sum(medium._soa[sid].n for sid in senders) > N_NODES * 10
-    for sid in senders:
-        built = medium._soa.pop(sid)
-        candidates = list(zip(built.rid_list, built.mean_gain.tolist()))
-        fresh = medium._build_batch(sid)
-        assert fresh is not built
-        assert fresh.rid_list == built.rid_list
-        assert fresh.receivers == built.receivers
-        for name in ("mean_gain", "noise_mw", "noise_db", "rid_dense", "pair_idx", "mod_ids"):
-            assert np.array_equal(getattr(fresh, name), getattr(built, name)), name
-        assert fresh.mod_uniform == built.mod_uniform
-        assert fresh.cca_heard == built.cca_heard
-        assert medium.candidate_receivers(sid) == candidates
-    # Rebuilding re-used every finalize-time slot: no fresh state drawn.
-    assert medium._pair_slot == slots_before
-
-
 def test_finalize_prefills_every_in_reach_pair_bitwise():
     net = city_network("fast", n_nodes=150)
     channel, medium = net.channel, net.medium
@@ -115,8 +87,6 @@ def test_finalize_prefills_every_in_reach_pair_bitwise():
     for a, b in sorted(pairs):
         assert channel._mean_gain[a, b].hex() == fresh.mean_gain_db(b, a).hex()
         assert channel._shadowing[a, b].hex() == fresh._shadowing[a, b].hex()
-    # A static network never builds the mobility key index.
-    assert channel._mean_keys_by_node is None
 
 
 def test_exact_medium_run_never_imports_numpy():

@@ -99,6 +99,18 @@ def test_attach_after_finalize_reopens(medium_cls):
     assert late.received
 
 
+@pytest.mark.parametrize("medium_cls", [RadioMedium, FastRadioMedium])
+def test_attach_after_finalize_without_position_raises(medium_cls):
+    _, medium, _ = build(medium_cls, GRID9)
+    with pytest.raises(RuntimeError, match="no channel position"):
+        medium.attach(Listener(99))
+    # Nothing was half-registered by the failed attach.
+    assert 99 not in medium._participants
+    medium.channel.add_position(99, (27.0, 27.0))
+    medium.attach(Listener(99))
+    assert any(rid == 99 for rid, _ in medium.candidate_receivers(8))
+
+
 # ----------------------------------------------------------------------
 # _prune_recent horizon bound on long sparse runs
 # ----------------------------------------------------------------------

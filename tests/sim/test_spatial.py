@@ -80,99 +80,15 @@ def test_len():
     assert len(SpatialGrid(random_positions(17, 1), 10.0)) == 17
 
 
-# ----------------------------------------------------------------------
-# Incremental maintenance (add/remove/move)
-# ----------------------------------------------------------------------
-def test_add_remove_roundtrip_matches_fresh_build():
-    positions = random_positions(60, 11)
-    index = SpatialGrid(positions, 45.0)
-    index.add(999, (150.0, 150.0))
-    extended = {**positions, 999: (150.0, 150.0)}
-    fresh = SpatialGrid(extended, 45.0)
-    for nid in extended:
-        assert index.neighbors(nid) == fresh.neighbors(nid)
-    index.remove(999)
-    back = SpatialGrid(positions, 45.0)
-    for nid in positions:
-        assert index.neighbors(nid) == back.neighbors(nid)
-
-
-def test_add_duplicate_and_remove_unknown_raise():
-    index = SpatialGrid({0: (0.0, 0.0)}, 5.0)
-    with pytest.raises(ValueError):
-        index.add(0, (1.0, 1.0))
-    with pytest.raises(KeyError):
-        index.remove(42)
-
-
-def test_moved_grid_equals_fresh_build():
-    """A long random walk of move() calls must leave no history behind:
-    every query answers exactly like a grid built from the final layout."""
-    positions = random_positions(80, 13)
-    index = SpatialGrid(positions, 45.0)
-    walk = Random(99)
-    current = dict(positions)
-    for _ in range(500):
-        nid = walk.randrange(80)
-        x = walk.uniform(-50, 350)  # crosses cell borders and goes negative
-        y = walk.uniform(-50, 350)
-        index.move(nid, x, y)
-        current[nid] = (x, y)
-    fresh = SpatialGrid(current, 45.0)
-    for nid in current:
-        assert index.position(nid) == current[nid]
-        assert index.neighbors(nid) == fresh.neighbors(nid)
-
-
 def test_duplicate_positions_coexist():
     index = SpatialGrid({0: (7.0, 7.0), 1: (7.0, 7.0), 2: (7.0, 7.0)}, 1.0)
     assert index.neighbors(0) == [1, 2]
-    index.move(1, 7.0, 7.0)  # no-op move onto its own spot
-    assert index.neighbors(0) == [1, 2]
-    index.remove(1)
-    assert index.neighbors(0) == [2]
 
 
-def test_move_onto_cell_boundary():
-    index = SpatialGrid({0: (4.0, 4.0), 1: (12.0, 4.0)}, 10.0)
-    index.move(0, 10.0, 10.0)  # exactly on a cell corner (10/10 = cell 1)
-    assert index.position(0) == (10.0, 10.0)
+def test_node_on_cell_corner():
+    index = SpatialGrid({0: (10.0, 10.0), 1: (12.0, 4.0)}, 10.0)  # 10/10 = cell 1
     assert index.neighbors(1) == [0]
     assert index.neighbors_of_point(10.0, 10.0, exclude=0) == [1]
-
-
-# ----------------------------------------------------------------------
-# Two-point queries (mobility fast path)
-# ----------------------------------------------------------------------
-def test_same_cell_detects_boundary_crossings():
-    index = SpatialGrid({0: (5.0, 5.0)}, 10.0)
-    assert index.same_cell(0, 9.9, 9.9)
-    assert not index.same_cell(0, 10.0, 5.0)  # floor(10/10) = next cell
-    assert not index.same_cell(0, 5.0, -0.1)
-
-
-def test_neighbors_two_points_matches_two_single_queries():
-    positions = random_positions(150, 17)
-    index = SpatialGrid(positions, 45.0)
-    probe = Random(5)
-    checked = 0
-    while checked < 25:
-        x0 = probe.uniform(0, 300)
-        y0 = probe.uniform(0, 300)
-        x1 = x0 + probe.uniform(-3, 3)
-        y1 = y0 + probe.uniform(-3, 3)
-        if index._cell_key(x0, y0) != index._cell_key(x1, y1):
-            continue
-        checked += 1
-        out0, out1 = index.neighbors_two_points(x0, y0, x1, y1, exclude=3)
-        assert out0 == index.neighbors_of_point(x0, y0, exclude=3)
-        assert out1 == index.neighbors_of_point(x1, y1, exclude=3)
-
-
-def test_neighbors_two_points_rejects_cross_cell_pairs():
-    index = SpatialGrid({0: (0.0, 0.0)}, 10.0)
-    with pytest.raises(ValueError):
-        index.neighbors_two_points(5.0, 5.0, 15.0, 5.0)
 
 
 # ----------------------------------------------------------------------
@@ -215,14 +131,7 @@ _COORD = st.one_of(
 @given(
     points=st.dictionaries(st.integers(0, 10**6), st.tuples(_COORD, _COORD), max_size=60),
     radius=st.sampled_from([5.0, 2.5, 0.7, 40.0]),
-    moves=st.lists(st.tuples(st.integers(0, 59), _COORD, _COORD), max_size=8),
 )
-def test_pair_arrays_equal_pairs(points, radius, moves):
+def test_pair_arrays_equal_pairs(points, radius):
     index = SpatialGrid(points, radius)
-    assert joined_pairs(index) == list(index.pairs())
-    # Incremental maintenance: a moved grid joins like a fresh one.
-    ids = sorted(points)
-    for k, x, y in moves:
-        if ids:
-            index.move(ids[k % len(ids)], x, y)
     assert joined_pairs(index) == list(index.pairs())
