@@ -24,8 +24,8 @@ mode writes one summary shape (the points, plus the ``best`` point when the
 file names an ``objective``), and ``optimize`` adds its per-round
 ``history``.  A ``collection`` spec's ``faults`` takes a preset name
 (examples/chaos_reboot_storm.json), a JSON file or an inline object, and a
-file whose parameter names no run accepts fails at load.  Points that set ``profile_events`` add a ``[profile]`` table to
-the report.  Base params ``telemetry_period_s`` and ``telemetry_path``
+file whose parameter names no run accepts fails at load.  Points that set
+``profile_events`` add a ``[profile]`` table to the report.  Base params ``telemetry_period_s`` and ``telemetry_path``
 stream each run's telemetry, and ``--telemetry`` adds the sweep and
 campaign records (see examples/live_telemetry.json); a point served from
 the cache never runs, so it streams no run records.  To drop every cached

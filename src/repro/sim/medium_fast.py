@@ -469,12 +469,11 @@ class FastRadioMedium(RadioMedium):
         Entry ``i`` goes from local node ``snd[i]`` to ``rcv[i]`` over the
         pair ``pair[i]`` of mean gain ``gain[i]``.  One stable argsort
         orders the entries by sender, then by the receiver's dense rank, so
-        candidate lists keep
-        the exact path's enumeration order.  A receiver is a candidate
-        when its mean SNR ``(ptx + g) − noise_floor`` clears the cutoff;
-        a node hears the sender's carrier when ``ptx + g`` clears its CCA
-        threshold (mean-field CCA — see the class docstring's equivalence
-        contract).  Both are the scalar tests' own float operations.
+        candidate lists keep the exact path's enumeration order.  A
+        receiver is a candidate when its mean SNR ``(ptx + g) − noise_floor``
+        clears the cutoff; a node hears the sender's carrier when
+        ``ptx + g`` clears its CCA threshold (mean-field CCA — see the class
+        docstring's equivalence contract).  Both are the scalar tests' own float operations.
         """
         key = snd.astype(np.int64)
         key *= nodes.n_rank

@@ -14,7 +14,6 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
