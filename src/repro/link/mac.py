@@ -157,12 +157,13 @@ class Mac:
         # themselves; ``TraceMedium`` still delivers every decode, so a frame
         # for another node is dropped here.  An ack for another node falls
         # into the same early return — ``_handle_ack`` would discard it
-        # without side effects anyway.
+        # without side effects anyway.  A crashed MAC hears nothing, so it
+        # writes no ``rx`` record either.
+        if not self.enabled:
+            return
         probe = self.probe
         if probe is not None and not frame.is_ack:
             probe.rx(self.node_id, frame, info)
-        if not self.enabled:
-            return
         dst = frame.dst
         if dst == self.node_id:
             if isinstance(frame, AckFrame):

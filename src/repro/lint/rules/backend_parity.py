@@ -53,7 +53,7 @@ PARITY_INHERITED: Dict[str, str] = {
 #: Collaborator reads the fast backend intentionally replaces.
 PARITY_DIVERGENT_SURFACE: Dict[str, str] = {
     "channel.gain_db": "instantaneous gain is reimplemented by the repro.phy.vector kernels",
-    "channel.mean_gain_db": "mean gains come in batches from prefill_mean_gains and mean_gain_many, the scalar formula term for term",
+    "channel.mean_gain_db": "set-up reads every in-reach pair's mean gain as one array from channel.mean_gains, the scalar formula term for term",
 }
 
 

@@ -12,7 +12,7 @@ directions of a link comes from per-node hardware variation (transmit
 power and noise-floor offsets, see :mod:`repro.phy.radio`), matching the
 measurement literature the paper cites.
 
-This module sits on the simulator's hottest path (one gain query per
+This module sits on the exact medium's hottest path (one gain query per
 candidate reception and per overlapping interferer), so per-pair state is
 organized for cheap repeated queries: the time-invariant gain is cached
 per pair, each OU / Gilbert state object carries its own pre-bound RNG
@@ -22,22 +22,24 @@ of their keys, so they cannot change simulated results — the determinism
 contract in DESIGN.md relies on this.  Per-pair values drawn once (static
 shadowing, the OU initial value, bimodal membership and initial state)
 come from :meth:`RngManager.once`, which reproduces a fresh named
-stream's first draws without keeping a generator per pair alive.
+stream's first draws without keeping a generator per pair alive.  The
+fast medium asks for every in-reach pair's mean gain at once
+(:meth:`ChannelModel.mean_gains`) and keeps the values in its own pair
+arrays, so on that backend these caches stay empty.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.sim.rng import RngManager
 
 Position = Tuple[float, float]
 
-#: Pairs per batched shadowing draw in :meth:`ChannelModel.prefill_mean_gains`.
+#: Pairs per batched shadowing draw in :meth:`ChannelModel.mean_gains`.
 _PREFILL_CHUNK = 32768
 
 #: Sentinel distinguishing "not yet decided" from "decided: not bimodal".
@@ -248,95 +250,53 @@ class ChannelModel:
         """Time-invariant part of the gain (path loss + static shadowing)."""
         return self._mean_for(self._pair(a, b), a, b)
 
-    def mean_gain_many(self, a: int, rids: Sequence[int]) -> List[float]:
-        """Batched :meth:`mean_gain_db`: gains from ``a`` to each of ``rids``.
+    def mean_gains(self, a: Any, b: Any) -> Any:
+        """:meth:`mean_gain_db` of many pairs: a float64 array, no cache.
 
-        The fast medium's interference vectors call this after set-up;
-        inlining the per-pair cache probe/fill here pays the call overhead
-        once per vector instead of three frames per pair.  The formula is
-        kept term-for-term identical to the scalar path
-        (:meth:`PathLossModel.loss_db` / :meth:`_static_shadowing_db`), so
-        batched and scalar queries agree bitwise and fill the same caches
-        in the same order.  Set-up itself derives every in-reach pair's gain
-        with :meth:`prefill_mean_gains`.
-        """
-        mean_gain = self._mean_gain
-        positions = self.positions
-        shadowing = self._shadowing
-        pathloss = self.pathloss
-        pl_d0 = pathloss.pl_d0_db
-        ten_n = 10.0 * pathloss.exponent
-        d0 = pathloss.d0_m
-        sigma = self.shadowing_sigma_db
-        rng = self._rng
-        ax, ay = positions[a]
-        out: List[float] = []
-        for b in rids:
-            key = (a, b) if a <= b else (b, a)
-            mean = mean_gain.get(key)
-            if mean is None:
-                bx, by = positions[b]
-                d = math.hypot(ax - bx, ay - by)
-                if d < d0:
-                    d = d0
-                shadow = shadowing.get(key)
-                if shadow is None:
-                    stream = rng.once("shadow", key[0], key[1])
-                    shadow = shadowing[key] = stream.gauss(0.0, sigma)
-                mean = -(pl_d0 + ten_n * math.log10(d / d0)) + shadow
-                mean_gain[key] = mean
-            out.append(mean)
-        return out
-
-    def prefill_mean_gains(self, keys: Sequence[Tuple[int, int]]) -> "array[float]":
-        """Cache the mean gain of every unordered pair in ``keys`` at once.
-
-        The fast medium's set-up: ``keys`` holds each in-reach pair once,
-        as ``(a, b)`` with ``a < b``, and each tuple becomes the one key
-        the pair has in ``_shadowing`` and ``_mean_gain``.  The static
-        shadowing of pairs not yet drawn comes from batched draws,
-        :func:`repro.phy.vector.seeded_gauss` over
+        ``a`` and ``b`` are int arrays of endpoint ids; entry ``k`` is the
+        mean gain between ``a[k]`` and ``b[k]``.  The fast medium's
+        set-up calls this once for every in-reach pair and keeps the
+        result aligned with its pair arrays, so nothing is stored here:
+        ``_shadowing`` and ``_mean_gain`` stay empty, and no key tuple or
+        float object outlives the call.  The static shadowing comes from
+        batched draws, :func:`repro.phy.vector.seeded_gauss` over
         :meth:`RngManager.once_seeds`, which reproduce
-        ``once("shadow", a, b).gauss(0, σ)`` bit for bit; each mean gain
-        uses :meth:`mean_gain_many`'s scalar formula.  The caches then
-        hold exactly what per-pair queries would have put there, in
-        another insertion order, which nothing reads.  Pairs already
-        cached are left as they are.  Returns the mean gains aligned with
-        ``keys``, as a float64 ``array`` (one buffer, no object per gain),
-        so the caller indexes them by pair instead of probing the cache
-        again.  Keys go through in chunks of
-        ``_PREFILL_CHUNK``, so the transient arrays and lists of a draw
-        stay bounded.
+        ``once("shadow", lo, hi).gauss(0, σ)`` bit for bit.  Each gain
+        then uses the scalar path's formula term for term
+        (:meth:`PathLossModel.loss_db`, ``math.hypot`` and
+        ``math.log10`` per pair), not numpy's transcendentals, which may
+        differ in the last bit: the values equal :meth:`mean_gain_db`'s
+        exactly.  Pairs go through in chunks of ``_PREFILL_CHUNK``, so
+        the transient arrays and ints of a draw stay bounded.
         """
         # Imported here: numpy is a fast-medium dependency, and an exact
         # run must not load it (set-up time and memory of small runs).
+        import numpy as np
+
         from repro.phy.vector import seeded_gauss
 
-        mean_gain = self._mean_gain
-        shadowing = self._shadowing
+        lows = np.minimum(a, b)
+        highs = np.maximum(a, b)
         positions = self.positions
         pathloss = self.pathloss
         pl_d0 = pathloss.pl_d0_db
         ten_n = 10.0 * pathloss.exponent
         d0 = pathloss.d0_m
-        sigma = self.shadowing_sigma_db
-        out = array("d", bytes(8 * len(keys)))
-        for lo in range(0, len(keys), _PREFILL_CHUNK):
-            chunk = keys[lo : lo + _PREFILL_CHUNK]
-            fresh = [key for key in chunk if key not in mean_gain]
-            undrawn = [key for key in fresh if key not in shadowing]
-            if undrawn:
-                seeds = self._rng.once_seeds("shadow", undrawn)
-                shadowing.update(zip(undrawn, seeded_gauss(seeds, sigma)))
-            for key in fresh:
-                a, b = key
-                ax, ay = positions[a]
-                bx, by = positions[b]
-                d = math.hypot(ax - bx, ay - by)
+        hypot, log10 = math.hypot, math.log10
+        out = np.empty(lows.size)
+        for lo in range(0, lows.size, _PREFILL_CHUNK):
+            hi = min(lo + _PREFILL_CHUNK, lows.size)
+            one, two = lows[lo:hi].tolist(), highs[lo:hi].tolist()
+            shadow = seeded_gauss(self._rng.once_seeds("shadow", one, two), self.shadowing_sigma_db)
+            gains = []
+            for x, y, s in zip(one, two, shadow.tolist()):
+                ax, ay = positions[x]
+                bx, by = positions[y]
+                d = hypot(ax - bx, ay - by)
                 if d < d0:
                     d = d0
-                mean_gain[key] = -(pl_d0 + ten_n * math.log10(d / d0)) + shadowing[key]
-            out[lo : lo + len(chunk)] = array("d", map(mean_gain.__getitem__, chunk))
+                gains.append(-(pl_d0 + ten_n * log10(d / d0)) + s)
+            out[lo:hi] = gains
         return out
 
     def gain_db(self, a: int, b: int, t: float) -> float:

@@ -41,7 +41,7 @@ are bit-identical to the straightforward expressions they replace
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, Tuple
 
 import numpy as np
 
@@ -257,12 +257,13 @@ _MT_INIT = _mt_init_table()
 _TWOPI = 2.0 * math.pi
 
 
-def seeded_gauss(seeds: Any, sigma: float) -> List[float]:
+def seeded_gauss(seeds: Any, sigma: float) -> Any:
     """``random.Random(seed).gauss(0.0, sigma)`` for every seed, bit for bit.
 
     ``seeds`` is a buffer of little-endian 64-bit seeds — a uint64 array,
     or the bytearray :meth:`repro.sim.rng.RngManager.once_seeds` writes.
-    One array pass replaces a Mersenne Twister reseed per seed
+    Returns the draws as a float64 array aligned with the seeds.  One
+    array pass replaces a Mersenne Twister reseed per seed
     (:func:`_mt_first_uniforms`); the Box–Muller step then uses
     ``math.cos``/``sqrt``/``log`` per seed, as ``random.gauss`` does,
     because numpy's transcendentals may differ in the last bit.  The pass
@@ -271,10 +272,13 @@ def seeded_gauss(seeds: Any, sigma: float) -> List[float]:
     """
     u1, u2 = _mt_first_uniforms(np.frombuffer(seeds, dtype="<u8"))
     cos, sqrt, log = math.cos, math.sqrt, math.log
-    return [
-        0.0 + cos(a * _TWOPI) * sqrt(-2.0 * log(1.0 - b)) * sigma
-        for a, b in zip(u1.tolist(), u2.tolist())
-    ]
+    return np.array(
+        [
+            0.0 + cos(a * _TWOPI) * sqrt(-2.0 * log(1.0 - b)) * sigma
+            for a, b in zip(u1.tolist(), u2.tolist())
+        ],
+        dtype=np.float64,
+    )
 
 
 def _mt_first_uniforms(seeds: Any) -> Tuple[Any, Any]:

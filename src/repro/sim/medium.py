@@ -102,7 +102,8 @@ class MediumParticipant(Protocol):
     to another node, makes every draw and counts in ``deliveries`` like any
     other decode, but is not handed up; when a probe is attached the medium
     itself emits its ``rx`` record (non-ack frames only), where the MAC
-    would have emitted it.
+    would have emitted it, unless the participant's ``enabled`` attribute
+    is false (a crashed MAC, which emits no ``rx`` record either).
     """
 
     node_id: int
@@ -788,7 +789,7 @@ class RadioMedium:
             )
             if addressed:
                 receiver.on_frame_received(frame, info)
-            elif overheard_rx is not None:
+            elif overheard_rx is not None and getattr(receiver, "enabled", True):
                 overheard_rx(rid, frame, info)
 
     def _was_transmitting(self, node_id: int, start: float, end: float) -> bool:

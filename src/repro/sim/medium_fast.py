@@ -16,6 +16,11 @@ the same counters, the same fault overlay) but restructures the hot path:
   interference accumulation to nodes within the link budget's reach, so
   far-away nodes are never enumerated: candidate construction is O(N·k)
   in the number of in-range neighbors k, not O(N²).
+* **Per-pair state in arrays** (DESIGN.md §9).  After ``finalize()``
+  every per-pair value — mean gain, channel-state slot, interference
+  reach — lives in numpy arrays aligned with
+  :meth:`~repro.sim.spatial.SpatialGrid.pair_arrays`' pair order: no
+  tuple, float or dict entry per pair.
 * **Static after set-up** (DESIGN.md §9).  ``finalize()`` is the one
   place that builds batches and per-pair channel-state slots; nothing
   patches them afterwards.  A crashed node stays attached (its MAC is
@@ -225,19 +230,28 @@ class FastRadioMedium(RadioMedium):
         self.shadow_margin_sigmas = shadow_margin_sigmas
         #: sender id → SoA candidate batch (built by :meth:`finalize`).
         self._soa: Dict[int, _SenderBatch] = {}
-        #: unordered pair → slot in the shared channel-state arrays.
-        self._pair_slot: Dict[Tuple[int, int], int] = {}
+        #: Per in-reach pair, in ``SpatialGrid.pair_arrays`` order: the mean
+        #: gain (float64), and the slot in the shared channel-state arrays
+        #: (int32; −1: not a candidate pair).
+        self._pair_gain: Any = None
+        self._slot_by_pair: Any = None
+        #: Interference reach, a CSR over the pair arrays: the entries of
+        #: local node ``u`` (``_node_index``) are ``_reach_start[u]`` up to
+        #: ``_reach_start[u + 1]``, each an in-reach receiver's dense rank
+        #: and the pair's index, in both directions of every pair.
+        self._node_index: Dict[int, int] = {}
+        self._reach_start: List[int] = [0]
+        self._reach_rank: Any = None
+        self._reach_pair: Any = None
         self._ou_x: Any = None
         self._ou_t: Any = None
         self._g_bimodal: Any = None
         self._g_faded: Any = None
         self._g_t: Any = None
-        #: Dense receiver axis: every attached receiver id in attach order,
-        #: plus its coordinates as parallel arrays (built by finalize).
+        #: Dense receiver axis: every attached receiver id in attach order
+        #: (built by finalize).
         self._dense_ids: List[int] = []
         self._dense_index: Dict[int, int] = {}
-        self._dense_x: Any = None
-        self._dense_y: Any = None
         #: (interferer, tx power) → mean interference power in mW at every
         #: dense receiver (or None when none is in reach); built once per
         #: key in O(N) and gathered per batch — see _dense_inter_mw.
@@ -299,11 +313,13 @@ class FastRadioMedium(RadioMedium):
         One array pass over unordered pairs (DESIGN.md §9, "set-up"):
         :meth:`SpatialGrid.pair_arrays` enumerates every in-reach pair
         ``(a, b)``, ``a < b``, by a cell join, and one
-        :meth:`ChannelModel.prefill_mean_gains` call draws every pair's
-        static shadowing in a batch and returns its mean gain.  Each pair
-        then gives its two directed entries to the row builder
-        (:meth:`_rows`), a block of ``_ROW_BLOCK`` senders at a time, so
-        the transient per-entry arrays stay bounded.
+        :meth:`ChannelModel.mean_gains` call draws every pair's static
+        shadowing in a batch and returns its mean gain.  Each pair then
+        gives its two directed entries to the row builder (:meth:`_rows`),
+        a block of ``_ROW_BLOCK`` senders at a time, so the transient
+        per-entry arrays stay bounded.  Every per-pair value the medium
+        keeps afterwards lives in arrays aligned with the pairs (gain,
+        slot, interference reach): no tuple, float or dict entry per pair.
 
         Idempotent like the exact path's ``finalize`` — a second call
         without an interleaving :meth:`attach` is a no-op, so the
@@ -326,12 +342,6 @@ class FastRadioMedium(RadioMedium):
         #: enumeration order so the two backends deliver in the same order.
         self._dense_index = {rid: i for i, rid in enumerate(self._receivers)}
         self._dense_ids = list(self._receivers)
-        self._dense_x = np.asarray(
-            [positions[rid][0] for rid in self._dense_ids], dtype=np.float64
-        )
-        self._dense_y = np.asarray(
-            [positions[rid][1] for rid in self._dense_ids], dtype=np.float64
-        )
         # Every in-reach pair as the local indices of its ends into the
         # sorted participant ids (the grid indexes exactly the
         # participants).  A node's entries as sender are a run of pairs by
@@ -345,18 +355,12 @@ class FastRadioMedium(RadioMedium):
             np.concatenate(([0], np.cumsum(np.bincount(end, minlength=n_nodes)))).tolist()
             for end in (lo, hi)
         ]
-        # Key tuples hold the participants' own id objects (gathered from
-        # an object array, so no int is created per pair): the channel
-        # caches keep every key alive.
-        id_objects = np.array(nodes.id_list, dtype=object)
-        keys = list(zip(id_objects[lo].tolist(), id_objects[hi].tolist()))
-        gains = np.frombuffer(channel.prefill_mean_gains(keys), dtype=np.float64)
+        gains = self._pair_gain = channel.mean_gains(nodes.ids[lo], nodes.ids[hi])
         # Slots are numbered in first-contact order, over candidate entries
         # in (sender, dense) order, and their initial OU / Gilbert state is
         # drawn below in one vectorized call per array.
-        self._pair_slot = {}
-        pair_slot = self._pair_slot
-        slot_of = np.full(len(keys), -1, dtype=np.int32)
+        slot_of = self._slot_by_pair = np.full(lo.size, -1, dtype=np.int32)
+        n_slots = 0
         for s0 in range(0, n_nodes, _ROW_BLOCK):
             s1 = min(s0 + _ROW_BLOCK, n_nodes)
             f0, f1 = lo_start[s0], lo_start[s1]
@@ -372,29 +376,25 @@ class FastRadioMedium(RadioMedium):
             met = rows.pair
             fresh, first = np.unique(met[slot_of[met] < 0], return_index=True)
             fresh = fresh[np.argsort(first)]
-            n_slots = len(pair_slot)
             slot_of[fresh] = np.arange(n_slots, n_slots + fresh.size)
-            # The channel caches' own key tuples, in slot order.
-            pair_slot.update(
-                zip(map(keys.__getitem__, fresh.tolist()), range(n_slots, n_slots + fresh.size))
-            )
+            n_slots += fresh.size
             self._install_rows(nodes, rows, slot_of[met].astype(np.int64), s0, s1)
-        del keys, gains, lo, hi, by_hi, slot_of
+        del by_hi
+        self._install_reach(nodes, lo, hi)
 
-        # ---- shared per-pair channel state (one slot per unordered pair)
-        n_pairs = len(pair_slot)
+        # ---- shared per-pair channel state (one slot per candidate pair)
         if channel.temporal_sigma_db > 0.0:
-            self._ou_x = self._gen_ou_init.standard_normal(n_pairs) * channel.temporal_sigma_db
-            self._ou_t = np.zeros(n_pairs)
+            self._ou_x = self._gen_ou_init.standard_normal(n_slots) * channel.temporal_sigma_db
+            self._ou_t = np.zeros(n_slots)
         else:
             self._ou_x = self._ou_t = None
         if channel.bimodal_fraction > 0.0:
-            membership = self._gen_bimodal_init.random(n_pairs) < channel.bimodal_fraction
+            membership = self._gen_bimodal_init.random(n_slots) < channel.bimodal_fraction
             pi_faded = channel.fade_dwell_s / (channel.fade_dwell_s + channel.good_dwell_s)
-            faded0 = self._gen_bimodal_init.random(n_pairs) < pi_faded
+            faded0 = self._gen_bimodal_init.random(n_slots) < pi_faded
             self._g_bimodal = membership
             self._g_faded = faded0 & membership
-            self._g_t = np.zeros(n_pairs)
+            self._g_t = np.zeros(n_slots)
         else:
             self._g_bimodal = self._g_faded = self._g_t = None
 
@@ -415,6 +415,30 @@ class FastRadioMedium(RadioMedium):
         else:
             self._expected_bimodal_extra_db = 0.0
         self._finalized = True
+
+    def _install_reach(self, nodes: _Nodes, lo: Any, hi: Any) -> None:
+        """Build the interference-reach CSR from the pair arrays.
+
+        Each pair ``k`` gives the entry (``hi[k]``'s dense rank, ``k``) to
+        node ``lo[k]`` and (``lo[k]``'s dense rank, ``k``) to ``hi[k]``;
+        entries whose other end does not receive are dropped.  So a node's
+        entries are exactly the receivers its ``dx*dx + dy*dy <= r2``
+        radius test keeps, itself excluded.
+        """
+        n_nodes = len(nodes.id_list)
+        owner = np.concatenate((lo, hi))
+        rank = nodes.rank[np.concatenate((hi, lo))]
+        pair = np.arange(lo.size, dtype=np.int32)
+        pair = np.concatenate((pair, pair))
+        receives = rank < nodes.n_rank - 1
+        owner = owner[receives]
+        order = np.argsort(owner, kind="stable")
+        self._node_index = dict(zip(nodes.id_list, range(n_nodes)))
+        self._reach_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(owner, minlength=n_nodes)))
+        ).tolist()
+        self._reach_rank = rank[receives][order].astype(np.int32)
+        self._reach_pair = pair[receives][order]
 
     def _nodes(self, id_list: List[int]) -> _Nodes:
         """Row-builder inputs of the nodes ``id_list``, by list position."""
@@ -581,12 +605,13 @@ class FastRadioMedium(RadioMedium):
         """Mean interference power (mW) from ``oid`` at every dense receiver.
 
         One vector per (interferer, tx power) over the full receiver axis,
-        built in O(N) and cached in *linear* milliwatts with the transmit
-        power folded in (powers are fixed after hardware variation, and the
-        power is part of the cache key regardless).  Accumulating one
-        overlapping transmission in the hot path is then a single array
-        add in dense space, followed by one gather through the batch's
-        ``rid_dense`` index.  Entries beyond the interferer's spatial reach
+        built from the interferer's entries in the interference-reach CSR
+        (:meth:`_install_reach`) and cached in *linear* milliwatts with the
+        transmit power folded in (powers are fixed after hardware
+        variation, and the power is part of the cache key regardless).
+        Accumulating one overlapping transmission in the hot path is then a
+        single array add in dense space, followed by one gather through the
+        batch's ``rid_dense`` index.  Entries beyond the interferer's spatial reach
         — and the interferer's own receiver slot — are exactly 0; ``None``
         means every receiver is out of reach.  Gains include the mean-field
         fading corrections (see DESIGN.md §9).
@@ -595,34 +620,36 @@ class FastRadioMedium(RadioMedium):
         cached = self._inter_cache.get(key, _MISSING)
         if cached is not _MISSING:
             return cached
-        opos = self.channel.positions.get(oid)
         out: Any = None
-        if opos is not None and self._dense_ids:
-            ox, oy = opos
-            dx = self._dense_x - ox
-            dy = self._dense_y - oy
-            in_range = np.nonzero(dx * dx + dy * dy <= self._radius_m * self._radius_m)[0]
-            if in_range.size:
-                dense_ids = self._dense_ids
-                pair_slot = self._pair_slot
-                bimodal = self._g_bimodal
-                js = [j for j in in_range.tolist() if dense_ids[j] != oid]
-                if js:
-                    rids = [dense_ids[j] for j in js]
-                    gains = self.channel.mean_gain_many(oid, rids)
-                    dense = np.zeros(len(dense_ids))
-                    for j, rid, gain in zip(js, rids, gains):
-                        extra = self._ou_mean_extra_db
-                        if bimodal is not None:
-                            slot = pair_slot.get(
-                                (oid, rid) if oid <= rid else (rid, oid)
-                            )
-                            if slot is None:
-                                extra += self._expected_bimodal_extra_db
-                            elif bimodal[slot]:
-                                extra += self._bimodal_mean_extra_db
-                        dense[j] = 10.0 ** ((power_dbm + gain + extra) / 10.0)
-                    out = dense
+        u = self._node_index.get(oid)
+        if u is not None and self._reach_start[u] < self._reach_start[u + 1]:
+            r0, r1 = self._reach_start[u], self._reach_start[u + 1]
+            pairs = self._reach_pair[r0:r1]
+            # (p + g + extra) / 10 in the scalar formula's operand order;
+            # the power itself stays a scalar ``10.0 ** x`` per entry.
+            arg = self._pair_gain[pairs]
+            arg += power_dbm
+            ou_extra = self._ou_mean_extra_db
+            bimodal = self._g_bimodal
+            if bimodal is None:
+                arg += ou_extra
+            else:
+                # A candidate pair reads its resolved membership; any other
+                # pair takes the expected-membership correction.
+                slots = self._slot_by_pair[pairs]
+                held = slots >= 0
+                code = np.full(slots.size, 2)
+                code[held] = bimodal[slots[held]]
+                arg += np.array(
+                    (
+                        ou_extra,
+                        ou_extra + self._bimodal_mean_extra_db,
+                        ou_extra + self._expected_bimodal_extra_db,
+                    )
+                )[code]
+            arg /= 10.0
+            out = np.zeros(len(self._dense_ids))
+            out[self._reach_rank[r0:r1]] = [10.0**x for x in arg.tolist()]
         if len(self._inter_cache) < _INTER_CACHE_MAX:
             self._inter_cache[key] = out
         return out
@@ -871,9 +898,10 @@ class FastRadioMedium(RadioMedium):
                 lqi=lqi_list[k],
                 white_bit=white_list[k],
             )
+            receiver = receivers[pos]
             if to_all or rid == dst:
-                receivers[pos].on_frame_received(frame, info)
-            else:
+                receiver.on_frame_received(frame, info)
+            elif getattr(receiver, "enabled", True):
                 overheard_rx(rid, frame, info)
         if prof is not None:
             prof.record_kernel("medium_fast.deliver", perf_counter() - k0)

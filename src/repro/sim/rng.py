@@ -92,22 +92,22 @@ class RngManager:
         scratch.seed(int.from_bytes(h.digest(), "little"))
         return scratch
 
-    def once_seeds(self, name: str, pairs: Sequence[Tuple[int, int]]) -> bytearray:
+    def once_seeds(self, name: str, a: Sequence[int], b: Sequence[int]) -> bytearray:
         """The seeds :meth:`once` gives its generator, for many pairs at once.
 
-        One little-endian 8-byte word per ``(a, b)`` in ``pairs``, in order:
-        word ``k`` is the seed of ``once(name, *pairs[k])``.  Written into a
-        single buffer, so a batched consumer (``repro.phy.vector.
-        seeded_gauss``) reads it as one uint64 array without a Python object
-        per seed.
+        One little-endian 8-byte word per pair, in order: word ``k`` is the
+        seed of ``once(name, a[k], b[k])``.  ``a`` and ``b`` hold Python
+        ints (a numpy array's ``tolist()``).  Written into a single buffer,
+        so a batched consumer (``repro.phy.vector.seeded_gauss``) reads it
+        as one uint64 array without a Python object per seed.
         """
         copy = self._prefix(name).copy
         pack = _TWO_INTS.pack
-        out = bytearray(8 * len(pairs))
+        out = bytearray(8 * len(a))
         at = 0
-        for a, b in pairs:
+        for x, y in zip(a, b):
             h = copy()
-            h.update(pack(b"i", a & _MASK64, b"\x00", b"i", b & _MASK64, b"\x00"))
+            h.update(pack(b"i", x & _MASK64, b"\x00", b"i", y & _MASK64, b"\x00"))
             out[at : at + 8] = h.digest()
             at += 8
         return out

@@ -2,13 +2,15 @@
 
 The medium is static after ``finalize``: a crash sets ``node.crashed`` and
 wipes the node's state, with no medium detach, and a reboot re-attaches
-nothing.  The dead node stays a candidate receiver; its MAC is silent.
+nothing.  The dead node stays a candidate receiver; its MAC is silent,
+and a traced run lists no ``rx`` record at it until it reboots.
 """
 
 import pytest
 
 from repro.faults.schedule import FaultSchedule, NodeCrash
 from repro.link.frame import Frame
+from repro.sim.trace import instrument_network
 from tests.faults.helpers import build_network
 
 CRASHED = 5
@@ -31,7 +33,7 @@ def test_crash_and_reboot_leave_the_medium_untouched(medium):
     medium_obj = net.medium
     participants = dict(medium_obj._participants)
     if medium == "fast":
-        built = (dict(medium_obj._pair_slot), dict(medium_obj._soa))
+        built = (medium_obj._slot_by_pair, medium_obj._slot_by_pair.copy(), dict(medium_obj._soa))
     else:
         built = (dict(medium_obj._candidates), dict(medium_obj._rx_rows))
     net.run()
@@ -40,8 +42,9 @@ def test_crash_and_reboot_leave_the_medium_untouched(medium):
     assert medium_obj._participants == participants
     assert all(medium_obj._participants[nid] is p for nid, p in participants.items())
     if medium == "fast":
-        pair_slot, soa = built
-        assert medium_obj._pair_slot == pair_slot
+        slot_array, slots, soa = built
+        assert medium_obj._slot_by_pair is slot_array
+        assert (medium_obj._slot_by_pair == slots).all()
         assert medium_obj._soa.keys() == soa.keys()
         assert all(medium_obj._soa[sid] is batch for sid, batch in soa.items())
     else:
@@ -74,3 +77,23 @@ def test_frame_on_the_air_at_a_crash_is_still_evaluated(medium, monkeypatch):
     net.engine.run_until(crash_at + airtime)
     assert net.nodes[CRASHED].crashed
     assert len(decoded) == 1 and decoded[0] > 0
+
+
+@pytest.mark.parametrize("medium", ["exact", "fast"])
+def test_crashed_node_writes_no_rx_record_until_reboot(medium):
+    net = build_network("reboot_storm", medium=medium)
+    tracer = instrument_network(net, kinds={"crash", "reboot", "rx"}, max_records=None)
+    net.run()
+    down = set()
+    crashes = rx_records = 0
+    for record in tracer.records:
+        kind, node = record["kind"], record["node"]
+        if kind == "crash":
+            down.add(node)
+            crashes += 1
+        elif kind == "reboot":
+            down.discard(node)
+        else:
+            rx_records += 1
+            assert node not in down, f"rx at crashed node {node} at t={record['t']}"
+    assert crashes > 0 and rx_records > 0

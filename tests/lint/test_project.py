@@ -93,7 +93,6 @@ def test_extract_facts_sees_channel_one_shot_draws():
         ("ChannelModel._fade_for", "bimodal"),
         ("ChannelModel._static_shadowing_db", "shadow"),
         ("ChannelModel._temporal_for", "ou-init"),
-        ("ChannelModel.mean_gain_many", "shadow"),
     ]
 
 

@@ -3,6 +3,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from repro.phy.channel import ChannelModel, PathLossModel
@@ -144,7 +145,17 @@ def test_per_pair_draws_match_fresh_named_streams():
     streams are pinned to the named keys of the determinism contract.
     """
     master = 2**64 - 3
-    positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (0.0, 25.0), 7: (40.0, 30.0)}
+    # Two ids past 2**32, and a node 0.4 m from node 0 (path loss clamps
+    # at d0 = 1 m).
+    big, huge = 2**32 + 5, 2**40
+    positions = {
+        0: (0.0, 0.0),
+        1: (10.0, 0.0),
+        2: (0.0, 25.0),
+        7: (40.0, 30.0),
+        big: (0.0, 0.4),
+        huge: (10.3, 0.2),
+    }
     sigma, temporal, tau, fraction = 3.2, 1.5, 10.0, 0.5
     fade_dwell, good_dwell, depth = 8.0, 24.0, 15.0
     ch = ChannelModel(
@@ -193,9 +204,15 @@ def test_per_pair_draws_match_fresh_named_streams():
         return out[0], out[1]
 
     pairs = [(0, 1), (2, 0), (1, 7), (7, 2), (0, 7)]
-    # Batched path first for sender 0, scalar path for the rest.
-    assert ch.mean_gain_many(0, [1, 2, 7]) == [ref_mean(0, 1), ref_mean(0, 2), ref_mean(0, 7)]
-    for a, b in pairs:
+    # The array path first, with pairs in either order; it fills no cache.
+    many = pairs + [(0, big), (huge, big), (1, huge), (huge, 0)]
+    assert ch.distance(0, big) < ch.pathloss.d0_m
+    ends = np.array(many, dtype=np.int64)
+    got = ch.mean_gains(ends[:, 0], ends[:, 1])
+    assert got.dtype == np.float64
+    assert [g.hex() for g in got.tolist()] == [ref_mean(a, b).hex() for a, b in many]
+    assert not ch._mean_gain and not ch._shadowing
+    for a, b in many:
         assert ch.mean_gain_db(a, b) == ref_mean(a, b)
     t0, t1 = 1.0, 31.0
     members = 0

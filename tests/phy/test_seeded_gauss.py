@@ -40,11 +40,12 @@ def test_matches_once_over_once_seeds(master):
     pairs = [(draw.randrange(10_000), draw.randrange(10_000)) for _ in range(300)]
     pairs += [(0, 1), (2**40, 2**40 + 1)]
     rng = RngManager(master)
-    got = seeded_gauss(rng.once_seeds("shadow", pairs), 3.2)
+    got = seeded_gauss(rng.once_seeds("shadow", *zip(*pairs)), 3.2)
     want = [rng.once("shadow", a, b).gauss(0.0, 3.2) for a, b in pairs]
     assert _hex(got) == _hex(want)
 
 
 def test_no_seeds_no_draws():
-    assert seeded_gauss(bytearray(), 3.2) == []
-    assert RngManager(1).once_seeds("shadow", []) == bytearray()
+    empty = seeded_gauss(bytearray(), 3.2)
+    assert empty.dtype == np.float64 and empty.size == 0
+    assert RngManager(1).once_seeds("shadow", [], []) == bytearray()

@@ -2,15 +2,19 @@
 
 Static shadowing, the OU initial value and bimodal membership are drawn
 once per pair through ``RngManager.once``; only the stateful per-pair
-streams (``"ou"``, ``"bimodal-dwell"``) are interned.  ``finalize()`` draws
-every in-reach pair's shadowing in one batch, which must equal the scalar
-per-pair path bit for bit; an exact-medium run never loads numpy.
+streams (``"ou"``, ``"bimodal-dwell"``) are interned.  The fast medium's
+``finalize()`` draws every in-reach pair's shadowing in one batch, which
+must equal the scalar per-pair path bit for bit, and keeps every per-pair
+value in arrays: no tuple, float or dict entry per pair.  An exact-medium
+run never loads numpy.
 """
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +23,11 @@ import pytest
 import repro
 from repro import CollectionNetwork, SimConfig, WorkloadConfig
 from repro.phy.channel import ChannelModel
+from repro.phy.radio import Radio
+from repro.sim.engine import Engine
+from repro.sim.medium_fast import FastRadioMedium
 from repro.sim.rng import RngManager
+from repro.sim.spatial import SpatialGrid
 from repro.topology.generators import city_grid
 
 N_NODES = 200
@@ -44,7 +52,12 @@ def test_one_shot_pair_draws_are_not_interned(medium):
     net.run()
     channel = net.channel
     # Every pair in reach got its shadowing draw: O(N^2) values, no streams.
-    assert len(channel._shadowing) > N_NODES * 40
+    # The fast medium holds them in its pair arrays, not in the channel.
+    if medium == "fast":
+        assert net.medium._pair_gain.size > N_NODES * 40
+        assert not channel._shadowing and not channel._mean_gain
+    else:
+        assert len(channel._shadowing) > N_NODES * 40
     node_keys = Counter(key[0] for key in net.rng._streams)
     channel_keys = Counter(key[0] for key in channel._rng._streams)
     assert not ONE_SHOT & (set(node_keys) | set(channel_keys))
@@ -62,7 +75,14 @@ def test_one_shot_pair_draws_are_not_interned(medium):
         assert set(channel_keys) <= {"ou", "bimodal-dwell"}
 
 
-def test_finalize_prefills_every_in_reach_pair_bitwise():
+def in_reach_pairs(medium):
+    """``(ids, lo, hi)`` of every in-reach pair, in the medium's pair order."""
+    positions = medium.channel.positions
+    grid = SpatialGrid({nid: positions[nid] for nid in medium._participants}, medium._radius_m)
+    return grid.pair_arrays()
+
+
+def test_pair_gains_equal_the_scalar_path_bitwise():
     net = city_network("fast", n_nodes=150)
     channel, medium = net.channel, net.medium
     positions = channel.positions
@@ -73,9 +93,12 @@ def test_finalize_prefills_every_in_reach_pair_bitwise():
         (ax, ay), (bx, by) = positions[a], positions[b]
         return (bx - ax) * (bx - ax) + (by - ay) * (by - ay) <= r2
 
-    pairs = {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if in_reach(a, b)}
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if in_reach(a, b)]
     assert len(pairs) > 150 * 20
-    assert set(channel._mean_gain) == set(channel._shadowing) == pairs
+    order, lo, hi = in_reach_pairs(medium)
+    assert list(zip(order[lo].tolist(), order[hi].tolist())) == pairs
+    assert medium._pair_gain.dtype.name == "float64"
+    assert medium._pair_gain.size == len(pairs)
     # The scalar path of a fresh channel: one once("shadow") draw per pair.
     fresh = ChannelModel(
         positions,
@@ -83,9 +106,46 @@ def test_finalize_prefills_every_in_reach_pair_bitwise():
         pathloss=channel.pathloss,
         shadowing_sigma_db=channel.shadowing_sigma_db,
     )
-    for a, b in sorted(pairs):
-        assert channel._mean_gain[a, b].hex() == fresh.mean_gain_db(b, a).hex()
-        assert channel._shadowing[a, b].hex() == fresh._shadowing[a, b].hex()
+    want = [fresh.mean_gain_db(b, a).hex() for a, b in pairs]
+    assert [g.hex() for g in medium._pair_gain.tolist()] == want
+    assert not channel._mean_gain and not channel._shadowing
+
+
+class Listener:
+    def __init__(self, node_id):
+        self.node_id = node_id
+        self.radio = Radio(node_id=node_id)
+
+    def on_frame_received(self, frame, info):
+        pass
+
+
+#: Traced heap a fast ``finalize`` may keep per in-reach pair.  The pair
+#: arrays, the interference reach and the candidate batches hold about
+#: 80 B per pair on this city; tuple-keyed gain caches and a slot dict
+#: held about 250 B.
+HEAP_PER_PAIR_BOUND = 170
+
+
+def test_finalize_heap_per_in_reach_pair_is_bounded():
+    topo = city_grid(300, blocks=3, block_m=100)
+    rng = RngManager(3)
+    channel = ChannelModel(topo.positions, rng.fork("channel"))
+    medium = FastRadioMedium(Engine(), channel, rng)
+    for nid in sorted(topo.positions):
+        medium.attach(Listener(nid))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        medium.finalize()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_pairs = in_reach_pairs(medium)[1].size
+    assert n_pairs > 300 * 50
+    assert held / n_pairs <= HEAP_PER_PAIR_BOUND
 
 
 def test_exact_medium_run_never_imports_numpy():

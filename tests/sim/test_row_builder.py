@@ -7,7 +7,8 @@ reference below rebuilds the same rows the slow, obvious way, one pair at
 a time: a brute-force radius query, the receivers in dense-axis (attach)
 order, scalar gains from a fresh channel, the mean-SNR cutoff, the CCA
 threshold and slots numbered at first contact.  Every batch array, the
-carrier-reach sets and the slot map must equal it exactly.
+carrier-reach sets and the slot array must equal it exactly, and so must
+the interference vectors, against the distance scan they replaced.
 """
 
 import math
@@ -22,6 +23,7 @@ from repro.phy.radio import CC1000, CC2420, Radio
 from repro.sim.engine import Engine
 from repro.sim.medium_fast import FastRadioMedium
 from repro.sim.rng import RngManager
+from repro.sim.spatial import SpatialGrid
 from repro.topology.generators import city_grid
 
 
@@ -77,7 +79,24 @@ def reference_rows(medium, dense_order):
     return rows, slots
 
 
-def assert_batch_matches(medium, dense_order, sid, cand, heard):
+def slot_map(medium):
+    """``{(a, b): slot}`` of the medium's candidate pairs, by slot.
+
+    Reads the slot array against the in-reach pairs it is aligned with;
+    every other pair must hold −1.
+    """
+    positions = medium.channel.positions
+    grid = SpatialGrid({nid: positions[nid] for nid in medium._participants}, medium._radius_m)
+    ids, lo, hi = grid.pair_arrays()
+    slots = medium._slot_by_pair
+    assert slots.dtype == np.int32 and slots.size == lo.size
+    held = np.nonzero(slots >= 0)[0]
+    assert slots.min(initial=-1) >= -1
+    pairs = zip(ids[lo[held]].tolist(), ids[hi[held]].tolist())
+    return dict(sorted(zip(pairs, slots[held].tolist()), key=lambda item: item[1]))
+
+
+def assert_batch_matches(medium, dense_order, sid, cand, heard, slots):
     batch = medium._soa[sid]
     rids = [rid for rid, _ in cand]
     assert batch.rid_list == rids
@@ -95,27 +114,27 @@ def assert_batch_matches(medium, dense_order, sid, cand, heard):
     assert batch.mod_uniform == (names[0] if len(names) == 1 else None)
     assert batch.mod_ids.tolist() == [names.index(m) for m in mods]
     assert batch.n == len(rids)
-    assert batch.pair_idx.tolist() == [
-        medium._pair_slot[(min(sid, rid), max(sid, rid))] for rid in rids
-    ]
+    assert batch.pair_idx.tolist() == [slots[(min(sid, rid), max(sid, rid))] for rid in rids]
     assert batch.cca_heard == frozenset(heard)
     assert medium.candidate_receivers(sid) == cand
 
 
 def assert_medium_matches(medium, dense_order):
     rows, slots = reference_rows(medium, dense_order)
+    held = slot_map(medium)
     assert sorted(medium._soa) == sorted(rows)
     for sid, (cand, heard) in rows.items():
-        assert_batch_matches(medium, dense_order, sid, cand, heard)
-    assert list(medium._pair_slot.items()) == list(slots.items())
+        assert_batch_matches(medium, dense_order, sid, cand, heard, held)
+    assert list(held.items()) == list(slots.items())
     return rows
 
 
-def manual_medium(positions, order, interference_only=(), seed=5):
+def manual_medium(positions, order, interference_only=(), seed=5, **channel_kw):
     """A fast medium over ``positions``, attached in ``order``, with
     per-node hardware variation and a few CC1000 (``ncfsk``) radios."""
     rng = RngManager(seed)
-    channel = ChannelModel(dict(positions), rng.fork("channel"), shadowing_sigma_db=4.0)
+    channel_kw.setdefault("shadowing_sigma_db", 4.0)
+    channel = ChannelModel(dict(positions), rng.fork("channel"), **channel_kw)
     medium = FastRadioMedium(Engine(), channel, rng)
     draw = Random(seed)
     nodes = {}
@@ -199,9 +218,71 @@ def test_attach_after_finalize_refinalizes_to_reference(interference_only):
 
 def test_finalize_slots_are_first_contact_numbered():
     medium, _ = manual_medium(scattered(30, seed=14), list(range(30)))
-    slots = list(medium._pair_slot.values())
+    slots = sorted(slot_map(medium).values())
     assert slots == list(range(len(slots)))
     pair_idx = np.concatenate([medium._soa[sid].pair_idx for sid in sorted(medium._soa)])
     # Each slot first appears in order along the (sender, dense) walk.
     _, first = np.unique(pair_idx, return_index=True)
     assert pair_idx[np.sort(first)].tolist() == slots
+
+
+def reference_inter_mw(medium, ref_slots, oid, power_dbm):
+    """The distance scan and scalar gains of the dense interference vector.
+
+    Every receiver on the dense axis within the medium's radius of ``oid``
+    (itself excluded) gets ``10 ** ((p + g + extra) / 10)`` mW, with ``g``
+    from a fresh channel's scalar path and the bimodal correction chosen by
+    the reference slot map; ``None`` when no receiver is in reach.
+    """
+    channel = medium.channel
+    fresh = ChannelModel(
+        channel.positions,
+        RngManager(channel._rng.master_seed),
+        pathloss=channel.pathloss,
+        shadowing_sigma_db=channel.shadowing_sigma_db,
+    )
+    positions = channel.positions
+    ox, oy = positions[oid]
+    r2 = medium._radius_m * medium._radius_m
+    dense = [0.0] * len(medium._dense_ids)
+    reached = False
+    for j, rid in enumerate(medium._dense_ids):
+        dx, dy = positions[rid][0] - ox, positions[rid][1] - oy
+        if rid == oid or not dx * dx + dy * dy <= r2:
+            continue
+        reached = True
+        extra = medium._ou_mean_extra_db
+        slot = ref_slots.get((min(oid, rid), max(oid, rid)))
+        if slot is None:
+            extra += medium._expected_bimodal_extra_db
+        elif medium._g_bimodal[slot]:
+            extra += medium._bimodal_mean_extra_db
+        dense[j] = 10.0 ** ((power_dbm + fresh.mean_gain_db(oid, rid) + extra) / 10.0)
+    return dense if reached else None
+
+
+def test_interference_vectors_match_distance_scan_reference():
+    positions = scattered(45, seed=15, side=60.0)
+    jammers = {9}
+    order = list(positions)
+    Random(8).shuffle(order)
+    medium, nodes = manual_medium(
+        positions, order, interference_only=jammers, bimodal_fraction=0.4
+    )
+    _, ref_slots = reference_rows(medium, [nid for nid in order if nid not in jammers])
+    resolved = set()
+    for oid in sorted(positions):
+        power = nodes[oid].radio.effective_tx_power_dbm
+        for power_dbm in (power, power - 3.5):
+            got = medium._dense_inter_mw(oid, power_dbm)
+            want = reference_inter_mw(medium, ref_slots, oid, power_dbm)
+            if want is None:
+                assert got is None
+                continue
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+            for rid, mw in zip(medium._dense_ids, want):
+                if mw:
+                    slot = ref_slots.get((min(oid, rid), max(oid, rid)))
+                    resolved.add(None if slot is None else bool(medium._g_bimodal[slot]))
+    # In reach: pairs with no slot, bimodal members and non-members all occur.
+    assert resolved == {None, True, False}
