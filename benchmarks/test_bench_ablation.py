@@ -1,16 +1,13 @@
 """Ablation benchmark for 4B design choices (DESIGN.md §4): eviction
 policy, white-bit requirement, window sizes, outer-EWMA weight, pin bit."""
 
-import dataclasses
+from repro.experiments.ablation import BASELINE, variant_name, variants
 
-from repro.experiments.ablation import BASELINE, run, variants
-from repro.experiments.common import BENCH_SCALE
-
-SCALE = dataclasses.replace(BENCH_SCALE, seeds=(1,))
+from benchmarks.conftest import paper_cells
 
 
-def test_ablations(once):
-    result = once(lambda: run(SCALE))
+def test_ablations(bench_figure):
+    result = bench_figure("ablation")["ablation"]
     print()
     print(result.render())
     base = result.baseline()
@@ -28,3 +25,5 @@ def test_variant_catalog_is_complete():
     names = set(variants())
     assert BASELINE in names
     assert {"no-pin", "evict-worst", "no-white", "ku=1", "ku=25", "kb=10", "alpha=0.9"} <= names
+    # The paper campaign runs every variant, and names each cell by one.
+    assert [variant_name(c) for c in paper_cells("ablation")] == list(variants())

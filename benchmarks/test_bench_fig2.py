@@ -1,12 +1,9 @@
 """Figure 2 benchmark: routing trees and cost of CTP / MultiHopLQI /
 CTP-unconstrained (paper: 3.14 / 2.28 / 1.86 transmissions per packet)."""
 
-from repro.experiments.common import BENCH_SCALE
-from repro.experiments.fig2_trees import run
 
-
-def test_fig2_routing_trees(once):
-    result = once(lambda: run(BENCH_SCALE))
+def test_fig2_routing_trees(bench_figure):
+    result = bench_figure("fig2")["fig2"]
     print()
     print(result.render())
     # Shape assertions (not absolute values): the constrained table hurts.

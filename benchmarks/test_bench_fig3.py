@@ -2,13 +2,11 @@
 0.9 → 0.6 between hours 4–6 while received-packet LQI stays high and
 unacknowledged packets pile up)."""
 
-from repro.experiments.fig3_lqi_blind import Fig3Settings, run
-
-SETTINGS = Fig3Settings(duration_s=900.0, burst_window=(300.0, 600.0))
+SETTINGS = {"duration_s": 900.0, "burst_window": [300.0, 600.0]}
 
 
-def test_fig3_lqi_blindness(once):
-    result = once(lambda: run(SETTINGS))
+def test_fig3_lqi_blindness(bench_figure):
+    result = bench_figure("fig3", fig3=SETTINGS)["fig3"]
     print()
     print(result.render())
     stats = result.window_stats()

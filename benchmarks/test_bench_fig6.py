@@ -2,12 +2,9 @@
 (paper: ack bit −31% cost; white/compare −15%; only full 4B beats
 MultiHopLQI, by 29%)."""
 
-from repro.experiments.common import BENCH_SCALE
-from repro.experiments.fig6_design_space import run
 
-
-def test_fig6_design_space(once):
-    result = once(lambda: run(BENCH_SCALE))
+def test_fig6_design_space(bench_figure):
+    result = bench_figure("fig6")["fig6"]
     print()
     print(result.render())
     assert result.ack_bit_helps()

@@ -1,14 +1,14 @@
 """Figure 7 benchmark: cost/depth vs transmit power (paper: both grow as
 power drops; 4B cost 19–28% below MultiHopLQI across 0/−10/−20 dBm)."""
 
-from repro.experiments.common import BENCH_SCALE
-from repro.experiments.fig7_power_sweep import run
+from benchmarks.conftest import paper_cells
 
 POWERS = (0.0, -10.0)  # −20 dBm disconnects the shrunken bench topology
+CELLS = [c for c in paper_cells("fig7") if c["tx_power_dbm"] in POWERS]
 
 
-def test_fig7_power_sweep(once):
-    result = once(lambda: run(BENCH_SCALE, powers=POWERS))
+def test_fig7_power_sweep(bench_figure):
+    result = bench_figure("fig7", fig7=CELLS)["fig7"]
     print()
     print(result.render())
     assert result.fourbit_wins_everywhere()

@@ -2,14 +2,12 @@
 ≥99% tight; MultiHopLQI mean 95.9% with a 64% worst node at 0 dBm,
 degrading further at lower power)."""
 
-from repro.experiments.common import BENCH_SCALE
-from repro.experiments.fig8_delivery import run
-
-POWERS = (0.0, -10.0)
+from benchmarks.test_bench_fig7 import CELLS, POWERS
 
 
-def test_fig8_delivery_distributions(once):
-    result = once(lambda: run(BENCH_SCALE, powers=POWERS))
+def test_fig8_delivery_distributions(bench_figure):
+    # Figure 8 reads Figure 7's points.
+    result = bench_figure("fig7", fig7=CELLS)["fig8"]
     print()
     print(result.render())
     for power in POWERS:

@@ -1,14 +1,9 @@
 """Headline benchmark: 4B vs MultiHopLQI on both testbeds (paper: −29%
 cost / 99.9% vs 93% delivery on Mirage; −44% / 99% vs 85% on Tutornet)."""
 
-import dataclasses
 
-from repro.experiments.common import BENCH_SCALE
-from repro.experiments.headline import run
-
-
-def test_headline_both_testbeds(once):
-    result = once(lambda: run(BENCH_SCALE))
+def test_headline_both_testbeds(bench_figure):
+    result = bench_figure("headline")["headline"]
     print()
     print(result.render())
     for testbed in ("mirage", "tutornet"):

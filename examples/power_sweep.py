@@ -3,46 +3,33 @@
 
 Runs 4B and MultiHopLQI at 0 / −10 / −20 dBm on the Mirage-like testbed,
 reporting cost & depth (Figure 7) and per-node delivery distributions
-(Figure 8) from the same set of runs.
+(Figure 8) from the same set of runs: the ``fig7`` points of the paper
+campaign (examples/paper.json), read from the cache if it ran before.
 
 Usage:
-    python examples/power_sweep.py [--quick] [--workers 4] [--no-cache]
+    python examples/power_sweep.py [--quick]
 """
 
 import argparse
+from pathlib import Path
 
-from repro.experiments.common import BENCH_SCALE, FULL_SCALE
-from repro.experiments.fig7_power_sweep import run as run_fig7
-from repro.experiments.fig8_delivery import run as run_fig8
-from repro.runner import ExperimentRunner, ResultCache
+from repro.campaign.queue import load_campaign_file
+from repro.experiments import BENCH, run, scaled
+
+PAPER = Path(__file__).with_name("paper.json")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--workers", type=int, default=1, help="process count (1 = serial)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    parser.add_argument(
-        "--cache-dir", default=None, help="result cache location (default: .repro-cache)"
-    )
     args = parser.parse_args()
-    if args.quick:
-        scale, powers = BENCH_SCALE, (0.0, -10.0)
-    else:
-        scale, powers = FULL_SCALE, (0.0, -10.0, -20.0)
-    runner = ExperimentRunner(
-        workers=args.workers,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
-        progress=True,
-    )
-    sweep = run_fig7(scale, powers=powers, runner=runner)
-    print(sweep.render())
+    quick = BENCH if args.quick else {}
+    figures = run(scaled(load_campaign_file(PAPER), only=["fig7"], **quick), progress=True)
+    print(figures["fig7"].render())
     print()
-    delivery = run_fig8(scale, powers=powers, sweep=sweep, runner=runner)
-    print(delivery.render())
+    print(figures["fig8"].render())
     print()
-    print(f"4B wins on cost at every power: {sweep.fourbit_wins_everywhere()}")
-    print(runner.totals.summary())
+    print(f"4B wins on cost at every power: {figures['fig7'].fourbit_wins_everywhere()}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ an unrestricted link table on the 85-node Mirage-like testbed.
 
 The paper reports costs of 3.14 / 2.28 / 1.86 transmissions per delivered
 packet; the shape to look for here is the *ordering* and the depth gap
-between constrained and unconstrained CTP.
+between constrained and unconstrained CTP.  Runs the ``fig2`` points of
+the paper campaign (examples/paper.json).
 
 Usage:
     python examples/routing_trees.py [--quick]
@@ -12,16 +13,20 @@ Usage:
 
 import argparse
 
-from repro.experiments.common import BENCH_SCALE, FULL_SCALE
-from repro.experiments.fig2_trees import run
+from pathlib import Path
+
+from repro.campaign.queue import load_campaign_file
+from repro.experiments import BENCH, run, scaled
+
+PAPER = Path(__file__).with_name("paper.json")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="reduced scale (~30 s)")
     args = parser.parse_args()
-    scale = BENCH_SCALE if args.quick else FULL_SCALE
-    result = run(scale)
+    quick = BENCH if args.quick else {}
+    result = run(scaled(load_campaign_file(PAPER), only=["fig2"], **quick))["fig2"]
     print(result.render())
     print()
     print(f"cost ordering CTP >= MultiHopLQI >= CTP-unconstrained: {result.cost_ordering_holds()}")

@@ -1,47 +1,32 @@
 #!/usr/bin/env python3
 """Regenerate the paper's entire evaluation in one command.
 
-Runs every figure experiment at the chosen scale and writes one text file
-per figure under ``results/`` (plus a summary to stdout).  This is the
-script whose output backs EXPERIMENTS.md.
+Runs the paper campaign (``examples/paper.json``) through
+:class:`repro.campaign.Campaign` and writes one text file per figure under
+``results/``; its output backs EXPERIMENTS.md.  Points that ran before come
+back from the result cache, so the fast path is to run the campaign on
+several processes first, then render::
 
-All figures share one :class:`repro.runner.ExperimentRunner`, so
-``--workers N`` fans the whole evaluation out over N processes and the
-result cache makes re-runs (and the fig7/fig8 overlap) nearly free.
+    python -m repro.campaign run examples/paper.json --workers 4
+    python examples/run_full_evaluation.py --out results [--json]
 
-Usage:
-    python examples/run_full_evaluation.py --out results [--quick]
-    python examples/run_full_evaluation.py --minutes 20 --seeds 1
-    python examples/run_full_evaluation.py --workers 4 --json
+``--quick`` is the benchmark scale; ``--minutes``/``--seeds`` override it.
 """
 
 import argparse
 import dataclasses
 import json
-import time
-import traceback
 from pathlib import Path
 
-from repro.experiments import BENCH_SCALE, FULL_SCALE
-from repro.experiments import (
-    ablation,
-    fig2_trees,
-    fig3_lqi_blind,
-    fig6_design_space,
-    fig7_power_sweep,
-    fig8_delivery,
-    headline,
-)
-from repro.runner import ExperimentRunner, ResultCache
+from repro.campaign.queue import load_campaign_file
+from repro.experiments import BENCH, run, scaled
 from repro.metrics.collection_stats import json_sanitize
+
+PAPER = Path(__file__).with_name("paper.json")
 
 
 def _jsonify(value):
-    """Best-effort strict-JSON view of a figure result (duck-typed).
-
-    Recurses field-by-field rather than via ``dataclasses.asdict`` so dicts
-    keyed by tuples (e.g. fig7's ``(protocol, power)``) become string keys.
-    """
+    """Strict-JSON view of a figure result; tuple keys (fig7's) become strings."""
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -59,71 +44,27 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true", help="benchmark scale (~2 min)")
     parser.add_argument("--minutes", type=float, default=None, help="override run length")
     parser.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    parser.add_argument("--workers", type=int, default=1, help="process count (1 = serial)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    parser.add_argument(
-        "--cache-dir", default=None, help="result cache location (default: .repro-cache)"
-    )
     parser.add_argument("--json", action="store_true", help="also write <figure>.json files")
     args = parser.parse_args()
 
-    scale = BENCH_SCALE if args.quick else FULL_SCALE
+    base = dict(BENCH["base"]) if args.quick else {}
+    seeds = BENCH["seeds"] if args.quick else None
     if args.minutes is not None:
-        scale = dataclasses.replace(
-            scale, duration_s=args.minutes * 60.0, warmup_s=min(300.0, args.minutes * 12.0)
-        )
+        base.update(duration_s=args.minutes * 60.0, warmup_s=min(300.0, args.minutes * 12.0))
     if args.seeds is not None:
-        scale = dataclasses.replace(scale, seeds=tuple(range(1, args.seeds + 1)))
+        seeds = range(1, args.seeds + 1)
+    spec = scaled(load_campaign_file(PAPER), base=base, seeds=seeds)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    runner = ExperimentRunner(
-        workers=args.workers,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
-        progress=True,
-    )
-
-    powers = (0.0, -10.0) if args.quick else (0.0, -10.0, -20.0)
-    sweep_holder = {}
-
-    def fig7():
-        sweep_holder["sweep"] = fig7_power_sweep.run(scale, powers=powers, runner=runner)
-        return sweep_holder["sweep"]
-
-    jobs = [
-        ("fig3", lambda: fig3_lqi_blind.run(runner=runner)),
-        ("fig2", lambda: fig2_trees.run(scale, runner=runner)),
-        ("fig6", lambda: fig6_design_space.run(scale, runner=runner)),
-        ("fig7", fig7),
-        (
-            "fig8",
-            lambda: fig8_delivery.run(
-                scale, powers=powers, sweep=sweep_holder.get("sweep"), runner=runner
-            ),
-        ),
-        ("headline", lambda: headline.run(scale, runner=runner)),
-        ("ablation", lambda: ablation.run(scale, runner=runner)),
-    ]
-    for name, job in jobs:
-        t0 = time.time()
-        result = None
-        try:
-            result = job()
-            body = result.render()
-        except Exception:
-            body = traceback.format_exc()
-        wall = time.time() - t0
+    figures = run(spec, progress=True)
+    for name, figure in figures.items():
         path = out / f"{name}.txt"
-        path.write_text(body + f"\n\n[wall time: {wall:.0f}s]\n")
-        print(f"{name:<10} {wall:6.0f}s  -> {path}")
-        if args.json and result is not None:
-            jpath = out / f"{name}.json"
-            try:
-                jpath.write_text(json.dumps(_jsonify(result), indent=2, allow_nan=False) + "\n")
-            except Exception:
-                print(f"{name}: JSON export failed\n{traceback.format_exc()}")
-    print(runner.totals.summary())
+        path.write_text(figure.render() + "\n")
+        print(f"{name:<10} -> {path}")
+        if args.json:
+            text = json.dumps(_jsonify(figure), indent=2, allow_nan=False)
+            (out / f"{name}.json").write_text(text + "\n")
     print("done.")
 
 

@@ -11,7 +11,8 @@ The package provides:
   and MultiHopLQI collection protocols.
 * :mod:`repro.sim` — a discrete-event simulator with an SINR-based shared
   medium.
-* :mod:`repro.experiments` — one module per figure of the paper.
+* :mod:`repro.experiments` — one renderer per figure of the paper campaign
+  (``examples/paper.json``).
 
 Quickstart::
 

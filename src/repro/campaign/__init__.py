@@ -1,7 +1,9 @@
 """Campaign orchestration: declarative specs, resumable sweeps and tuning.
 
 The "millions of runs" backbone (ROADMAP): every experiment becomes a
-declarative file instead of a script.
+declarative file instead of a script — the paper's whole evaluation too
+(``examples/paper.json``, whose ``figures`` key lists each figure's cells;
+:mod:`repro.experiments` renders them).
 
 * :mod:`repro.campaign.spec` — the ``SimulationSpec -> simulate() ->
   SimulationResult.summary`` contract layered over ``SimConfig`` and the

@@ -31,7 +31,9 @@ On-disk state lives under ``<state-root>/<spec-digest>/``:
 ``summary.json``
     The deliverable — written only on full completion, and **byte
     identical** for serial / pooled / interrupted-and-resumed executions
-    of the same spec (sorted keys, deterministic fields only).
+    of the same spec (sorted keys, deterministic fields only).  A file
+    with ``figures`` (the paper campaign) also lists each figure's point
+    digests, and ``status`` counts each figure's cached points.
 """
 
 from __future__ import annotations
@@ -172,9 +174,9 @@ class Campaign:
         (``<root>/<digest>``) lives; default ``REPRO_CAMPAIGN_DIR`` or
         ``.repro-campaigns``.
     cache:
-        The :class:`ResultCache` providing durability (``True``/``None``
-        for the default location).  A campaign *requires* a cache — it is
-        the resume mechanism, not an optimization.
+        The :class:`ResultCache` providing durability (``None`` for the
+        default location).  A campaign *requires* a cache — it is the
+        resume mechanism, not an optimization.
     workers / timeout_s / progress:
         Forwarded to the :class:`ExperimentRunner`, and checked here so a
         bad value fails before the campaign touches its state.
@@ -212,7 +214,7 @@ class Campaign:
             else os.environ.get("REPRO_CAMPAIGN_DIR") or DEFAULT_STATE_ROOT
         )
         self.state_dir = root / self.digest
-        if cache is None or cache is True:
+        if cache is None:
             cache = ResultCache()
         if not isinstance(cache, ResultCache):
             raise TypeError(
@@ -233,6 +235,9 @@ class Campaign:
         #: session (the property tests assert exactly-once semantics on
         #: these counters).
         self.last_stats = CampaignSessionStats()
+        #: Point → result of every point that completed in the most recent
+        #: ``run()``, cache hits included (the figure renderers read these).
+        self.results: Dict[SimulationSpec, SimulationResult] = {}
 
     # ------------------------------------------------------------------
     # Paths & small artifacts
@@ -360,6 +365,7 @@ class Campaign:
             return results
 
         history = run_search(self.spec, evaluate)
+        self.results = {p: r for p, r in pairs if r is not None}
         return self._summary(runner, pairs, history)
 
     def _summary(
@@ -408,6 +414,11 @@ class Campaign:
                 doc["best"] = None
         if spec.mode == "optimize":
             doc["history"] = history
+        if spec.figures:
+            doc["figures"] = {
+                figure: [p.digest() for p in points]
+                for figure, points in spec.figure_points().items()
+            }
         return json_sanitize(doc)
 
     # ------------------------------------------------------------------
@@ -425,10 +436,12 @@ class Campaign:
         if self.manifest_path.exists():
             manifest = json.loads(self.manifest_path.read_text())
         cached = enumerable = 0
+        found = set()
         loop = search(spec)
         points = next(loop)
         while True:
             results = [self.cache.get(_task_digest(p)) for p in points]
+            found.update(p.digest() for p, r in zip(points, results) if r is not MISS)
             hits = sum(1 for r in results if r is not MISS)
             cached += hits
             enumerable += len(points)
@@ -438,7 +451,7 @@ class Campaign:
                 points = loop.send(results)
             except StopIteration:
                 break
-        return {
+        status: Dict[str, Any] = {
             "campaign": spec.name,
             "digest": self.digest,
             "kind": spec.kind,
@@ -451,6 +464,15 @@ class Campaign:
             "interrupted": bool(manifest.get("interrupted")) if manifest else False,
             "rounds_done": manifest.get("rounds_done") if manifest else None,
         }
+        if spec.figures:
+            status["figures"] = {
+                figure: {
+                    "planned_points": len(points),
+                    "cached_points": sum(p.digest() in found for p in points),
+                }
+                for figure, points in spec.figure_points().items()
+            }
+        return status
 
 
 def _task_digest(point: SimulationSpec) -> str:

@@ -6,9 +6,8 @@ caches, and resumes.  :func:`simulate` is the single top-level (picklable)
 entry point the runner's workers call; it dispatches on ``spec.kind``:
 
 ``collection``
-    A full :class:`~repro.sim.network.CollectionNetwork` run built through
-    the experiment harness — every figure's grid and every collection
-    campaign file run as this kind.  Parameters name the testbed
+    A full :class:`~repro.sim.network.CollectionNetwork` run on a testbed
+    profile, as in ``examples/paper.json``.  Parameters name the testbed
     (``profile``, ``n_nodes``, ``topology_seed``), any
     :class:`~repro.sim.network.SimConfig` field by its own name
     (``protocol``, ``seed``, ``duration_s``, ``tx_power_dbm``,
@@ -17,6 +16,10 @@ entry point the runner's workers call; it dispatches on ``spec.kind``:
     ``honor_pin_bit``, ``compare_evict``, ...).  ``faults`` takes a preset
     name, a JSON file or an inline object; a file is read when the spec is
     built, so its digest follows the content.
+``fig3``
+    Figure 3's scripted chain (:mod:`repro.experiments.fig3_lqi_blind`):
+    parameters are the ``Fig3Settings`` field names, and the summary is
+    ``Fig3Result.to_json_dict()``.
 ``accuracy``
     A scripted single-link estimator-accuracy run
     (:mod:`repro.estimators.accuracy`) scored against ground-truth ETX —
@@ -31,8 +34,8 @@ only **deterministic, strict-JSON-safe** values: two runs of the same spec
 — serial or pooled, fresh or resumed — serialize byte-identically.  Wall
 -clock accounting stays on the separate ``resources`` slot, which the
 runner fills, and a ``collection`` run's full
-:class:`~repro.metrics.collection_stats.CollectionResult` on ``run``;
-summaries include neither.
+:class:`~repro.metrics.collection_stats.CollectionResult` on ``run`` (the
+figure renderers read it); summaries include neither.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.metrics.collection_stats import CollectionResult, json_sanitize
 from repro.runner.hashing import config_digest
 
 #: Simulation kinds :func:`simulate` can execute.
-KINDS = ("collection", "accuracy", "synthetic")
+KINDS = ("collection", "fig3", "accuracy", "synthetic")
 
 #: ``collection`` parameters that pick the testbed; every other name is a
 #: ``SimConfig`` field or an estimator constant.
@@ -181,7 +184,7 @@ class SimulationResult:
     params: Dict[str, Any]
     summary: Dict[str, Any]
     #: Simulator events executed (runner throughput accounting; 0 for
-    #: closed-form kinds).
+    #: closed-form kinds and for ``fig3``, which reports only its figure).
     events_run: int = 0
     #: Wall/CPU/RSS deltas attached by the runner workers — inherently
     #: nondeterministic, excluded from equality and from summaries.
@@ -218,6 +221,12 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     elif spec.kind == "accuracy":
         summary = _simulate_accuracy(params)
         events = int(summary.pop("_events_run", 0))
+    elif spec.kind == "fig3":
+        # Local import: campaign start-up never loads the figure modules.
+        from repro.experiments.fig3_lqi_blind import execute, settings_from_params
+
+        summary = execute(settings_from_params(params)).to_json_dict()
+        events = 0
     else:
         run = _simulate_collection(params)
         summary = {name: getattr(run, name) for name in _COLLECTION_SUMMARY}
@@ -354,34 +363,37 @@ def _simulate_collection(params: Dict[str, Any]) -> CollectionResult:
         estimator_config_from_params,
         split_estimator_params,
     )
-    from repro.experiments.common import ExperimentScale, run_one
-    from repro.topology.testbeds import PROFILES
+    from repro.sim.network import CollectionNetwork, SimConfig
+    from repro.topology.testbeds import PROFILES, scaled_profile
 
     check_collection_params(params)
     est_params, rest = split_estimator_params(params)
-    config_fields = _config_fields()
-    profile = rest.get("profile", "mirage")
-    if profile not in PROFILES:
-        raise ValueError(f"unknown collection profile {profile!r}; choose from {sorted(PROFILES)}")
+    profile = PROFILES.get(rest.get("profile", "mirage"))
+    if profile is None:
+        raise ValueError(
+            f"unknown collection profile {rest['profile']!r}; choose from {sorted(PROFILES)}"
+        )
     n_nodes = rest.get("n_nodes")
     if n_nodes is not None:
         n_nodes = _integral("n_nodes", n_nodes)
         if n_nodes < 2:
             raise ValueError(f"collection parameter n_nodes must be at least 2, got {n_nodes}")
+        if n_nodes != profile.n_nodes:
+            profile = scaled_profile(profile, n_nodes)
+    config_fields = _config_fields()
     config = {k: v for k, v in rest.items() if k in config_fields and v is not None}
-    seed = _integral("seed", config.pop("seed", 1))
-    scale = ExperimentScale(
-        profile_name=profile,
-        n_nodes=n_nodes,
-        duration_s=float(config.pop("duration_s", 420.0)),
-        warmup_s=float(config.pop("warmup_s", 120.0)),
-        topology_seed=_integral("topology_seed", rest.get("topology_seed", 11)),
-        seeds=(seed,),
+    protocol = str(config.get("protocol", "4b"))
+    config.update(
+        protocol=protocol,
+        seed=_integral("seed", config.get("seed", 1)),
+        tx_power_dbm=float(config.get("tx_power_dbm", 0.0)),
+        duration_s=float(config.get("duration_s", 420.0)),
+        warmup_s=float(config.get("warmup_s", 120.0)),
     )
-    protocol = str(config.pop("protocol", "4b"))
     if est_params:
         config["estimator_config"] = estimator_config_from_params(est_params, preset=protocol)
-    return run_one(scale, protocol, seed, float(config.pop("tx_power_dbm", 0.0)), **config)
+    topology = profile.topology(_integral("topology_seed", rest.get("topology_seed", 11)))
+    return CollectionNetwork(topology, SimConfig(**config), profile=profile).run()
 
 
 #: Names of deterministic summary keys per kind — what sweep files may name
@@ -390,4 +402,5 @@ OBJECTIVE_KEYS = {
     "synthetic": ("objective",),
     "accuracy": ("mre", "availability", "detection_delay_s", "beacon_tx", "data_tx"),
     "collection": _COLLECTION_SUMMARY,
+    "fig3": ("delivery_ratio", "cost"),
 }

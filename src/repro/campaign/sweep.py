@@ -6,7 +6,10 @@ A :class:`SweepSpec` is the file format of a campaign (JSON, or TOML where
 ``grid``
     The cartesian product of ``axes`` (value lists, in file order — the
     enumeration order is part of the contract, so resumed and sharded
-    campaigns serialize point lists byte-identically).
+    campaigns serialize point lists byte-identically).  With ``figures``
+    (``examples/paper.json``) the points are each figure's cells: a cell of
+    the file's ``kind`` laid over ``base`` and crossed with ``axes``, or a
+    whole point of another ``kind``; a point figures share runs once.
 ``random``
     ``samples`` points drawn from per-parameter :class:`RangeSpec`\\ s.
     Every draw comes from its own ``derive_seed``-keyed stream, so the
@@ -44,10 +47,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.campaign.spec import (
     KINDS,
@@ -196,6 +199,12 @@ class SweepSpec:
     #: without it the summary carries no ``best`` entry).
     objective: str = ""
     minimize: bool = True
+    #: Grid only: ``((figure, cells), ...)`` in file order, each cell a
+    #: spec.  Left out of the digest when empty, so a file without
+    #: figures keeps the digest it had before the key existed.
+    figures: Tuple[Tuple[str, Tuple[SimulationSpec, ...]], ...] = field(
+        default=(), metadata={"digest": "omit_empty"}
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -209,6 +218,8 @@ class SweepSpec:
                 if not values:
                     raise ValueError(f"grid axis {name!r} has no values")
             return
+        if self.figures:
+            raise ValueError("figures need mode 'grid'")
         if not self.ranges:
             raise ValueError(f"{self.mode} sweep needs at least one range")
         if self.mode == "random" and self.samples <= 0:
@@ -231,6 +242,8 @@ class SweepSpec:
     def total_points(self) -> int:
         """Planned point count: the grid size, ``samples`` or ``budget``."""
         if self.mode == "grid":
+            if self.figures:
+                return len(self.grid_points())
             total = 1
             for _name, values in self.axes:
                 total *= len(values)
@@ -240,13 +253,38 @@ class SweepSpec:
     # ------------------------------------------------------------------
     # Enumeration
     # ------------------------------------------------------------------
-    def grid_points(self) -> List[SimulationSpec]:
+    def _axis_points(self) -> List[Dict[str, Any]]:
         """The cartesian product of ``axes``, last axis fastest."""
         points: List[Dict[str, Any]] = [{}]
         for name, values in self.axes:
             points = [dict(p, **{name: v}) for p in points for v in values]
+        return points
+
+    def grid_points(self) -> List[SimulationSpec]:
+        """The cartesian product of ``axes`` over ``base``; with figures,
+        every figure's points in file order, each shared point once."""
+        if self.figures:
+            unique = {p: None for points in self.figure_points().values() for p in points}
+            return list(unique)
         base = dict(self.base)
-        return [SimulationSpec.from_params(self.kind, dict(base, **p)) for p in points]
+        return [SimulationSpec.from_params(self.kind, dict(base, **p)) for p in self._axis_points()]
+
+    def figure_points(self) -> Dict[str, List[SimulationSpec]]:
+        """Each figure's points: its cells in order, a cell of the file's
+        kind crossed with the axes (last axis fastest)."""
+        base = dict(self.base)
+        axes = self._axis_points()
+        figures = {}
+        for figure, cells in self.figures:
+            points = []
+            for cell in cells:
+                if cell.kind != self.kind:
+                    points.append(cell)
+                    continue
+                laid = dict(base, **cell.param_dict())
+                points.extend(SimulationSpec.from_params(self.kind, {**laid, **p}) for p in axes)
+            figures[figure] = points
+        return figures
 
     def sample_points(
         self,
@@ -297,6 +335,14 @@ class SweepSpec:
         if self.objective:
             data["objective"] = self.objective
             data["minimize"] = self.minimize
+        if self.figures:
+            data["figures"] = {
+                figure: [
+                    dict(c.params, **({"kind": c.kind} if c.kind != self.kind else {}))
+                    for c in cells
+                ]
+                for figure, cells in self.figures
+            }
         return data
 
     @classmethod
@@ -308,7 +354,7 @@ class SweepSpec:
             )
         known = {
             "campaign", "kind", "mode", "base", "axes", "ranges", "samples", "seed",
-            "budget", "batch", "top_k", "shrink", "objective", "minimize",
+            "budget", "batch", "top_k", "shrink", "objective", "minimize", "figures",
         }
         unknown = sorted(k for k in data if k not in known)
         if unknown:
@@ -345,7 +391,35 @@ class SweepSpec:
             shrink=_number(data, "shrink", 0.5),
             objective=str(data.get("objective", "")),
             minimize=_flag(data, "minimize", True),
+            figures=_figures(kind, _table(data, "figures"), set(axes_data)),
         )
+
+
+def _figures(
+    kind: str, data: Dict[str, Any], axes: Set[str]
+) -> Tuple[Tuple[str, Tuple[SimulationSpec, ...]], ...]:
+    """A file's ``figures``, each cell a checked spec of its ``kind`` (the
+    file's by default); a cell of the file's kind may not set an axis."""
+    figures = []
+    for figure, cells in data.items():
+        if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+            raise ValueError(f"figure {figure!r} must be a list of objects, got {cells!r}")
+        specs = []
+        for cell in cells:
+            params = {k: v for k, v in cell.items() if k != "kind"}
+            spec = SimulationSpec.from_params(str(cell.get("kind", kind)), params)
+            clash = sorted(axes.intersection(params)) if spec.kind == kind else []
+            if clash:
+                raise ValueError(f"figure {figure!r}: a cell may not set axis parameter(s) {clash}")
+            if spec.kind == "collection":
+                check_collection_params(params)
+            elif spec.kind == "fig3":
+                from repro.experiments.fig3_lqi_blind import settings_from_params
+
+                settings_from_params(params)
+            specs.append(spec)
+        figures.append((str(figure), tuple(specs)))
+    return tuple(figures)
 
 
 def objective_score(result: Optional[SimulationResult], objective: str) -> Optional[float]:

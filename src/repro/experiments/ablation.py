@@ -17,17 +17,14 @@ Each ablation perturbs one knob of the full 4B configuration:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Sequence
 
 from repro.analysis.render import table
-from repro.experiments.common import (
-    AveragedResult,
-    Cell,
-    ExperimentScale,
-    FULL_SCALE,
-    run_cells,
-)
-from repro.runner import ExperimentRunner
+from repro.estimators.objectives import TUNABLE_FIELDS
+from repro.experiments.common import AveragedResult, averaged
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import SimulationResult
 
 BASELINE = "4b (full)"
 
@@ -73,11 +70,15 @@ class AblationResult:
         )
 
 
-def run(scale: ExperimentScale = FULL_SCALE, runner: "ExperimentRunner" = None) -> AblationResult:
-    cells = [Cell.make("4b", label=name, **constants) for name, constants in variants().items()]
-    averaged = run_cells(scale, cells, runner)
-    return AblationResult(results={cell.label: r for cell, r in zip(cells, averaged)})
+def variant_name(params: Dict[str, Any]) -> str:
+    """The variant whose constants are exactly a point's estimator constants."""
+    constants = {k: v for k, v in params.items() if k in TUNABLE_FIELDS}
+    for name, variant in variants().items():
+        if variant == constants:
+            return name
+    raise ValueError(f"no ablation variant sets exactly {constants}")
 
 
-if __name__ == "__main__":
-    print(run().render())
+def from_results(results: Sequence["SimulationResult"]) -> AblationResult:
+    """The ablation table from its points: one cell per variant."""
+    return AblationResult(results={r.label: r for r in averaged(results, variant_name)})

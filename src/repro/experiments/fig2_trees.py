@@ -11,20 +11,13 @@ Paper observations to reproduce (shape, not absolute values):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.analysis.render import routing_tree, table
-from repro.experiments.common import (
-    AveragedResult,
-    Cell,
-    ExperimentScale,
-    FULL_SCALE,
-    run_cells,
-)
-from repro.runner import ExperimentRunner
+from repro.experiments.common import AveragedResult, averaged
 
-PROTOCOLS = ("ctp", "mhlqi", "ctp-unconstrained")
-
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import SimulationResult
 
 @dataclass
 class Fig2Result:
@@ -82,10 +75,6 @@ def _root_of(result) -> int:
     return 0
 
 
-def run(scale: ExperimentScale = FULL_SCALE, runner: "ExperimentRunner" = None) -> Fig2Result:
-    averaged = run_cells(scale, [Cell.make(name) for name in PROTOCOLS], runner)
-    return Fig2Result(results=dict(zip(PROTOCOLS, averaged)))
-
-
-if __name__ == "__main__":
-    print(run().render())
+def from_results(results: Sequence["SimulationResult"]) -> Fig2Result:
+    """Figure 2 from its points: one cell per protocol."""
+    return Fig2Result(results={r.protocol: r for r in averaged(results)})

@@ -10,30 +10,29 @@ interferer near C is active during a known window.  Bursts destroy
 overlapping packets outright (no LQI sample) and leave the surviving
 packets clean (high LQI) — so the decode-quality indicator cannot see the
 loss.  For contrast the experiment can also run 4B on the same channel,
-whose ack bit notices the loss at data rate.
+whose ack bit notices the loss at data rate.  The scenario is the
+campaign's ``fig3`` spec kind.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
 import dataclasses
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.analysis.render import table, timeseries
 from repro.link.frame import BROADCAST
 from repro.metrics.collection_stats import json_sanitize
 from repro.metrics.timeseries import windowed_prr
 from repro.phy.noise import WindowedInterferer
-from repro.runner import ExperimentRunner, Task, default_runner
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.probe import Monitor
 from repro.topology.generators import Topology
 from repro.workloads.collection import WorkloadConfig
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import SimulationResult
     from repro.link.frame import Frame
     from repro.sim.packets import RxInfo, TxResult
 
@@ -127,6 +126,22 @@ class Fig3Settings:
     protocol: str = "mhlqi"
 
 
+def settings_from_params(params: Dict[str, Any]) -> Fig3Settings:
+    """The settings a ``fig3`` spec's parameters name, each value in its
+    field's type; an unknown name is a ``ValueError`` naming it."""
+    defaults = {f.name: f.default for f in dataclasses.fields(Fig3Settings)}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown fig3 parameter(s) {unknown}; known: {sorted(defaults)}")
+    values: Dict[str, Any] = {}
+    for name, value in params.items():
+        kind = type(defaults[name])
+        values[name] = tuple(map(float, value)) if kind is tuple else kind(value)
+        if values[name] != value and kind is int:
+            raise ValueError(f"fig3 parameter {name} must be an integer, got {value!r}")
+    return Fig3Settings(**values)
+
+
 @dataclass
 class Fig3Result:
     settings: Fig3Settings
@@ -166,9 +181,20 @@ class Fig3Result:
         lqi_drop = stats["lqi_outside"] - stats["lqi_inside"]
         return prr_drop > 0.15 and lqi_drop < 5.0
 
-    def to_json_dict(self) -> Dict[str, object]:
+    def to_json_dict(self) -> Dict[str, Any]:
         """Strict-JSON view (non-finite floats become ``null``)."""
         return json_sanitize(dataclasses.asdict(self))
+
+    @classmethod
+    def from_json_dict(cls, data: Dict[str, Any]) -> "Fig3Result":
+        """The figure back from :meth:`to_json_dict` (a ``fig3`` summary)."""
+        series = ("prr_series", "lqi_series", "unacked_series")
+        return cls(
+            settings=settings_from_params(data["settings"]),
+            delivery_ratio=data["delivery_ratio"],
+            cost=data["cost"],
+            **{key: [tuple(point) for point in data[key]] for key in series},
+        )
 
     def render(self) -> str:
         stats = self.window_stats()
@@ -207,8 +233,7 @@ class Fig3Result:
 
 
 def execute(settings: Fig3Settings) -> Fig3Result:
-    """Run the scripted scenario (pure function of ``settings``; picklable
-    top-level entry point so the runner can cache and fan it out)."""
+    """Run the scripted scenario (a pure function of ``settings``)."""
     topo = scenario_topology()
     config = SimConfig(
         protocol=settings.protocol,
@@ -268,12 +293,7 @@ def execute(settings: Fig3Settings) -> Fig3Result:
     )
 
 
-def run(
-    settings: Fig3Settings = Fig3Settings(), runner: "ExperimentRunner" = None
-) -> Fig3Result:
-    runner = runner or default_runner()
-    return runner.run([Task(execute, settings, label=f"fig3 {settings.protocol}")])[0]
-
-
-if __name__ == "__main__":
-    print(run().render())
+def from_results(results: List["SimulationResult"]) -> Fig3Result:
+    """Figure 3 from its one ``fig3`` point's result."""
+    [result] = results
+    return Fig3Result.from_json_dict(result.summary)

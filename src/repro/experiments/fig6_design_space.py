@@ -16,18 +16,13 @@ Paper observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro.analysis.render import scatter, table
-from repro.experiments.common import (
-    AveragedResult,
-    Cell,
-    ExperimentScale,
-    FULL_SCALE,
-    improvement,
-    run_cells,
-)
-from repro.runner import ExperimentRunner
+from repro.experiments.common import AveragedResult, averaged, improvement
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import SimulationResult
 
 VARIANTS = {
     "ctp": "CTP T2",
@@ -98,11 +93,7 @@ class Fig6Result:
         )
 
 
-def run(scale: ExperimentScale = FULL_SCALE, runner: "ExperimentRunner" = None) -> Fig6Result:
-    cells = [Cell.make(name, label=label) for name, label in VARIANTS.items()]
-    averaged = run_cells(scale, cells, runner)
-    return Fig6Result(results=dict(zip(VARIANTS, averaged)))
-
-
-if __name__ == "__main__":
-    print(run().render())
+def from_results(results: Sequence["SimulationResult"]) -> Fig6Result:
+    """Figure 6 from its points: one cell per variant protocol."""
+    cells = averaged(results, lambda params: VARIANTS[params["protocol"]])
+    return Fig6Result(results={r.protocol: r for r in cells})

@@ -13,18 +13,13 @@ Paper observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.analysis.render import scatter, table
-from repro.experiments.common import (
-    AveragedResult,
-    Cell,
-    ExperimentScale,
-    FULL_SCALE,
-    improvement,
-    run_cells,
-)
-from repro.runner import ExperimentRunner
+from repro.experiments.common import AveragedResult, averaged, improvement, protocol_label
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import SimulationResult
 
 POWERS_DBM = (0.0, -10.0, -20.0)
 PROTOCOLS = ("4b", "mhlqi")
@@ -107,19 +102,11 @@ class Fig7Result:
         )
 
 
-def run(
-    scale: ExperimentScale = FULL_SCALE,
-    powers: Tuple[float, ...] = POWERS_DBM,
-    runner: "ExperimentRunner" = None,
-) -> Fig7Result:
-    keys = [(proto, power) for power in powers for proto in PROTOCOLS]
-    cells = [
-        Cell.make(proto, label="4B" if proto == "4b" else "MultiHopLQI", tx_power_dbm=power)
-        for proto, power in keys
-    ]
-    averaged = run_cells(scale, cells, runner)
-    return Fig7Result(results=dict(zip(keys, averaged)), powers=powers)
-
-
-if __name__ == "__main__":
-    print(run().render())
+def from_results(results: Sequence["SimulationResult"]) -> Fig7Result:
+    """Figure 7 from its points: one cell per (protocol, power), the powers
+    in the order the cells name them."""
+    keys = dict.fromkeys(
+        (r.params["protocol"], float(r.params["tx_power_dbm"])) for r in results
+    )
+    cells = dict(zip(keys, averaged(results, protocol_label)))
+    return Fig7Result(results=cells, powers=tuple(dict.fromkeys(p for _proto, p in cells)))

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.analysis.render import boxplot, table
-from repro.experiments.common import ExperimentScale, FULL_SCALE
-from repro.experiments.fig7_power_sweep import Fig7Result, POWERS_DBM
-from repro.experiments.fig7_power_sweep import run as run_fig7
-from repro.runner import ExperimentRunner
+from repro.experiments.fig7_power_sweep import Fig7Result
 
 
 @dataclass
 class Fig8Result:
+    """Figure 8 from Figure 7's points: the same runs, per-node delivery."""
+
     sweep: Fig7Result
 
     def distribution(self, protocol: str, power: float):
@@ -84,20 +83,3 @@ class Fig8Result:
             ]
         )
 
-
-def run(
-    scale: ExperimentScale = FULL_SCALE,
-    powers: Tuple[float, ...] = POWERS_DBM,
-    sweep: Optional[Fig7Result] = None,
-    runner: "ExperimentRunner" = None,
-) -> Fig8Result:
-    """Reuses an existing Figure 7 sweep when provided (same runs).
-
-    Without an explicit ``sweep``, a caching runner still deduplicates the
-    shared runs: the specs hash identically to Figure 7's.
-    """
-    return Fig8Result(sweep=sweep or run_fig7(scale, powers, runner=runner))
-
-
-if __name__ == "__main__":
-    print(run().render())

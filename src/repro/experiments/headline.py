@@ -12,19 +12,13 @@ channel, the more the four bits matter.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro.analysis.render import table
-from repro.experiments.common import (
-    AveragedResult,
-    Cell,
-    ExperimentScale,
-    FULL_SCALE,
-    improvement,
-    run_cells,
-)
-from repro.runner import ExperimentRunner
+from repro.experiments.common import AveragedResult, averaged, improvement, protocol_label
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.spec import SimulationResult
 
 PAPER_CLAIMS = {
     "mirage": {"cost_reduction": 0.29, "delivery_4b": 0.999, "delivery_mhlqi": 0.93},
@@ -86,20 +80,10 @@ class HeadlineResult:
         )
 
 
-def run(scale: ExperimentScale = FULL_SCALE, runner: "ExperimentRunner" = None) -> HeadlineResult:
-    # Both testbeds go out as one batch so a parallel runner sees the whole
-    # 2 × 2 × seeds grid at once.
-    grid = [
-        (testbed, Cell.make(proto, label, profile=testbed))
-        for testbed in ("mirage", "tutornet")
-        for proto, label in (("4b", "4B"), ("mhlqi", "MultiHopLQI"))
-    ]
-    averaged = run_cells(scale, [cell for _, cell in grid], runner)
-    results: Dict[str, Dict[str, AveragedResult]] = {}
-    for (testbed, cell), result in zip(grid, averaged):
-        results.setdefault(testbed, {})[cell.protocol] = result
-    return HeadlineResult(results=results)
-
-
-if __name__ == "__main__":
-    print(run().render())
+def from_results(results: Sequence["SimulationResult"]) -> HeadlineResult:
+    """The headline table from its points: one cell per (testbed, protocol)."""
+    testbeds = dict.fromkeys((r.params["profile"], r.params["protocol"]) for r in results)
+    table_: Dict[str, Dict[str, AveragedResult]] = {}
+    for (testbed, _protocol), cell in zip(testbeds, averaged(results, protocol_label)):
+        table_.setdefault(testbed, {})[cell.protocol] = cell
+    return HeadlineResult(results=table_)

@@ -15,13 +15,9 @@ cacheable.  This package provides:
 
 The package has no CLI of its own: run a sweep from a campaign file with
 ``python -m repro.campaign run`` (e.g. ``examples/smoke_sweep.json``),
-which drives the same runner and cache.  The figure modules in
-:mod:`repro.experiments` submit ``collection`` specs
-(:class:`~repro.campaign.spec.SimulationSpec`) to
-:func:`~repro.campaign.spec.simulate` through
-:func:`~repro.experiments.common.run_cells`; they accept a ``runner=``
-argument and otherwise build one from the environment (``REPRO_WORKERS``,
-``REPRO_CACHE``, ``REPRO_CACHE_DIR``).
+which drives the same runner and cache.  The paper's evaluation is such a
+file too (``examples/paper.json``); :mod:`repro.experiments` renders its
+figures from the campaign's results.
 """
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, MISS, ResultCache, cache_dir_from_env
@@ -33,7 +29,6 @@ from repro.runner.runner import (
     RunnerStats,
     RunTimeout,
     Task,
-    default_runner,
 )
 
 __all__ = [
@@ -50,5 +45,4 @@ __all__ = [
     "cache_dir_from_env",
     "canonical_bytes",
     "config_digest",
-    "default_runner",
 ]

@@ -9,9 +9,10 @@ and dict insertion orders (none of which is true of ``hash()`` or
 
 Supported value types: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, tuples/lists, dicts, and (possibly nested) dataclasses — which
-covers :class:`~repro.sim.network.SimConfig` and everything the experiment
-grids put in their override tables.  Anything else raises ``TypeError``
-rather than silently hashing an unstable representation.
+covers :class:`~repro.sim.network.SimConfig` and everything a campaign
+point carries.  Anything else raises ``TypeError`` rather than silently
+hashing an unstable representation.  A dataclass field with metadata
+``{"digest": "omit_empty"}`` is left out while empty (older digests hold).
 
 The cache versions itself: every digest is salted with
 :func:`schema_fingerprint`, a digest of the field schema of each dataclass
@@ -81,6 +82,7 @@ def canonical_bytes(value: Any) -> bytes:
         body = b"".join(
             _frame(canonical_bytes(f.name) + canonical_bytes(getattr(value, f.name)))
             for f in dataclasses.fields(value)
+            if f.metadata.get("digest") != "omit_empty" or getattr(value, f.name)
         )
         return b"D" + _frame(f"{cls.__module__}.{cls.__qualname__}".encode("utf-8")) + _frame(body)
     if isinstance(value, (tuple, list)):

@@ -18,15 +18,13 @@ canonically-hashable argument), answers what it can from the on-disk
   surface at the *end* of the sweep as a :class:`RunnerError` (or as
   ``None`` results with ``strict=False``).
 
-With ``workers <= 1`` tasks execute serially in-process — the runner is
-then behaviourally identical to the old serial loops (plus caching), which
-the equivalence test in ``tests/runner/`` pins down.
+With ``workers <= 1`` tasks execute serially in-process; the equivalence
+tests in ``tests/runner/`` pin serial and pooled results to each other.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import signal
 import sys
 import time
@@ -95,7 +93,8 @@ class Task:
     ``fn`` must be a module-level function (pickled by reference for the
     worker processes) and ``arg`` must be canonically hashable — plain data
     or frozen dataclasses.  The cache key covers both, so two figures
-    sharing the exact same run (e.g. Figures 7 and 8) deduplicate.
+    sharing the exact same run (Figure 6's 4B cell is Figure 7's at 0 dBm)
+    deduplicate.
     """
 
     fn: Callable[[Any], Any]
@@ -235,9 +234,7 @@ class ExperimentRunner:
     workers:
         Process count (``>= 1``); ``None`` or ``1`` runs serially in-process.
     cache:
-        A :class:`ResultCache`, ``True`` for the default location
-        (``REPRO_CACHE_DIR`` or ``.repro-cache``), or ``None``/``False``
-        to disable caching.
+        A :class:`ResultCache`, or ``None`` to disable caching.
     timeout_s:
         Per-run wall-clock budget in seconds (finite, ``> 0``), enforced in
         the worker via ``SIGALRM``; ``None`` for no budget.
@@ -259,7 +256,7 @@ class ExperimentRunner:
     def __init__(
         self,
         workers: Optional[int] = None,
-        cache: Any = None,
+        cache: Optional[ResultCache] = None,
         timeout_s: Optional[float] = None,
         chunk_size: Optional[int] = None,
         progress: bool = False,
@@ -268,13 +265,7 @@ class ExperimentRunner:
     ) -> None:
         check_run_limits(workers, timeout_s)
         self.workers = int(workers) if workers else 1
-        if cache is True:
-            cache = ResultCache()
-        elif cache is False:
-            cache = None
-        # Explicit identity checks: an *empty* ResultCache is falsy (len 0)
-        # and `cache or None` would silently drop it.
-        self.cache: Optional[ResultCache] = cache
+        self.cache = cache
         self.timeout_s = timeout_s
         self.chunk_size = chunk_size or max(self.workers * 4, 4)
         self.progress = progress
@@ -486,16 +477,3 @@ class ExperimentRunner:
         stats.wall_s = now - t0
         print(stats.summary(), file=sys.stderr, flush=True)
 
-
-def default_runner() -> ExperimentRunner:
-    """Runner configured from the environment.
-
-    ``REPRO_WORKERS`` sets the process count (default 1 = serial, the
-    historical behaviour) and ``REPRO_CACHE`` enables the on-disk cache
-    (any non-empty value other than ``0``; location from
-    ``REPRO_CACHE_DIR`` or ``.repro-cache``).
-    """
-    workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
-    cache_flag = os.environ.get("REPRO_CACHE", "")
-    cache = ResultCache() if cache_flag not in ("", "0", "off", "false") else None
-    return ExperimentRunner(workers=workers, cache=cache)

@@ -77,9 +77,6 @@ from repro.sim.spatial import SpatialGrid
 #: its shadowing draw exceeds this many sigmas (P ≈ 3·10⁻⁵ at 4σ).
 DEFAULT_SHADOW_MARGIN_SIGMAS = 4.0
 
-#: Bound on the number of cached dense interference vectors.
-_INTER_CACHE_MAX = 65536
-
 _MISSING = object()
 
 #: Senders per block of the set-up row builder: bounds the transient
@@ -252,10 +249,13 @@ class FastRadioMedium(RadioMedium):
         #: (built by finalize).
         self._dense_ids: List[int] = []
         self._dense_index: Dict[int, int] = {}
-        #: (interferer, tx power) → mean interference power in mW at every
-        #: dense receiver (or None when none is in reach); built once per
-        #: key in O(N) and gathered per batch — see _dense_inter_mw.
+        #: (interferer, tx power) → (dense ranks, mean interference power in
+        #: mW) of the receivers in the interferer's reach, or None when none
+        #: is; one float per in-reach entry — see _inter_mw.
         self._inter_cache: Dict[Tuple[int, float], Any] = {}
+        #: Dense-axis scratch the overlapping interferers are summed into;
+        #: all zeros between receptions.
+        self._inter_sum: Any = None
         #: (modulation, frame bytes) → quantized PRR table.
         self._prr_tables: Dict[Tuple[str, int], Any] = {}
         self._radius_m = 0.0
@@ -342,6 +342,7 @@ class FastRadioMedium(RadioMedium):
         #: enumeration order so the two backends deliver in the same order.
         self._dense_index = {rid: i for i, rid in enumerate(self._receivers)}
         self._dense_ids = list(self._receivers)
+        self._inter_sum = np.zeros(len(self._dense_ids))
         # Every in-reach pair as the local indices of its ends into the
         # sorted participant ids (the grid indexes exactly the
         # participants).  A node's entries as sender are a run of pairs by
@@ -437,7 +438,8 @@ class FastRadioMedium(RadioMedium):
         self._reach_start = np.concatenate(
             ([0], np.cumsum(np.bincount(owner, minlength=n_nodes)))
         ).tolist()
-        self._reach_rank = rank[receives][order].astype(np.int32)
+        # intp: every overlapped reception scatters through these ranks.
+        self._reach_rank = rank[receives][order].astype(np.intp)
         self._reach_pair = pair[receives][order]
 
     def _nodes(self, id_list: List[int]) -> _Nodes:
@@ -601,20 +603,20 @@ class FastRadioMedium(RadioMedium):
     # ------------------------------------------------------------------
     # Interference gather
     # ------------------------------------------------------------------
-    def _dense_inter_mw(self, oid: int, power_dbm: float) -> Any:
-        """Mean interference power (mW) from ``oid`` at every dense receiver.
+    def _inter_mw(self, oid: int, power_dbm: float) -> Any:
+        """Mean interference power (mW) from ``oid`` at its in-reach receivers.
 
-        One vector per (interferer, tx power) over the full receiver axis,
-        built from the interferer's entries in the interference-reach CSR
-        (:meth:`_install_reach`) and cached in *linear* milliwatts with the
-        transmit power folded in (powers are fixed after hardware
-        variation, and the power is part of the cache key regardless).
-        Accumulating one overlapping transmission in the hot path is then a
-        single array add in dense space, followed by one gather through the
-        batch's ``rid_dense`` index.  Entries beyond the interferer's spatial reach
-        — and the interferer's own receiver slot — are exactly 0; ``None``
-        means every receiver is out of reach.  Gains include the mean-field
-        fading corrections (see DESIGN.md §9).
+        ``(ranks, mw)``: the dense ranks of the interferer's entries in the
+        interference-reach CSR (:meth:`_install_reach`) and the power at
+        each, cached per (interferer, tx power) in *linear* milliwatts with
+        the transmit power folded in (powers are fixed after hardware
+        variation, and the power is part of the cache key regardless) —
+        one float per in-reach entry, so the cache grows with the pairs,
+        not with N².  The hot path scatter-adds each overlapping
+        transmission into one zeroed dense buffer, then gathers through
+        the batch's ``rid_dense`` index.  ``None`` means every receiver is
+        out of reach.  Gains include the mean-field fading corrections
+        (see DESIGN.md §9).
         """
         key = (oid, power_dbm)
         cached = self._inter_cache.get(key, _MISSING)
@@ -648,10 +650,9 @@ class FastRadioMedium(RadioMedium):
                     )
                 )[code]
             arg /= 10.0
-            out = np.zeros(len(self._dense_ids))
-            out[self._reach_rank[r0:r1]] = [10.0**x for x in arg.tolist()]
-        if len(self._inter_cache) < _INTER_CACHE_MAX:
-            self._inter_cache[key] = out
+            # The ranks are a view of the CSR: the key adds only its floats.
+            out = (self._reach_rank[r0:r1], np.array([10.0**x for x in arg.tolist()]))
+        self._inter_cache[key] = out
         return out
 
     # ------------------------------------------------------------------
@@ -776,17 +777,19 @@ class FastRadioMedium(RadioMedium):
         noise_mw = batch.noise_mw if full else batch.noise_mw[idx]
         inter_mw: Any = None
         if overlapping:
-            inter_dense: Any = None
-            for other in overlapping:
-                dense = self._dense_inter_mw(other.sender, other.power_dbm)
-                if dense is None:
-                    continue
-                # First overlap aliases the cached dense array; it is never
-                # mutated in place, so no defensive copy is needed.
-                inter_dense = dense if inter_dense is None else inter_dense + dense
-            if inter_dense is not None:
-                sel = batch.rid_dense if full else batch.rid_dense[idx]
-                inter_mw = inter_dense[sel]
+            touched = [self._inter_mw(o.sender, o.power_dbm) for o in overlapping]
+            touched = [entry for entry in touched if entry is not None]
+            if touched:
+                # Each receiver's sum starts from 0.0 (the first write is
+                # 0.0 + mw exactly) and adds the overlaps in order, so the
+                # SINR is bit-reproducible.
+                inter_sum = self._inter_sum
+                (ranks, mw), *rest = touched
+                inter_sum[ranks] = mw
+                for ranks, mw in rest:
+                    inter_sum[ranks] += mw
+                inter_mw = inter_sum[batch.rid_dense if full else batch.rid_dense[idx]]
+                inter_sum.fill(0.0)
         if inter_mw is not None:
             sinr = rssi - 10.0 * np.log10(noise_mw + inter_mw)
         else:

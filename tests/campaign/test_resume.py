@@ -27,6 +27,8 @@ from repro.campaign.queue import (
 from repro.campaign.sweep import SweepSpec
 from repro.runner.cache import ResultCache
 
+from tests.experiments.micro import micro_paper
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -58,6 +60,9 @@ N_POINTS = 27
 COLLECTION = load_campaign_file(
     Path(__file__).resolve().parents[2] / "examples" / "collection_smoke.json"
 )
+
+# The paper campaign at micro scale: every figure, Figure 3's chain included.
+PAPER = micro_paper()
 
 OPTIMIZE = SweepSpec.from_json_dict(
     {
@@ -189,6 +194,25 @@ def test_optimizer_resumes_byte_identical(tmp_path_factory, tmp_path):
 def test_collection_grid_resumes_byte_identical(tmp_path_factory, tmp_path):
     reference = _reference_bytes(COLLECTION, tmp_path_factory, "collection-ref")
     _kill_then_resume(COLLECTION, tmp_path, 4, reference, 6)
+
+
+def test_paper_campaign_resumes_byte_identical(tmp_path_factory, tmp_path):
+    reference = _reference_bytes(PAPER, tmp_path_factory, "paper-ref")
+    figures = PAPER.figure_points()
+    total = PAPER.total_points()
+    # Figures share points (Figure 6's 4B cell is Figure 7's at 0 dBm, the
+    # headline's on Mirage and the ablation's baseline), and each runs once.
+    assert total < sum(len(points) for points in figures.values())
+    assert json.loads(reference)["figures"] == {
+        name: [p.digest() for p in points] for name, points in figures.items()
+    }
+    # Stopped after Figure 3's chain (the fourth point) and mid-way through
+    # the collection points.
+    _kill_then_resume(PAPER, tmp_path, total // 2, reference, total)
+    assert _campaign(PAPER, tmp_path).status()["figures"] == {
+        name: {"planned_points": len(points), "cached_points": len(points)}
+        for name, points in figures.items()
+    }
 
 
 def test_rerun_of_completed_campaign_is_all_cache_hits(tmp_path):

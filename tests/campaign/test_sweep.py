@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.campaign.spec import SimulationSpec
 from repro.campaign.sweep import RangeSpec, SweepSpec, read_spec_data, shrink_ranges
 from repro.campaign.queue import load_campaign_file
 
@@ -119,6 +120,59 @@ def test_spec_validation_errors():
         )
     with pytest.raises(ValueError, match="unknown sweep spec key"):
         SweepSpec.from_json_dict(dict(GRID, turbo=True))
+
+
+FIGURES = {
+    "campaign": "figures",
+    "kind": "synthetic",
+    "mode": "grid",
+    "base": {"optimum": 0.5},
+    "axes": {"x1": [0.0, 1.0]},
+    "figures": {
+        "a": [{"x0": 1.0}, {"x0": 2.0}],
+        "b": [{"x0": 2.0}, {"kind": "accuracy", "scenario": "steady", "prr": 0.5}],
+    },
+}
+
+
+def test_figures_cross_cells_with_axes_and_share_points():
+    spec = SweepSpec.from_json_dict(FIGURES)
+    figures = spec.figure_points()
+    assert [p.param_dict() for p in figures["a"]] == [
+        {"optimum": 0.5, "x0": 1, "x1": 0},
+        {"optimum": 0.5, "x0": 1, "x1": 1},
+        {"optimum": 0.5, "x0": 2, "x1": 0},
+        {"optimum": 0.5, "x0": 2, "x1": 1},
+    ]
+    # Another kind's cell is a whole point, laid over nothing.
+    assert figures["b"][:2] == figures["a"][2:]
+    assert figures["b"][2] == SimulationSpec.make("accuracy", scenario="steady", prr=0.5)
+    # A point two figures share is one point of the campaign.
+    assert spec.grid_points() == figures["a"] + figures["b"][2:]
+    assert spec.total_points() == 5
+    back = SweepSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+    assert back == spec and back.digest() == spec.digest()
+    without = {k: v for k, v in FIGURES.items() if k != "figures"}
+    assert SweepSpec.from_json_dict(without).digest() != spec.digest()
+
+
+def test_figures_validation_errors():
+    cases = [
+        ({"a": [{"x1": 3.0}]}, "may not set axis parameter"),
+        ({"a": [{"kind": "quantum"}]}, "unknown simulation kind 'quantum'"),
+        ({"a": {"x0": 1.0}}, "must be a list of objects"),
+        ({"a": [{"kind": "fig3", "sead": 7}]}, "sead"),
+    ]
+    for figures, match in cases:
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_json_dict(dict(FIGURES, figures=figures))
+    with pytest.raises(ValueError, match="figures need mode 'grid'"):
+        SweepSpec.from_json_dict(
+            dict(FIGURES, mode="random", samples=2, ranges={"x0": {"lo": 0, "hi": 1}})
+        )
+    collection = dict(FIGURES, kind="collection", base={}, axes={"seed": [1]})
+    with pytest.raises(ValueError, match="protocl"):
+        SweepSpec.from_json_dict(dict(collection, figures={"a": [{"protocl": "4b"}]}))
 
 
 def test_load_campaign_file_dispatches_on_mode(tmp_path):

@@ -1,12 +1,16 @@
 """Bit-reproducibility of faulted runs, serially and across processes."""
 
-from repro.experiments.common import Cell, ExperimentScale, run_cells, run_one
-from repro.runner import ExperimentRunner
+from repro.campaign.spec import SimulationSpec, simulate
+from repro.runner import ExperimentRunner, Task
 from repro.runner.hashing import config_digest
 
 from tests.faults.helpers import build_network
 
-SCALE = ExperimentScale(n_nodes=16, duration_s=150.0, warmup_s=60.0, seeds=(1,))
+#: A 16-node Mirage under the reboot_storm preset, metrics collected.
+FAULTED = SimulationSpec.make(
+    "collection", profile="mirage", n_nodes=16, duration_s=150.0, warmup_s=60.0,
+    protocol="4b", seed=1, faults="reboot_storm", collect_metrics=True,
+)
 
 
 def _sim_fields(result):
@@ -56,16 +60,15 @@ def test_fault_spec_changes_the_run():
 
 
 def test_serial_and_parallel_runners_agree():
-    cell = Cell.make("4b", faults="reboot_storm", collect_metrics=True)
-    serial = run_cells(SCALE, [cell], ExperimentRunner(workers=1))
-    parallel = run_cells(SCALE, [cell], ExperimentRunner(workers=2))
-    lhs = [config_digest(_sim_fields(r)) for r in serial[0].runs]
-    rhs = [config_digest(_sim_fields(r)) for r in parallel[0].runs]
-    assert lhs == rhs
+    digests = []
+    for workers in (1, 2):
+        [result] = ExperimentRunner(workers=workers).run([Task(simulate, FAULTED)])
+        digests.append(config_digest(_sim_fields(result.run)))
+    assert digests[0] == digests[1]
 
 
-def test_run_one_accepts_fault_overrides():
-    result = run_one(SCALE, "4b", seed=1, faults="reboot_storm", collect_metrics=True)
+def test_collection_spec_accepts_fault_overrides():
+    result = simulate(FAULTED).run
     totals = {
         k.split("{", 1)[0]: v
         for k, v in sorted(result.metrics.items())

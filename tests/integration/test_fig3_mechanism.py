@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments.fig3_lqi_blind import Fig3Settings, run
+from repro.experiments.fig3_lqi_blind import Fig3Settings, execute
 
 
 @pytest.fixture(scope="module")
 def short_result():
-    return run(Fig3Settings(duration_s=600.0, burst_window=(200.0, 400.0)))
+    return execute(Fig3Settings(duration_s=600.0, burst_window=(200.0, 400.0)))
 
 
 def test_prr_collapses_during_burst(short_result):
@@ -58,7 +58,7 @@ def test_render_produces_all_panels(short_result):
 
 
 def test_4b_contrast_lower_cost():
-    fourbit = run(
+    fourbit = execute(
         Fig3Settings(duration_s=600.0, burst_window=(200.0, 400.0), protocol="4b")
     )
     assert fourbit.delivery_ratio > 0.97

@@ -89,12 +89,18 @@ def test_plain_results_carry_no_resources():
 
 
 def test_sim_results_carry_worker_resources():
-    from repro.experiments.common import Cell, ExperimentScale, run_cells
+    from repro.campaign.spec import SimulationSpec, simulate
+    from repro.experiments.common import averaged
 
-    scale = ExperimentScale(n_nodes=9, duration_s=120.0, warmup_s=30.0, seeds=(1,))
-    cells = run_cells(scale, [Cell.make("4b")], ExperimentRunner())
-    run = cells[0].runs[0]
-    assert run.resources is not None
+    spec = SimulationSpec.make(
+        "collection", profile="mirage", n_nodes=9, duration_s=120.0, warmup_s=30.0,
+        protocol="4b", seed=1,
+    )
+    [result] = ExperimentRunner().run([Task(simulate, spec)])
+    assert set(result.resources) == RESOURCE_FIELDS
+    # A figure's cell hands the worker's measurement on to its runs.
+    run = averaged([result])[0].runs[0]
+    assert run.resources == result.resources
     assert set(run.resources) == RESOURCE_FIELDS
     assert run.resources["cpu_s"] > 0.0
     payload = run.to_json_dict()

@@ -57,6 +57,22 @@ def test_dataclass_identity_includes_type_and_fields():
     assert config_digest(Point(1, 2.0)) != config_digest(Other(1, 2.0))
 
 
+def test_empty_omit_empty_field_leaves_the_encoding_unchanged():
+    @dataclasses.dataclass(frozen=True)
+    class Spec:
+        x: int
+
+    before = canonical_bytes(Spec(1))
+
+    @dataclasses.dataclass(frozen=True)  # noqa: F811 - same qualname on purpose
+    class Spec:  # type: ignore[no-redef]
+        x: int
+        extra: tuple = dataclasses.field(default=(), metadata={"digest": "omit_empty"})
+
+    assert canonical_bytes(Spec(1)) == before
+    assert canonical_bytes(Spec(1, (2,))) != before
+
+
 def test_schema_version_salts_digest(monkeypatch):
     value = {"a": 1}
     before = config_digest(value)

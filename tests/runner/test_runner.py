@@ -8,8 +8,7 @@ import time
 
 import pytest
 
-from repro.campaign.spec import simulate
-from repro.experiments.common import Cell, ExperimentScale
+from repro.campaign.spec import SimulationSpec, simulate
 from repro.runner import (
     ExperimentRunner,
     ResultCache,
@@ -17,7 +16,15 @@ from repro.runner import (
     Task,
 )
 
-MICRO = ExperimentScale(n_nodes=10, duration_s=120.0, warmup_s=30.0, seeds=(1, 2))
+SEEDS = (1, 2)
+
+
+def _spec(protocol, seed, **params):
+    """A 10-node, 2-minute Mirage ``collection`` point."""
+    return SimulationSpec.make(
+        "collection", profile="mirage", n_nodes=10, duration_s=120.0, warmup_s=30.0,
+        protocol=protocol, seed=seed, **params,
+    )
 
 
 def _square(x):
@@ -163,11 +170,7 @@ def _runs(specs, runner):
 
 
 def test_simulation_serial_parallel_equivalence():
-    specs = [
-        Cell.make(proto).spec(MICRO, seed)
-        for proto in ("4b", "mhlqi")
-        for seed in MICRO.seeds
-    ]
+    specs = [_spec(proto, seed) for proto in ("4b", "mhlqi") for seed in SEEDS]
     serial = _runs(specs, ExperimentRunner(workers=1))
     parallel = _runs(specs, ExperimentRunner(workers=2))
     assert None not in serial
@@ -175,7 +178,7 @@ def test_simulation_serial_parallel_equivalence():
 
 
 def test_simulation_cache_returns_identical_result(tmp_path):
-    spec = Cell.make("4b").spec(MICRO, 1)
+    spec = _spec("4b", 1)
     cache = ResultCache(tmp_path)
     fresh = _runs([spec], ExperimentRunner(cache=cache))[0]
     cached_runner = ExperimentRunner(cache=cache)
@@ -186,7 +189,7 @@ def test_simulation_cache_returns_identical_result(tmp_path):
 
 
 def test_cache_hits_fold_profile_and_events(tmp_path):
-    specs = [Cell.make("4b", profile_events=True).spec(MICRO, seed) for seed in MICRO.seeds]
+    specs = [_spec("4b", seed, profile_events=True) for seed in SEEDS]
     cache = ResultCache(tmp_path)
     cold = ExperimentRunner(cache=cache)
     warm = ExperimentRunner(cache=cache)
@@ -212,8 +215,7 @@ def test_fast_medium_serial_parallel_equivalence_with_faults():
     # The vectorized backend must stay a pure function of the seed across
     # process boundaries, fault injection included: a worker process and
     # the parent must produce numerically identical runs.
-    cell = Cell.make("4b", medium="fast", faults="flaky_burst")
-    specs = [cell.spec(MICRO, seed) for seed in MICRO.seeds]
+    specs = [_spec("4b", seed, medium="fast", faults="flaky_burst") for seed in SEEDS]
     serial = _runs(specs, ExperimentRunner(workers=1))
     parallel = _runs(specs, ExperimentRunner(workers=2))
     assert None not in serial

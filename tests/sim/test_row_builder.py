@@ -274,15 +274,44 @@ def test_interference_vectors_match_distance_scan_reference():
     for oid in sorted(positions):
         power = nodes[oid].radio.effective_tx_power_dbm
         for power_dbm in (power, power - 3.5):
-            got = medium._dense_inter_mw(oid, power_dbm)
+            got = medium._inter_mw(oid, power_dbm)
             want = reference_inter_mw(medium, ref_slots, oid, power_dbm)
             if want is None:
                 assert got is None
                 continue
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+            # The cache holds the in-reach entries; scattered onto the
+            # dense axis they are the reference vector, bit for bit.
+            ranks, mw = got
+            dense = np.zeros(len(medium._dense_ids))
+            dense[ranks] = mw
+            assert [v.hex() for v in dense.tolist()] == [v.hex() for v in want]
             for rid, mw in zip(medium._dense_ids, want):
                 if mw:
                     slot = ref_slots.get((min(oid, rid), max(oid, rid)))
                     resolved.add(None if slot is None else bool(medium._g_bimodal[slot]))
     # In reach: pairs with no slot, bimodal members and non-members all occur.
     assert resolved == {None, True, False}
+
+
+def _floats(value):
+    """Floats held by one interference-cache value, however it is shaped."""
+    if isinstance(value, np.ndarray):
+        return value.size if value.dtype.kind == "f" else 0
+    if isinstance(value, (tuple, list)):
+        return sum(_floats(v) for v in value)
+    return 0
+
+
+def test_interference_cache_holds_one_float_per_in_reach_entry():
+    # Real traffic fills the cache; a key may hold at most one float per
+    # receiver in its interferer's reach, never one per dense receiver.
+    config = SimConfig(protocol="4b", seed=3, medium="fast", duration_s=120.0, warmup_s=30.0)
+    net = CollectionNetwork(city_grid(150, blocks=3, block_m=100), config)
+    net.run()
+    medium = net.medium
+    cache = medium._inter_cache
+    assert cache
+    reach = medium._reach_start
+    for (oid, _power), value in cache.items():
+        u = medium._node_index[oid]
+        assert _floats(value) <= reach[u + 1] - reach[u]
