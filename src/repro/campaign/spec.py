@@ -184,7 +184,7 @@ class SimulationResult:
     params: Dict[str, Any]
     summary: Dict[str, Any]
     #: Simulator events executed (runner throughput accounting; 0 for
-    #: closed-form kinds and for ``fig3``, which reports only its figure).
+    #: closed-form kinds).
     events_run: int = 0
     #: Wall/CPU/RSS deltas attached by the runner workers — inherently
     #: nondeterministic, excluded from equality and from summaries.
@@ -225,8 +225,9 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         # Local import: campaign start-up never loads the figure modules.
         from repro.experiments.fig3_lqi_blind import execute, settings_from_params
 
-        summary = execute(settings_from_params(params)).to_json_dict()
-        events = 0
+        figure = execute(settings_from_params(params))
+        summary = figure.to_json_dict()
+        events = figure.events_run
     else:
         run = _simulate_collection(params)
         summary = {name: getattr(run, name) for name in _COLLECTION_SUMMARY}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.analysis.render import table, timeseries
@@ -153,6 +153,9 @@ class Fig3Result:
     unacked_series: List[Tuple[float, float]]
     delivery_ratio: float
     cost: float
+    #: Simulator events the chain's run executed: runner accounting, not
+    #: part of the figure, so left out of :meth:`to_json_dict` and equality.
+    events_run: int = field(default=0, compare=False)
 
     def window_stats(self) -> Dict[str, float]:
         """Mean PRR / LQI inside vs outside the interference window."""
@@ -183,7 +186,9 @@ class Fig3Result:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Strict-JSON view (non-finite floats become ``null``)."""
-        return json_sanitize(dataclasses.asdict(self))
+        data = dataclasses.asdict(self)
+        del data["events_run"]
+        return json_sanitize(data)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "Fig3Result":
@@ -290,6 +295,7 @@ def execute(settings: Fig3Settings) -> Fig3Result:
         unacked_series=unacked,
         delivery_ratio=result.delivery_ratio,
         cost=result.cost,
+        events_run=result.events_run,
     )
 
 

@@ -11,7 +11,10 @@ returns the deltas from ``resource.getrusage``:
 * ``max_rss_kb`` — peak resident set size in kB.  ``ru_maxrss`` is a
   process-lifetime high-water mark (Linux reports kB, macOS bytes — both
   normalized here), so for the *first* run in a worker it is the run's
-  own peak; for later runs it can only grow, never shrink.
+  own peak; for later runs it can only grow, never shrink.  A pool worker
+  frees the previous run before the next one starts
+  (:mod:`repro.runner.runner`), so a later run's value is the largest
+  peak any run in that worker reached, not a sum of dead runs still held.
 
 Everything degrades gracefully: on platforms without the ``resource``
 module only ``wall_s`` (and ``process_time``-based CPU) is reported.

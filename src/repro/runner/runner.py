@@ -20,10 +20,23 @@ canonically-hashable argument), answers what it can from the on-disk
 
 With ``workers <= 1`` tasks execute serially in-process; the equivalence
 tests in ``tests/runner/`` pin serial and pooled results to each other.
+
+**Worker memory.**  A finished run's network is one cyclic object graph
+(bound-method callbacks, engine handles, medium ↔ participant links) that
+reference counting never frees, and CPython's generation-2 collection
+waits until the survivors grow by 25%, so a worker would carry several
+dead networks into each new run.  Each pool worker therefore freezes the
+heap it inherits once (:func:`_init_worker`, the pool's initializer, also
+for a pool rebuilt after a worker died) and collects before every run
+(:func:`_call_with_timeout`): the freeze keeps that collection to the
+objects made since, and collecting *before* the run keeps it off the
+path from a run's end to its result reaching the parent.  Serial runs
+share the caller's process and leave its GC state as they found it.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import signal
 import sys
@@ -46,11 +59,19 @@ def _on_alarm(signum, frame):  # pragma: no cover - fires only on timeout
     raise RunTimeout()
 
 
+def _init_worker() -> None:
+    """Pool initializer: take the inherited heap (modules, numpy, the
+    parent's objects) out of every later collection in this worker, so
+    the collection before each run walks only what the runs made."""
+    gc.freeze()
+
+
 def _call_with_timeout(
     fn: Callable[[Any], Any],
     arg: Any,
     timeout_s: Optional[float],
     cache_info: Optional[Tuple[str, str]] = None,
+    collect_first: bool = False,
 ) -> Any:
     """Worker entry point: run ``fn(arg)`` under an optional SIGALRM budget.
 
@@ -65,9 +86,17 @@ def _call_with_timeout(
     finishes: a sweep killed while results are in flight — the campaign
     queue's interruption path — loses nothing, and a resume replays those
     runs as cache hits instead of re-executing them.
+
+    With ``collect_first`` (pool workers only, whose heap
+    :func:`_init_worker` froze) the previous run's object graph is
+    collected before the timeout and the resource probe start, so it
+    neither counts against this run's budget nor lingers into its peak
+    RSS.  Serial runs (the caller's own process) touch no GC state.
     """
     from repro.obs.resources import ResourceProbe, attach_resources
 
+    if collect_first:
+        gc.collect()
     use_alarm = bool(timeout_s) and hasattr(signal, "SIGALRM")
     if use_alarm:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -409,7 +438,9 @@ class ExperimentRunner:
         queue = iter(todo)
         submitted = 0
         in_flight: Dict[Any, Tuple[Task, str]] = {}
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_init_worker
+        ) as pool:
 
             def top_up() -> None:
                 nonlocal submitted
@@ -418,7 +449,7 @@ class ExperimentRunner:
                     submitted += 1
                     future = pool.submit(
                         _call_with_timeout, task.fn, task.arg, self.timeout_s,
-                        self._cache_info(digest),
+                        self._cache_info(digest), collect_first=True,
                     )
                     in_flight[future] = (task, digest)
 

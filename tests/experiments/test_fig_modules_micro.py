@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.campaign import Campaign
 from repro.campaign.spec import SimulationSpec
 from repro.experiments import run
 from repro.experiments.fig3_lqi_blind import Fig3Result, execute, settings_from_params
@@ -95,3 +96,16 @@ def test_rebuilt_fig3_renders_like_execute(figures):
     direct = execute(settings)
     assert figures["fig3"].render() == direct.render()
     assert Fig3Result.from_json_dict(direct.to_json_dict()) == direct
+
+
+def test_fig3_point_counts_its_events(tmp_path):
+    spec = micro_paper(only=["fig3"])
+    campaign = Campaign(spec, state_root=tmp_path / "state", cache=ResultCache(tmp_path / "cache"))
+    campaign.run()
+    [point] = spec.figure_points()["fig3"]
+    events = campaign.results[point].events_run
+    direct = execute(settings_from_params(point.param_dict()))
+    assert events > 0 and events == direct.events_run
+    # The count reaches the campaign's total, not the figure's summary.
+    assert json.loads(campaign.summary_path.read_text())["events_total"] == events
+    assert "events_run" not in direct.to_json_dict()
