@@ -159,11 +159,11 @@ def _run_campaign(campaign: Campaign, args: argparse.Namespace) -> int:
         best = doc.get("best")
         if best:
             line += f"\n[campaign] best {doc['objective']}: {best['score']} at {best['params']}"
-        for failure in campaign.runner.totals.failures:
+        for failure in stats.failed:
             line += f"\n[campaign] failed {failure.label}: {failure.error}"
         print(line, file=sys.stderr)
-        if campaign.runner.totals.profile:
-            print(campaign.runner.totals.profile_report(), file=sys.stderr)
+        if stats.profile:
+            print(stats.profile_report(), file=sys.stderr)
     return EXIT_FAILED if stats.failures else 0
 
 

@@ -1,13 +1,14 @@
 """The persistent campaign queue: exactly-once runs, resumable from disk.
 
 A :class:`Campaign` drives a declarative :class:`SweepSpec`'s search loop
-(:func:`repro.campaign.sweep.search`), running each round's points as
-:class:`~repro.runner.runner.Task`\\ s over
-:func:`repro.campaign.spec.simulate` through the
-:class:`~repro.runner.runner.ExperimentRunner` process pool.  Durability
-is *not* a bespoke journal — it is the canonical-digest result cache:
+(:func:`repro.campaign.sweep.search`), running each round's points — each
+:class:`~repro.campaign.spec.SimulationSpec` is a runner task itself —
+through the :class:`~repro.runner.runner.ExperimentRunner` process pool.
+Durability is *not* a bespoke journal — it is the canonical-digest result
+cache:
 
-* every point's identity is its spec digest, so enumeration is stable
+* every point's one identity is its spec digest (cache key, failure,
+  ``run-result`` record and summary entry), so enumeration is stable
   across processes, machines, and resumes;
 * workers write each result to the on-disk cache **before** returning it
   (see ``_call_with_timeout``), so a campaign killed mid-flight — SIGTERM,
@@ -40,40 +41,18 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.spec import SimulationResult, SimulationSpec, simulate
+from repro.campaign.spec import SimulationResult, SimulationSpec
 from repro.campaign.sweep import SweepSpec, rank, read_spec_data, run_search, search
 from repro.metrics.collection_stats import json_sanitize
-from repro.runner.cache import MISS, ResultCache
-from repro.runner.runner import ExperimentRunner, Task, check_run_limits
+from repro.runner.cache import MISS, ResultCache, atomic_write
+from repro.runner.runner import ExperimentRunner, RunnerStats, check_run_limits
 
 #: Default root for campaign state directories (sibling of the default
 #: ``.repro-cache``); override per campaign or with ``REPRO_CAMPAIGN_DIR``.
 DEFAULT_STATE_ROOT = ".repro-campaigns"
-
-
-@dataclass
-class CampaignSessionStats:
-    """Run accounting for one ``Campaign.run()`` session.
-
-    Counted off the telemetry stream (one ``run-result`` per point), so
-    the numbers are exact even when the session ends mid-sweep by
-    interruption — the kill/resume property tests assert the exactly-once
-    contract on these: across an interrupted session and its resume,
-    ``executed`` totals the unique point count and never double-counts.
-    """
-
-    executed: int = 0
-    cache_hits: int = 0
-    failures: int = 0
-
-    @property
-    def completed(self) -> int:
-        return self.executed + self.cache_hits + self.failures
 
 
 class CampaignInterrupted(Exception):
@@ -88,73 +67,11 @@ class CampaignInterrupted(Exception):
         super().__init__(f"campaign interrupted after {completed} completed run(s)")
 
 
-class _CampaignSink:
-    """Telemetry tee that doubles as the interruption point.
-
-    Forwards every record to the wrapped sink (when there is one), counts
-    executed runs (``run-result``/``status="ok"``), and raises
-    :class:`CampaignInterrupted` once ``stop_after`` executions have been
-    observed or :meth:`request_stop` has been called.  Raising *here* is
-    safe precisely because workers cache results before returning: the
-    triggering run is already durable when the exception unwinds the
-    runner, and the pool's shutdown lets in-flight workers finish (and
-    cache) their runs.
-    """
-
-    def __init__(self, inner: Any = None, stop_after: Optional[int] = None) -> None:
-        self.inner = inner
-        self.stop_after = stop_after
-        self.ok_count = 0
-        self.cached_count = 0
-        self.failed_count = 0
-        self._stop = False
-        self._seq = 0
-
-    def request_stop(self) -> None:
-        self._stop = True
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        if record.get("rec") == "run-result":
-            status = record.get("status")
-            if status == "ok":
-                self.ok_count += 1
-            elif status == "cached":
-                self.cached_count += 1
-            elif status == "failed":
-                self.failed_count += 1
-        if self.inner is not None:
-            self.inner.emit(record)
-        if self._stop or (self.stop_after is not None and self.ok_count >= self.stop_after):
-            raise CampaignInterrupted(self.ok_count)
-
-    def emit_campaign(self, kind: str, **fields: Any) -> None:
-        """Emit one campaign-scoped record (own ``seq`` stream, wall time)."""
-        if self.inner is None:
-            return
-        record: Dict[str, Any] = {"rec": kind, "seq": self._seq, "t": None}
-        record.update(fields)
-        self._seq += 1
-        self.inner.emit(record)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _dump_deterministic(doc: Dict[str, Any]) -> str:
-    """The byte-identical serialization contract for campaign artifacts."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _write_json(path: Path, doc: Dict[str, Any]) -> None:
+    """Write ``doc`` atomically under the byte-identical serialization
+    contract for campaign artifacts."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    atomic_write(path, text.encode())
 
 
 def load_campaign_file(path: Union[str, Path]) -> SweepSpec:
@@ -184,12 +101,15 @@ class Campaign:
         Optional :class:`~repro.obs.stream.RecordLog` (or anything with
         ``emit``); receives the runner's sweep records plus
         campaign-scoped ``campaign-start`` / ``campaign-round`` /
-        ``campaign-end`` records.
+        ``campaign-end`` records, all in the runner's one ``seq``.
     stop_after:
         Deterministic forced interruption: raise after this many runs have
         *executed* this session (the CI smoke job and the property tests
         use it; SIGTERM reaches the same code path via
         :meth:`request_stop`).  Must be ``>= 1``.
+
+    The campaign is its runner's telemetry sink (:meth:`emit`): it
+    forwards each record to ``telemetry`` and is the interruption point.
     """
 
     def __init__(
@@ -227,14 +147,12 @@ class Campaign:
         self.telemetry = telemetry
         self.progress = progress
         self.stop_after = stop_after
-        self._sink: Optional[_CampaignSink] = None
-        #: The runner of the most recent ``run()`` session; its ``totals``
-        #: carry the merged engine profile of profiled points.
-        self.runner: Optional[ExperimentRunner] = None
-        #: :class:`CampaignSessionStats` for the most recent ``run()``
-        #: session (the property tests assert exactly-once semantics on
-        #: these counters).
-        self.last_stats = CampaignSessionStats()
+        self._stop = False
+        #: The runner's tally for the most recent ``run()`` session: its
+        #: counts, failures and merged engine profile (the property tests
+        #: assert exactly-once semantics on these counters).  It is live,
+        #: so it is exact when the session ends by interruption too.
+        self.last_stats = RunnerStats()
         #: Point → result of every point that completed in the most recent
         #: ``run()``, cache hits included (the figure renderers read these).
         self.results: Dict[SimulationSpec, SimulationResult] = {}
@@ -256,13 +174,30 @@ class Campaign:
 
     def request_stop(self) -> None:
         """Ask the running campaign to stop at the next completion (signal-safe)."""
-        if self._sink is not None:
-            self._sink.request_stop()
+        self._stop = True
+
+    def emit(self, record: Dict[str, Any]) -> None:
+        """The runner's telemetry sink: forward ``record``, then raise
+        :class:`CampaignInterrupted` at a ``run-result`` once ``stop_after``
+        runs have executed this session or a stop was requested.
+
+        Raising here is safe because workers cache results before
+        returning: the triggering run is already durable when the
+        exception unwinds the runner, and the pool's shutdown lets
+        in-flight workers finish (and cache) their runs.
+        """
+        if self.telemetry is not None:
+            self.telemetry.emit(record)
+        executed = self.last_stats.executed
+        if record["rec"] == "run-result" and (
+            self._stop or (self.stop_after is not None and executed >= self.stop_after)
+        ):
+            raise CampaignInterrupted(executed)
 
     def _write_spec(self) -> None:
         doc = json_sanitize(self.spec.to_json_dict())
         doc["digest"] = self.digest
-        _atomic_write_text(self.spec_path, _dump_deterministic(doc))
+        _write_json(self.spec_path, doc)
 
     def _write_manifest(self, **fields: Any) -> None:
         doc: Dict[str, Any] = {
@@ -273,21 +208,11 @@ class Campaign:
             "kind": self.spec.kind,
         }
         doc.update(fields)
-        _atomic_write_text(self.manifest_path, _dump_deterministic(doc))
+        _write_json(self.manifest_path, doc)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _make_runner(self, sink: _CampaignSink) -> ExperimentRunner:
-        return ExperimentRunner(
-            workers=self.workers,
-            cache=self.cache,
-            timeout_s=self.timeout_s,
-            progress=self.progress,
-            strict=False,
-            telemetry=sink,
-        )
-
     def run(self) -> Dict[str, Any]:
         """Execute (or resume) the campaign to completion or interruption.
 
@@ -296,11 +221,17 @@ class Campaign:
         :class:`CampaignInterrupted` after checkpointing the manifest —
         the caller resumes by calling :meth:`run` again.
         """
-        sink = _CampaignSink(self.telemetry, stop_after=self.stop_after)
-        self._sink = sink
-        runner = self.runner = self._make_runner(sink)
+        self._stop = False
+        runner = ExperimentRunner(
+            workers=self.workers,
+            cache=self.cache,
+            timeout_s=self.timeout_s,
+            progress=self.progress,
+            telemetry=self,
+        )
+        self.last_stats = runner.stats
         self._write_spec()
-        sink.emit_campaign(
+        runner.emit(
             "campaign-start",
             campaign=self.spec.name,
             digest=self.digest,
@@ -310,33 +241,26 @@ class Campaign:
         # The last round checkpoint; every manifest of the session keeps it.
         checkpoint = {"rounds_done": 0, "points_enumerated": 0, "points_completed": 0}
         try:
-            doc = self._run_search(runner, sink, checkpoint)
+            doc = self._run_search(runner, checkpoint)
         except CampaignInterrupted as exc:
             self._write_manifest(
                 interrupted=True, executed_this_session=exc.completed, **checkpoint
             )
-            sink.emit_campaign(
+            runner.emit(
                 "campaign-end", campaign=self.spec.name, digest=self.digest,
                 status="interrupted", executed=exc.completed,
             )
             raise
-        finally:
-            self.last_stats = CampaignSessionStats(
-                executed=sink.ok_count,
-                cache_hits=sink.cached_count,
-                failures=sink.failed_count,
-            )
-            self._sink = None
-        _atomic_write_text(self.summary_path, _dump_deterministic(doc))
+        _write_json(self.summary_path, doc)
         self._write_manifest(interrupted=False, completed=True, **checkpoint)
-        sink.emit_campaign(
+        runner.emit(
             "campaign-end", campaign=self.spec.name, digest=self.digest,
-            status="completed", executed=sink.ok_count,
+            status="completed", executed=runner.stats.executed,
         )
         return doc
 
     def _run_search(
-        self, runner: ExperimentRunner, sink: _CampaignSink, checkpoint: Dict[str, int]
+        self, runner: ExperimentRunner, checkpoint: Dict[str, int]
     ) -> Dict[str, Any]:
         """Drive the search loop through the runner, checkpointing each round.
 
@@ -346,7 +270,7 @@ class Campaign:
         pairs: List[Tuple[SimulationSpec, Optional[SimulationResult]]] = []
 
         def evaluate(points: Sequence[SimulationSpec]) -> List[Optional[SimulationResult]]:
-            results = runner.run([Task(fn=simulate, arg=p, label=p.describe()) for p in points])
+            results = runner.run(points)
             pairs.extend(zip(points, results))
             done = sum(1 for _p, r in pairs if r is not None)
             rounds = checkpoint["rounds_done"] + 1
@@ -354,7 +278,7 @@ class Campaign:
                 rounds_done=rounds, points_enumerated=len(pairs), points_completed=done
             )
             self._write_manifest(interrupted=False, **checkpoint)
-            sink.emit_campaign(
+            runner.emit(
                 "campaign-round",
                 campaign=self.spec.name,
                 digest=self.digest,
@@ -366,16 +290,15 @@ class Campaign:
 
         history = run_search(self.spec, evaluate)
         self.results = {p: r for p, r in pairs if r is not None}
-        return self._summary(runner, pairs, history)
+        return self._summary(pairs, history)
 
     def _summary(
         self,
-        runner: ExperimentRunner,
         pairs: Sequence[Tuple[SimulationSpec, Optional[SimulationResult]]],
         history: List[Dict[str, Any]],
     ) -> Dict[str, Any]:
         spec = self.spec
-        failures = {f.digest: f.error for f in runner.totals.failures}
+        errors = {f.digest: f.error for f in self.last_stats.failed}
         points = []
         for point, result in pairs:
             if result is not None:
@@ -386,7 +309,7 @@ class Campaign:
                         "kind": point.kind,
                         "digest": point.digest(),
                         "params": dict(point.params),
-                        "error": failures.get(point.digest(), "failed"),
+                        "error": errors[point.digest()],
                     }
                 )
         doc: Dict[str, Any] = {
@@ -440,7 +363,7 @@ class Campaign:
         loop = search(spec)
         points = next(loop)
         while True:
-            results = [self.cache.get(_task_digest(p)) for p in points]
+            results = [self.cache.get(p.digest()) for p in points]
             found.update(p.digest() for p, r in zip(points, results) if r is not MISS)
             hits = sum(1 for r in results if r is not MISS)
             cached += hits
@@ -473,8 +396,3 @@ class Campaign:
                 for figure, points in spec.figure_points().items()
             }
         return status
-
-
-def _task_digest(point: SimulationSpec) -> str:
-    """The runner cache key for one campaign point (Task digest, not spec digest)."""
-    return Task(fn=simulate, arg=point).digest()

@@ -155,8 +155,14 @@ class SimulationSpec:
         return dict(self.params)
 
     def digest(self) -> str:
-        """Canonical identity — the cache key component and resume anchor."""
+        """The point's one identity: its cache key, runner dedup key,
+        failure and ``run-result`` digest, and ``summary.json`` entry."""
         return config_digest(self)
+
+    def __call__(self) -> "SimulationResult":
+        """Run the point; with :meth:`digest` and :meth:`describe` this
+        makes a spec an :class:`~repro.runner.ExperimentRunner` task."""
+        return simulate(self)
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "params": json_sanitize(self.param_dict())}

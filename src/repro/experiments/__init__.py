@@ -76,9 +76,8 @@ def run(spec: SweepSpec, **options: Any) -> Dict[str, Any]:
     Raises :class:`~repro.runner.RunnerError` when a point failed."""
     campaign = Campaign(spec, **options)
     campaign.run()
-    failures = campaign.runner.totals.failures if campaign.runner else []
-    if failures:
-        raise RunnerError(failures)
+    if campaign.last_stats.failed:
+        raise RunnerError(campaign.last_stats.failed)
     out: Dict[str, Any] = {}
     for name, points in spec.figure_points().items():
         out[name] = RENDERERS[name]([campaign.results[p] for p in points])

@@ -33,7 +33,9 @@ Stream record schema (one JSON object per line; DESIGN.md §10):
 ``run-result``  ``label, digest, status (ok|cached|failed), events_run``
                 plus optional ``resources`` per completed run
 ``sweep-end``   ``executed, cache_hits, failures, wall_s, cpu_s,
-                max_rss_kb`` — the sweep's closing accounting
+                max_rss_kb`` — the runner's tally as the sweep closes
+                (every sweep it has run, so a campaign's last
+                ``sweep-end`` is the session's)
 ``campaign-start``  ``campaign, digest, mode, planned`` — emitted by the
                 *campaign queue* before its first sweep round
 ``campaign-round``  ``campaign, digest, round, completed, enumerated`` —
@@ -42,7 +44,8 @@ Stream record schema (one JSON object per line; DESIGN.md §10):
                 executed`` — how the campaign session ended
 ==============  ============================================================
 
-``seq`` increases by one per record *per emitting stream*; ``t`` is
+``seq`` increases by one per record *per emitting stream* (one per run;
+the runner numbers its sweep records and its campaign's as one); ``t`` is
 simulated seconds for run-scoped records and ``null`` for sweep- and
 campaign-scoped ones (they live in wall time).  Because ``updates`` carries deltas keyed
 by full flat metric keys, :func:`fold_snapshots` reconstructs the exact
@@ -54,7 +57,6 @@ equals :func:`~repro.obs.metrics.network_metrics` at run end key-for-key
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from pathlib import Path
 from typing import (
@@ -70,6 +72,7 @@ from typing import (
     Union,
 )
 
+from repro.metrics.collection_stats import json_sanitize
 from repro.obs.metrics import network_metrics
 from repro.sim.probe import Monitor
 
@@ -99,21 +102,10 @@ _RUN_RESULT_STATUSES = ("ok", "cached", "failed")
 _CAMPAIGN_END_STATUSES = ("completed", "interrupted")
 
 
-def _sanitize_value(value: Any) -> Any:
-    """Non-finite floats become ``None`` so strict JSON always serializes."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _sanitize_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize_value(v) for v in value]
-    return value
-
-
 def encode_record(record: Dict[str, Any]) -> str:
     """One stream record as a strict-JSON line (no trailing newline)."""
     return json.dumps(
-        _sanitize_value(record), separators=(",", ":"), allow_nan=False
+        json_sanitize(record), separators=(",", ":"), allow_nan=False
     )
 
 

@@ -45,13 +45,6 @@ _PREFILL_CHUNK = 32768
 #: Sentinel distinguishing "not yet decided" from "decided: not bimodal".
 _MISSING = object()
 
-#: Bound on the value-cache sizes below; keys are floats produced by the
-#: simulation, so without a bound an adversarial schedule could grow the
-#: caches indefinitely.  Entries past the bound are computed but not
-#: stored — results are identical either way.
-_CACHE_MAX = 4096
-
-
 @dataclass(frozen=True)
 class PathLossModel:
     """Log-distance path loss."""
@@ -134,9 +127,6 @@ class ChannelModel:
         self._gilbert: Dict[Tuple[int, int], Optional[_GilbertState]] = {}
         #: Cached time-invariant gain (path loss + shadowing) per pair.
         self._mean_gain: Dict[Tuple[int, int], float] = {}
-        #: dt → (exp(−dt/τ), innovation sigma); both are pure functions of
-        #: dt, so memoizing them is result-neutral.
-        self._decay: Dict[float, Tuple[float, float]] = {}
         #: Queries closer together than this see a frozen OU channel
         #: (acks, back-to-back receptions): below 1% of tau.
         self._ou_freeze_s = 0.01 * temporal_tau_s
@@ -177,16 +167,9 @@ class ChannelModel:
         # Sub-millisecond-scale queries (acks, back-to-back receptions) see
         # an effectively frozen channel; skip the update below 1% of tau.
         if dt > self._ou_freeze_s:
-            cached = self._decay.get(dt)
-            if cached is None:
-                decay = math.exp(-dt / self.temporal_tau_s)
-                innovation_sigma = self.temporal_sigma_db * math.sqrt(
-                    max(0.0, 1.0 - decay * decay)
-                )
-                cached = (decay, innovation_sigma)
-                if len(self._decay) < _CACHE_MAX:
-                    self._decay[dt] = cached
-            state.x = state.x * cached[0] + state.stream.gauss(0.0, cached[1])
+            decay = math.exp(-dt / self.temporal_tau_s)
+            innovation_sigma = self.temporal_sigma_db * math.sqrt(max(0.0, 1.0 - decay * decay))
+            state.x = state.x * decay + state.stream.gauss(0.0, innovation_sigma)
             state.t = t
         return state.x
 

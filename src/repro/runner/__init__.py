@@ -11,7 +11,10 @@ cacheable.  This package provides:
   store with atomic writes;
 * :class:`~repro.runner.runner.ExperimentRunner` — process-pool fan-out
   with chunked submission, per-run timeouts, crash isolation, and
-  progress/throughput reporting.
+  progress/throughput reporting.  A failed run leaves ``None`` in its
+  result slot and a :class:`~repro.runner.runner.RunFailure` in the
+  runner's one tally (``stats.failed``); a caller that cannot go on
+  without every result raises :class:`~repro.runner.runner.RunnerError`.
 
 The package has no CLI of its own: run a sweep from a campaign file with
 ``python -m repro.campaign run`` (e.g. ``examples/smoke_sweep.json``),

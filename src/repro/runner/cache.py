@@ -36,6 +36,24 @@ def cache_dir_from_env() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR)
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in the same directory
+    and ``os.replace``, so a reader sees the old file or the whole new one,
+    never a torn one, and a killed writer leaves no temp file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Pickle-per-digest store for experiment results."""
 
@@ -74,19 +92,8 @@ class ResultCache:
         return self.get(digest) is not MISS
 
     def put(self, digest: str, result: Any) -> None:
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        atomic_write(self.path_for(digest), data)
 
     def __len__(self) -> int:
         if not self.root.exists():

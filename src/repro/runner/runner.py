@@ -2,10 +2,13 @@
 
 Every simulator run is a pure function of its configuration, so a sweep is
 embarrassingly parallel and perfectly cacheable.  :class:`ExperimentRunner`
-takes a list of :class:`Task`\\ s (a picklable top-level function plus a
-canonically-hashable argument), answers what it can from the on-disk
+takes a list of tasks, answers what it can from the on-disk
 :class:`~repro.runner.cache.ResultCache`, and fans the misses out over a
-``ProcessPoolExecutor``:
+``ProcessPoolExecutor``.  A task is any picklable callable with a
+``digest()`` (its identity: cache key, in-batch dedup, failure record and
+``run-result`` record) and a ``describe()`` label: a campaign point
+(:class:`~repro.campaign.spec.SimulationSpec`) is one, and :class:`Task`
+wraps any top-level function and argument as one.
 
 * **chunked submission** — at most ``workers × 4`` runs are in flight at a
   time, so a 10 000-cell sweep does not materialize 10 000 pickled configs
@@ -13,10 +16,9 @@ canonically-hashable argument), answers what it can from the on-disk
 * **per-run timeout** — enforced *inside* the worker with ``SIGALRM``, so a
   wedged run dies on its own without poisoning the pool;
 * **crash isolation** — a run that raises (or times out) is recorded as a
-  :class:`RunFailure` and the sweep continues; if a worker process dies
-  outright the pool is rebuilt and the remaining runs proceed.  Failures
-  surface at the *end* of the sweep as a :class:`RunnerError` (or as
-  ``None`` results with ``strict=False``).
+  :class:`RunFailure` in the runner's tally and the sweep continues; if a
+  worker process dies outright the pool is rebuilt and the remaining runs
+  proceed.  A failed task's result slot is ``None``.
 
 With ``workers <= 1`` tasks execute serially in-process; the equivalence
 tests in ``tests/runner/`` pin serial and pooled results to each other.
@@ -67,13 +69,12 @@ def _init_worker() -> None:
 
 
 def _call_with_timeout(
-    fn: Callable[[Any], Any],
-    arg: Any,
+    task: Callable[[], Any],
     timeout_s: Optional[float],
     cache_info: Optional[Tuple[str, str]] = None,
     collect_first: bool = False,
 ) -> Any:
-    """Worker entry point: run ``fn(arg)`` under an optional SIGALRM budget.
+    """Worker entry point: run ``task()`` under an optional SIGALRM budget.
 
     Also captures the run's wall/CPU/max-RSS deltas and attaches them to
     the result when it has a ``resources`` slot (``CollectionResult`` does)
@@ -103,7 +104,7 @@ def _call_with_timeout(
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
     probe = ResourceProbe()
     try:
-        result = fn(arg)
+        result = task()
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -121,14 +122,15 @@ class Task:
 
     ``fn`` must be a module-level function (pickled by reference for the
     worker processes) and ``arg`` must be canonically hashable — plain data
-    or frozen dataclasses.  The cache key covers both, so two figures
-    sharing the exact same run (Figure 6's 4B cell is Figure 7's at 0 dBm)
-    deduplicate.
+    or frozen dataclasses.  The cache key covers both.
     """
 
     fn: Callable[[Any], Any]
     arg: Any
     label: str = ""
+
+    def __call__(self) -> Any:
+        return self.fn(self.arg)
 
     def digest(self) -> str:
         return config_digest((self.fn.__module__, self.fn.__qualname__, self.arg))
@@ -147,7 +149,8 @@ class RunFailure:
 
 
 class RunnerError(RuntimeError):
-    """Raised after a sweep completes when some runs failed (strict mode)."""
+    """Some runs failed; raised by callers that cannot go on without them
+    (the figure renderers of :func:`repro.experiments.run`)."""
 
     def __init__(self, failures: List[RunFailure]):
         self.failures = failures
@@ -158,12 +161,13 @@ class RunnerError(RuntimeError):
 
 @dataclass
 class RunnerStats:
-    """Progress/throughput accounting for one sweep."""
+    """Progress/throughput accounting: the runner's one tally, across
+    every batch it has run."""
 
     total: int = 0
     executed: int = 0
     cache_hits: int = 0
-    failures: List[RunFailure] = field(default_factory=list)
+    failed: List[RunFailure] = field(default_factory=list)
     #: Simulator events of the runs, executed or served from the cache
     #: (from ``SimulationResult.events_run``).
     events_run: int = 0
@@ -177,8 +181,12 @@ class RunnerStats:
     resources: Dict[str, float] = field(default_factory=dict)
 
     @property
+    def failures(self) -> int:
+        return len(self.failed)
+
+    @property
     def completed(self) -> int:
-        return self.executed + self.cache_hits + len(self.failures)
+        return self.executed + self.cache_hits + self.failures
 
     @property
     def hit_rate(self) -> float:
@@ -242,7 +250,7 @@ class RunnerStats:
 
             parts.append(format_resources(self.resources))
         if self.failures:
-            parts.append(f"{len(self.failures)} FAILED")
+            parts.append(f"{self.failures} FAILED")
         return "[runner] " + ", ".join(parts) + f", {self.wall_s:.1f}s wall"
 
 
@@ -271,15 +279,14 @@ class ExperimentRunner:
         Maximum in-flight submissions (default ``workers × 4``).
     progress:
         When true, print throughput lines to stderr (≤ 1/s).
-    strict:
-        Raise :class:`RunnerError` after the sweep if any run failed;
-        with ``strict=False`` failed slots come back as ``None``.
     telemetry:
         Optional :class:`~repro.obs.stream.RecordLog` (or anything with
         an ``emit(record)`` method): the runner emits sweep-scoped stream
-        records (``sweep-start`` / one ``run-result`` per task /
-        ``sweep-end``) so a tail can follow sweep progress live.  The log
-        is *not* closed by the runner; its owner closes it.
+        records (``sweep-start`` / one ``run-result`` per task as its
+        result arrives / ``sweep-end``) so a tail can follow sweep
+        progress live; a caller adds its own records through :meth:`emit`
+        into the same ``seq``.  The log is *not* closed by the runner;
+        its owner closes it.
     """
 
     def __init__(
@@ -289,7 +296,6 @@ class ExperimentRunner:
         timeout_s: Optional[float] = None,
         chunk_size: Optional[int] = None,
         progress: bool = False,
-        strict: bool = True,
         telemetry: Any = None,
     ) -> None:
         check_run_limits(workers, timeout_s)
@@ -298,46 +304,46 @@ class ExperimentRunner:
         self.timeout_s = timeout_s
         self.chunk_size = chunk_size or max(self.workers * 4, 4)
         self.progress = progress
-        self.strict = strict
-        #: Stats for the most recent ``run()`` batch.
+        #: Every batch's runs, counted once.
         self.stats = RunnerStats()
-        #: Stats accumulated across every batch this runner has executed.
-        self.totals = RunnerStats()
         self.telemetry = telemetry
-        self._telemetry_seq = 0
+        self._seq = 0
+        self._t0 = 0.0
         self._last_report = 0.0
 
-    def _emit_telemetry(self, kind: str, **fields: Any) -> None:
-        """Emit one sweep-scoped stream record (``t`` is null: wall time)."""
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Emit one sweep- or campaign-scoped stream record (``t`` is
+        null: wall time), numbered in this runner's one ``seq``."""
         if self.telemetry is None:
             return
-        record: Dict[str, Any] = {"rec": kind, "seq": self._telemetry_seq, "t": None}
+        record: Dict[str, Any] = {"rec": kind, "seq": self._seq, "t": None}
         record.update(fields)
-        self._telemetry_seq += 1
+        self._seq += 1
         self.telemetry.emit(record)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(self, tasks: Sequence[Task]) -> List[Any]:
+    def run(self, tasks: Sequence[Any]) -> List[Any]:
         """Execute ``tasks`` and return their results in submission order.
 
-        Duplicate tasks (same digest) execute once.  Failed runs occupy
-        their slot with ``None``; in strict mode (the default) the sweep
-        still runs to completion, then raises :class:`RunnerError`.
+        Duplicate tasks (same digest) execute once.  A failed run occupies
+        its slot with ``None`` and its :class:`RunFailure` joins
+        ``stats.failed``; the sweep always runs to completion.
         """
-        t0 = time.monotonic()
-        stats = RunnerStats(total=len(tasks))
-        self.stats = stats
+        stats = self.stats
+        # Wall time accumulates across batches: ``stats.wall_s`` is
+        # ``now - _t0`` throughout this one.
+        self._t0 = time.monotonic() - stats.wall_s
+        stats.total += len(tasks)
         self._last_report = 0.0
 
         digests = [task.digest() for task in tasks]
         outcomes: Dict[str, Any] = {}
-        failed: Dict[str, RunFailure] = {}
-        self._emit_telemetry("sweep-start", total=len(tasks))
+        self.emit("sweep-start", total=len(tasks))
 
         # Cache pass + in-batch dedup: `todo` keeps first occurrence order.
-        todo: List[Tuple[Task, str]] = []
+        todo: List[Tuple[Any, str]] = []
         seen = set()
         for task, digest in zip(tasks, digests):
             if digest in seen:
@@ -352,49 +358,40 @@ class ExperimentRunner:
                     # run does: a warm sweep profiles like a cold one.
                     stats.events_run += int(getattr(hit, "events_run", 0) or 0)
                     stats.absorb_profile(getattr(hit, "profile", None))
-                    self._emit_telemetry(
+                    self.emit(
                         "run-result", label=task.describe(), digest=digest,
                         status="cached",
                     )
                     continue
             todo.append((task, digest))
-        self._report(stats, t0)
+        self._report()
 
         if todo:
             if self.workers <= 1:
-                self._run_serial(todo, outcomes, failed, stats, t0)
+                self._run_serial(todo, outcomes)
             else:
-                self._run_pool(todo, outcomes, failed, stats, t0)
+                self._run_pool(todo, outcomes)
 
-        stats.wall_s = time.monotonic() - t0
-        self._report(stats, t0, force=True)
-        self.totals.total += stats.total
-        self.totals.executed += stats.executed
-        self.totals.cache_hits += stats.cache_hits
-        self.totals.failures.extend(stats.failures)
-        self.totals.events_run += stats.events_run
-        self.totals.wall_s += stats.wall_s
-        self.totals.absorb_profile(stats.profile)
-        self.totals.absorb_resources(stats.resources)
-        self._emit_telemetry(
+        self._report(force=True)
+        self.emit(
             "sweep-end",
             executed=stats.executed,
             cache_hits=stats.cache_hits,
-            failures=len(stats.failures),
+            failures=stats.failures,
             wall_s=stats.wall_s,
             cpu_s=stats.resources.get("cpu_s", 0.0),
             max_rss_kb=stats.resources.get("max_rss_kb", 0.0),
         )
-        if failed and self.strict:
-            raise RunnerError(list(failed.values()))
         return [outcomes.get(d) for d in digests]
 
     # ------------------------------------------------------------------
     # Execution strategies
     # ------------------------------------------------------------------
-    def _record_ok(self, task: Task, digest: str, result: Any, stats: RunnerStats) -> None:
+    def _record_ok(self, task: Any, digest: str, result: Any) -> None:
+        stats = self.stats
+        events = int(getattr(result, "events_run", 0) or 0)
         stats.executed += 1
-        stats.events_run += int(getattr(result, "events_run", 0) or 0)
+        stats.events_run += events
         stats.absorb_profile(getattr(result, "profile", None))
         resources = getattr(result, "resources", None)
         stats.absorb_resources(resources)
@@ -404,9 +401,9 @@ class ExperimentRunner:
         # No cache.put here: the worker already persisted the result before
         # returning it (see _call_with_timeout), so completions are durable
         # even if telemetry below — the campaign interruption point — raises.
-        self._emit_telemetry(
+        self.emit(
             "run-result", label=task.describe(), digest=digest, status="ok",
-            events_run=int(getattr(result, "events_run", 0) or 0), **extra,
+            events_run=events, **extra,
         )
 
     def _cache_info(self, digest: str) -> Optional[Tuple[str, str]]:
@@ -415,29 +412,26 @@ class ExperimentRunner:
             return None
         return (str(self.cache.root), digest)
 
-    def _run_serial(self, todo, outcomes, failed, stats, t0) -> None:
+    def _run_serial(self, todo, outcomes) -> None:
         for task, digest in todo:
             try:
-                result = _call_with_timeout(
-                    task.fn, task.arg, self.timeout_s, self._cache_info(digest)
-                )
+                result = _call_with_timeout(task, self.timeout_s, self._cache_info(digest))
             except Exception as exc:
-                failed[digest] = self._failure(task, digest, exc, stats)
+                self._failure(task, digest, exc)
             else:
                 outcomes[digest] = result
-                self._record_ok(task, digest, result, stats)
-            self._report(stats, t0)
+                self._record_ok(task, digest, result)
+            self._report()
 
-    def _run_pool(self, todo, outcomes, failed, stats, t0) -> None:
+    def _run_pool(self, todo, outcomes) -> None:
         remaining = list(todo)
         while remaining:
-            remaining = self._pool_round(remaining, outcomes, failed, stats, t0)
+            remaining = self._pool_round(remaining, outcomes)
 
-    def _pool_round(self, todo, outcomes, failed, stats, t0) -> List[Tuple[Task, str]]:
+    def _pool_round(self, todo, outcomes) -> List[Tuple[Any, str]]:
         """One pool lifetime; returns tasks left unsubmitted if it breaks."""
-        queue = iter(todo)
         submitted = 0
-        in_flight: Dict[Any, Tuple[Task, str]] = {}
+        in_flight: Dict[Any, Tuple[Any, str]] = {}
         with ProcessPoolExecutor(
             max_workers=self.workers, initializer=_init_worker
         ) as pool:
@@ -448,7 +442,7 @@ class ExperimentRunner:
                     task, digest = todo[submitted]
                     submitted += 1
                     future = pool.submit(
-                        _call_with_timeout, task.fn, task.arg, self.timeout_s,
+                        _call_with_timeout, task, self.timeout_s,
                         self._cache_info(digest), collect_first=True,
                     )
                     in_flight[future] = (task, digest)
@@ -461,50 +455,42 @@ class ExperimentRunner:
                     task, digest = in_flight.pop(future)
                     try:
                         result = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        failed[digest] = self._failure(task, digest, exc, stats)
                     except Exception as exc:
-                        failed[digest] = self._failure(task, digest, exc, stats)
+                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        self._failure(task, digest, exc)
                     else:
                         outcomes[digest] = result
-                        self._record_ok(task, digest, result, stats)
-                    self._report(stats, t0)
+                        self._record_ok(task, digest, result)
+                    self._report()
                 if broken:
                     # The pool is dead: everything still in flight fails with
                     # it, but unsubmitted runs continue in a fresh pool.
-                    for future, (task, digest) in in_flight.items():
-                        failed[digest] = self._failure(
-                            task, digest, RuntimeError("worker pool died"), stats
-                        )
-                    self._report(stats, t0)
+                    for task, digest in in_flight.values():
+                        self._failure(task, digest, RuntimeError("worker pool died"))
+                    self._report()
                     return todo[submitted:]
                 top_up()
         return []
 
-    def _failure(self, task: Task, digest: str, exc: BaseException, stats: RunnerStats) -> RunFailure:
+    def _failure(self, task: Any, digest: str, exc: BaseException) -> None:
         if isinstance(exc, RunTimeout):
             message = f"timed out after {self.timeout_s}s"
         else:
             message = f"{type(exc).__name__}: {exc}"
-        failure = RunFailure(label=task.describe(), digest=digest, error=message)
-        stats.failures.append(failure)
-        self._emit_telemetry(
-            "run-result", label=failure.label, digest=digest, status="failed",
+        self.stats.failed.append(RunFailure(label=task.describe(), digest=digest, error=message))
+        self.emit(
+            "run-result", label=task.describe(), digest=digest, status="failed",
             error=message,
         )
-        return failure
 
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
-    def _report(self, stats: RunnerStats, t0: float, force: bool = False) -> None:
-        if not self.progress:
-            return
+    def _report(self, force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last_report < 1.0:
+        self.stats.wall_s = now - self._t0
+        if not self.progress or (not force and now - self._last_report < 1.0):
             return
         self._last_report = now
-        stats.wall_s = now - t0
-        print(stats.summary(), file=sys.stderr, flush=True)
+        print(self.stats.summary(), file=sys.stderr, flush=True)
 

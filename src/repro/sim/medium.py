@@ -18,11 +18,10 @@ candidate receiver per transmission.  :meth:`RadioMedium.finalize`
 therefore precomputes a per-sender row of everything the evaluation loop
 needs per receiver (mean gain, noise floor in mW and dB, modulation, the
 pre-bound reception RNG stream and delivery callback), transmissions are
-indexed by sender for the half-duplex check, and dBm→mW conversions go
-through a bounded value cache.  None of the caches can change results:
-they store pure functions of their inputs, and the evaluation order and
-floating-point association of the original code are preserved exactly
-(the golden test in ``tests/golden/`` enforces this).
+indexed by sender for the half-duplex check.  None of the caches can
+change results: they store pure functions of their inputs, and the
+evaluation order and floating-point association of the original code are
+preserved exactly (the golden test in ``tests/golden/`` enforces this).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Pro
 
 
 from repro.link.frame import BROADCAST, AckFrame, Frame
-from repro.phy.channel import _CACHE_MAX as _CHANNEL_CACHE_MAX
 from repro.phy.channel import ChannelModel
 from repro.phy.lqi import DEFAULT_LQI_MODEL, LQI_MAX, LQI_MIN, LqiModel, _LQI_SPAN
 from repro.phy.modulation import PRR_TABLE_SNR_MIN_CENTI, prr_grid
@@ -73,25 +71,6 @@ _TWOPI = 2.0 * math.pi
 
 #: The half-duplex busy set of a frame nothing overlapped.
 _NOBODY: FrozenSet[int] = frozenset()
-
-#: Bounded memo for the dBm→mW conversion: every entry is a pure function
-#: of its key, so carried state can never change results across runs.
-_MW_PER_DBM_CACHE: Dict[float, float] = {}  # lint: disable=worker-state
-
-#: RSSI values are nearly-unique floats, so the conversion cache is bounded:
-#: past this size new keys are converted without being stored (identical
-#: result, no growth).
-_MW_CACHE_MAX = 8192
-
-
-def _dbm_to_mw(dbm: float) -> float:
-    mw = _MW_PER_DBM_CACHE.get(dbm)
-    if mw is None:
-        mw = 10.0 ** (dbm / 10.0)
-        if len(_MW_PER_DBM_CACHE) < _MW_CACHE_MAX:
-            _MW_PER_DBM_CACHE[dbm] = mw
-    return mw
-
 
 class MediumParticipant(Protocol):
     """What the medium needs from an attached entity.
@@ -353,7 +332,7 @@ class RadioMedium:
                 mean_snr = ptx + gain - receiver.radio.noise_floor_dbm
                 if mean_snr >= _NEIGHBOR_SNR_CUTOFF_DB:
                     row.append((rid, gain))
-                    noise_mw = _dbm_to_mw(receiver.radio.noise_floor_dbm)
+                    noise_mw = 10.0 ** (receiver.radio.noise_floor_dbm / 10.0)
                     rx_stream = stream("rx", rid)
                     # A mutable list, not a tuple: the last two slots cache
                     # the pair's resolved OU / Gilbert state objects once
@@ -603,8 +582,8 @@ class RadioMedium:
         # The OU advance, Gilbert dwell replay, and Gaussian draw below are
         # ChannelModel._temporal_for / ._fade_for / random.Random.gauss
         # inlined (those remain the source of truth — the lazy first-query
-        # initialization still goes through them, and the state objects,
-        # decay cache and ``gauss_next`` spare are shared, so interleaving
+        # initialization still goes through them, and the state objects
+        # and ``gauss_next`` spare are shared, so interleaving
         # with the out-of-line versions stays bit-identical.  The golden
         # test in tests/golden/ enforces this).
         has_temporal = channel.temporal_sigma_db > 0.0
@@ -613,9 +592,6 @@ class RadioMedium:
         fade_for = channel._fade_for
         ou_map = channel._ou
         gilbert_map = channel._gilbert
-        decay_map = channel._decay
-        decay_get = decay_map.get
-        decay_cache_max = _CHANNEL_CACHE_MAX
         ou_freeze = channel._ou_freeze_s
         ou_tau = channel.temporal_tau_s
         ou_sigma = channel.temporal_sigma_db
@@ -623,7 +599,6 @@ class RadioMedium:
         inv_fade_dwell = 1.0 / channel.fade_dwell_s
         inv_good_dwell = 1.0 / channel.good_dwell_s
         gain_db = channel.gain_db
-        dbm_to_mw = _dbm_to_mw
         # ---- hoisted LQI model / white-bit policy --------------------
         lqi_model = self.lqi_model
         lqi_mid = lqi_model.midpoint_snr_db
@@ -677,12 +652,8 @@ class RadioMedium:
                 else:
                     dt = t - ou_state.t
                     if dt > ou_freeze:
-                        cached = decay_get(dt)
-                        if cached is None:
-                            decay = exp(-dt / ou_tau)
-                            cached = (decay, ou_sigma * sqrt(max(0.0, 1.0 - decay * decay)))
-                            if len(decay_map) < decay_cache_max:
-                                decay_map[dt] = cached
+                        decay = exp(-dt / ou_tau)
+                        innovation_sigma = ou_sigma * sqrt(max(0.0, 1.0 - decay * decay))
                         s = ou_state.stream
                         z = s.gauss_next
                         s.gauss_next = None
@@ -691,7 +662,7 @@ class RadioMedium:
                             g2rad = sqrt(-2.0 * log(1.0 - s.random()))
                             z = cos(x2pi) * g2rad
                             s.gauss_next = sin(x2pi) * g2rad
-                        ou_state.x = ou_state.x * cached[0] + (0.0 + z * cached[1])
+                        ou_state.x = ou_state.x * decay + (0.0 + z * innovation_sigma)
                         ou_state.t = t
                     extra = ou_state.x
             else:
@@ -733,7 +704,7 @@ class RadioMedium:
                 interference_mw = 0.0
                 for other in overlapping:
                     other_rssi = other.power_dbm + gain_db(other.sender, rid, t)
-                    interference_mw += dbm_to_mw(other_rssi)
+                    interference_mw += 10.0 ** (other_rssi / 10.0)
                 sinr_db = rssi - 10.0 * log10(noise_mw + interference_mw)
             else:
                 interference_mw = 0.0

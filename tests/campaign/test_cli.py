@@ -299,6 +299,9 @@ def test_failed_point_writes_summary_and_exits_nonzero(tmp_path, capsys):
     doc = json.loads(_summary_path(tmp_path).read_text())
     assert doc["n_failed"] == 1
     assert [("error" in p) for p in doc["points"]] == [False, True]
+    # The summary carries the run's own error, found by the point's digest.
+    error = doc["points"][1]["error"]
+    assert error.startswith("ValueError") and "no-such-protocol" in error
 
 
 def test_empty_axis_is_a_spec_error(tmp_path, capsys):

@@ -247,6 +247,17 @@ def test_status_reports_resumable_progress(tmp_path):
     assert status["interrupted"] is False
 
 
+def test_status_counts_a_point_cached_under_the_key_run_wrote(tmp_path):
+    campaign = _campaign(GRID, tmp_path, stop_after=5)
+    with pytest.raises(CampaignInterrupted):
+        campaign.run()
+    # run keys each point's result by the point's spec digest ...
+    points = GRID.grid_points()
+    assert [p for p in points if p.digest() in campaign.cache] == points[:5]
+    # ... and status counts a point as cached through that same key.
+    assert campaign.status()["cached_points"] == 5
+
+
 def test_status_replays_optimize_rounds_from_the_cache(tmp_path):
     # Stops land mid-round 0, on the round-0/1 boundary and mid-round 2;
     # status re-derives later rounds from cached earlier ones.

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.campaign import Campaign, SweepSpec
 from repro.faults.invariants import InvariantChecker, InvariantViolation
 from repro.obs.metrics import network_metrics
 from repro.obs.stream import (
@@ -288,13 +289,30 @@ def test_runner_emits_sweep_scoped_records(tmp_path):
     assert statuses == ["cached", "cached"]
 
 
+def test_campaign_session_numbers_its_records_in_one_seq(tmp_path):
+    spec = SweepSpec.from_json_dict({
+        "campaign": "seq", "kind": "synthetic", "mode": "grid",
+        "axes": {"x0": [0.0, 1.0]},
+    })
+    log = RecordLog(limit=64, keep="tail")
+    Campaign(spec, state_root=tmp_path / "state", cache=ResultCache(tmp_path / "cache"),
+             telemetry=log).run()
+    records = [r for r in log.records if r["t"] is None]
+    assert [r["rec"] for r in records] == [
+        "campaign-start", "sweep-start", "run-result", "run-result", "sweep-end",
+        "campaign-round", "campaign-end",
+    ]
+    assert [r["seq"] for r in records] == list(range(len(records)))
+    assert all(validate_record(r) == [] for r in records)
+
+
 def _explode(x):
     raise RuntimeError(f"boom {x}")
 
 
 def test_runner_emits_failed_run_results():
     log = RecordLog(limit=16, keep="tail")
-    runner = ExperimentRunner(strict=False, telemetry=log)
+    runner = ExperimentRunner(telemetry=log)
     runner.run([Task(_explode, 1, label="explode(1)")])
     failed = [r for r in log.records if r["rec"] == "run-result"]
     assert failed and failed[0]["status"] == "failed"

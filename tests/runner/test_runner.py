@@ -9,12 +9,7 @@ import time
 import pytest
 
 from repro.campaign.spec import SimulationSpec, simulate
-from repro.runner import (
-    ExperimentRunner,
-    ResultCache,
-    RunnerError,
-    Task,
-)
+from repro.runner import ExperimentRunner, ResultCache, Task
 
 SEEDS = (1, 2)
 
@@ -107,7 +102,7 @@ def test_cache_key_includes_function_identity(tmp_path):
 
 def test_failures_are_not_cached(tmp_path):
     cache = ResultCache(tmp_path)
-    runner = ExperimentRunner(cache=cache, strict=False)
+    runner = ExperimentRunner(cache=cache)
     assert runner.run(_tasks(_boom, [1])) == [None]
     assert len(cache) == 0
 
@@ -115,39 +110,32 @@ def test_failures_are_not_cached(tmp_path):
 # ----------------------------------------------------------------------
 # Failure isolation
 # ----------------------------------------------------------------------
-def test_strict_raises_after_sweep_completes():
+def test_failures_are_tallied_and_the_sweep_completes():
     runner = ExperimentRunner()
-    with pytest.raises(RunnerError) as err:
-        runner.run(_tasks(_boom_if_odd, [0, 1, 2, 3]))
-    assert len(err.value.failures) == 2
-    # The even runs still executed before the error surfaced.
-    assert runner.stats.executed == 2
-    assert "odd input 1" in str(err.value)
-
-
-def test_non_strict_yields_none_slots():
-    runner = ExperimentRunner(strict=False)
     assert runner.run(_tasks(_boom_if_odd, [0, 1, 2, 3])) == [0, None, 2, None]
-    assert [f.label for f in runner.stats.failures] == [
-        "_boom_if_odd(1)",
-        "_boom_if_odd(3)",
+    assert runner.stats.failures == 2
+    # The even runs still executed around the failures.
+    assert runner.stats.executed == 2
+    assert [(f.label, f.error) for f in runner.stats.failed] == [
+        ("_boom_if_odd(1)", "ValueError: odd input 1"),
+        ("_boom_if_odd(3)", "ValueError: odd input 3"),
     ]
 
 
 def test_parallel_failures_isolated():
-    runner = ExperimentRunner(workers=2, strict=False)
+    runner = ExperimentRunner(workers=2)
     results = runner.run(_tasks(_boom_if_odd, list(range(8))))
     assert results == [0, None, 2, None, 4, None, 6, None]
 
 
 def test_timeout_kills_run_not_sweep():
-    runner = ExperimentRunner(timeout_s=0.2, strict=False)
+    runner = ExperimentRunner(timeout_s=0.2)
     results = runner.run(
         [Task(_sleep_then_return, 2.0, label="slow"), Task(_square, 4, label="fast")]
     )
     assert results == [None, 16]
-    assert runner.stats.failures[0].label == "slow"
-    assert "timed out" in runner.stats.failures[0].error
+    assert runner.stats.failed[0].label == "slow"
+    assert "timed out" in runner.stats.failed[0].error
 
 
 def test_run_limits_checked_at_construction():
@@ -202,13 +190,12 @@ def test_cache_hits_fold_profile_and_events(tmp_path):
     assert warm.stats.events_run == cold.stats.events_run > 0
 
 
-def test_totals_accumulate_across_batches():
+def test_stats_accumulate_across_batches():
     runner = ExperimentRunner()
     runner.run(_tasks(_square, [1, 2]))
     runner.run(_tasks(_square, [3]))
-    assert runner.totals.total == 3
-    assert runner.totals.executed == 3
-    assert runner.stats.total == 1  # per-batch stats reset
+    assert runner.stats.total == 3
+    assert runner.stats.executed == 3
 
 
 def test_fast_medium_serial_parallel_equivalence_with_faults():

@@ -76,11 +76,11 @@ def test_pool_worker_frees_the_previous_run_before_the_next():
 def test_rebuilt_pool_still_frees_the_previous_run():
     # One task in flight at a time: the dying worker breaks the first pool
     # alone, and the four runs go to the pool built after it.
-    runner = ExperimentRunner(workers=2, chunk_size=1, strict=False)
+    runner = ExperimentRunner(workers=2, chunk_size=1)
     tasks = [Task(_exit_worker, 0, label="exit")] + _network_tasks(range(1, 5))
     results = runner.run(tasks)
     assert results[0] is None
-    [failure] = runner.stats.failures
+    [failure] = runner.stats.failed
     assert failure.label == "exit" and "BrokenProcessPool" in failure.error
     _assert_previous_runs_freed(results[1:], tasks=4, workers=2)
 
@@ -92,9 +92,9 @@ def test_serial_batch_leaves_gc_state_as_found(enabled):
     try:
         if not enabled:
             gc.disable()
-        runner = ExperimentRunner(workers=1, strict=False)
+        runner = ExperimentRunner(workers=1)
         results = runner.run(_network_tasks([1]) + [Task(_boom, 2, label="boom")])
-        assert results[1] is None and len(runner.stats.failures) == 1
+        assert results[1] is None and runner.stats.failures == 1
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == frozen
     finally:

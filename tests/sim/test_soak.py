@@ -8,10 +8,7 @@ a bound that does not depend on how long the run is:
   (at most the node count) fill during the first slice and stay there;
 * the fast medium's PRR tables are keyed by (modulation, frame size) and
   are all built in the first slice; its interference cache holds one
-  entry per transmitter at most;
-* the memos keyed by continuous values — the channel's OU ``_decay`` (by
-  time step) and the exact medium's dBm→mW conversion (by RSSI) — rarely
-  see a key twice, so they fill toward their caps and stop there.
+  entry per transmitter at most.
 
 The sink's per-delivery ``records`` are the run's output: they grow with
 simulated time by design, and the test checks that they do.  The on-air
@@ -21,8 +18,6 @@ lists and the engine queue have their own soak test in
 
 import pytest
 
-from repro.phy import channel as channel_module
-from repro.sim import medium as medium_module
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.topology.testbeds import PROFILES, scaled_profile
 
@@ -38,8 +33,6 @@ def _sizes(net):
         "route_info": max(len(n.protocol.routing.route_info) for n in nodes),
         "prr_tables": len(getattr(medium, "_prr_tables", {})),
         "inter_cache": len(getattr(medium, "_inter_cache", {})),
-        "decay": len(net.channel._decay),
-        "mw": len(medium_module._MW_PER_DBM_CACHE),
         "records": len(net.sink.records),
     }
 
@@ -63,15 +56,11 @@ def test_run_state_plateaus_over_simulated_time(medium):
         assert 0 < sizes["table"] <= table_size
         assert 0 < sizes["route_info"] <= N_NODES
         assert sizes["inter_cache"] <= transmitters
-        assert sizes["decay"] <= channel_module._CACHE_MAX
-        assert sizes["mw"] <= medium_module._MW_CACHE_MAX
         # Filled in the first slice; no later slice adds an entry.
         for key in ("table", "route_info", "prr_tables"):
             assert sizes[key] == first[key], (key, slices)
     if medium == "fast":
         assert first["prr_tables"] > 0 and first["inter_cache"] > 0
-    else:
-        assert first["decay"] > 0
 
     # The run's output, by design: one record per unique delivery.
     records = [sizes["records"] for sizes in slices]
