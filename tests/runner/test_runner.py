@@ -122,6 +122,34 @@ def test_failures_are_tallied_and_the_sweep_completes():
     ]
 
 
+def test_strict_raises_after_sweep_completes(tmp_path):
+    # The figures need every point, so experiments.run raises once the
+    # campaign has run them all; the good point is still run and cached.
+    from repro.experiments import run
+    from repro.runner import RunnerError
+
+    from tests.experiments.micro import PAPER, micro_paper
+
+    good = next(c for c in PAPER.to_json_dict()["figures"]["fig7"] if c["tx_power_dbm"] == 0)
+    bad = dict(good, protocol="no-such-protocol")
+    spec = micro_paper(only=["fig7"], fig7=[good, bad])
+    cache = ResultCache(tmp_path / "cache")
+    with pytest.raises(RunnerError) as err:
+        run(spec, state_root=tmp_path / "state", cache=cache)
+    assert len(err.value.failures) == 1
+    assert "no-such-protocol" in str(err.value)
+    assert len(cache) == 1
+
+
+def test_non_strict_yields_none_slots():
+    runner = ExperimentRunner()
+    assert runner.run(_tasks(_boom_if_odd, [0, 1, 2, 3])) == [0, None, 2, None]
+    assert [f.label for f in runner.stats.failed] == [
+        "_boom_if_odd(1)",
+        "_boom_if_odd(3)",
+    ]
+
+
 def test_parallel_failures_isolated():
     runner = ExperimentRunner(workers=2)
     results = runner.run(_tasks(_boom_if_odd, list(range(8))))
