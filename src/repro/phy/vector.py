@@ -36,6 +36,17 @@ chains, ufuncs instead of Python-level wrappers such as ``np.clip`` —
 while keeping every float operation and its operand order, so results
 are bit-identical to the straightforward expressions they replace
 (DESIGN.md §9, "per-transmission kernel").
+
+Operand rule: every constant operand of a per-transmission ufunc is a 0-d
+float64 array made once — the module's ``_ONE``, ``_HUNDRED`` …, and the
+channel and LQI constants the medium converts in ``finalize`` — never a
+Python number.  τ is the one exception: :func:`ou_advance` divides by
+``−τ``, and negating a 0-d array is itself a ufunc call.  A ufunc converts a Python operand to an array on every call: on
+numpy 2.4 a Python float costs about 0.2–0.4 µs more per call than a 0-d
+array, and a Python int mixed into a float64 array up to about 1 µs
+(``np.maximum(x, 40)`` 1.7 µs against 0.7 µs).  The converted value is the
+same float64, so results do not change.  The kernels still accept Python
+floats, which is what the scalar-reference tests pass.
 """
 
 from __future__ import annotations
@@ -49,6 +60,16 @@ from repro.phy.lqi import LQI_MAX, LQI_MIN, _LQI_SPAN
 from repro.phy.modulation import PRR_TABLE_SNR_MAX_CENTI, PRR_TABLE_SNR_MIN_CENTI, prr_grid
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
+
+#: Constant ufunc operands as 0-d float64 arrays (see "Operand rule").
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_HUNDRED = np.array(100.0)
+_PRR_FLOOR_DB = np.array(-8.0)
+_PRR_MIN_CENTI = np.array(PRR_TABLE_SNR_MIN_CENTI, dtype=np.int64)
+_LQI_MIN_F = np.array(float(LQI_MIN))
+_LQI_MAX_F = np.array(float(LQI_MAX))
+_LQI_SPAN_F = np.array(float(_LQI_SPAN))
 
 
 def ou_advance(
@@ -70,17 +91,19 @@ def ou_advance(
     ``_ou_freeze_s`` behavior.  Returns the post-advance ``x[slots]``
     values, as a fresh array.
 
-    Most calls mix frozen and moving slots; the all-moving case skips the
-    two mask gathers and the final gather.  ``dt/(−τ)`` equals ``−dt/τ``
-    exactly (IEEE division is sign-symmetric), and each in-place step is
-    the same operation, in the same operand order, as the textbook
-    expression above.  ``1 − e^(−2dt/τ)`` needs no clamp at 0: a moving
+    Most calls mix frozen and moving slots.  One ``nonzero`` gives the
+    moving positions and their count, and integer gathers take them (two
+    boolean-mask gathers and a ``count_nonzero`` cost more); the
+    all-moving case skips both gathers and the final one.  ``dt/(−τ)``
+    equals ``−dt/τ`` exactly (IEEE division is sign-symmetric), and each
+    in-place step is the same operation, in the same operand order, as the
+    textbook expression above.  ``1 − e^(−2dt/τ)`` needs no clamp at 0: a moving
     slot has ``dt > freeze_s ≥ 0``, so ``e^(−dt/τ) ≤ 1``.
     """
     dt = t_last[slots]
     np.subtract(t_now, dt, out=dt)
-    moving = dt > freeze_s
-    n_moving = np.count_nonzero(moving)
+    moving = (dt > freeze_s).nonzero()[0]
+    n_moving = moving.size
     if n_moving == 0:
         return x[slots]
     if n_moving == slots.size:
@@ -92,7 +115,7 @@ def ou_advance(
     decay /= -tau_s
     np.exp(decay, out=decay)
     innovation = decay * decay
-    np.subtract(1.0, innovation, out=innovation)
+    np.subtract(_ONE, innovation, out=innovation)
     np.sqrt(innovation, out=innovation)
     innovation *= sigma_db
     innovation *= normals(n_moving)
@@ -111,7 +134,7 @@ def gilbert_advance(
     t_now: float,
     fade_dwell_s: float,
     good_dwell_s: float,
-    gen: Any,
+    uniforms: Callable[[int], Any],
 ) -> Any:
     """Advance the bimodal (Gilbert) slots in ``slots`` to ``t_now``, in place.
 
@@ -123,7 +146,8 @@ def gilbert_advance(
         π_f = fade_dwell / (fade_dwell + good_dwell)
 
     — the closed-form CTMC transition the exact path's dwell replay
-    simulates.  Returns the post-advance ``faded[slots]`` booleans.
+    simulates.  ``uniforms(n)`` returns ``n`` draws in [0, 1), one per
+    slot.  Returns the post-advance ``faded[slots]`` booleans.
     """
     a = 1.0 / good_dwell_s
     b = 1.0 / fade_dwell_s
@@ -132,7 +156,7 @@ def gilbert_advance(
     decay = np.exp(-(a + b) * dt)
     was_faded = faded[slots].astype(np.float64)
     p_faded = pi_faded + (was_faded - pi_faded) * decay
-    now_faded = gen.random(slots.size) < p_faded
+    now_faded = uniforms(slots.size) < p_faded
     faded[slots] = now_faded
     t_last[slots] = t_now
     return now_faded
@@ -171,10 +195,12 @@ def prr_lookup(table: Any, sinr_db: Any) -> Any:
     tiny but not zero.  SINR is always finite (path loss clamps at
     ``d0``), so no NaN reaches the comparison.
     """
-    idx = np.rint(sinr_db * 100.0).astype(np.int64)
-    idx -= PRR_TABLE_SNR_MIN_CENTI
+    centi = sinr_db * _HUNDRED
+    np.rint(centi, out=centi)
+    idx = centi.astype(np.int64)
+    idx -= _PRR_MIN_CENTI
     prr = table.take(idx, mode="clip")
-    prr[sinr_db <= -8.0] = 0.0
+    prr[sinr_db <= _PRR_FLOOR_DB] = _ZERO
     return prr
 
 
@@ -193,13 +219,13 @@ def lqi_sample(
     value = midpoint_snr_db - sinr_db
     value /= slope_db
     np.exp(value, out=value)
-    value += 1.0
-    np.divide(_LQI_SPAN, value, out=value)
-    value += LQI_MIN
+    value += _ONE
+    np.divide(_LQI_SPAN_F, value, out=value)
+    value += _LQI_MIN_F
     normals *= noise_sigma
     value += normals
-    np.maximum(value, LQI_MIN, out=value)
-    np.minimum(value, LQI_MAX, out=value)
+    np.maximum(value, _LQI_MIN_F, out=value)
+    np.minimum(value, _LQI_MAX_F, out=value)
     np.rint(value, out=value)
     return value.astype(np.int64)
 

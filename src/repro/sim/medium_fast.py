@@ -86,6 +86,11 @@ _ROW_BLOCK = 32
 #: Draws per pre-drawn block of the per-transmission streams.
 _DRAW_BLOCK = 4096
 
+#: The interference sum's dB factor, a 0-d array like every constant ufunc
+#: operand on the per-transmission path (``repro.phy.vector``, "Operand
+#: rule").
+_TEN = np.array(10.0)
+
 
 class _SenderBatch:
     """Per-sender structure-of-arrays candidate block."""
@@ -106,6 +111,7 @@ class _SenderBatch:
         "rid_dense",
         "cca_heard",
         "rid_pos",
+        "prr_tables",
     )
 
     def __init__(
@@ -142,6 +148,9 @@ class _SenderBatch:
         self.cca_heard = cca_heard
         #: Candidate id → position, built on the first unicast delivery.
         self.rid_pos: Optional[Dict[int, int]] = None
+        #: MAC frame length → PRR table of the one modulation (uniform
+        #: batches only), filled on first use.
+        self.prr_tables: Dict[int, Any] = {}
 
 
 class _Nodes(NamedTuple):
@@ -272,10 +281,23 @@ class FastRadioMedium(RadioMedium):
         self._gen_fade = Generator(PCG64(derive_seed(master, "fast", "bimodal-dwell")))
         self._gen_rx = Generator(PCG64(derive_seed(master, "fast", "rx")))
         self._gen_lqi = Generator(PCG64(derive_seed(master, "fast", "lqi")))
-        # The three per-transmission draws, served from pre-drawn blocks.
+        # The four per-transmission draws, served from pre-drawn blocks.
         self._ou_normals = _Prefetched(self._gen_ou.standard_normal)
+        self._fade_uniforms = _Prefetched(self._gen_fade.random)
         self._rx_uniforms = _Prefetched(self._gen_rx.random)
         self._lqi_normals = _Prefetched(self._gen_lqi.standard_normal)
+        # Kernel operands, made once by finalize (``repro.phy.vector``,
+        # "Operand rule"): 0-d float64 arrays, except τ, which the OU kernel
+        # negates (cheap on a float, a ufunc call on an array).
+        self._ou_tau_s = 0.0
+        self._ou_sigma: Any = None
+        self._ou_freeze: Any = None
+        self._fade_depth: Any = None
+        self._lqi_mid: Any = None
+        self._lqi_slope: Any = None
+        self._lqi_sigma: Any = None
+        #: The LQI white-bit threshold, or None for any other policy.
+        self._wb_threshold: Any = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -415,6 +437,18 @@ class FastRadioMedium(RadioMedium):
             self._expected_bimodal_extra_db = 10.0 * math.log10(factor)
         else:
             self._expected_bimodal_extra_db = 0.0
+
+        # ---- per-transmission kernel operands (read once, like the rest)
+        self._ou_tau_s = channel.temporal_tau_s
+        self._ou_sigma = np.array(channel.temporal_sigma_db)
+        self._ou_freeze = np.array(channel._ou_freeze_s)
+        self._fade_depth = np.array(channel.fade_depth_db)
+        lqi_model = self.lqi_model
+        self._lqi_mid = np.array(lqi_model.midpoint_snr_db)
+        self._lqi_slope = np.array(lqi_model.slope_db)
+        self._lqi_sigma = np.array(lqi_model.noise_sigma)
+        policy = self.white_bit_policy
+        self._wb_threshold = np.array(policy.threshold) if type(policy) is LqiWhiteBit else None
         self._finalized = True
 
     def _install_reach(self, nodes: _Nodes, lo: Any, hi: Any) -> None:
@@ -658,6 +692,11 @@ class FastRadioMedium(RadioMedium):
     # ------------------------------------------------------------------
     # Reception (vectorized)
     # ------------------------------------------------------------------
+    def _frame_bytes(self, sender_id: int, length_bytes: int) -> int:
+        """On-air bytes of a ``length_bytes`` MAC frame from ``sender_id``."""
+        params: RadioParams = self._participants[sender_id].radio.params
+        return length_bytes + params.phy_overhead_bytes
+
     def _prr_table_for(self, modulation: str, frame_bytes: int) -> Any:
         key = (modulation, frame_bytes)
         table = self._prr_tables.get(key)
@@ -695,7 +734,7 @@ class FastRadioMedium(RadioMedium):
                     dtype=bool,
                     count=batch.n,
                 )
-                idx = np.nonzero(keep)[0]
+                idx = keep.nonzero()[0]
                 if idx.size == 0:
                     return
         else:
@@ -714,9 +753,9 @@ class FastRadioMedium(RadioMedium):
                 self._ou_t,
                 slots,
                 t,
-                channel.temporal_tau_s,
-                channel.temporal_sigma_db,
-                channel._ou_freeze_s,
+                self._ou_tau_s,
+                self._ou_sigma,
+                self._ou_freeze,
                 self._ou_normals,
             )
         else:
@@ -731,13 +770,13 @@ class FastRadioMedium(RadioMedium):
                     t,
                     channel.fade_dwell_s,
                     channel.good_dwell_s,
-                    self._gen_fade,
+                    self._fade_uniforms,
                 )
                 # ``extra`` is a fresh array.  Subtracting the depth where
                 # faded equals adding −depth; elsewhere adding 0.0 is the
                 # identity (up to the sign of a zero, which the nonzero
                 # mean gain below absorbs).
-                extra[bi_pos[faded]] -= channel.fade_depth_db
+                extra[bi_pos[faded]] -= self._fade_depth
         # In-place from here on: ``extra`` is fresh, and ``a += b`` is the
         # same IEEE sum as ``b + a``.
         gain = extra
@@ -791,7 +830,11 @@ class FastRadioMedium(RadioMedium):
                 inter_mw = inter_sum[batch.rid_dense if full else batch.rid_dense[idx]]
                 inter_sum.fill(0.0)
         if inter_mw is not None:
-            sinr = rssi - 10.0 * np.log10(noise_mw + inter_mw)
+            # rssi − 10·log10(noise + inter), one fresh array, in place.
+            sinr = noise_mw + inter_mw
+            np.log10(sinr, out=sinr)
+            sinr *= _TEN
+            np.subtract(rssi, sinr, out=sinr)
         else:
             sinr = rssi - (batch.noise_db if full else batch.noise_db[idx])
         if prof is not None:
@@ -800,11 +843,15 @@ class FastRadioMedium(RadioMedium):
             k0 = k1
 
         # ---- decode decision: quantized PRR gather + one uniform draw ---
-        params: RadioParams = self._participants[sender_id].radio.params
-        frame_bytes = frame.length_bytes + params.phy_overhead_bytes
         if batch.mod_uniform is not None:
-            prr = prr_lookup(self._prr_table_for(batch.mod_uniform, frame_bytes), sinr)
+            table = batch.prr_tables.get(frame.length_bytes)
+            if table is None:
+                table = batch.prr_tables[frame.length_bytes] = self._prr_table_for(
+                    batch.mod_uniform, self._frame_bytes(sender_id, frame.length_bytes)
+                )
+            prr = prr_lookup(table, sinr)
         else:
+            frame_bytes = self._frame_bytes(sender_id, frame.length_bytes)
             prr = np.zeros(idx.size)
             mod_ids = batch.mod_ids if full else batch.mod_ids[idx]
             for mid, name in enumerate(batch.mod_names):
@@ -818,7 +865,7 @@ class FastRadioMedium(RadioMedium):
             # Undecoded frames whose interference outweighed the noise;
             # ``decoded < hot`` is ``~decoded & hot`` for booleans.
             self.collisions += int(np.count_nonzero(decoded < (inter_mw > noise_mw)))
-        dec = np.nonzero(decoded)[0]
+        dec = decoded.nonzero()[0]
         if prof is not None:
             k1 = perf_counter()
             prof.record_kernel("medium_fast.prr_decode", k1 - k0)
@@ -827,26 +874,28 @@ class FastRadioMedium(RadioMedium):
             return
 
         # ---- LQI sample + white bit for the decoded subset --------------
-        lqi_model = self.lqi_model
         sinr_dec = sinr[dec]
         lqi = lqi_sample(
             sinr_dec,
-            lqi_model.midpoint_snr_db,
-            lqi_model.slope_db,
-            lqi_model.noise_sigma,
+            self._lqi_mid,
+            self._lqi_slope,
+            self._lqi_sigma,
             self._lqi_normals(dec.size),
         )
-        policy = self.white_bit_policy
-        wb_threshold = policy.threshold if type(policy) is LqiWhiteBit else None
+        wb_threshold = self._wb_threshold
         if wb_threshold is not None:
             white = lqi >= wb_threshold
         else:
-            white_eval = policy.evaluate
+            white_eval = self.white_bit_policy.evaluate
             white = np.fromiter(
                 (white_eval(float(s), int(q)) for s, q in zip(sinr_dec, lqi)),
                 dtype=bool,
                 count=dec.size,
             )
+        if prof is not None:
+            k1 = perf_counter()
+            prof.record_kernel("medium_fast.lqi", k1 - k0)
+            k0 = k1
 
         # ---- delivery (candidate order, late-bound callbacks) -----------
         # Addressed delivery (see ``MediumParticipant``): a decode at a node
@@ -868,9 +917,9 @@ class FastRadioMedium(RadioMedium):
             pos = rid_pos.get(dst)
             if pos is not None:
                 # ``idx`` is ascending, and so is ``dec`` within it.
-                j = pos if full else int(np.searchsorted(idx, pos))
+                j = pos if full else int(idx.searchsorted(pos))
                 if j < idx.size and (full or idx[j] == pos) and decoded[j]:
-                    k = int(np.searchsorted(dec, j))
+                    k = int(dec.searchsorted(j))
                     info = RxInfo.__new__(RxInfo)
                     info.__dict__.update(
                         timestamp=t,

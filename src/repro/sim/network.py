@@ -128,6 +128,16 @@ class SimConfig:
             raise ValueError(
                 f"warmup_s must satisfy 0 <= warmup < duration: {self.warmup_s!r}"
             )
+        # Sources stop at duration − drain; a stop at or before t = 0 would
+        # precede their start, or fall in the engine's past.
+        if not 0.0 <= self.drain_s < self.duration_s:
+            raise ValueError(f"drain_s must satisfy 0 <= drain < duration: {self.drain_s!r}")
+        # The tree sampler steps by this period up to the duration.
+        if not 0.0 < self.tree_sample_period_s < math.inf:
+            raise ValueError(
+                f"tree_sample_period_s must be finite and positive: "
+                f"{self.tree_sample_period_s!r}"
+            )
         if self.white_bit not in ("lqi", "snr", "never"):
             raise ValueError(f"unknown white-bit policy {self.white_bit!r}")
         if self.white_bit_threshold is not None:

@@ -107,7 +107,7 @@ def test_fast_medium_profiles_kernel_buckets():
     result = CollectionNetwork(topo, config).run()
     kernels = result.profile["kernels"]
     assert {"medium_fast.cull", "medium_fast.fading", "medium_fast.interference",
-            "medium_fast.prr_decode"} <= set(kernels)
+            "medium_fast.prr_decode", "medium_fast.lqi"} <= set(kernels)
     for row in kernels.values():
         assert row["count"] > 0 and row["wall_s"] >= 0.0
 

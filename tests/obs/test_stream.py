@@ -251,13 +251,13 @@ def test_telemetry_is_pure_observer():
 def test_telemetry_config_validation():
     for period in (float("nan"), 0.0, -1.0):
         with pytest.raises(ValueError):
-            SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
+            SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0, drain_s=0.0,
                       telemetry_period_s=period)
     # A period longer than the run is legal (it just never samples early).
-    SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
+    SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0, drain_s=0.0,
               telemetry_period_s=float("inf"))
     with pytest.raises(ValueError):
-        SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0,
+        SimConfig(protocol="4b", seed=1, duration_s=10.0, warmup_s=0.0, drain_s=0.0,
                   telemetry_path="x.jsonl")  # path requires a period
 
 

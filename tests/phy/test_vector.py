@@ -1,6 +1,7 @@
 """Array kernels for the fast medium: parity with the scalar channel code."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from numpy.random import PCG64, Generator
 from repro.link.frame import BROADCAST, Frame
 
 from repro.phy.channel import ChannelModel
-from repro.phy.lqi import LqiModel
+from repro.phy import vector
+from repro.phy.lqi import LQI_MAX, LQI_MIN, _LQI_SPAN, LqiModel
 from repro.phy.modulation import BER_MODELS, prr_fast, prr_grid
 from repro.phy.radio import Radio, RadioParams
 from repro.phy.vector import (
@@ -28,6 +30,40 @@ from repro.phy.vector import (
 from repro.sim.engine import Engine
 from repro.sim.medium import RadioMedium
 from repro.sim.rng import RngManager
+
+
+# ----------------------------------------------------------------------
+# Operand forms: the fast medium passes 0-d float64 arrays, tests and other
+# callers Python numbers; the kernels must agree bit for bit.
+# ----------------------------------------------------------------------
+#: The kernels' constant operands as first written, before they became 0-d
+#: arrays.
+_LITERALS = {
+    "_ZERO": 0.0,
+    "_ONE": 1.0,
+    "_HUNDRED": 100.0,
+    "_PRR_FLOOR_DB": -8.0,
+    "_PRR_MIN_CENTI": PRR_TABLE_SNR_MIN_CENTI,
+    "_LQI_MIN_F": LQI_MIN,
+    "_LQI_MAX_F": LQI_MAX,
+    "_LQI_SPAN_F": _LQI_SPAN,
+}
+
+#: ``form(x)`` turns a caller's operand into one form.
+OPERAND_FORMS = (float, np.array)
+
+
+@contextmanager
+def operand_form(form):
+    """Run the kernels with every constant operand in one form: under
+    ``float`` the module's 0-d constants are the Python literals they
+    replaced; under ``np.array`` they stay 0-d arrays."""
+    with pytest.MonkeyPatch.context() as patch:
+        if form is float:
+            for name, literal in _LITERALS.items():
+                assert getattr(vector, name).shape == ()
+                patch.setattr(vector, name, literal)
+        yield form
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +164,11 @@ def test_prr_lookup_short_circuit_edges_match_prr_fast(modulation):
     clipped gather above +25 dB and the masked store at or below −8 dB."""
     table = prr_table(modulation, 44)
     snrs = np.asarray([-8.0, -8.004, -7.996, 24.995, 25.0, 40.0])
-    for snr, p in zip(snrs.tolist(), prr_lookup(table, snrs).tolist()):
-        assert p == prr_fast(modulation, snr, 44), snr
+    for form in OPERAND_FORMS:
+        with operand_form(form):
+            got = prr_lookup(table, snrs).tolist()
+        for snr, p in zip(snrs.tolist(), got):
+            assert p == prr_fast(modulation, snr, 44), (form, snr)
     for snr, p in _exact_loop_prr(modulation, snrs.tolist(), 44):
         assert p == prr_fast(modulation, snr, 44), snr
 
@@ -180,12 +219,17 @@ def test_prr_table_monotone_and_bounded():
 # OU advance: marginal statistics and freeze behavior
 # ----------------------------------------------------------------------
 def test_ou_advance_freeze_keeps_state():
-    x = np.asarray([1.0, -2.0])
-    t_last = np.asarray([10.0, 10.0])
-    gen = Generator(PCG64(1))
-    out = ou_advance(x, t_last, np.arange(2), 10.0005, 60.0, 1.5, 0.6, gen.standard_normal)
-    assert out.tolist() == [1.0, -2.0]  # within freeze window: untouched
-    assert t_last.tolist() == [10.0, 10.0]
+    for form in OPERAND_FORMS:
+        x = np.asarray([1.0, -2.0])
+        t_last = np.asarray([10.0, 10.0])
+        gen = Generator(PCG64(1))
+        with operand_form(form):
+            out = ou_advance(
+                x, t_last, np.arange(2), 10.0005, form(60.0), form(1.5), form(0.6),
+                gen.standard_normal,
+            )
+        assert out.tolist() == [1.0, -2.0]  # within freeze window: untouched
+        assert t_last.tolist() == [10.0, 10.0]
 
 
 def test_ou_advance_long_horizon_stationary_std():
@@ -256,11 +300,16 @@ def test_ou_advance_matches_scalar_loop_bit_for_bit(n_pairs, data, frozen, seed)
 
     x_ref, t_ref = x.copy(), t_last.copy()
     expected = _ou_loop_reference(x_ref, t_ref, slots, t_now, 60.0, 1.5, freeze_s, normals)
-    draw = Generator(PCG64(seed)).standard_normal
-    out = ou_advance(x, t_last, slots, t_now, 60.0, 1.5, freeze_s, draw)
-    assert out.tolist() == expected
-    assert x.tolist() == x_ref.tolist()
-    assert t_last.tolist() == t_ref.tolist()
+    for form in OPERAND_FORMS:
+        x_got, t_got = x.copy(), t_last.copy()
+        draw = Generator(PCG64(seed)).standard_normal
+        with operand_form(form):
+            out = ou_advance(
+                x_got, t_got, slots, t_now, form(60.0), form(1.5), form(freeze_s), draw
+            )
+        assert out.tolist() == expected, form
+        assert x_got.tolist() == x_ref.tolist()
+        assert t_got.tolist() == t_ref.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -286,17 +335,27 @@ def test_lqi_sample_matches_scalar_model(sinrs, seed):
     normals = Generator(PCG64(seed)).standard_normal(len(sinrs))
     scalar = _FixedGauss(normals.tolist())
     expected = [model.sample(s, scalar) for s in sinrs]
-    got = lqi_sample(
-        np.asarray(sinrs), model.midpoint_snr_db, model.slope_db, model.noise_sigma, normals
-    )
-    assert got.dtype == np.int64
-    assert got.tolist() == expected
+    for form in OPERAND_FORMS:
+        with operand_form(form):
+            got = lqi_sample(
+                np.asarray(sinrs),
+                form(model.midpoint_snr_db),
+                form(model.slope_db),
+                form(model.noise_sigma),
+                normals.copy(),  # scaled in place
+            )
+        assert got.dtype == np.int64
+        assert got.tolist() == expected, form
 
 
 def test_lqi_sample_clamps_to_hardware_range():
-    normals = np.asarray([-10.0, 10.0, 0.0])
-    got = lqi_sample(np.asarray([-10.0, 40.0, 3.0]), 3.0, 1.8, 50.0, normals)
-    assert got.tolist() == [40, 110, 75]
+    for form in OPERAND_FORMS:
+        normals = np.asarray([-10.0, 10.0, 0.0])
+        with operand_form(form):
+            got = lqi_sample(
+                np.asarray([-10.0, 40.0, 3.0]), form(3.0), form(1.8), form(50.0), normals
+            )
+        assert got.tolist() == [40, 110, 75], form
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +366,7 @@ def test_gilbert_advance_stationary_fraction():
     faded = np.zeros(n, dtype=bool)
     t_last = np.zeros(n)
     gen = Generator(PCG64(4))
-    out = gilbert_advance(faded, t_last, np.arange(n), 1e6, 80.0, 240.0, gen)
+    out = gilbert_advance(faded, t_last, np.arange(n), 1e6, 80.0, 240.0, gen.random)
     pi_f = 80.0 / (80.0 + 240.0)
     assert abs(float(np.mean(out)) - pi_f) < 0.02
 
@@ -317,7 +376,7 @@ def test_gilbert_advance_short_dt_sticky():
     faded = np.ones(n, dtype=bool)
     t_last = np.zeros(n)
     gen = Generator(PCG64(5))
-    out = gilbert_advance(faded, t_last, np.arange(n), 0.01, 80.0, 240.0, gen)
+    out = gilbert_advance(faded, t_last, np.arange(n), 0.01, 80.0, 240.0, gen.random)
     assert float(np.mean(out)) > 0.99  # dwell times are minutes, dt is 10 ms
 
 

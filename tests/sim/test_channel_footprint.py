@@ -40,6 +40,7 @@ def city_network(medium: str, n_nodes: int = N_NODES) -> CollectionNetwork:
         seed=3,
         duration_s=30.0,
         warmup_s=10.0,
+        drain_s=0.0,
         medium=medium,
         workload=WorkloadConfig(send_interval_s=10.0),
     )

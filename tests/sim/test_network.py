@@ -37,7 +37,27 @@ def test_duration_must_exceed_warmup():
     ):
         with pytest.raises(ValueError):
             SimConfig(duration_s=duration, warmup_s=warmup)
-    assert SimConfig(duration_s=10.0, warmup_s=0.0).warmup_s == 0.0
+    assert SimConfig(duration_s=10.0, warmup_s=0.0, drain_s=0.0).warmup_s == 0.0
+
+
+def test_drain_and_tree_sample_period_fail_at_construction():
+    """A campaign file can set both.  A drain of the whole run would stop the
+    sources at or before t = 0 (the engine rejects a negative time deep in
+    the build), and a zero period would never end the tree-sampling loop."""
+    for duration, drain in (
+        (1.0, 30.0),  # the default drain outlasts a short run
+        (600.0, 600.0),
+        (600.0, -1.0),
+        (600.0, math.nan),
+        (600.0, math.inf),
+    ):
+        with pytest.raises(ValueError, match="drain_s"):
+            SimConfig(duration_s=duration, warmup_s=0.0, drain_s=drain)
+    assert SimConfig(duration_s=600.0, drain_s=0.0).drain_s == 0.0
+    for period in (0.0, -30.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tree_sample_period_s"):
+            SimConfig(tree_sample_period_s=period)
+    assert SimConfig(tree_sample_period_s=0.5).tree_sample_period_s == 0.5
 
 
 def test_builds_one_node_per_position():
