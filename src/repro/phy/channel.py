@@ -39,8 +39,10 @@ from repro.sim.rng import RngManager
 
 Position = Tuple[float, float]
 
-#: Pairs per batched shadowing draw in :meth:`ChannelModel.mean_gains`.
-_PREFILL_CHUNK = 32768
+#: Pairs per chunk of :meth:`ChannelModel.mean_gains`: bounds the gain
+#: pass's transient arrays and lists.  32k–64k pairs is the fastest size
+#: for the Mersenne Twister pass; 2,048 takes over twice as long.
+_GAIN_CHUNK = 32768
 
 #: Sentinel distinguishing "not yet decided" from "decided: not bimodal".
 _MISSING = object()
@@ -85,6 +87,19 @@ class _GilbertState:
         self.t = 0.0
         self.faded = False
         self.stream = stream
+
+
+def _index_of(ids: Any, query: Any) -> Any:
+    """Positions of ``query``'s ids in the sorted id array ``ids``.
+
+    Raises ``KeyError`` for an id with no position, as the scalar path's
+    ``positions[id]`` does.
+    """
+    at = ids.searchsorted(query)
+    found = ids.take(at, mode="clip")
+    if not (found == query).all():
+        raise KeyError(int(query[found != query][0]))
+    return at
 
 
 class ChannelModel:
@@ -244,42 +259,63 @@ class ChannelModel:
         float object outlives the call.  The static shadowing comes from
         batched draws, :func:`repro.phy.vector.seeded_gauss` over
         :meth:`RngManager.once_seeds`, which reproduce
-        ``once("shadow", lo, hi).gauss(0, σ)`` bit for bit.  Each gain
-        then uses the scalar path's formula term for term
-        (:meth:`PathLossModel.loss_db`, ``math.hypot`` and
-        ``math.log10`` per pair), not numpy's transcendentals, which may
-        differ in the last bit: the values equal :meth:`mean_gain_db`'s
-        exactly.  Pairs go through in chunks of ``_PREFILL_CHUNK``, so
-        the transient arrays and ints of a draw stay bounded.
+        ``once("shadow", lo, hi).gauss(0, σ)`` bit for bit.
+
+        The path loss runs with no Python bytecode per pair, and term for
+        term as :meth:`PathLossModel.loss_db` computes it, so the values
+        equal :meth:`mean_gain_db`'s exactly.  ``math.hypot`` and
+        ``math.log10`` are CPython's, applied per element
+        (:func:`repro.phy.vector.map_float`), because numpy's
+        transcendentals may differ in the last bit.  Every other step is
+        one numpy ufunc in the scalar formula's operand order (``ax − bx``,
+        the ``d0`` clamp, ``d/d0``, ``10n·L``, ``PL(d0) + …``, negation,
+        ``+ s``), and numpy's ``+ − × ÷ maximum`` round exactly as
+        CPython's floats do.  Coordinates come from id-sorted arrays by
+        ``searchsorted``: ids may be sparse and large.  Pairs go through
+        in chunks of ``_GAIN_CHUNK``, so the transient arrays and lists of
+        a draw stay bounded.
         """
         # Imported here: numpy is a fast-medium dependency, and an exact
         # run must not load it (set-up time and memory of small runs).
         import numpy as np
 
-        from repro.phy.vector import seeded_gauss
+        from repro.phy.vector import map_float, seeded_gauss
 
-        lows = np.minimum(a, b)
-        highs = np.maximum(a, b)
         positions = self.positions
+        ids = np.array(sorted(positions), dtype=np.int64)
+        xy = np.array([positions[nid] for nid in ids.tolist()], dtype=np.float64)
+        xs, ys = xy.reshape(-1, 2).T
         pathloss = self.pathloss
         pl_d0 = pathloss.pl_d0_db
         ten_n = 10.0 * pathloss.exponent
         d0 = pathloss.d0_m
-        hypot, log10 = math.hypot, math.log10
-        out = np.empty(lows.size)
-        for lo in range(0, lows.size, _PREFILL_CHUNK):
-            hi = min(lo + _PREFILL_CHUNK, lows.size)
-            one, two = lows[lo:hi].tolist(), highs[lo:hi].tolist()
-            shadow = seeded_gauss(self._rng.once_seeds("shadow", one, two), self.shadowing_sigma_db)
-            gains = []
-            for x, y, s in zip(one, two, shadow.tolist()):
-                ax, ay = positions[x]
-                bx, by = positions[y]
-                d = hypot(ax - bx, ay - by)
-                if d < d0:
-                    d = d0
-                gains.append(-(pl_d0 + ten_n * log10(d / d0)) + s)
-            out[lo:hi] = gains
+        out = np.empty(len(a))
+
+        def fill(part: slice) -> None:
+            """``out[part]``; its temporaries die before the next chunk's."""
+            one = np.minimum(a[part], b[part])
+            two = np.maximum(a[part], b[part])
+            seeds = self._rng.once_seeds("shadow", one, two)
+            at_one, at_two = _index_of(ids, one), _index_of(ids, two)
+            del one, two
+            dx = xs[at_one]
+            dx -= xs[at_two]
+            dy = ys[at_one]
+            dy -= ys[at_two]
+            del at_one, at_two
+            gain = map_float(math.hypot, dx, dy)
+            del dx, dy
+            np.maximum(gain, d0, out=gain)
+            gain /= d0
+            gain = map_float(math.log10, gain)
+            np.multiply(ten_n, gain, out=gain)
+            np.add(pl_d0, gain, out=gain)
+            np.negative(gain, out=gain)
+            gain += seeded_gauss(seeds, self.shadowing_sigma_db)
+            out[part] = gain
+
+        for lo in range(0, out.size, _GAIN_CHUNK):
+            fill(slice(lo, lo + _GAIN_CHUNK))
         return out
 
     def gain_db(self, a: int, b: int, t: float) -> float:

@@ -280,7 +280,8 @@ def _mt_init_table() -> Any:
 
 
 _MT_INIT = _mt_init_table()
-_TWOPI = 2.0 * math.pi
+_TWOPI = np.array(2.0 * math.pi)
+_MINUS_TWO = np.array(-2.0)
 
 
 def seeded_gauss(seeds: Any, sigma: float) -> Any:
@@ -290,21 +291,40 @@ def seeded_gauss(seeds: Any, sigma: float) -> Any:
     or the bytearray :meth:`repro.sim.rng.RngManager.once_seeds` writes.
     Returns the draws as a float64 array aligned with the seeds.  One
     array pass replaces a Mersenne Twister reseed per seed
-    (:func:`_mt_first_uniforms`); the Box–Muller step then uses
-    ``math.cos``/``sqrt``/``log`` per seed, as ``random.gauss`` does,
-    because numpy's transcendentals may differ in the last bit.  The pass
-    holds about 17 uint32 arrays of the seeds' length: callers bound it
-    by passing seeds in chunks.
+    (:func:`_mt_first_uniforms`).  The Box–Muller step
+    ``0.0 + cos(u·2π)·sqrt(−2·log(1 − v))·σ`` then runs with no Python
+    bytecode per seed: ``cos`` and ``log`` are CPython's ``math``
+    functions, mapped over one array's ``tolist()`` by
+    :func:`map_float`, because numpy's transcendentals may differ in the
+    last bit; every other step is one numpy ufunc in ``random.gauss``'s
+    operand order, and ``+ − × sqrt`` round exactly as CPython's floats
+    do.  ``0.0 + …`` is kept: it turns a ``−0.0`` draw into ``0.0``, as
+    ``mu + z·sigma`` does.  The pass holds about 17 uint32 arrays of the
+    seeds' length: callers bound it by passing seeds in chunks.
     """
     u1, u2 = _mt_first_uniforms(np.frombuffer(seeds, dtype="<u8"))
-    cos, sqrt, log = math.cos, math.sqrt, math.log
-    return np.array(
-        [
-            0.0 + cos(a * _TWOPI) * sqrt(-2.0 * log(1.0 - b)) * sigma
-            for a, b in zip(u1.tolist(), u2.tolist())
-        ],
-        dtype=np.float64,
-    )
+    u1 *= _TWOPI
+    gauss = map_float(math.cos, u1)
+    del u1
+    np.subtract(_ONE, u2, out=u2)
+    radius = map_float(math.log, u2)
+    del u2
+    np.multiply(_MINUS_TWO, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    gauss *= radius
+    del radius
+    gauss *= sigma
+    return np.add(_ZERO, gauss, out=gauss)
+
+
+def map_float(fn: Callable[..., float], *args: Any) -> Any:
+    """``fn`` (a CPython ``math`` function) applied per element, as float64.
+
+    Each argument array goes through ``tolist()`` once, and ``map`` calls
+    ``fn`` from C, so no Python bytecode runs per element.
+    """
+    values = map(fn, *(arg.tolist() for arg in args))
+    return np.fromiter(values, np.float64, args[0].size)
 
 
 def _mt_first_uniforms(seeds: Any) -> Tuple[Any, Any]:
@@ -401,6 +421,7 @@ __all__ = [
     "mean_field_extra_db",
     "dbm_to_mw",
     "seeded_gauss",
+    "map_float",
     "PRR_TABLE_SNR_MIN_CENTI",
     "PRR_TABLE_SNR_MAX_CENTI",
 ]

@@ -298,7 +298,8 @@ class CollectionNetwork:
                     self.rng.stream("app", nid),
                     self.config.workload,
                 )
-            boot = 0.0 if is_root else self.rng.stream("boot", nid).uniform(
+            # One draw per node: a one-shot generator, not an interned stream.
+            boot = 0.0 if is_root else self.rng.once("boot", nid).uniform(
                 0.0, self.config.workload.boot_stagger_s
             )
             self.nodes[nid] = Node(

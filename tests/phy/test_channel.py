@@ -1,11 +1,13 @@
 """Unit tests for the channel model."""
 
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
 import pytest
 
+from repro.phy import channel as channel_module
 from repro.phy.channel import ChannelModel, PathLossModel
 from repro.sim.rng import RngManager, derive_seed
 
@@ -226,3 +228,41 @@ def test_per_pair_draws_match_fresh_named_streams():
     assert 0 < members < len(pairs)  # both bimodal branches exercised
     # Only the stateful per-pair streams are interned.
     assert {key[0] for key in ch._rng._streams} == {"ou", "bimodal-dwell"}
+
+
+def _gain_pass_peak(channel, a, b):
+    """Bytes of ``mean_gains``' tracemalloc peak above its output array."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    out = channel.mean_gains(a, b)
+    return tracemalloc.get_traced_memory()[1] - before - out.nbytes
+
+
+def test_gain_pass_transient_memory_is_bounded():
+    """The gain pass works in chunks: its transient peak is flat in the
+    pair count, and under 107 B/pair (output included) at 79,800 pairs,
+    every pair of a 400-node uniform layout."""
+    place = Random(4)
+    n_nodes = 444  # 98,346 pairs: three full chunks
+    positions = {i: (place.uniform(0, 500), place.uniform(0, 500)) for i in range(n_nodes)}
+    channel = ChannelModel(positions, RngManager(9))
+    a, b = np.triu_indices(n_nodes, 1)
+    chunk = channel_module._GAIN_CHUNK
+    assert a.size >= 3 * chunk
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        one = _gain_pass_peak(channel, a[:chunk], b[:chunk])
+        three = _gain_pass_peak(channel, a[: 3 * chunk], b[: 3 * chunk])
+        at_400 = _gain_pass_peak(channel, a[:79_800], b[:79_800]) + 8 * 79_800
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert three <= one * 1.05
+    assert at_400 <= 107 * 79_800
+
+
+def test_mean_gains_rejects_an_id_without_position():
+    with pytest.raises(KeyError):
+        make_channel().mean_gains(np.array([0, 1]), np.array([2, 3]))

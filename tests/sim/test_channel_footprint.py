@@ -62,7 +62,7 @@ def test_one_shot_pair_draws_are_not_interned(medium):
     node_keys = Counter(key[0] for key in net.rng._streams)
     channel_keys = Counter(key[0] for key in channel._rng._streams)
     assert not ONE_SHOT & (set(node_keys) | set(channel_keys))
-    # Node-level streams: a handful per node (mac, est, net, app, boot, rx).
+    # Node-level streams: a handful per node (mac, est, net, app, rx).
     assert sum(node_keys.values()) <= 6 * N_NODES + 1
     if medium == "fast":
         # The fast backend keeps its per-pair state in PCG64-fed arrays.

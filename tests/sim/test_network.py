@@ -1,6 +1,7 @@
 """Unit tests for the network builder."""
 
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.estimator import EstimatorConfig
 from repro.net.ctp.protocol import CtpProtocol
 from repro.net.multihoplqi import MultiHopLqi
 from repro.sim.network import PROTOCOLS, CollectionNetwork, SimConfig
+from repro.sim.rng import derive_seed
 from repro.topology.generators import grid
 from repro.topology.testbeds import scaled_profile, MIRAGE
 
@@ -94,6 +96,19 @@ def test_boot_times_staggered():
     boots = [n.boot_time for n in net.nodes.values() if not n.is_root]
     assert all(0.0 <= b <= 30.0 for b in boots)
     assert len(set(boots)) > 1
+
+
+@pytest.mark.parametrize("medium", ["exact", "fast"])
+def test_boot_times_are_one_shot_draws_of_the_boot_stream(medium):
+    profile = scaled_profile(MIRAGE, 12)
+    config = SimConfig(seed=11, duration_s=200.0, warmup_s=50.0, medium=medium)
+    net = CollectionNetwork(profile.topology(seed=1), config, profile=profile)
+    stagger = config.workload.boot_stagger_s
+    for nid, node in net.nodes.items():
+        fresh = random.Random(derive_seed(net.rng.master_seed, "boot", nid))
+        assert node.boot_time == (0.0 if node.is_root else fresh.uniform(0.0, stagger))
+    # One draw per node: no generator is kept for it.
+    assert not any(key[0] == "boot" for key in net.rng._streams)
 
 
 def test_estimator_config_override():

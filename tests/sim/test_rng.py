@@ -1,5 +1,9 @@
 """Unit tests for deterministic RNG streams."""
 
+import random
+
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +116,31 @@ def test_property_once_replays_fresh_stream(master, name, a, b, same_pair):
     draw = mgr.once(name, a, b)
     assert [draw.gauss(0.0, 3.2), draw.gauss(0.0, 3.2), draw.random()] == expected
     assert mgr._streams == {}
+
+
+def test_streams_and_one_shot_draws_are_seeded_by_derive_seed():
+    """Both hash from the cached name prefix; the seed is derive_seed's."""
+    for master in (7, 2**64 - 1):
+        mgr = RngManager(master)
+        for key in [("mac", 3), ("hardware",), ("faults", "preset", "x"), (5, "x", -3), ()]:
+            want = random.Random(derive_seed(master, *key))
+            expected = [want.random(), want.random()]
+            assert [mgr.stream(*key).random() for _ in range(2)] == expected
+            draw = mgr.once(*key)
+            assert [draw.random(), draw.random()] == expected
+
+
+def test_once_seeds_words_are_the_once_seeds():
+    """Word k of ``once_seeds(name, a, b)`` seeds ``once(name, a[k], b[k])``."""
+    ids = [0, 1, 499, 2**32 - 1, 2**32, 2**32 + 7, 2**40]
+    a, b = zip(*[(x, y) for x in ids for y in ids])
+    for master in (3, 2**63 + 5):
+        mgr = RngManager(master)
+        words = np.frombuffer(mgr.once_seeds("shadow", np.array(a), np.array(b)), "<u8")
+        assert words.tolist() == [derive_seed(master, "shadow", x, y) for x, y in zip(a, b)]
+
+
+def test_once_seeds_rejects_mismatched_lengths():
+    # zip would stop at the shorter input and leave the tail seeds zero.
+    with pytest.raises(ValueError, match="equal-length"):
+        RngManager(1).once_seeds("shadow", np.arange(3), np.arange(2))
