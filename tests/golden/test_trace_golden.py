@@ -1,11 +1,11 @@
 """Trace golden: instrumented runs must export byte-identical JSONL.
 
-Three pinned runs on Mirage scaled to 12 nodes are traced with
+Four pinned runs on Mirage scaled to 12 nodes are traced with
 ``instrument_network(net, max_records=None, etx_sample_s=60)`` and exported
 with :meth:`Tracer.to_jsonl`.  The golden stores the SHA-256 of each export
 plus its per-kind record counts, so a change to how tracing observes the
 layers shows up as a count that moved (readable) or a hash that moved
-(exact).  MultiHopLQI and crash presets are not pinned here.
+(exact).  Crash presets are not pinned here.
 
 Regenerate (only when an intentional trace change is made) with:
 
@@ -31,6 +31,7 @@ TRACE_CASES = {
     "4b-flaky_burst": {"protocol": "4b", "faults": "flaky_burst"},
     "ctp": {"protocol": "ctp"},
     "4b-fast": {"protocol": "4b", "medium": "fast"},
+    "mhlqi": {"protocol": "mhlqi"},
 }
 
 
