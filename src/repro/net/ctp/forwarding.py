@@ -1,10 +1,14 @@
 """CTP forwarding engine: queue, retransmissions, duplicate suppression.
 
-Transmissions go through the link estimator (layer 2.5), so every unicast
+The one collection datapath: CTP, the geographic router and MultiHopLQI
+all move data through it and differ only in the routing engine it reads
+(:class:`CollectionRouting`).  Under CTP and geographic routing,
+transmissions go through the link estimator (layer 2.5), so every unicast
 attempt automatically feeds the ack bit to the estimator — the datapath
 *is* the measurement traffic.  Persistent link failure therefore raises the
 estimated ETX, which the routing engine reacts to on the next route
-evaluation; no separate "link down" signal is needed.
+evaluation; no separate "link down" signal is needed.  MultiHopLQI has no
+estimator and hands the engine its MAC to send through instead.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ import math
 from random import Random
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Protocol, Tuple
 
-from repro.core.interfaces import LinkEstimator
+from repro.link.frame import NetworkFrame
 from repro.net.ctp.frames import CtpDataFrame, make_data_frame
-from repro.net.ctp.routing import CtpRoutingEngine
 from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +43,47 @@ class CtpForwardingConfig:
     no_route_retry_s: float = 1.0
     dup_cache_size: int = 32
     max_thl: int = 32
+
+    def __post_init__(self) -> None:
+        # A bad value would otherwise fail mid-run, as a negative delay.
+        for name, least in (
+            ("queue_size", 1), ("max_retries", 0), ("max_thl", 1), ("dup_cache_size", 0)
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}: {getattr(self, name)!r}")
+        # Negated comparisons: NaN fails every one of them.
+        for low, high in (("retry_min_s", "retry_max_s"), ("pace_min_s", "pace_max_s")):
+            lo, hi = getattr(self, low), getattr(self, high)
+            if not 0.0 <= lo <= hi < math.inf:
+                raise ValueError(
+                    f"{low}/{high} must satisfy 0 <= min <= max < inf: {lo!r}, {hi!r}"
+                )
+        if not 0.0 < self.no_route_retry_s < math.inf:
+            raise ValueError(
+                f"no_route_retry_s must be finite and positive: {self.no_route_retry_s!r}"
+            )
+
+
+class FrameSender(Protocol):
+    """The layer the datapath transmits through: the link estimator, or the
+    MAC for a stack with none."""
+
+    def send(self, frame: NetworkFrame) -> bool: ...
+
+
+class CollectionRouting(Protocol):
+    """What the datapath reads from its routing engine."""
+
+    is_root: bool
+    parent: Optional[int]
+    #: Set by the engine: called when the node gains its first route.
+    on_route_found: Optional[Callable[[], None]]
+
+    def path_etx(self) -> float: ...
+
+    def update_route(self) -> None: ...
+
+    def signal_loop_suspected(self) -> None: ...
 
 
 @dataclass
@@ -76,14 +120,14 @@ class CtpForwardingEngine:
     def __init__(
         self,
         engine: Engine,
-        estimator: LinkEstimator,
-        routing: CtpRoutingEngine,
+        link: FrameSender,
+        routing: CollectionRouting,
         node_id: int,
         rng: Random,
         config: CtpForwardingConfig = CtpForwardingConfig(),
     ) -> None:
         self.engine = engine
-        self.estimator = estimator
+        self.link = link
         self.routing = routing
         self.node_id = node_id
         self.rng = rng
@@ -195,7 +239,7 @@ class CtpForwardingEngine:
             etx_at_sender=self.routing.path_etx(),
             origin_time=packet.origin_time,
         )
-        if self.estimator.send(frame):
+        if self.link.send(frame):
             self._sending = True
             self.stats.tx_attempts += 1
         else:

@@ -53,7 +53,33 @@ class CtpConfig:
         return cls(routing=routing, forwarding=forwarding)
 
 
-class CtpProtocol(EstimatorClient):
+class CollectionStack:
+    """What every collection stack shares: a routing object (CTP, geographic
+    or MultiHopLQI) over the one forwarding engine."""
+
+    routing: Any
+    forwarding: CtpForwardingEngine
+
+    def start(self) -> None:
+        """Boot the stack (begin beaconing)."""
+        self.routing.start()
+
+    @property
+    def is_root(self) -> bool:
+        """Whether this node is a collection sink."""
+        return self.routing.is_root
+
+    @property
+    def parent(self) -> Optional[int]:
+        """Current parent (None before a route exists)."""
+        return self.routing.parent
+
+    def layers(self) -> Tuple[Any, ...]:
+        """The stack's probe-carrying layer objects."""
+        return (self.routing, self.forwarding)
+
+
+class CtpProtocol(CollectionStack, EstimatorClient):
     """A node's complete CTP stack above the link estimator."""
 
     def __init__(
@@ -75,10 +101,6 @@ class CtpProtocol(EstimatorClient):
         estimator.compare_provider = self.routing
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Boot the stack (start the Trickle beacon timer)."""
-        self.routing.start()
-
     def fault_shutdown(self) -> None:
         """Node crash: drop all RAM state in routing and forwarding.
 
@@ -92,16 +114,6 @@ class CtpProtocol(EstimatorClient):
         """Node reboot: bring the stack back with no route, like a boot."""
         self.routing.fault_restart()
 
-    @property
-    def is_root(self) -> bool:
-        """Whether this node is a collection sink."""
-        return self.routing.is_root
-
-    @property
-    def parent(self) -> Optional[int]:
-        """Current parent (None before a route exists)."""
-        return self.routing.parent
-
     def path_etx(self) -> float:
         """Current path ETX to the root (inf with no route)."""
         return self.routing.path_etx()
@@ -109,10 +121,6 @@ class CtpProtocol(EstimatorClient):
     def send_from_app(self) -> bool:
         """Originate one collection packet (False if the queue is full)."""
         return self.forwarding.send_from_app()
-
-    def layers(self) -> Tuple[Any, ...]:
-        """The stack's probe-carrying layer objects."""
-        return (self.routing, self.forwarding)
 
     def stats_objects(self) -> Tuple[Any, ...]:
         """The stack's stats dataclasses, in report order."""

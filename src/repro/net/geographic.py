@@ -31,6 +31,7 @@ from repro.core.interfaces import CompareBitProvider, EstimatorClient, LinkEstim
 from repro.link.frame import BROADCAST, NetworkFrame
 from repro.net.ctp.forwarding import CtpForwardingConfig, CtpForwardingEngine
 from repro.net.ctp.frames import CtpDataFrame
+from repro.net.ctp.protocol import CollectionStack
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo
 
@@ -179,7 +180,7 @@ class GreedyGeoRouting(CompareBitProvider):
         self.update_route()
 
 
-class GreedyGeoProtocol(EstimatorClient):
+class GreedyGeoProtocol(CollectionStack, EstimatorClient):
     """A node's full geographic-collection stack above the link estimator."""
 
     def __init__(
@@ -205,27 +206,9 @@ class GreedyGeoProtocol(EstimatorClient):
         estimator.client = self
         estimator.compare_provider = self.routing
 
-    def start(self) -> None:
-        """Boot the stack (begin beaconing)."""
-        self.routing.start()
-
-    @property
-    def is_root(self) -> bool:
-        """Whether this node is a collection sink."""
-        return self.routing.is_root
-
-    @property
-    def parent(self) -> Optional[int]:
-        """Current next hop (None before a route exists)."""
-        return self.routing.parent
-
     def send_from_app(self) -> bool:
         """Originate one collection packet (False if the queue is full)."""
         return self.forwarding.send_from_app()
-
-    def layers(self) -> Tuple[Any, ...]:
-        """The stack's probe-carrying layer objects."""
-        return (self.routing, self.forwarding)
 
     def stats_objects(self) -> Tuple[Any, ...]:
         """The stack's stats dataclasses (the router keeps bare counters)."""

@@ -8,15 +8,19 @@ to the parent with a small retransmission budget and *no* feedback into
 the route cost — exactly the blindness Figures 3 and 8 demonstrate: when a
 link's PRR collapses but surviving packets still carry high LQI, the
 protocol keeps hammering the same parent.
+
+Only the route choice is MultiHopLQI's own (:class:`MhlqiRouting`).  Data
+moves through CTP's :class:`~repro.net.ctp.forwarding.CtpForwardingEngine`,
+sent straight on the MAC, so the cost comparison against 4B on CTP differs
+in parent selection alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from repro.link.frame import BROADCAST, NetworkFrame
 
@@ -24,6 +28,9 @@ from repro.link.frame import BROADCAST, NetworkFrame
 # directly and bypasses the estimator stack on purpose, so this is the one
 # sanctioned breach of the four-bit layering contract.
 from repro.link.mac import Mac  # lint: disable=layering
+from repro.net.ctp.forwarding import CtpForwardingConfig, CtpForwardingEngine
+from repro.net.ctp.frames import CtpDataFrame
+from repro.net.ctp.protocol import CollectionStack
 from repro.sim.engine import Engine
 from repro.sim.packets import RxInfo, TxResult
 
@@ -32,8 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Beacon: options(1) + parent(2) + cost(2) + hopcount(1).
 BEACON_FRAME_BYTES = 14
-#: Data frame, sized like CTP's for a fair cost comparison.
-DATA_FRAME_BYTES = 36
 
 
 def adjust_lqi(lqi: int) -> int:
@@ -54,20 +59,6 @@ class LqiBeaconFrame(NetworkFrame):
 
     def describe(self) -> str:
         return f"LqiBeacon(cost={self.path_cost:.0f})"
-
-
-@dataclass
-class LqiDataFrame(NetworkFrame):
-    """Collection data frame."""
-
-    origin: int = 0
-    origin_seq: int = 0
-    thl: int = 0
-    #: Origination time (end-to-end latency instrumentation).
-    origin_time: float = 0.0
-
-    def describe(self) -> str:
-        return f"LqiData(origin={self.origin}, seq={self.origin_seq})"
 
 
 @dataclass(frozen=True)
@@ -92,6 +83,24 @@ class MhlqiConfig:
     pace_max_s: float = 0.010
     no_route_retry_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        self.forwarding_config()  # validates the datapath fields
+        # Negated comparisons: NaN fails every one of them.
+        for name, ok, rule in (
+            ("beacon_period_s", 0.0 < self.beacon_period_s < math.inf, "finite and > 0"),
+            ("beacon_jitter_s", 0.0 <= self.beacon_jitter_s < math.inf, "finite and >= 0"),
+            ("first_beacon_max_s", 0.1 <= self.first_beacon_max_s < math.inf, "finite and >= 0.1"),
+            ("switch_factor", 0.0 < self.switch_factor <= 1.0, "in (0, 1]"),
+            ("parent_timeout_periods", self.parent_timeout_periods >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}: {getattr(self, name)!r}")
+
+    def forwarding_config(self) -> CtpForwardingConfig:
+        """The datapath fields (all of the forwarding engine's, by name)."""
+        names = [f.name for f in fields(CtpForwardingConfig)]
+        return CtpForwardingConfig(**{name: getattr(self, name) for name in names})
+
     @staticmethod
     def scaled_for(radio_params, data_bytes: int = 36) -> "MhlqiConfig":
         """Retry/pacing delays scaled to the radio's data airtime (see
@@ -107,38 +116,18 @@ class MhlqiConfig:
 
 @dataclass
 class MhlqiStats:
-    """Counters for one node's MultiHopLQI stack."""
+    """Route counters of one node (the forwarding engine keeps the datapath's)."""
 
     beacons_sent: int = 0
     beacons_heard: int = 0
     parent_switches: int = 0
-    generated: int = 0
-    forwarded: int = 0
-    tx_attempts: int = 0
-    tx_acked: int = 0
-    tx_unacked: int = 0
-    delivered_at_root: int = 0
-    drops_queue_full: int = 0
-    drops_retries: int = 0
-    drops_thl: int = 0
-    duplicates_suppressed: int = 0
 
     METRICS_PREFIX = "net.mhlqi"
 
 
-class _QueuedPacket:
-    __slots__ = ("origin", "origin_seq", "thl", "retries", "origin_time")
-
-    def __init__(self, origin: int, origin_seq: int, thl: int, origin_time: float = 0.0):
-        self.origin = origin
-        self.origin_seq = origin_seq
-        self.thl = thl
-        self.retries = 0
-        self.origin_time = origin_time
-
-
-class MultiHopLqi:
-    """One node's complete MultiHopLQI stack (owns the MAC directly)."""
+class MhlqiRouting:
+    """Parent selection: beacons, the ``adjustLQI`` cost, the switch rule
+    and the parent timeout."""
 
     def __init__(
         self,
@@ -159,48 +148,34 @@ class MultiHopLqi:
         self.parent: Optional[int] = None
         self.path_cost: float = 0.0 if is_root else math.inf
         self._last_parent_heard = -math.inf
-        self._queue: Deque[_QueuedPacket] = deque()
-        self._sending_data = False
-        self._pump_scheduled = False
-        self._seq = 0
-        self._dup_cache: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        self.on_deliver: Optional[Callable[..., None]] = None
+        self.on_route_found: Optional[Callable[[], None]] = None
         #: Observation hook (:mod:`repro.sim.probe`), set by the network.
         self.probe: Optional["Monitor"] = None
-        mac.on_receive = self._mac_receive
-        mac.on_send_done = self._mac_send_done
 
-    # ------------------------------------------------------------------
     def start(self) -> None:
         """Boot: begin periodic beacons."""
         self.engine.schedule(self.rng.uniform(0.1, self.config.first_beacon_max_s), self._beacon_tick)
 
-    def layers(self) -> Tuple[Any, ...]:
-        """The stack's probe-carrying layer objects (it is monolithic)."""
-        return (self,)
+    def path_etx(self) -> float:
+        """The path cost, in ``adjustLQI`` units rather than ETX."""
+        return self.path_cost
 
-    def stats_objects(self) -> Tuple[Any, ...]:
-        """The stack's stats dataclasses."""
-        return (self.stats,)
+    def signal_loop_suspected(self) -> None:
+        """MultiHopLQI has no datapath loop check."""
 
-    # ------------------------------------------------------------------
-    # Beaconing / route maintenance
-    # ------------------------------------------------------------------
     def _beacon_tick(self) -> None:
-        self._check_parent_timeout()
+        self.update_route()
         frame = LqiBeaconFrame(
-            src=self.node_id,
-            dst=BROADCAST,
-            length_bytes=BEACON_FRAME_BYTES,
-            carries_route_info=True,
-            path_cost=self.path_cost,
+            src=self.node_id, dst=BROADCAST, length_bytes=BEACON_FRAME_BYTES,
+            carries_route_info=True, path_cost=self.path_cost,
         )
         if self.mac.send(frame):
             self.stats.beacons_sent += 1
         period = self.config.beacon_period_s + self.rng.uniform(0, self.config.beacon_jitter_s)
         self.engine.schedule(period, self._beacon_tick)
 
-    def _check_parent_timeout(self) -> None:
+    def update_route(self) -> None:
+        """Drop a parent silent for ``parent_timeout_periods`` beacon periods."""
         if self.is_root or self.parent is None:
             return
         timeout = self.config.parent_timeout_periods * self.config.beacon_period_s
@@ -211,11 +186,10 @@ class MultiHopLqi:
             if self.probe is not None:
                 self.probe.parent_change(self.node_id, old, None)
 
-    def _on_beacon(self, frame: LqiBeaconFrame, info: RxInfo) -> None:
+    def on_beacon_received(self, frame: LqiBeaconFrame, info: RxInfo) -> None:
+        """Refresh the parent's cost, or switch for a much cheaper route."""
         self.stats.beacons_heard += 1
-        if self.is_root:
-            return
-        if math.isinf(frame.path_cost):
+        if self.is_root or math.isinf(frame.path_cost):
             return
         cost_via = frame.path_cost + adjust_lqi(info.lqi)
         if frame.src == self.parent:
@@ -229,125 +203,47 @@ class MultiHopLqi:
             self.path_cost = cost_via
             self._last_parent_heard = info.timestamp
             self.stats.parent_switches += 1
-            if old is None:
-                self._pump_soon()
+            if old is None and self.on_route_found is not None:
+                self.on_route_found()
             if self.probe is not None:
                 self.probe.parent_change(self.node_id, old, frame.src)
 
-    # ------------------------------------------------------------------
-    # Datapath
-    # ------------------------------------------------------------------
+
+class MultiHopLqi(CollectionStack):
+    """One node's MultiHopLQI stack, on the MAC directly (no estimator)."""
+
+    def __init__(
+        self,
+        engine: Engine,
+        mac: Mac,
+        node_id: int,
+        is_root: bool,
+        rng: Random,
+        config: MhlqiConfig = MhlqiConfig(),
+    ) -> None:
+        self.routing = MhlqiRouting(engine, mac, node_id, is_root, rng, config)
+        self.forwarding = CtpForwardingEngine(
+            engine, mac, self.routing, node_id, rng, config.forwarding_config()
+        )
+        mac.on_receive = self._mac_receive
+        mac.on_send_done = self._mac_send_done
+
     def send_from_app(self) -> bool:
         """Originate one collection packet (False if the queue is full)."""
-        if len(self._queue) >= self.config.queue_size:
-            self.stats.drops_queue_full += 1
-            return False
-        self.stats.generated += 1
-        self._queue.append(
-            _QueuedPacket(self.node_id, self._seq, thl=0, origin_time=self.engine.now)
-        )
-        if self.probe is not None:
-            self.probe.pkt_orig(self.node_id, self._seq)
-        self._seq += 1
-        self._pump_soon()
-        return True
+        return self.forwarding.send_from_app()
 
-    def _on_data(self, frame: LqiDataFrame) -> None:
-        outcome = self._receive_data(frame)
-        probe = self.probe
-        if probe is not None:
-            probe.pkt_rx(self.node_id, frame, outcome)
-            if outcome == "queue-full":
-                probe.drop(self.node_id, frame.origin, frame.origin_seq, "queue-full")
+    def stats_objects(self) -> Tuple[Any, ...]:
+        """The stack's stats dataclasses, in report order."""
+        return (self.routing.stats, self.forwarding.stats)
 
-    def _receive_data(self, frame: LqiDataFrame) -> str:
-        """Handle one data frame; returns its fate at this node."""
-        if self.is_root:
-            self.stats.delivered_at_root += 1
-            if self.on_deliver is not None:
-                self.on_deliver(
-                    frame.origin, frame.origin_seq, frame.thl, self.engine.now, frame.origin_time
-                )
-            return "deliver"
-        key = (frame.origin, frame.origin_seq)
-        if key in self._dup_cache:
-            self.stats.duplicates_suppressed += 1
-            return "dup"
-        self._dup_cache[key] = None
-        while len(self._dup_cache) > self.config.dup_cache_size:
-            self._dup_cache.popitem(last=False)
-        if frame.thl + 1 > self.config.max_thl:
-            self.stats.drops_thl += 1
-            return "drop-thl"
-        if len(self._queue) >= self.config.queue_size:
-            self.stats.drops_queue_full += 1
-            return "queue-full"
-        self.stats.forwarded += 1
-        self._queue.append(
-            _QueuedPacket(frame.origin, frame.origin_seq, frame.thl + 1, frame.origin_time)
-        )
-        self._pump_soon()
-        return "forward"
-
-    def _pump_soon(self, delay: float = 0.0) -> None:
-        if self._pump_scheduled or self._sending_data:
-            return
-        self._pump_scheduled = True
-        self.engine.schedule(delay, self._pump)
-
-    def _pump(self) -> None:
-        self._pump_scheduled = False
-        if self._sending_data or not self._queue:
-            return
-        self._check_parent_timeout()
-        if self.parent is None:
-            self._pump_soon(self.config.no_route_retry_s)
-            return
-        packet = self._queue[0]
-        frame = LqiDataFrame(
-            src=self.node_id,
-            dst=self.parent,
-            length_bytes=DATA_FRAME_BYTES,
-            origin=packet.origin,
-            origin_seq=packet.origin_seq,
-            thl=packet.thl,
-            origin_time=packet.origin_time,
-        )
-        if self.mac.send(frame):
-            self._sending_data = True
-            self.stats.tx_attempts += 1
-        else:
-            self._pump_soon(self.rng.uniform(self.config.pace_min_s, self.config.pace_max_s))
-
-    # ------------------------------------------------------------------
-    # MAC callbacks
-    # ------------------------------------------------------------------
-    def _mac_receive(self, frame, info: RxInfo) -> None:
+    # -- MAC callbacks ----------------------------------------------------
+    def _mac_receive(self, frame: NetworkFrame, info: RxInfo) -> None:
         if isinstance(frame, LqiBeaconFrame):
-            self._on_beacon(frame, info)
-        elif isinstance(frame, LqiDataFrame):
-            self._on_data(frame)
+            self.routing.on_beacon_received(frame, info)
+        elif isinstance(frame, CtpDataFrame):
+            self.forwarding.on_data_received(frame)
 
-    def _mac_send_done(self, frame, result: TxResult) -> None:
-        if not isinstance(frame, LqiDataFrame):
-            return  # beacon completion
-        self._sending_data = False
-        probe = self.probe
-        if probe is not None:
-            probe.pkt_tx(self.node_id, frame, result.sent, result.ack_bit)
-        if not self._queue:
-            return
-        packet = self._queue[0]
-        if result.ack_bit:
-            self.stats.tx_acked += 1
-            self._queue.popleft()
-            self._pump_soon(self.rng.uniform(self.config.pace_min_s, self.config.pace_max_s))
-            return
-        self.stats.tx_unacked += 1
-        packet.retries += 1
-        if packet.retries > self.config.max_retries:
-            self.stats.drops_retries += 1
-            self._queue.popleft()
-            if probe is not None:
-                probe.drop(self.node_id, packet.origin, packet.origin_seq, "retries")
-        self._pump_soon(self.rng.uniform(self.config.retry_min_s, self.config.retry_max_s))
+    def _mac_send_done(self, frame: NetworkFrame, result: TxResult) -> None:
+        # Beacons are fire-and-forget broadcasts.
+        if isinstance(frame, CtpDataFrame):
+            self.forwarding.on_send_done(frame, result.sent, result.ack_bit)

@@ -40,9 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import FaultSchedule
     from repro.obs.stream import TelemetrySampler
 
-#: Protocols the harness knows how to build.  The CTP variants and "geo"
-#: share the estimator engine (with different presets); "mhlqi" is its own
-#: stack with no estimator.
+#: Protocols the harness knows how to build.  Every stack forwards through
+#: CTP's forwarding engine.  The CTP variants and "geo" sit on the estimator
+#: (with different presets); "mhlqi" routes on beacon LQI and sends on the
+#: MAC, with no estimator.
 PROTOCOLS = ("ctp", "ctp-unconstrained", "ctp-unidir", "ctp-white", "4b", "mhlqi", "geo")
 
 #: Medium backends ``SimConfig.medium`` selects between.
@@ -124,6 +125,8 @@ class SimConfig:
         # Negated comparisons: NaN fails every one of them.
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive: {self.duration_s!r}")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError(f"tx_power_dbm must be finite: {self.tx_power_dbm!r}")
         if not 0.0 <= self.warmup_s < self.duration_s:
             raise ValueError(
                 f"warmup_s must satisfy 0 <= warmup < duration: {self.warmup_s!r}"
@@ -193,6 +196,9 @@ class CollectionNetwork:
         profile: Optional[TestbedProfile] = None,
         channel_overrides: Optional[dict] = None,
     ) -> None:
+        unknown = [nid for nid in config.extra_sinks if nid not in topology.positions]
+        if unknown:
+            raise ValueError(f"extra_sinks name nodes not in the topology: {unknown}")
         self.topology = topology
         self.config = config
         self.profile = profile
@@ -313,7 +319,7 @@ class CollectionNetwork:
             )
             self.medium.attach(mac)
             if is_root:
-                self._wire_sink(protocol)
+                protocol.forwarding.on_deliver = self.sink.on_deliver
 
     def _build_stack(
         self, mac: Mac, nid: int, is_root: bool
@@ -349,12 +355,6 @@ class CollectionNetwork:
             self.engine, estimator, nid, is_root, self.rng.stream("net", nid), ctp_config
         )
         return protocol, estimator
-
-    def _wire_sink(self, protocol: Any) -> None:
-        if hasattr(protocol, "forwarding"):
-            protocol.forwarding.on_deliver = self.sink.on_deliver
-        else:
-            protocol.on_deliver = self.sink.on_deliver
 
     def _build_interferers(self) -> None:
         if not self.config.with_interferers or self.profile is None:

@@ -8,13 +8,12 @@ from typing import Any, List, Optional, Union
 from repro.core.estimator import HybridLinkEstimator
 from repro.link.mac import Mac
 from repro.net.ctp.protocol import CtpProtocol
-from repro.net.multihoplqi import MultiHopLqi
 from repro.phy.radio import Radio
 from repro.workloads.collection import CollectionSource
 
-#: Any object exposing start() / send_from_app() / parent / is_root plus
-#: layers() / stats_objects().
-Protocol = Union[CtpProtocol, MultiHopLqi, Any]
+#: Any object exposing start() / send_from_app() / parent / is_root /
+#: forwarding plus layers() / stats_objects().
+Protocol = Union[CtpProtocol, Any]
 
 
 @dataclass

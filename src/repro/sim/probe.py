@@ -1,8 +1,8 @@
 """The observation contract: one typed event path out of every layer.
 
 Each layer object — :class:`~repro.link.mac.Mac`, the hybrid estimator and
-its neighbor table, the CTP routing and forwarding engines, MultiHopLQI,
-the geographic router, the sink recorder, the medium and the fault
+its neighbor table, the CTP, MultiHopLQI and geographic routers, the
+forwarding engine, the sink recorder, the medium and the fault
 injector — holds one ``probe`` attribute, ``None`` by default, and calls it
 at the point where a decision is made, behind a single ``if probe is not
 None``.  An unobserved run therefore pays one attribute test per event and

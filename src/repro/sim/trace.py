@@ -65,9 +65,10 @@ faults    ``interference``  ``x, y, power (dBm)`` — burst window opened
                           dataclass, one record per node per layer at run end
 ========  ==============  ====================================================
 
-The ``net`` records cover every stack: CTP, the geographic router (on
-CTP's forwarding engine) and MultiHopLQI emit the same kinds with the same
-fields, so :mod:`repro.obs.journey` rebuilds packets of any of them.
+The ``net`` records cover every stack: CTP, the geographic router and
+MultiHopLQI all forward through CTP's forwarding engine, so their ``pkt-*``,
+``drop`` and ``deliver`` records are the same code's, and
+:mod:`repro.obs.journey` rebuilds packets of any of them.
 Fault records carry ``node=NETWORK_NODE`` except ``crash``/``reboot``,
 whose ``node`` is the affected mote.
 """

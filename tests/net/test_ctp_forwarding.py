@@ -192,3 +192,37 @@ def test_generated_counter(engine):
     fwd.send_from_app()
     fwd.send_from_app()
     assert fwd.stats.generated == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"queue_size": 0},
+        {"max_retries": -1},
+        {"max_thl": 0},
+        {"dup_cache_size": -1},
+        {"retry_min_s": -1.0, "retry_max_s": -0.5},
+        {"retry_min_s": 0.05, "retry_max_s": 0.01},
+        {"retry_max_s": math.inf},
+        {"retry_min_s": math.nan},
+        {"pace_min_s": -0.001},
+        {"pace_min_s": 0.02, "pace_max_s": 0.01},
+        {"pace_max_s": math.nan},
+        {"no_route_retry_s": 0.0},
+        {"no_route_retry_s": math.inf},
+        {"no_route_retry_s": math.nan},
+    ],
+)
+def test_config_rejects_bad_values_at_construction(bad):
+    """A bad datapath value fails when the config is built, not as the
+    engine's negative-delay error mid-run."""
+    with pytest.raises(ValueError):
+        CtpForwardingConfig(**bad)
+
+
+def test_config_accepts_its_boundaries():
+    config = CtpForwardingConfig(
+        queue_size=1, max_retries=0, max_thl=1, dup_cache_size=0,
+        retry_min_s=0.0, retry_max_s=0.0, pace_min_s=0.0, pace_max_s=0.0,
+    )
+    assert config.max_retries == 0

@@ -7,14 +7,13 @@ import pytest
 
 from repro.link.frame import BROADCAST
 from repro.link.mac import Mac
+from repro.net.ctp.frames import make_data_frame
 from repro.net.multihoplqi import (
     LqiBeaconFrame,
-    LqiDataFrame,
     MhlqiConfig,
     MultiHopLqi,
     adjust_lqi,
 )
-from repro.sim.packets import TxResult
 
 from tests.conftest import PerfectMedium, make_radio, make_rx_info
 
@@ -63,7 +62,7 @@ def test_adopts_first_routed_beacon(engine, perfect_medium):
     protocol, _ = build_node(engine, perfect_medium)
     hear_beacon(protocol, src=1, path_cost=0.0, lqi=110)
     assert protocol.parent == 1
-    assert protocol.path_cost == pytest.approx(125.0)
+    assert protocol.routing.path_cost == pytest.approx(125.0)
 
 
 def test_ignores_unrouted_beacons(engine, perfect_medium):
@@ -76,20 +75,20 @@ def test_root_ignores_beacons(engine, perfect_medium):
     protocol, _ = build_node(engine, perfect_medium, is_root=True)
     hear_beacon(protocol, src=1, path_cost=0.0)
     assert protocol.parent is None
-    assert protocol.path_cost == 0.0
+    assert protocol.routing.path_cost == 0.0
 
 
 def test_switch_requires_large_gain(engine, perfect_medium):
     protocol, _ = build_node(engine, perfect_medium, switch_factor=0.75)
     hear_beacon(protocol, src=1, path_cost=0.0, lqi=100)  # cost = 420
-    parent_cost = protocol.path_cost
+    parent_cost = protocol.routing.path_cost
     # A mildly better candidate (343 ≥ 0.75 × 420) must NOT win...
     hear_beacon(protocol, src=2, path_cost=0.0, lqi=102)
     assert protocol.parent == 1
     # ...but a much better one (cost < 0.75 × current) must.
     hear_beacon(protocol, src=3, path_cost=0.0, lqi=110)
     assert protocol.parent == 3
-    assert protocol.path_cost < 0.75 * parent_cost
+    assert protocol.routing.path_cost < 0.75 * parent_cost
 
 
 def test_parent_beacon_refreshes_cost(engine, perfect_medium):
@@ -97,7 +96,7 @@ def test_parent_beacon_refreshes_cost(engine, perfect_medium):
     hear_beacon(protocol, src=1, path_cost=0.0, lqi=110)
     hear_beacon(protocol, src=1, path_cost=500.0, lqi=110)
     assert protocol.parent == 1
-    assert protocol.path_cost == pytest.approx(625.0)
+    assert protocol.routing.path_cost == pytest.approx(625.0)
 
 
 def test_parent_timeout_detaches(engine, perfect_medium):
@@ -106,16 +105,16 @@ def test_parent_timeout_detaches(engine, perfect_medium):
     )
     hear_beacon(protocol, src=1, path_cost=0.0, t=0.0)
     engine.run_until(50.0)  # no parent beacons for 5 periods
-    protocol._check_parent_timeout()
+    protocol.routing.update_route()
     assert protocol.parent is None
-    assert math.isinf(protocol.path_cost)
+    assert math.isinf(protocol.routing.path_cost)
 
 
 def test_beacons_sent_periodically(engine, perfect_medium):
     protocol, mac = build_node(engine, perfect_medium, is_root=True, beacon_period_s=10.0)
     protocol.start()
     engine.run_until(60.0)
-    assert 4 <= protocol.stats.beacons_sent <= 8
+    assert 4 <= protocol.routing.stats.beacons_sent <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +125,12 @@ def test_data_unicast_to_parent(engine, perfect_medium):
     # Attach a sink so the unicast has a receiver that acks.
     root, root_mac = build_node(engine, perfect_medium, node_id=1, is_root=True)
     delivered = []
-    root.on_deliver = lambda *args: delivered.append(args)
+    root.forwarding.on_deliver = lambda *args: delivered.append(args)
     hear_beacon(protocol, src=1, path_cost=0.0, lqi=110)
     protocol.send_from_app()
     engine.run_until(2.0)
     assert delivered and delivered[0][0] == 5
-    assert protocol.stats.tx_acked == 1
+    assert protocol.forwarding.stats.tx_acked == 1
 
 
 def test_retransmits_then_drops(engine, perfect_medium):
@@ -143,33 +142,34 @@ def test_retransmits_then_drops(engine, perfect_medium):
     build_node(engine, perfect_medium, node_id=1, is_root=True)
     protocol.send_from_app()
     engine.run_until(10.0)
-    assert protocol.stats.drops_retries == 1
-    assert protocol.stats.tx_attempts == 3  # 1 + 2 retries
-    assert protocol.stats.tx_unacked == 3
+    stats = protocol.forwarding.stats
+    assert stats.drops_retries == 1
+    assert stats.tx_attempts == 3  # 1 + 2 retries
+    assert stats.tx_attempts - stats.tx_acked == 3
 
 
 def test_duplicate_suppression(engine, perfect_medium):
     protocol, _ = build_node(engine, perfect_medium)
     hear_beacon(protocol, src=1, path_cost=0.0)
-    frame = LqiDataFrame(src=9, dst=5, length_bytes=36, origin=50, origin_seq=1, thl=0)
-    protocol._on_data(frame)
-    protocol._on_data(frame)
-    assert protocol.stats.duplicates_suppressed == 1
+    frame = make_data_frame(src=9, dst=5, origin=50, origin_seq=1, thl=0, etx_at_sender=math.inf)
+    protocol._mac_receive(frame, make_rx_info())
+    protocol._mac_receive(frame, make_rx_info())
+    assert protocol.forwarding.stats.duplicates_suppressed == 1
 
 
 def test_thl_limit(engine, perfect_medium):
     protocol, _ = build_node(engine, perfect_medium, max_thl=3)
     hear_beacon(protocol, src=1, path_cost=0.0)
-    frame = LqiDataFrame(src=9, dst=5, length_bytes=36, origin=50, origin_seq=1, thl=3)
-    protocol._on_data(frame)
-    assert protocol.stats.drops_thl == 1
+    frame = make_data_frame(src=9, dst=5, origin=50, origin_seq=1, thl=3, etx_at_sender=math.inf)
+    protocol._mac_receive(frame, make_rx_info())
+    assert protocol.forwarding.stats.drops_thl == 1
 
 
 def test_queue_overflow(engine, perfect_medium):
     protocol, _ = build_node(engine, perfect_medium, queue_size=1)
     assert protocol.send_from_app()
     assert not protocol.send_from_app()
-    assert protocol.stats.drops_queue_full == 1
+    assert protocol.forwarding.stats.drops_queue_full == 1
 
 
 def test_no_feedback_into_route_cost(engine, perfect_medium):
@@ -178,9 +178,9 @@ def test_no_feedback_into_route_cost(engine, perfect_medium):
     protocol, mac = build_node(engine, perfect_medium, max_retries=5)
     build_node(engine, perfect_medium, node_id=1, is_root=True)
     hear_beacon(protocol, src=1, path_cost=0.0, lqi=110)
-    cost_before = protocol.path_cost
+    cost_before = protocol.routing.path_cost
     perfect_medium.drop(5, 1)
     protocol.send_from_app()
     engine.run_until(10.0)
-    assert protocol.path_cost == cost_before
+    assert protocol.routing.path_cost == cost_before
     assert protocol.parent == 1

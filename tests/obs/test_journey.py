@@ -132,7 +132,7 @@ def test_mhlqi_packets_get_complete_journeys():
     # MultiHopLQI emits the same parent-change and pkt-* records as CTP, so
     # its parent switches are all traced and its packets rebuild end to end.
     net, tracer, result = _traced_run(protocol="mhlqi")
-    switches = sum(node.protocol.stats.parent_switches for node in net.nodes.values())
+    switches = sum(node.protocol.routing.stats.parent_switches for node in net.nodes.values())
     assert switches > 0
     acquired = [r for r in select(tracer.records, kind="parent-change") if r["new"] != -1]
     assert len(acquired) == switches

@@ -130,7 +130,7 @@ _ESTIMATOR_STACK = ("link.mac", "est.estimator", "net.routing", "net.forwarding"
 
 @pytest.mark.parametrize(
     "protocol, layers",
-    [("4b", _ESTIMATOR_STACK), ("ctp", _ESTIMATOR_STACK), ("mhlqi", ("link.mac", "net.mhlqi"))],
+    [("4b", _ESTIMATOR_STACK), ("ctp", _ESTIMATOR_STACK), ("mhlqi", ("link.mac", "net.mhlqi", "net.forwarding"))],
 )
 def test_every_enumerated_stats_field_reaches_the_registry(protocol, layers):
     """Every numeric field of every stats object a node enumerates reaches

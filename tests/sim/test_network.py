@@ -62,6 +62,23 @@ def test_drain_and_tree_sample_period_fail_at_construction():
     assert SimConfig(tree_sample_period_s=0.5).tree_sample_period_s == 0.5
 
 
+def test_non_finite_tx_power_rejected():
+    """NaN power ran to delivery 0 and cost inf; an infinite one ran too."""
+    for power in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tx_power_dbm"):
+            SimConfig(tx_power_dbm=power)
+    assert SimConfig(tx_power_dbm=-25.0).tx_power_dbm == -25.0
+
+
+def test_extra_sink_missing_from_topology_rejected():
+    """An extra sink the topology lacks used to run as a one-sink network."""
+    config = SimConfig(duration_s=200.0, warmup_s=50.0, extra_sinks=(999,))
+    with pytest.raises(ValueError, match="999"):
+        CollectionNetwork(tiny_topology(), config)
+    net = CollectionNetwork(tiny_topology(), SimConfig(duration_s=200.0, warmup_s=50.0, extra_sinks=(5,)))
+    assert net.roots == (0, 5)
+
+
 def test_builds_one_node_per_position():
     net = CollectionNetwork(tiny_topology(), SimConfig(duration_s=200.0, warmup_s=50.0))
     assert len(net.nodes) == 6
