@@ -136,7 +136,7 @@ class FileFacts:
 # Extraction
 # ----------------------------------------------------------------------
 #: Attribute-chain roots whose reads form a backend's "config surface".
-_SURFACE_ROOTS = ("channel", "config", "cfg", "white_bit_policy", "lqi_model")
+_SURFACE_ROOTS = ("channel", "config", "cfg", "white_bit_policy")
 
 
 def _surface_chains(fn: ast.AST) -> List[str]:

@@ -16,7 +16,7 @@ statically:
   exact backend's structures that the fast backend does not maintain.
 * **Surface parity** — every collaborator attribute the exact backend
   reads (``self.channel.*``, ``*.radio.*``, ``self.white_bit_policy.*``,
-  ``self.lqi_model.*``, any ``config``/``cfg`` field) must also be
+  any ``config``/``cfg`` field) must also be
   referenced by the fast backend, through either its own overrides or the
   base methods it inherits.  A new channel parameter consumed only by the
   exact path means fast runs silently ignore a knob the config digest
@@ -45,7 +45,7 @@ PARITY_INHERITED: Dict[str, str] = {
     "attach": "an attach after finalize re-opens the medium on both backends, so the next use re-finalizes from scratch",
     "enable_faults": "fault overlay state (MediumFaultState) is backend-independent",
     "interferer_started": "interferer registration is shared bookkeeping on both backends",
-    "is_transmitting": "half-duplex check reads the shared _tx_by_sender bookkeeping",
+    "is_transmitting": "half-duplex check reads the shared _active list",
     "start_transmission": "admission/airtime accounting is shared; only reception evaluation diverges",
     "transmissions": "the counter includes lazily started bursts identically on both backends",
 }

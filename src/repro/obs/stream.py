@@ -19,8 +19,8 @@ Stream record schema (one JSON object per line; DESIGN.md §10):
 ==============  ============================================================
 ``rec``         fields (beyond the ``seq``/``t``/``run`` envelope)
 ==============  ============================================================
-``run-start``   ``protocol, seed, nodes, duration_s, medium, period_s,
-                per_node`` — one per run, before the first sample
+``run-start``   ``protocol, seed, nodes, duration_s, medium, period_s``
+                — one per run, before the first sample
 ``snapshot``    ``full`` (true when ``updates`` is the whole state),
                 ``updates`` — flat ``{key: value}`` of every metric whose
                 value changed since the previous snapshot record
@@ -269,8 +269,8 @@ class TelemetrySampler(Monitor):
 
     Built by :class:`~repro.sim.network.CollectionNetwork` when
     ``SimConfig.telemetry_period_s`` is set (or attached manually via
-    :meth:`install`).  Each fire rebuilds the metrics from the live
-    network, emits the changed keys, and reschedules itself; the final
+    :meth:`install`).  Each fire rebuilds the network's metric totals
+    (``network_metrics(..., per_node=False)``), emits the changed keys, and reschedules itself; the final
     sample plus the ``run-end`` record come from the monitor's
     :meth:`run_end` event, so the stream always closes with the exact
     end-of-run state.  ``log`` is a :class:`RecordLog` or anything else
@@ -282,7 +282,6 @@ class TelemetrySampler(Monitor):
         network: "CollectionNetwork",
         log: Any,
         period_s: float,
-        per_node: bool = False,
         run_id: Optional[str] = None,
     ) -> None:
         if not period_s > 0.0:
@@ -290,7 +289,6 @@ class TelemetrySampler(Monitor):
         self.network = network
         self.log = log
         self.period_s = period_s
-        self.per_node = per_node
         self.run_id = run_id
         self._last: Dict[str, float] = {}
         self._seq = 0
@@ -307,7 +305,7 @@ class TelemetrySampler(Monitor):
         self.log.emit(record)
 
     def _emit_snapshot(self) -> None:
-        snap = network_metrics(self.network, per_node=self.per_node)
+        snap = network_metrics(self.network, per_node=False)
         last = self._last
         first = not last
         updates = {k: v for k, v in snap.items() if first or last.get(k) != v}
@@ -332,7 +330,6 @@ class TelemetrySampler(Monitor):
             duration_s=config.duration_s,
             medium=config.medium,
             period_s=self.period_s,
-            per_node=self.per_node,
         )
         if self.period_s <= config.duration_s:
             self.network.engine.schedule(self.period_s, self._sample)

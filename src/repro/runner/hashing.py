@@ -45,13 +45,16 @@ CACHE_SCHEMA_VERSION = 7
 #: every run digest hashes, the campaign spec, and the two cached payloads.
 #: ``FaultSchedule`` appears in ``SimConfig``'s annotations only as a name
 #: imported under ``TYPE_CHECKING``, so the runtime walk cannot reach it
-#: from ``SimConfig`` and lists it here.
+#: from ``SimConfig`` and lists it here.  No field holds the two protocol
+#: configs, whose defaults every run scales, so they are listed too.
 SCHEMA_ROOTS: Tuple[str, ...] = (
     "repro.sim.network.SimConfig",
     "repro.metrics.collection_stats.CollectionResult",
     "repro.campaign.spec.SimulationSpec",
     "repro.campaign.spec.SimulationResult",
     "repro.faults.schedule.FaultSchedule",
+    "repro.net.ctp.protocol.CtpConfig",
+    "repro.net.multihoplqi.MhlqiConfig",
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

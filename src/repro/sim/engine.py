@@ -79,9 +79,8 @@ class Engine:
         #: timers (MAC retries, Trickle resets); without compaction those dead
         #: entries accumulate until their scheduled time arrives.
         self._canceled_in_queue = 0
-        #: Mid-run tombstone compactions performed (surfaced through
-        #: :class:`~repro.obs.profile.EngineProfiler` as the
-        #: ``engine.compact`` kernel when profiling is on).
+        #: Mid-run tombstone compactions performed (mirrored on
+        #: :class:`~repro.obs.profile.EngineProfiler` when profiling is on).
         self.compactions = 0
         #: Optional run profiler (see :meth:`enable_profiling`).  The hot
         #: path pays one ``is not None`` branch per event when disabled.
@@ -133,14 +132,12 @@ class Engine:
         event callback.
         """
         queue = self._queue
-        t0 = perf_counter() if self.profiler is not None else 0.0
         queue[:] = [e for e in queue if not e[2].canceled]
         heapq.heapify(queue)
         self._canceled_in_queue = 0
         self.compactions += 1
         if self.profiler is not None:
             self.profiler.compactions = self.compactions
-            self.profiler.record_kernel("engine.compact", perf_counter() - t0)
 
     # ------------------------------------------------------------------
     # Execution

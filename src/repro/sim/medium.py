@@ -17,8 +17,7 @@ This is the simulator's hottest code: one reception evaluation per
 candidate receiver per transmission.  :meth:`RadioMedium.finalize`
 therefore precomputes a per-sender row of everything the evaluation loop
 needs per receiver (mean gain, noise floor in mW and dB, modulation, the
-pre-bound reception RNG stream and delivery callback), transmissions are
-indexed by sender for the half-duplex check.  None of the caches can
+pre-bound reception RNG stream and delivery callback).  None of the caches can
 change results: they store pure functions of their inputs, and the
 evaluation order and floating-point association of the original code are
 preserved exactly (the golden test in ``tests/golden/`` enforces this).
@@ -33,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Pro
 
 from repro.link.frame import BROADCAST, AckFrame, Frame
 from repro.phy.channel import ChannelModel
-from repro.phy.lqi import DEFAULT_LQI_MODEL, LQI_MAX, LQI_MIN, LqiModel, _LQI_SPAN
+from repro.phy.lqi import DEFAULT_LQI_MODEL, LQI_MAX, LQI_MIN, _LQI_SPAN
 from repro.phy.modulation import PRR_TABLE_SNR_MIN_CENTI, prr_grid
 from repro.phy.radio import Radio, RadioParams
 from repro.phy.white_bit import DEFAULT_WHITE_BIT, LqiWhiteBit, WhiteBitPolicy
@@ -216,12 +215,10 @@ class RadioMedium:
         engine: Engine,
         channel: ChannelModel,
         rng: RngManager,
-        lqi_model: LqiModel = DEFAULT_LQI_MODEL,
         white_bit_policy: WhiteBitPolicy = DEFAULT_WHITE_BIT,
     ) -> None:
         self.engine = engine
         self.channel = channel
-        self.lqi_model = lqi_model
         self.white_bit_policy = white_bit_policy
         self._rng = rng
         self._participants: Dict[int, MediumParticipant] = {}
@@ -236,11 +233,6 @@ class RadioMedium:
         self._interferers: List[BurstSource] = []
         self._bursts_on_air: List[_Transmission] = []
         self._interferer_horizon = math.inf
-        #: sender → its transmissions still in ``_active`` or ``_recent``
-        #: (the half-duplex check scans only this).
-        self._tx_by_sender: Dict[int, List[_Transmission]] = {}
-        #: sender -> [(receiver, cached mean gain dB)] candidate lists.
-        self._candidates: Dict[int, List[Tuple[int, float]]] = {}
         #: sender → per-receiver hot-path rows; see :meth:`finalize`.
         self._rx_rows: Dict[int, list] = {}
         self._finalized = False
@@ -302,9 +294,9 @@ class RadioMedium:
         """Precompute candidate receiver lists from mean channel gains.
 
         Must be called after all participants are attached and transmit
-        powers are set, before the simulation starts.  Besides the public
-        (receiver, mean gain) lists this builds one row per candidate with
-        everything the reception loop needs — noise floor in mW and as the
+        powers are set, before the simulation starts.  It builds one row
+        per candidate receiver (mean SNR above the cutoff) with everything
+        the reception loop needs — noise floor in mW and as the
         precomputed ``10·log10`` dB value, the receiver's modulation, its
         pre-bound ``rx`` RNG stream and delivery callback — so the per-
         reception cost is a single tuple unpack.
@@ -318,12 +310,10 @@ class RadioMedium:
         """
         if self._finalized:
             return
-        self._candidates = {}
         self._rx_rows = {}
         stream = self._rng.stream
         for sid, sender in self._participants.items():
             ptx = sender.radio.effective_tx_power_dbm
-            row: List[Tuple[int, float]] = []
             rx_row: list = []
             for rid, receiver in self._receivers.items():
                 if rid == sid:
@@ -331,7 +321,6 @@ class RadioMedium:
                 gain = self.channel.mean_gain_db(sid, rid)
                 mean_snr = ptx + gain - receiver.radio.noise_floor_dbm
                 if mean_snr >= _NEIGHBOR_SNR_CUTOFF_DB:
-                    row.append((rid, gain))
                     noise_mw = 10.0 ** (receiver.radio.noise_floor_dbm / 10.0)
                     rx_stream = stream("rx", rid)
                     # A mutable list, not a tuple: the last two slots cache
@@ -354,7 +343,6 @@ class RadioMedium:
                             _UNRESOLVED,  # _GilbertState or None, ditto
                         ]
                     )
-            self._candidates[sid] = row
             self._rx_rows[sid] = rx_row
         self._finalized = True
 
@@ -362,7 +350,7 @@ class RadioMedium:
         """(receiver, mean gain dB) pairs reachable from ``sender``."""
         if not self._finalized:
             self.finalize()
-        return self._candidates.get(sender, [])
+        return [(row[0], row[1]) for row in self._rx_rows.get(sender, ())]
 
     # ------------------------------------------------------------------
     # Carrier sense
@@ -414,10 +402,6 @@ class RadioMedium:
         now = self.engine.now
         tx = _Transmission(sender_id, frame, sender.radio.effective_tx_power_dbm, now, now + duration)
         self._active.append(tx)
-        own = self._tx_by_sender.get(sender_id)
-        if own is None:
-            own = self._tx_by_sender[sender_id] = []
-        own.append(tx)
         self._transmissions += 1
         self.engine.schedule(duration, self._end_transmission, tx)
         return duration
@@ -511,11 +495,8 @@ class RadioMedium:
         # aged past the horizon (low-traffic long runs would otherwise pin
         # up to _RECENT_PRUNE_LEN stale transmissions — and their frames —
         # indefinitely).  ``_recent`` is sorted by end time, so the age
-        # check is O(1) and the stale entries are exactly a prefix: drop
-        # that prefix and remove each dropped transmission from its
-        # sender's list, so the cost is amortized O(1) per transmission
-        # instead of a full rebuild of every per-sender list on each
-        # trigger.  Pruned entries can never overlap a later frame, so
+        # check is O(1) and the stale entries are exactly a prefix, which
+        # is dropped.  Pruned entries can never overlap a later frame, so
         # results are untouched either way.
         recent = self._recent
         if not recent:
@@ -530,12 +511,6 @@ class RadioMedium:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo == 0:
-            return
-        by_sender = self._tx_by_sender
-        for tx in recent[:lo]:
-            if tx.frame is not None:  # interferer bursts are not indexed
-                by_sender[tx.sender].remove(tx)
         del recent[:lo]
 
     # ------------------------------------------------------------------
@@ -600,10 +575,9 @@ class RadioMedium:
         inv_good_dwell = 1.0 / channel.good_dwell_s
         gain_db = channel.gain_db
         # ---- hoisted LQI model / white-bit policy --------------------
-        lqi_model = self.lqi_model
-        lqi_mid = lqi_model.midpoint_snr_db
-        lqi_slope = lqi_model.slope_db
-        lqi_sigma = lqi_model.noise_sigma
+        lqi_mid = DEFAULT_LQI_MODEL.midpoint_snr_db
+        lqi_slope = DEFAULT_LQI_MODEL.slope_db
+        lqi_sigma = DEFAULT_LQI_MODEL.noise_sigma
         policy = self.white_bit_policy
         wb_threshold = policy.threshold if type(policy) is LqiWhiteBit else None
         white_eval = policy.evaluate
@@ -762,14 +736,6 @@ class RadioMedium:
                 receiver.on_frame_received(frame, info)
             elif overheard_rx is not None and getattr(receiver, "enabled", True):
                 overheard_rx(rid, frame, info)
-
-    def _was_transmitting(self, node_id: int, start: float, end: float) -> bool:
-        own = self._tx_by_sender.get(node_id)
-        if own:
-            for tx in own:
-                if tx.start < end and tx.end > start:
-                    return True
-        return False
 
 
 __all__ = ["RadioMedium", "MediumParticipant", "AckFrame"]

@@ -43,7 +43,6 @@ bit-identical golden contract.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -51,7 +50,7 @@ from numpy.random import Generator, PCG64
 
 from repro.link.frame import BROADCAST
 from repro.phy.channel import ChannelModel
-from repro.phy.lqi import DEFAULT_LQI_MODEL, LqiModel
+from repro.phy.lqi import DEFAULT_LQI_MODEL
 from repro.phy.radio import RadioParams
 from repro.phy.vector import (
     gilbert_advance,
@@ -75,7 +74,7 @@ from repro.sim.spatial import SpatialGrid
 #: Shadowing headroom (in sigmas) added to the link budget when sizing the
 #: spatial query radius: a pair outside the radius is mis-culled only when
 #: its shadowing draw exceeds this many sigmas (P ≈ 3·10⁻⁵ at 4σ).
-DEFAULT_SHADOW_MARGIN_SIGMAS = 4.0
+SHADOW_MARGIN_SIGMAS = 4.0
 
 _MISSING = object()
 
@@ -226,14 +225,9 @@ class FastRadioMedium(RadioMedium):
         engine: Engine,
         channel: ChannelModel,
         rng: RngManager,
-        lqi_model: LqiModel = DEFAULT_LQI_MODEL,
         white_bit_policy: WhiteBitPolicy = DEFAULT_WHITE_BIT,
-        snr_cutoff_db: float = _NEIGHBOR_SNR_CUTOFF_DB,
-        shadow_margin_sigmas: float = DEFAULT_SHADOW_MARGIN_SIGMAS,
     ) -> None:
-        super().__init__(engine, channel, rng, lqi_model, white_bit_policy)
-        self.snr_cutoff_db = snr_cutoff_db
-        self.shadow_margin_sigmas = shadow_margin_sigmas
+        super().__init__(engine, channel, rng, white_bit_policy)
         #: sender id → SoA candidate batch (built by :meth:`finalize`).
         self._soa: Dict[int, _SenderBatch] = {}
         #: Per in-reach pair, in ``SpatialGrid.pair_arrays`` order: the mean
@@ -306,7 +300,7 @@ class FastRadioMedium(RadioMedium):
         """Spatial query radius from the link budget.
 
         Any pair that could pass the mean-SNR candidate cutoff — given
-        shadowing up to ``shadow_margin_sigmas``·σ above its mean — lies
+        shadowing up to ``SHADOW_MARGIN_SIGMAS``·σ above its mean — lies
         within this radius.  Interference accumulation shares it: beyond
         this distance a transmitter's mean contribution at a receiver is
         below the candidate cutoff relative to the noise floor (< 3.2% of
@@ -321,9 +315,9 @@ class FastRadioMedium(RadioMedium):
             (p.radio.noise_floor_dbm for p in self._participants.values()),
             default=-98.0,
         )
-        margin = self.shadow_margin_sigmas * channel.shadowing_sigma_db
+        margin = SHADOW_MARGIN_SIGMAS * channel.shadowing_sigma_db
         pathloss = channel.pathloss
-        budget_db = ptx_max - nf_min - self.snr_cutoff_db + margin
+        budget_db = ptx_max - nf_min - _NEIGHBOR_SNR_CUTOFF_DB + margin
         if budget_db <= pathloss.pl_d0_db:
             return pathloss.d0_m
         exponent_db = (budget_db - pathloss.pl_d0_db) / (10.0 * pathloss.exponent)
@@ -354,10 +348,6 @@ class FastRadioMedium(RadioMedium):
         self._radius_m = self._link_budget_radius_m()
         grid = SpatialGrid({nid: positions[nid] for nid in self._participants}, self._radius_m)
         self._inter_cache = {}
-        # Unused by this backend (candidate_receivers reads the batches);
-        # kept empty for parity.
-        self._candidates = {}
-        self._rx_rows = {}
         self._soa = {}
 
         #: Receiver attach order — candidate lists keep the exact path's
@@ -443,10 +433,9 @@ class FastRadioMedium(RadioMedium):
         self._ou_sigma = np.array(channel.temporal_sigma_db)
         self._ou_freeze = np.array(channel._ou_freeze_s)
         self._fade_depth = np.array(channel.fade_depth_db)
-        lqi_model = self.lqi_model
-        self._lqi_mid = np.array(lqi_model.midpoint_snr_db)
-        self._lqi_slope = np.array(lqi_model.slope_db)
-        self._lqi_sigma = np.array(lqi_model.noise_sigma)
+        self._lqi_mid = np.array(DEFAULT_LQI_MODEL.midpoint_snr_db)
+        self._lqi_slope = np.array(DEFAULT_LQI_MODEL.slope_db)
+        self._lqi_sigma = np.array(DEFAULT_LQI_MODEL.noise_sigma)
         policy = self.white_bit_policy
         self._wb_threshold = np.array(policy.threshold) if type(policy) is LqiWhiteBit else None
         self._finalized = True
@@ -546,7 +535,7 @@ class FastRadioMedium(RadioMedium):
         power += gain
         heard = power >= nodes.cca[rcv]
         power -= nodes.noise_floor[rcv]
-        cand = power >= self.snr_cutoff_db
+        cand = power >= _NEIGHBOR_SNR_CUTOFF_DB
         return _Rows(
             snd[cand],
             rcv[cand],
@@ -716,12 +705,6 @@ class FastRadioMedium(RadioMedium):
         overlapping = self._overlapping(tx)
         t = tx.end
         channel = self.channel
-        # Per-kernel wall-time buckets: without them the profiler lumps the
-        # whole vectorized evaluation under one callback name.  One branch
-        # here when profiling is off; early returns simply skip the
-        # remaining sections (kernel time is a breakdown, not a total).
-        prof = self.engine.profiler
-        k0 = perf_counter() if prof is not None else 0.0
 
         # ---- half duplex: drop candidates that transmitted during tx ----
         if overlapping:
@@ -740,10 +723,6 @@ class FastRadioMedium(RadioMedium):
         else:
             idx = batch.all_idx
         full = idx is batch.all_idx
-        if prof is not None:
-            k1 = perf_counter()
-            prof.record_kernel("medium_fast.cull", k1 - k0)
-            k0 = k1
 
         # ---- time-varying gain: OU + Gilbert, advanced for queried pairs
         slots = batch.pair_idx if full else batch.pair_idx[idx]
@@ -807,10 +786,6 @@ class FastRadioMedium(RadioMedium):
 
         rssi = gain
         rssi += tx.power_dbm
-        if prof is not None:
-            k1 = perf_counter()
-            prof.record_kernel("medium_fast.fading", k1 - k0)
-            k0 = k1
 
         # ---- SINR: noise plus spatially-culled mean-field interference --
         noise_mw = batch.noise_mw if full else batch.noise_mw[idx]
@@ -837,10 +812,6 @@ class FastRadioMedium(RadioMedium):
             np.subtract(rssi, sinr, out=sinr)
         else:
             sinr = rssi - (batch.noise_db if full else batch.noise_db[idx])
-        if prof is not None:
-            k1 = perf_counter()
-            prof.record_kernel("medium_fast.interference", k1 - k0)
-            k0 = k1
 
         # ---- decode decision: quantized PRR gather + one uniform draw ---
         if batch.mod_uniform is not None:
@@ -866,10 +837,6 @@ class FastRadioMedium(RadioMedium):
             # ``decoded < hot`` is ``~decoded & hot`` for booleans.
             self.collisions += int(np.count_nonzero(decoded < (inter_mw > noise_mw)))
         dec = decoded.nonzero()[0]
-        if prof is not None:
-            k1 = perf_counter()
-            prof.record_kernel("medium_fast.prr_decode", k1 - k0)
-            k0 = k1
         if dec.size == 0:
             return
 
@@ -892,10 +859,6 @@ class FastRadioMedium(RadioMedium):
                 dtype=bool,
                 count=dec.size,
             )
-        if prof is not None:
-            k1 = perf_counter()
-            prof.record_kernel("medium_fast.lqi", k1 - k0)
-            k0 = k1
 
         # ---- delivery (candidate order, late-bound callbacks) -----------
         # Addressed delivery (see ``MediumParticipant``): a decode at a node
@@ -929,8 +892,6 @@ class FastRadioMedium(RadioMedium):
                         white_bit=bool(white[k]),
                     )
                     receivers[pos].on_frame_received(frame, info)
-            if prof is not None:
-                prof.record_kernel("medium_fast.deliver", perf_counter() - k0)
             return
         rid_list = batch.rid_list
         rssi_list = rssi[dec].tolist()
@@ -955,7 +916,6 @@ class FastRadioMedium(RadioMedium):
                 receiver.on_frame_received(frame, info)
             elif getattr(receiver, "enabled", True):
                 overheard_rx(rid, frame, info)
-        if prof is not None:
-            prof.record_kernel("medium_fast.deliver", perf_counter() - k0)
 
-__all__ = ["FastRadioMedium", "DEFAULT_SHADOW_MARGIN_SIGMAS"]
+
+__all__ = ["FastRadioMedium", "SHADOW_MARGIN_SIGMAS"]

@@ -49,6 +49,9 @@ PROTOCOLS = ("ctp", "ctp-unconstrained", "ctp-unidir", "ctp-white", "4b", "mhlqi
 #: Medium backends ``SimConfig.medium`` selects between.
 MEDIUM_BACKENDS = ("exact", "fast")
 
+#: Tree depth is sampled this often (simulated seconds) from the warmup on.
+TREE_SAMPLE_PERIOD_S = 30.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -62,7 +65,6 @@ class SimConfig:
     warmup_s: float = 120.0
     #: Sources stop this long before the end so in-flight packets drain.
     drain_s: float = 30.0
-    tree_sample_period_s: float = 30.0
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     #: Additional basestations beyond the topology's sink.  Collection is
     #: anycast: a packet counts as delivered at whichever root hears it
@@ -70,9 +72,6 @@ class SimConfig:
     extra_sinks: Tuple[int, ...] = ()
     #: Override the preset estimator configuration (ablations).
     estimator_config: Optional[EstimatorConfig] = None
-    #: ``None`` = timing constants auto-scaled to the radio's airtime.
-    ctp_config: Optional[CtpConfig] = None
-    mhlqi_config: Optional[MhlqiConfig] = None
     with_interferers: bool = True
     #: Radio hardware class for every node (e.g. ``repro.phy.radio.CC1000``).
     radio_params: RadioParams = CC2420
@@ -80,12 +79,6 @@ class SimConfig:
     #: (signal/noise threshold), or "never" (hardware provides nothing —
     #: the paper's worst case, appropriate for CC1000).
     white_bit: str = "lqi"
-    #: Tuning knob for the white-bit derivation: the LQI floor for
-    #: ``white_bit="lqi"`` (chip default 105) or the dB threshold for
-    #: ``white_bit="snr"`` (default derived from the SNR/BER curve).
-    #: ``None`` keeps each policy's built-in default; meaningless — and
-    #: rejected — for ``white_bit="never"``.
-    white_bit_threshold: Optional[float] = None
     #: Profile the event loop (wall time per event kind, events/sec, queue
     #: depth); the profile surfaces on ``CollectionResult.profile``.
     profile_events: bool = False
@@ -111,9 +104,6 @@ class SimConfig:
     #: in-memory ring of the last 1024 records
     #: (``network.telemetry.log.records``).
     telemetry_path: Optional[str] = None
-    #: Include per-node label breakdowns in streamed snapshots (bigger
-    #: records; the default streams network-level aggregates only).
-    telemetry_per_node: bool = False
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -135,24 +125,8 @@ class SimConfig:
         # precede their start, or fall in the engine's past.
         if not 0.0 <= self.drain_s < self.duration_s:
             raise ValueError(f"drain_s must satisfy 0 <= drain < duration: {self.drain_s!r}")
-        # The tree sampler steps by this period up to the duration.
-        if not 0.0 < self.tree_sample_period_s < math.inf:
-            raise ValueError(
-                f"tree_sample_period_s must be finite and positive: "
-                f"{self.tree_sample_period_s!r}"
-            )
         if self.white_bit not in ("lqi", "snr", "never"):
             raise ValueError(f"unknown white-bit policy {self.white_bit!r}")
-        if self.white_bit_threshold is not None:
-            if self.white_bit == "never":
-                raise ValueError(
-                    "white_bit_threshold is meaningless with white_bit='never'"
-                )
-            if self.white_bit == "lqi" and not (0 <= self.white_bit_threshold <= 127):
-                raise ValueError(
-                    f"LQI white-bit threshold must be in [0, 127], "
-                    f"got {self.white_bit_threshold!r}"
-                )
         if self.telemetry_period_s is not None and not self.telemetry_period_s > 0:
             raise ValueError(
                 f"telemetry_period_s must be positive: {self.telemetry_period_s!r}"
@@ -170,19 +144,12 @@ class SimConfig:
 
 
 def _white_policy(config: SimConfig):
-    """The white-bit policy ``config`` names, honoring the tuning threshold.
-
-    Built lazily per network (not as an eager table) so only the selected
-    policy is constructed and ``white_bit_threshold`` — a campaign-tunable
-    constant — reaches it.
-    """
-    threshold = config.white_bit_threshold
+    """The white-bit policy ``config`` names, with the policy's default
+    threshold (built per network, so only the selected one is constructed)."""
     if config.white_bit == "lqi":
-        return LqiWhiteBit() if threshold is None else LqiWhiteBit(threshold=int(threshold))
+        return LqiWhiteBit()
     if config.white_bit == "snr":
-        if threshold is None:
-            return SnrWhiteBit.from_prr_target()
-        return SnrWhiteBit(threshold_db=float(threshold))
+        return SnrWhiteBit.from_prr_target()
     return NeverWhiteBit()
 
 
@@ -327,7 +294,7 @@ class CollectionNetwork:
         name = self.config.protocol
         radio_params = self.config.radio_params
         if name == "mhlqi":
-            mhlqi_config = self.config.mhlqi_config or MhlqiConfig.scaled_for(radio_params)
+            mhlqi_config = MhlqiConfig.scaled_for(radio_params)
             protocol = MultiHopLqi(
                 self.engine, mac, nid, is_root, self.rng.stream("net", nid), mhlqi_config
             )
@@ -350,7 +317,7 @@ class CollectionNetwork:
             return protocol, estimator
         est_config = self.config.estimator_config or PRESETS[name]
         estimator = HybridLinkEstimator(mac, est_config, self.rng.stream("est", nid))
-        ctp_config = self.config.ctp_config or CtpConfig.scaled_for(radio_params)
+        ctp_config = CtpConfig.scaled_for(radio_params)
         protocol = CtpProtocol(
             self.engine, estimator, nid, is_root, self.rng.stream("net", nid), ctp_config
         )
@@ -405,11 +372,7 @@ class CollectionNetwork:
         else:
             log = RecordLog(limit=1024, keep="tail")
         self.telemetry = TelemetrySampler(
-            self,
-            log,
-            config.telemetry_period_s,
-            per_node=config.telemetry_per_node,
-            run_id=f"{config.protocol}-seed{config.seed}",
+            self, log, config.telemetry_period_s, run_id=f"{config.protocol}-seed{config.seed}"
         )
         self.telemetry.install()
 
@@ -491,7 +454,7 @@ class CollectionNetwork:
         t = self.config.warmup_s
         while t <= self.config.duration_s:
             self.engine.schedule_at(t, self._sample_tree)
-            t += self.config.tree_sample_period_s
+            t += TREE_SAMPLE_PERIOD_S
 
     def _sample_tree(self) -> None:
         self._depth_samples.append(self.depth_map())

@@ -35,7 +35,7 @@ def test_crash_and_reboot_leave_the_medium_untouched(medium):
     if medium == "fast":
         built = (medium_obj._slot_by_pair, medium_obj._slot_by_pair.copy(), dict(medium_obj._soa))
     else:
-        built = (dict(medium_obj._candidates), dict(medium_obj._rx_rows))
+        built = dict(medium_obj._rx_rows)
     net.run()
     assert (net.fault_injector.stats.node_crashes, net.fault_injector.stats.node_reboots) == (1, 1)
     assert medium_obj._finalized
@@ -48,8 +48,8 @@ def test_crash_and_reboot_leave_the_medium_untouched(medium):
         assert medium_obj._soa.keys() == soa.keys()
         assert all(medium_obj._soa[sid] is batch for sid, batch in soa.items())
     else:
-        candidates, rx_rows = built
-        assert medium_obj._candidates.keys() == candidates.keys()
+        rx_rows = built
+        assert medium_obj._rx_rows.keys() == rx_rows.keys()
         assert all(medium_obj._rx_rows[sid] is rows for sid, rows in rx_rows.items())
 
 

@@ -1,6 +1,6 @@
 """Tests for engine run profiling."""
 
-from repro.obs.profile import EngineProfiler, merge_profiles
+from repro.obs.profile import merge_profiles
 from repro.sim.engine import Engine
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
@@ -31,18 +31,6 @@ def test_profiler_records_event_kinds():
     assert set(summary["by_kind"]) == {"_noop", "_other"}
 
 
-def test_profiler_queue_depth_sampling():
-    engine = Engine()
-    profiler = EngineProfiler(queue_sample_every=1)
-    engine.enable_profiling(profiler)
-    for i in range(5):
-        engine.schedule(float(i + 1), _noop)
-    engine.run_until(10.0)
-    assert len(profiler.queue_samples) == 5
-    depths = [d for _, d in profiler.queue_samples]
-    assert depths == [4, 3, 2, 1, 0]  # queue drains monotonically
-
-
 def test_profiling_disabled_by_default():
     engine = Engine()
     engine.schedule(1.0, _noop)
@@ -67,49 +55,6 @@ def test_profile_not_collected_when_disabled():
     config = SimConfig(protocol="4b", seed=2, duration_s=150.0, warmup_s=60.0)
     result = CollectionNetwork(topo, config).run()
     assert result.profile is None
-
-
-def test_record_kernel_buckets():
-    prof = EngineProfiler()
-    prof.record("Medium._deliver", 0.01, sim_time=1.0, queue_depth=0)
-    prof.record_kernel("medium_fast.prr_decode", 0.004, n=3)
-    prof.record_kernel("medium_fast.cull", 0.006)
-    prof.record_kernel("medium_fast.cull", 0.001)
-    summary = prof.summary()
-    kernels = summary["kernels"]
-    assert kernels["medium_fast.prr_decode"] == {"count": 3, "wall_s": 0.004}
-    assert kernels["medium_fast.cull"]["count"] == 2
-    # Sorted by wall time, most expensive first.
-    assert list(kernels) == ["medium_fast.cull", "medium_fast.prr_decode"]
-
-
-def test_merge_profiles_folds_kernels():
-    a = {"events": 1, "wall_s": 1.0,
-         "by_kind": {"x": {"count": 1, "wall_s": 1.0}},
-         "kernels": {"k.a": {"count": 2, "wall_s": 0.5}}}
-    b = {"events": 1, "wall_s": 1.0,
-         "by_kind": {"x": {"count": 1, "wall_s": 1.0}},
-         "kernels": {"k.a": {"count": 1, "wall_s": 0.25},
-                     "k.b": {"count": 4, "wall_s": 0.75}}}
-    merged = merge_profiles([a, b])
-    assert merged["kernels"]["k.a"] == {"count": 3, "wall_s": 0.75}
-    assert list(merged["kernels"]) == ["k.a", "k.b"]
-    # No kernels anywhere → the key stays absent, as before this field.
-    assert "kernels" not in merge_profiles(
-        [{"events": 1, "wall_s": 1.0, "by_kind": {}}]
-    )
-
-
-def test_fast_medium_profiles_kernel_buckets():
-    topo = grid(3, 3, spacing_m=6.0, rng=RngManager(5).stream("t"), jitter_m=0.5)
-    config = SimConfig(protocol="4b", seed=2, duration_s=150.0, warmup_s=60.0,
-                       medium="fast", profile_events=True)
-    result = CollectionNetwork(topo, config).run()
-    kernels = result.profile["kernels"]
-    assert {"medium_fast.cull", "medium_fast.fading", "medium_fast.interference",
-            "medium_fast.prr_decode", "medium_fast.lqi"} <= set(kernels)
-    for row in kernels.values():
-        assert row["count"] > 0 and row["wall_s"] >= 0.0
 
 
 def test_merge_profiles():

@@ -170,15 +170,6 @@ def test_sampler_stream_folds_to_exact_end_state():
     assert net.run_resources is not None
 
 
-def test_sampler_per_node_mode_folds_exactly():
-    net = _network(telemetry_period_s=50.0, telemetry_per_node=True)
-    net.run()
-    records = net.telemetry.log.records
-    folded = fold_snapshots(records)
-    assert folded == network_metrics(net, per_node=True)
-    assert any("{" in key for key in folded)  # per-node labels survived
-
-
 def test_sampler_streams_to_jsonl_path(tmp_path):
     path = tmp_path / "live.jsonl"
     net = _network(telemetry_period_s=30.0, telemetry_path=str(path))

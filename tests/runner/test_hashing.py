@@ -211,6 +211,14 @@ def test_production_closure_reaches_type_checking_roots():
     events = ("NodeCrash", "NodeReboot", "LinkBlackout", "QualityShift", "InterferenceBurst")
     expected = {f"repro.faults.schedule.{name}" for name in ("FaultSchedule",) + events}
     expected |= {"repro.phy.radio.RadioParams"}
+    # No SimConfig field holds the protocol configs; their defaults are
+    # digested through their own roots.
+    expected |= {
+        "repro.net.ctp.protocol.CtpConfig",
+        "repro.net.ctp.routing.CtpRoutingConfig",
+        "repro.net.ctp.forwarding.CtpForwardingConfig",
+        "repro.net.multihoplqi.MhlqiConfig",
+    }
     assert expected <= set(schema_closure())
 
 

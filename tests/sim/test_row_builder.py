@@ -21,6 +21,7 @@ from repro import CollectionNetwork, SimConfig
 from repro.phy.channel import ChannelModel
 from repro.phy.radio import CC1000, CC2420, Radio
 from repro.sim.engine import Engine
+from repro.sim.medium import _NEIGHBOR_SNR_CUTOFF_DB
 from repro.sim.medium_fast import FastRadioMedium
 from repro.sim.rng import RngManager
 from repro.sim.spatial import SpatialGrid
@@ -72,7 +73,7 @@ def reference_rows(medium, dense_order):
             radio = participants[nid].radio
             if ptx + gain >= radio.params.cca_threshold_dbm:
                 heard.add(nid)
-            if nid in receivers and ptx + gain - radio.noise_floor_dbm >= medium.snr_cutoff_db:
+            if nid in receivers and ptx + gain - radio.noise_floor_dbm >= _NEIGHBOR_SNR_CUTOFF_DB:
                 cand.append((nid, gain))
                 slots.setdefault((min(sid, nid), max(sid, nid)), len(slots))
         rows[sid] = (cand, heard)
