@@ -15,7 +15,8 @@ medium            none: the node stays attached on both backends, and a
                   frame already on the air still ends and is evaluated
 MAC               in-flight frame, timers dropped; radio off → on
 estimator         neighbor table, beacon seq, footer rotation wiped
-routing           route info, parent, trickle stopped → restarted at i_min
+routing           route state and parent wiped; beaconing stopped →
+                  restarted as at boot (CTP's trickle at i_min)
 forwarding        queue + duplicate cache wiped (``_seq`` survives — the
                   sink dedups on ``(origin, seq)``)
 application       source stopped → restarted (fresh send phase)
@@ -93,13 +94,6 @@ class FaultInjector:
                     raise ValueError(f"fault targets unknown node {event.node}")
                 if event.node in roots:
                     raise ValueError(f"cannot crash root node {event.node}")
-                protocol = network.nodes[event.node].protocol
-                if not hasattr(protocol, "fault_shutdown"):
-                    raise ValueError(
-                        f"protocol {type(protocol).__name__} does not support "
-                        f"crash/reboot faults (no fault_shutdown); use "
-                        f"medium-level faults (blackout/shift/burst) instead"
-                    )
             elif isinstance(event, (LinkBlackout, QualityShift)):
                 for nid in (event.node_a, event.node_b):
                     if nid is not None and nid not in network.nodes:

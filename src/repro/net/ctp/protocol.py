@@ -78,6 +78,19 @@ class CollectionStack:
         """The stack's probe-carrying layer objects."""
         return (self.routing, self.forwarding)
 
+    def fault_shutdown(self) -> None:
+        """Node crash: drop all RAM state in routing and forwarding.
+
+        The MAC and estimator are shut down separately by the fault
+        injector (they belong to other layers).
+        """
+        self.routing.fault_shutdown()
+        self.forwarding.fault_shutdown()
+
+    def fault_restart(self) -> None:
+        """Node reboot: bring the stack back with no route, like a boot."""
+        self.routing.fault_restart()
+
 
 class CtpProtocol(CollectionStack, EstimatorClient):
     """A node's complete CTP stack above the link estimator."""
@@ -101,19 +114,6 @@ class CtpProtocol(CollectionStack, EstimatorClient):
         estimator.compare_provider = self.routing
 
     # ------------------------------------------------------------------
-    def fault_shutdown(self) -> None:
-        """Node crash: drop all RAM state in routing and forwarding.
-
-        The MAC and estimator are shut down separately by the fault
-        injector (they belong to other layers).
-        """
-        self.routing.fault_shutdown()
-        self.forwarding.fault_shutdown()
-
-    def fault_restart(self) -> None:
-        """Node reboot: bring the stack back with no route, like a boot."""
-        self.routing.fault_restart()
-
     def path_etx(self) -> float:
         """Current path ETX to the root (inf with no route)."""
         return self.routing.path_etx()

@@ -32,7 +32,7 @@ from repro.link.frame import BROADCAST, NetworkFrame
 from repro.net.ctp.forwarding import CtpForwardingConfig, CtpForwardingEngine
 from repro.net.ctp.frames import CtpDataFrame
 from repro.net.ctp.protocol import CollectionStack
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EventHandle
 from repro.sim.packets import RxInfo
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,6 +91,8 @@ class GreedyGeoRouting(CompareBitProvider):
         self.config = config
         self.neighbor_positions: Dict[int, Position] = {}
         self.parent: Optional[int] = None
+        #: The pending beacon tick (None while crashed).
+        self._beacon: Optional[EventHandle] = None
         self.on_route_found: Optional[Callable[[], None]] = None
         #: Observation hook (:mod:`repro.sim.probe`), set by the network.
         self.probe: Optional["Monitor"] = None
@@ -100,7 +102,25 @@ class GreedyGeoRouting(CompareBitProvider):
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Boot: begin periodic position beacons."""
-        self.engine.schedule(self.rng.uniform(0.1, self.config.first_beacon_max_s), self._beacon_tick)
+        delay = self.rng.uniform(0.1, self.config.first_beacon_max_s)
+        self._beacon = self.engine.schedule(delay, self._beacon_tick)
+
+    def fault_shutdown(self) -> None:
+        """Node crash: stop beaconing, forget neighbor positions and the
+        next hop.  The next hop is dropped without an unpin: the same
+        crash wipes the estimator's table, which holds the pin."""
+        if self._beacon is not None:
+            self._beacon.cancel()
+            self._beacon = None
+        self.neighbor_positions.clear()
+        old = self.parent
+        self.parent = None
+        if old is not None and self.probe is not None:
+            self.probe.parent_change(self.node_id, old, None)
+
+    def fault_restart(self) -> None:
+        """Node reboot: beacon again as a booting node does."""
+        self.start()
 
     def _distance_to_sink(self, pos: Position) -> float:
         return math.hypot(pos[0] - self.sink_position[0], pos[1] - self.sink_position[1])
@@ -125,7 +145,7 @@ class GreedyGeoRouting(CompareBitProvider):
         if self.estimator.send(frame):
             self.beacons_sent += 1
         period = self.config.beacon_period_s + self.rng.uniform(0, self.config.beacon_jitter_s)
-        self.engine.schedule(period, self._beacon_tick)
+        self._beacon = self.engine.schedule(period, self._beacon_tick)
 
     def on_beacon_received(self, frame: GeoBeaconFrame, info: RxInfo, le_src: int) -> None:
         """Learn a neighbor's position and re-evaluate the next hop."""

@@ -12,7 +12,8 @@ protocol keeps hammering the same parent.
 Only the route choice is MultiHopLQI's own (:class:`MhlqiRouting`).  Data
 moves through CTP's :class:`~repro.net.ctp.forwarding.CtpForwardingEngine`,
 sent straight on the MAC, so the cost comparison against 4B on CTP differs
-in parent selection alone.
+in parent selection alone.  A crash wipes both halves the way it wipes
+CTP's (``CollectionStack.fault_shutdown``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.link.mac import Mac  # lint: disable=layering
 from repro.net.ctp.forwarding import CtpForwardingConfig, CtpForwardingEngine
 from repro.net.ctp.frames import CtpDataFrame
 from repro.net.ctp.protocol import CollectionStack
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EventHandle
 from repro.sim.packets import RxInfo, TxResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -148,13 +149,32 @@ class MhlqiRouting:
         self.parent: Optional[int] = None
         self.path_cost: float = 0.0 if is_root else math.inf
         self._last_parent_heard = -math.inf
+        #: The pending beacon tick (None while crashed).
+        self._beacon: Optional[EventHandle] = None
         self.on_route_found: Optional[Callable[[], None]] = None
         #: Observation hook (:mod:`repro.sim.probe`), set by the network.
         self.probe: Optional["Monitor"] = None
 
     def start(self) -> None:
         """Boot: begin periodic beacons."""
-        self.engine.schedule(self.rng.uniform(0.1, self.config.first_beacon_max_s), self._beacon_tick)
+        delay = self.rng.uniform(0.1, self.config.first_beacon_max_s)
+        self._beacon = self.engine.schedule(delay, self._beacon_tick)
+
+    def fault_shutdown(self) -> None:
+        """Node crash: stop beaconing and lose the route (RAM state)."""
+        if self._beacon is not None:
+            self._beacon.cancel()
+            self._beacon = None
+        old = self.parent
+        self.parent = None
+        self.path_cost = math.inf
+        self._last_parent_heard = -math.inf
+        if old is not None and self.probe is not None:
+            self.probe.parent_change(self.node_id, old, None)
+
+    def fault_restart(self) -> None:
+        """Node reboot: beacon again as a booting node does."""
+        self.start()
 
     def path_etx(self) -> float:
         """The path cost, in ``adjustLQI`` units rather than ETX."""
@@ -172,7 +192,7 @@ class MhlqiRouting:
         if self.mac.send(frame):
             self.stats.beacons_sent += 1
         period = self.config.beacon_period_s + self.rng.uniform(0, self.config.beacon_jitter_s)
-        self.engine.schedule(period, self._beacon_tick)
+        self._beacon = self.engine.schedule(period, self._beacon_tick)
 
     def update_route(self) -> None:
         """Drop a parent silent for ``parent_timeout_periods`` beacon periods."""

@@ -175,10 +175,39 @@ def test_unknown_node_rejected():
         build_network(faults=schedule)
 
 
-def test_crash_rejected_for_protocol_without_fault_support():
-    schedule = FaultSchedule(events=(NodeCrash(at_s=90.0, node=VICTIM),))
-    with pytest.raises(ValueError, match="fault_shutdown"):
-        build_network(faults=schedule, protocol="mhlqi")
+@pytest.mark.parametrize("protocol", ["mhlqi", "geo"])
+def test_reboot_storm_runs_clean_on_every_stack(protocol):
+    """Every collection stack crashes through the one ``CollectionStack``
+    path: the storm runs under the invariant checker (a dead node that
+    beacons fails it), and each crash drops the node's parent at once."""
+    from repro.sim.network import CollectionNetwork, SimConfig
+    from repro.sim.trace import instrument_network
+    from repro.topology.testbeds import PROFILES, scaled_profile
+
+    profile = scaled_profile(PROFILES["mirage"], 12)
+    config = SimConfig(
+        protocol=protocol, seed=1, duration_s=240.0, warmup_s=60.0,
+        faults="reboot_storm", check_invariants=True,
+    )
+    net = CollectionNetwork(profile.topology(11), config, profile=profile)
+    tracer = instrument_network(net, max_records=None, kinds={"crash", "parent-change"})
+    result = net.run()
+    stats = net.fault_injector.stats
+    assert stats.node_crashes > 0 and stats.node_reboots == stats.node_crashes
+    assert net.invariant_checker.violations == []
+    assert result.unique_delivered > 0
+    records = list(tracer.records)
+    parent = {}
+    losses = 0
+    for i, record in enumerate(records):
+        node = record["node"]
+        if record["kind"] == "parent-change":
+            parent[node] = record["new"]
+        elif record["kind"] == "crash" and parent.get(node, -1) != -1:
+            after = records[i + 1]
+            assert (after["kind"], after["node"], after["new"]) == ("parent-change", node, -1)
+            losses += 1
+    assert losses > 0
 
 
 def test_medium_faults_allowed_for_any_protocol():
