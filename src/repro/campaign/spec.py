@@ -328,6 +328,13 @@ def _integral(name: str, value: Any) -> int:
     raise ValueError(f"collection parameter {name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value: Any) -> float:
+    """``value`` as a float, refusing anything but an int or a float."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ValueError(f"collection parameter {name} must be a number, got {value!r}")
+
+
 def _config_fields() -> Set[str]:
     """The ``SimConfig`` fields a ``collection`` parameter may name: all but
     the estimator, which is set only through flat constants on top of the
@@ -393,9 +400,9 @@ def _simulate_collection(params: Dict[str, Any]) -> CollectionResult:
     config.update(
         protocol=protocol,
         seed=_integral("seed", config.get("seed", 1)),
-        tx_power_dbm=float(config.get("tx_power_dbm", 0.0)),
-        duration_s=float(config.get("duration_s", 420.0)),
-        warmup_s=float(config.get("warmup_s", 120.0)),
+        tx_power_dbm=_real("tx_power_dbm", config.get("tx_power_dbm", 0.0)),
+        duration_s=_real("duration_s", config.get("duration_s", 420.0)),
+        warmup_s=_real("warmup_s", config.get("warmup_s", 120.0)),
     )
     if est_params:
         config["estimator_config"] = estimator_config_from_params(est_params, preset=protocol)

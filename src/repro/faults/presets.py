@@ -179,7 +179,7 @@ def resolve_schedule(
             rng=rng,
         )
     path = Path(spec)
-    if path.suffix == ".json" or path.exists():
+    if path.is_file():
         return FaultSchedule.from_json_file(path)
     raise ValueError(
         f"unknown fault spec {spec!r}: not a preset {PRESET_NAMES} and not a JSON file"

@@ -10,6 +10,7 @@ and the sink recorder.  ``run()`` executes it and returns a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
@@ -52,6 +53,22 @@ MEDIUM_BACKENDS = ("exact", "fast")
 #: Tree depth is sampled this often (simulated seconds) from the warmup on.
 TREE_SAMPLE_PERIOD_S = 30.0
 
+#: The types ``SimConfig`` checks before any comparison or build step
+#: would trip over a wrong one; ``bool`` never passes for a number.
+_FIELD_TYPES: Dict[str, Any] = {
+    "tx_power_dbm": numbers.Real,
+    "seed": numbers.Integral,
+    "duration_s": numbers.Real,
+    "warmup_s": numbers.Real,
+    "drain_s": numbers.Real,
+    "workload": WorkloadConfig,
+    "extra_sinks": (tuple, list),
+    "estimator_config": (EstimatorConfig, type(None)),
+    "radio_params": RadioParams,
+    "telemetry_period_s": (numbers.Real, type(None)),
+    "telemetry_path": (str, type(None)),
+}
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -79,8 +96,8 @@ class SimConfig:
     #: (signal/noise threshold), or "never" (hardware provides nothing —
     #: the paper's worst case, appropriate for CC1000).
     white_bit: str = "lqi"
-    #: Profile the event loop (wall time per event kind, events/sec, queue
-    #: depth); the profile surfaces on ``CollectionResult.profile``.
+    #: Profile the event loop (wall time per event kind, events/sec, heap
+    #: compactions); the profile surfaces on ``CollectionResult.profile``.
     profile_events: bool = False
     #: Attach a cross-layer metrics snapshot (``repro.obs`` registry, flat
     #: dict) to ``CollectionResult.metrics`` at the end of the run.
@@ -106,6 +123,15 @@ class SimConfig:
     telemetry_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
+        if not all(
+            isinstance(nid, numbers.Integral) and not isinstance(nid, bool)
+            for nid in self.extra_sinks
+        ):
+            raise ValueError(f"extra_sinks must be node ids: {self.extra_sinks!r}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}")
         if self.medium not in MEDIUM_BACKENDS:
@@ -115,8 +141,10 @@ class SimConfig:
         # Negated comparisons: NaN fails every one of them.
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive: {self.duration_s!r}")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError(f"tx_power_dbm must be finite: {self.tx_power_dbm!r}")
+        # ±100 dBm is 10 MW either way of a milliwatt; far beyond it the
+        # mediums' dBm → mW conversions overflow a float.
+        if not -100.0 <= self.tx_power_dbm <= 100.0:
+            raise ValueError(f"tx_power_dbm must be within ±100 dBm: {self.tx_power_dbm!r}")
         if not 0.0 <= self.warmup_s < self.duration_s:
             raise ValueError(
                 f"warmup_s must satisfy 0 <= warmup < duration: {self.warmup_s!r}"
@@ -294,9 +322,9 @@ class CollectionNetwork:
         name = self.config.protocol
         radio_params = self.config.radio_params
         if name == "mhlqi":
-            mhlqi_config = MhlqiConfig.scaled_for(radio_params)
             protocol = MultiHopLqi(
-                self.engine, mac, nid, is_root, self.rng.stream("net", nid), mhlqi_config
+                self.engine, mac, nid, is_root, self.rng.stream("net", nid),
+                MhlqiConfig.scaled_for(radio_params),
             )
             return protocol, None
         if name == "geo":
@@ -317,9 +345,9 @@ class CollectionNetwork:
             return protocol, estimator
         est_config = self.config.estimator_config or PRESETS[name]
         estimator = HybridLinkEstimator(mac, est_config, self.rng.stream("est", nid))
-        ctp_config = CtpConfig.scaled_for(radio_params)
         protocol = CtpProtocol(
-            self.engine, estimator, nid, is_root, self.rng.stream("net", nid), ctp_config
+            self.engine, estimator, nid, is_root, self.rng.stream("net", nid),
+            CtpConfig.scaled_for(radio_params),
         )
         return protocol, estimator
 
