@@ -59,7 +59,7 @@ class CollectionResult:
     #: Simulator events executed by the run (throughput accounting).
     events_run: int = 0
     #: Engine profile (``SimConfig(profile_events=True)``): wall time per
-    #: event kind, events/sec, queue depth — see ``repro.obs.profile``.
+    #: event kind, events/sec, heap compactions — see ``repro.obs.profile``.
     profile: Optional[Dict[str, object]] = None
     #: Cross-layer metrics snapshot (``SimConfig(collect_metrics=True)``):
     #: the flat ``repro.obs`` registry view of every layer's counters.

@@ -15,11 +15,10 @@ measurement literature the paper cites.
 This module sits on the exact medium's hottest path (one gain query per
 candidate reception and per overlapping interferer), so per-pair state is
 organized for cheap repeated queries: the time-invariant gain is cached
-per pair, each OU / Gilbert state object carries its own pre-bound RNG
-stream, and the OU decay factors ``exp(-dt/tau)`` are memoized for
-repeating ``dt`` values.  All caches hold values that are pure functions
-of their keys, so they cannot change simulated results — the determinism
-contract in DESIGN.md relies on this.  Per-pair values drawn once (static
+per pair, and each OU / Gilbert state object carries its own pre-bound
+RNG stream.  The caches hold values that are pure functions of their
+keys, so they cannot change simulated results — the determinism contract
+in DESIGN.md relies on this.  Per-pair values drawn once (static
 shadowing, the OU initial value, bimodal membership and initial state)
 come from :meth:`RngManager.once`, which reproduces a fresh named
 stream's first draws without keeping a generator per pair alive.  The
