@@ -196,18 +196,7 @@ def test_reboot_storm_runs_clean_on_every_stack(protocol):
     assert stats.node_crashes > 0 and stats.node_reboots == stats.node_crashes
     assert net.invariant_checker.violations == []
     assert result.unique_delivered > 0
-    records = list(tracer.records)
-    parent = {}
-    losses = 0
-    for i, record in enumerate(records):
-        node = record["node"]
-        if record["kind"] == "parent-change":
-            parent[node] = record["new"]
-        elif record["kind"] == "crash" and parent.get(node, -1) != -1:
-            after = records[i + 1]
-            assert (after["kind"], after["node"], after["new"]) == ("parent-change", node, -1)
-            losses += 1
-    assert losses > 0
+    assert _parent_losses_at_crashes(list(tracer.records)) > 0
 
 
 def test_medium_faults_allowed_for_any_protocol():
@@ -229,7 +218,12 @@ def test_crash_record_is_followed_by_the_parent_loss():
     net = build_network(faults="reboot_storm")
     tracer = instrument_network(net, max_records=None, kinds={"crash", "parent-change"})
     net.run()
-    records = list(tracer.records)
+    assert _parent_losses_at_crashes(list(tracer.records)) > 0
+
+
+def _parent_losses_at_crashes(records):
+    """Check that every crash of a node with a parent is followed at once by
+    that parent's loss; returns how many such crashes there were."""
     parent = {}
     losses = 0
     for i, record in enumerate(records):
@@ -241,4 +235,4 @@ def test_crash_record_is_followed_by_the_parent_loss():
             assert (after["kind"], after["node"], after["t"]) == ("parent-change", node, record["t"])
             assert after["old"] == parent[node] and after["new"] == -1
             losses += 1
-    assert losses > 0
+    return losses
